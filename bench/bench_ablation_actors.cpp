@@ -1,159 +1,31 @@
-// Ablation: scheduler substrate (global mutex queue vs work stealing)
-// crossed with the paper's actor-count knobs.
+// Ablation: the paper's actor-count knobs (§V.A).
 //
-// Two experiments:
+// The dispatchers x computers grid for PageRank on the pokec stand-in.
+// Engine work is dominated by vertex compute, so the grid shows how much
+// overlap and batching the actor counts buy and where oversubscription
+// starts to cost.
 //
-//   1. Engine sweep — the §V.A dispatchers x computers grid for PageRank
-//      on the pokec stand-in, run once per scheduler mode. Engine work is
-//      dominated by vertex compute, so this bounds the end-to-end impact.
-//   2. Scheduler storm — relay rings of trivial actors at increasing
-//      oversubscription (actors / workers). Every delivery is a
-//      worker-context send that immediately re-schedules the peer, so
-//      messages/sec here measures run-queue overhead and almost nothing
-//      else. This is the cell the work-stealing scheduler is built for:
-//      the global queue pays a mutex + condition-variable round trip per
-//      wakeup, the stealing scheduler a lock-free push to the worker's
-//      own deque.
-//
-// Set GPSA_BENCH_JSON=<path> to also write the full result set as JSON
-// (consumed by the CI bench-smoke leg, which asserts the stealing/global
-// storm throughput ratio at oversubscription >= 2).
-#include <atomic>
-#include <chrono>
+// Set GPSA_BENCH_JSON=<path> to also write the result set as JSON.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "actor/actor_system.hpp"
 #include "apps/pagerank.hpp"
 #include "core/engine.hpp"
 #include "harness/experiment.hpp"
 #include "metrics/table.hpp"
-#include "util/thread.hpp"
 
 namespace gpsa {
 namespace {
 
-// --- Experiment 2: scheduler storm ------------------------------------------
-
-// One hop in a relay ring: bump the global delivery counter and pass the
-// token on with one fewer hop; a token that expires retires itself.
-class RelayActor final : public Actor<std::uint32_t> {
- public:
-  RelayActor(std::atomic<std::uint64_t>* delivered,
-             std::atomic<std::int64_t>* live_tokens)
-      : delivered_(delivered), live_tokens_(live_tokens) {}
-
-  void set_next(RelayActor* next) { next_ = next; }
-
- private:
-  void on_message(std::uint32_t hops_left) override {
-    delivered_->fetch_add(1, std::memory_order_relaxed);
-    if (hops_left > 0) {
-      next_->send(hops_left - 1);
-    } else {
-      live_tokens_->fetch_sub(1, std::memory_order_release);
-    }
-  }
-
-  std::atomic<std::uint64_t>* delivered_;
-  std::atomic<std::int64_t>* live_tokens_;
-  RelayActor* next_ = nullptr;
-};
-
-struct StormCell {
-  SchedulerMode mode;
-  unsigned workers = 0;
-  unsigned actors = 0;
-  std::uint64_t messages = 0;
-  double seconds = 0.0;
-  double messages_per_sec = 0.0;
-};
-
-// Runs `actors` relay actors (rings of kRingSize) on `workers` workers,
-// with one token per ring making `hops` hops. Returns the measured cell.
-StormCell run_storm(SchedulerMode mode, unsigned workers, unsigned actors,
-                    std::uint32_t hops) {
-  constexpr unsigned kRingSize = 8;
-  const unsigned rings = (actors + kRingSize - 1) / kRingSize;
-
-  std::atomic<std::uint64_t> delivered{0};
-  std::atomic<std::int64_t> live_tokens{static_cast<std::int64_t>(rings)};
-
-  ActorSystem system(workers, /*batch_size=*/64, mode);
-  std::vector<RelayActor*> ring_actors;
-  ring_actors.reserve(static_cast<std::size_t>(rings) * kRingSize);
-  for (unsigned r = 0; r < rings; ++r) {
-    for (unsigned i = 0; i < kRingSize; ++i) {
-      ring_actors.push_back(
-          system.spawn<RelayActor>(&delivered, &live_tokens));
-    }
-    for (unsigned i = 0; i < kRingSize; ++i) {
-      ring_actors[r * kRingSize + i]->set_next(
-          ring_actors[r * kRingSize + (i + 1) % kRingSize]);
-    }
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  for (unsigned r = 0; r < rings; ++r) {
-    ring_actors[static_cast<std::size_t>(r) * kRingSize]->send(hops);
-  }
-  while (live_tokens.load(std::memory_order_acquire) > 0) {
-    std::this_thread::yield();
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  system.shutdown();
-
-  StormCell cell;
-  cell.mode = mode;
-  cell.workers = workers;
-  cell.actors = rings * kRingSize;
-  cell.messages = delivered.load(std::memory_order_relaxed);
-  cell.seconds = std::chrono::duration<double>(stop - start).count();
-  cell.messages_per_sec =
-      cell.seconds > 0 ? static_cast<double>(cell.messages) / cell.seconds : 0;
-  return cell;
-}
-
-// --- Experiment 1: engine sweep ---------------------------------------------
-
 struct EngineCell {
-  SchedulerMode mode;
   unsigned dispatchers = 0;
   unsigned computers = 0;
   double avg_seconds = 0.0;
   double avg_superstep_seconds = 0.0;
   std::uint64_t messages = 0;
   double messages_per_sec = 0.0;
-};
-
-// The engine builds its ActorSystem through the environment switch, so
-// the sweep pins GPSA_SCHEDULER around each run.
-class ScopedSchedulerEnv {
- public:
-  explicit ScopedSchedulerEnv(SchedulerMode mode) {
-    const char* prev = std::getenv("GPSA_SCHEDULER");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) {
-      prev_ = prev;
-    }
-    setenv("GPSA_SCHEDULER", scheduler_mode_name(mode), 1);
-  }
-  ~ScopedSchedulerEnv() {
-    if (had_prev_) {
-      setenv("GPSA_SCHEDULER", prev_.c_str(), 1);
-    } else {
-      unsetenv("GPSA_SCHEDULER");
-    }
-  }
-  ScopedSchedulerEnv(const ScopedSchedulerEnv&) = delete;
-  ScopedSchedulerEnv& operator=(const ScopedSchedulerEnv&) = delete;
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
 };
 
 void append_json_number(std::string& out, const char* key, double value) {
@@ -168,14 +40,11 @@ void append_json_number(std::string& out, const char* key, double value) {
 int main() {
   using namespace gpsa;
   const ExperimentOptions exp = ExperimentOptions::from_env();
-  const SchedulerMode modes[] = {SchedulerMode::kGlobalQueue,
-                                 SchedulerMode::kWorkStealing};
 
-  // --- Engine sweep ------------------------------------------------------
   const EdgeList graph =
       generate_paper_graph(PaperGraph::kPokec, exp.scale, exp.seed);
-  std::printf("== Ablation: scheduler substrate x actor counts, PageRank, "
-              "pokec stand-in (scale %.3g) ==\n\n",
+  std::printf("== Ablation: actor counts, PageRank, pokec stand-in "
+              "(scale %.3g) ==\n\n",
               exp.scale);
 
   struct Shape {
@@ -186,117 +55,61 @@ int main() {
                           {4, 4}, {8, 8}, {16, 16}};
 
   std::vector<EngineCell> engine_cells;
-  TextTable engine_table({"scheduler", "dispatchers", "computers",
-                          "avg elapsed (s)", "avg/superstep (s)", "msg/s"});
+  TextTable engine_table({"dispatchers", "computers", "avg elapsed (s)",
+                          "avg/superstep (s)", "msg/s"});
   bool ok = true;
   const PageRankProgram pagerank(5);
-  for (const SchedulerMode mode : modes) {
-    ScopedSchedulerEnv env(mode);
-    for (const Shape& shape : shapes) {
-      double total = 0;
-      std::uint64_t supersteps = 1;
-      std::uint64_t messages = 0;
-      for (unsigned r = 0; r < exp.runs; ++r) {
-        EngineOptions eo;
-        eo.num_dispatchers = shape.dispatchers;
-        eo.num_computers = shape.computers;
-        eo.max_supersteps = 5;
-        auto result = Engine::run(graph, pagerank, eo);
-        if (!result.is_ok()) {
-          std::fprintf(stderr, "%s\n", result.status().to_string().c_str());
-          ok = false;
-          continue;
-        }
-        total += result.value().elapsed_seconds;
-        supersteps = result.value().supersteps;
-        messages = result.value().total_messages;
+  for (const Shape& shape : shapes) {
+    double total = 0;
+    std::uint64_t supersteps = 1;
+    std::uint64_t messages = 0;
+    for (unsigned r = 0; r < exp.runs; ++r) {
+      EngineOptions eo;
+      eo.num_dispatchers = shape.dispatchers;
+      eo.num_computers = shape.computers;
+      eo.max_supersteps = 5;
+      auto result = Engine::run(graph, pagerank, eo);
+      if (!result.is_ok()) {
+        std::fprintf(stderr, "%s\n", result.status().to_string().c_str());
+        ok = false;
+        continue;
       }
-      EngineCell cell;
-      cell.mode = mode;
-      cell.dispatchers = shape.dispatchers;
-      cell.computers = shape.computers;
-      cell.avg_seconds = total / exp.runs;
-      cell.avg_superstep_seconds =
-          cell.avg_seconds / static_cast<double>(supersteps);
-      cell.messages = messages;
-      cell.messages_per_sec =
-          cell.avg_seconds > 0
-              ? static_cast<double>(messages) / cell.avg_seconds
-              : 0;
-      engine_cells.push_back(cell);
-      engine_table.add_row(
-          {scheduler_mode_name(mode),
-           TextTable::num(std::uint64_t{shape.dispatchers}),
-           TextTable::num(std::uint64_t{shape.computers}),
-           TextTable::num(cell.avg_seconds, 4),
-           TextTable::num(cell.avg_superstep_seconds, 4),
-           TextTable::num(cell.messages_per_sec, 0)});
+      total += result.value().elapsed_seconds;
+      supersteps = result.value().supersteps;
+      messages = result.value().total_messages;
     }
+    EngineCell cell;
+    cell.dispatchers = shape.dispatchers;
+    cell.computers = shape.computers;
+    cell.avg_seconds = total / exp.runs;
+    cell.avg_superstep_seconds =
+        cell.avg_seconds / static_cast<double>(supersteps);
+    cell.messages = messages;
+    cell.messages_per_sec =
+        cell.avg_seconds > 0 ? static_cast<double>(messages) / cell.avg_seconds
+                             : 0;
+    engine_cells.push_back(cell);
+    engine_table.add_row({TextTable::num(std::uint64_t{shape.dispatchers}),
+                          TextTable::num(std::uint64_t{shape.computers}),
+                          TextTable::num(cell.avg_seconds, 4),
+                          TextTable::num(cell.avg_superstep_seconds, 4),
+                          TextTable::num(cell.messages_per_sec, 0)});
   }
   engine_table.print();
-
-  // --- Scheduler storm ---------------------------------------------------
-  const unsigned workers =
-      exp.threads != 0 ? exp.threads : default_worker_count();
-  // Token hop count scales with GPSA_BENCH_SCALE so CI can keep the smoke
-  // run short while local runs measure a longer steady state.
-  const auto hops = static_cast<std::uint32_t>(40'000 * exp.scale) + 1'000;
-  const unsigned oversub[] = {1, 2, 4, 8};
-
-  std::printf("\n== Scheduler storm: relay rings, %u workers, %u hops per "
-              "token ==\n\n",
-              workers, hops);
-  std::vector<StormCell> storm_cells;
-  TextTable storm_table(
-      {"scheduler", "actors", "actors/worker", "messages", "msg/s"});
-  for (const unsigned factor : oversub) {
-    const unsigned actors = workers * factor * 8;  // whole rings of 8
-    for (const SchedulerMode mode : modes) {
-      // One untimed warm-up keeps first-touch page faults out of the
-      // short CI measurement.
-      run_storm(mode, workers, actors, hops / 8);
-      const StormCell cell = run_storm(mode, workers, actors, hops);
-      storm_cells.push_back(cell);
-      storm_table.add_row({scheduler_mode_name(mode),
-                           TextTable::num(std::uint64_t{cell.actors}),
-                           TextTable::num(std::uint64_t{factor}),
-                           TextTable::num(cell.messages),
-                           TextTable::num(cell.messages_per_sec, 0)});
-    }
-  }
-  storm_table.print();
 
   // --- JSON artifact ------------------------------------------------------
   if (const char* json_path = std::getenv("GPSA_BENCH_JSON")) {
     std::string out = "{\n  \"bench\": \"ablation_actors\",\n";
-    out += "  \"workers\": " + std::to_string(workers) + ",\n";
     out += "  \"engine_sweep\": [\n";
     for (std::size_t i = 0; i < engine_cells.size(); ++i) {
       const EngineCell& c = engine_cells[i];
-      out += "    {\"scheduler\":\"";
-      out += scheduler_mode_name(c.mode);
-      out += "\",\"dispatchers\":" + std::to_string(c.dispatchers);
+      out += "    {\"dispatchers\":" + std::to_string(c.dispatchers);
       out += ",\"computers\":" + std::to_string(c.computers);
       out += ",\"messages\":" + std::to_string(c.messages) + ",";
       append_json_number(out, "avg_seconds", c.avg_seconds);
       out += ",";
       append_json_number(out, "messages_per_sec", c.messages_per_sec);
       out += i + 1 < engine_cells.size() ? "},\n" : "}\n";
-    }
-    out += "  ],\n  \"storm\": [\n";
-    for (std::size_t i = 0; i < storm_cells.size(); ++i) {
-      const StormCell& c = storm_cells[i];
-      out += "    {\"scheduler\":\"";
-      out += scheduler_mode_name(c.mode);
-      out += "\",\"workers\":" + std::to_string(c.workers);
-      out += ",\"actors\":" + std::to_string(c.actors);
-      out += ",\"oversubscription\":" +
-             std::to_string(c.actors / (c.workers * 8));
-      out += ",\"messages\":" + std::to_string(c.messages) + ",";
-      append_json_number(out, "seconds", c.seconds);
-      out += ",";
-      append_json_number(out, "messages_per_sec", c.messages_per_sec);
-      out += i + 1 < storm_cells.size() ? "},\n" : "}\n";
     }
     out += "  ]\n}\n";
     if (std::FILE* f = std::fopen(json_path, "w")) {

@@ -19,7 +19,7 @@
 //   --root=V            BFS/SSSP start vertex
 //   --iterations=N      PageRank iterations (default 20)
 //   --supersteps=N      hard superstep cap
-//   --dispatchers/--computers/--nodes=N, --combine, --checkpoint
+//   --dispatchers/--computers/--nodes=N, --checkpoint
 //   --trace=PATH        write the per-superstep CSV trace
 //   --top=K             print the K best-valued vertices (default 5)
 //
@@ -251,7 +251,6 @@ int main(int argc, char** argv) {
     eo.num_computers =
         static_cast<unsigned>(config.get_int("computers", 2));
     eo.max_supersteps = supersteps;
-    eo.enable_combiner = config.get_bool("combine", false);
     eo.checkpoint_each_superstep = config.get_bool("checkpoint", false);
     auto result = Engine::run(graph, *program, eo);
     if (!result.is_ok()) {

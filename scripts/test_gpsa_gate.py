@@ -61,28 +61,11 @@ def check_gate(name: str, script: str, passing: dict, pass_args: list[str],
     expect("Usage:" in proc.stderr, f"{name}: usage text missing on stderr")
 
 
-def storm_report() -> dict:
-    def cell(scheduler, rate):
-        return {"workers": 4, "actors": 16, "scheduler": scheduler,
-                "oversubscription": 4, "messages_per_sec": rate}
-    return {"storm": [cell("global", 1.0e6), cell("stealing", 2.0e6)]}
-
-
 def io_report() -> dict:
     def cell(readahead, rate):
         return {"dataset": "google", "backend": "mmap",
                 "readahead": readahead, "dispatch_mb_per_sec": rate}
     return {"cells": [cell("off", 100.0), cell("on", 200.0)]}
-
-
-def msgplane_report() -> dict:
-    return {"cells": [
-        {"pool": "off", "routing": "mod", "msgs_per_sec": 1.0e6,
-         "round_msgs_per_sec": [1.0e6, 1.1e6]},
-        {"pool": "on", "routing": "range", "msgs_per_sec": 2.0e6,
-         "round_msgs_per_sec": [2.0e6, 2.1e6], "pool_hits": 100,
-         "pool_misses": 4, "pool_steady_misses": 0},
-    ]}
 
 
 def worklist_report() -> dict:
@@ -137,30 +120,10 @@ def main() -> int:
         tmp = Path(tmpdir)
 
         check_gate(
-            "storm", "check_storm_ratio.py", storm_report(), ["1.3"],
-            {
-                "below-threshold": lambda r: ["3.0"],
-                "no-oversubscribed-cells": lambda r: (
-                    [c.update(oversubscription=1) for c in r["storm"]],
-                    ["1.3"])[1],
-            }, tmp)
-
-        check_gate(
             "io", "check_io_ratio.py", io_report(), ["1.5"],
             {
                 "below-threshold": lambda r: ["3.0"],
                 "missing-dataset": lambda r: ["1.5", "twitter"],
-            }, tmp)
-
-        check_gate(
-            "msgplane", "check_msgplane_ratio.py", msgplane_report(),
-            ["1.5"],
-            {
-                "below-threshold": lambda r: ["3.0"],
-                "steady-misses": lambda r: (
-                    r["cells"][1].update(pool_steady_misses=2),
-                    ["1.5"])[1],
-                "missing-cell": lambda r: (r["cells"].pop(0), ["1.5"])[1],
             }, tmp)
 
         check_gate(

@@ -5,9 +5,8 @@
 //     scheduler never runs one actor concurrently with itself;
 //   - asynchronous send: producers enqueue and continue immediately;
 //   - per-sender FIFO delivery via the MPSC mailbox;
-//   - starvation-free scheduling via the scheduler's run queues
-//     (scheduler.hpp: work-stealing deques by default, the global FIFO
-//     under GPSA_SCHEDULER=global).
+//   - starvation-free scheduling via the scheduler's work-stealing run
+//     queues (scheduler.hpp).
 //
 // An actor is IDLE when its mailbox is empty and it is not on a run
 // queue, SCHEDULED otherwise. send() performs the empty->non-empty
@@ -58,7 +57,7 @@ class Actor : public Schedulable {
   /// Despawn-protocol hint (Schedulable::quiescent): IDLE means the
   /// mailbox was seen empty and the actor sits on no run queue. The
   /// window between a worker's pop and the IDLE store is covered by the
-  /// scheduler's in-slice flag.
+  /// scheduler's in-flight slice count.
   bool idle_hint() const override {
     return state_.load(std::memory_order_seq_cst) == kIdle;
   }

@@ -9,10 +9,6 @@ namespace gpsa {
 ActorSystem::ActorSystem(unsigned worker_count, std::size_t batch_size)
     : scheduler_(worker_count, batch_size) {}
 
-ActorSystem::ActorSystem(unsigned worker_count, std::size_t batch_size,
-                         SchedulerMode mode)
-    : scheduler_(worker_count, batch_size, mode) {}
-
 ActorSystem::~ActorSystem() { shutdown(); }
 
 void ActorSystem::despawn_job(std::uint32_t job) {
@@ -40,9 +36,9 @@ void ActorSystem::despawn_job(std::uint32_t job) {
   // still touches this actor" true. Here the workers keep running other
   // jobs, so we prove the same property per group instead: read the summed
   // slice counter, sweep quiescent(), read the sum again. A slice that
-  // overlaps the sweep either still holds its in-slice flag (sweep fails),
+  // overlaps the sweep either is still counted in flight (sweep fails),
   // left the unit SCHEDULED (sweep fails), or completed — which bumped the
-  // counter before clearing the flag (sums differ). Stable sums + an
+  // counter before dropping its in-flight count (sums differ). Stable sums + an
   // all-quiescent sweep therefore prove no worker is inside, about to
   // enter, or able to re-enter any member.
   unsigned spins = 0;

@@ -23,11 +23,7 @@ namespace gpsa {
 
 class ActorSystem {
  public:
-  /// The two-argument form takes the scheduler substrate from the
-  /// GPSA_SCHEDULER environment switch (scheduler.hpp).
   explicit ActorSystem(unsigned worker_count, std::size_t batch_size = 256);
-  ActorSystem(unsigned worker_count, std::size_t batch_size,
-              SchedulerMode mode);
   ~ActorSystem();
 
   ActorSystem(const ActorSystem&) = delete;
@@ -64,7 +60,7 @@ class ActorSystem {
   /// to quiesce, while the scheduler (and every other job on it) keeps
   /// running. Quiescence is a double-read of the group's summed
   /// slice-completion counters around a sweep in which every member reads
-  /// quiescent(): any concurrent slice manifests as an in-slice flag, a
+  /// quiescent(): any concurrent slice manifests as an in-flight count, a
   /// SCHEDULED mailbox state, or a counter bump, so a stable read proves
   /// no member is running, queued, or claimed — and job actors only
   /// message each other, so no new work can arrive once the protocol

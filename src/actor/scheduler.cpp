@@ -1,15 +1,10 @@
 // gpsa-lint: locked-notify — every condition-variable notify in this file
-// must be issued while the guarding Mutex is held (the predicate re-check
-// under the same mutex makes lost wakeups impossible either way, but
-// notifying under the lock additionally closes the window where a racing
-// stop()+destruction frees the condvar between an unlock and its notify).
-// The worker eventcount (Worker::epoch) is an atomic, not a condvar, and
-// has its own Dekker protocol (see park()/wake_one()).
+// must be issued while the guarding Mutex is held. The worker eventcount
+// (Worker::epoch) is an atomic, not a condvar, and has its own Dekker
+// protocol (see park()/wake_one()).
 #include "actor/scheduler.hpp"
 
 #include <bit>
-#include <cstdlib>
-#include <string_view>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -51,46 +46,24 @@ constexpr std::size_t kStealBatchMinDepth = 4;
 
 }  // namespace
 
-SchedulerMode scheduler_mode_from_env() {
-  const char* env = std::getenv("GPSA_SCHEDULER");
-  if (env != nullptr && std::string_view(env) == "global") {
-    return SchedulerMode::kGlobalQueue;
-  }
-  return SchedulerMode::kWorkStealing;
-}
-
-const char* scheduler_mode_name(SchedulerMode mode) {
-  return mode == SchedulerMode::kGlobalQueue ? "global" : "stealing";
-}
-
 Scheduler::Scheduler(unsigned worker_count, std::size_t batch_size)
-    : Scheduler(worker_count, batch_size, scheduler_mode_from_env()) {}
-
-Scheduler::Scheduler(unsigned worker_count, std::size_t batch_size,
-                     SchedulerMode mode)
-    : batch_size_(batch_size), mode_(mode) {
+    : batch_size_(batch_size) {
   GPSA_CHECK(worker_count > 0);
   GPSA_CHECK(batch_size > 0);
-  if (mode_ == SchedulerMode::kWorkStealing) {
-    worker_state_.reserve(worker_count);
-    SplitMix64 seeder(0x675053415F575351ULL);  // "GPSA_WSQ"
-    for (unsigned i = 0; i < worker_count; ++i) {
-      worker_state_.push_back(std::make_unique<Worker>(seeder.next() | 1));
-    }
-    parked_word_count_ = (worker_count + 63) / 64;
-    parked_words_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(parked_word_count_);
-    for (std::size_t w = 0; w < parked_word_count_; ++w) {
-      parked_words_[w].store(0, std::memory_order_relaxed);
-    }
+  worker_state_.reserve(worker_count);
+  SplitMix64 seeder(0x675053415F575351ULL);  // "GPSA_WSQ"
+  for (unsigned i = 0; i < worker_count; ++i) {
+    worker_state_.push_back(std::make_unique<Worker>(seeder.next() | 1));
+  }
+  parked_word_count_ = (worker_count + 63) / 64;
+  parked_words_ =
+      std::make_unique<std::atomic<std::uint64_t>[]>(parked_word_count_);
+  for (std::size_t w = 0; w < parked_word_count_; ++w) {
+    parked_words_[w].store(0, std::memory_order_relaxed);
   }
   workers_.reserve(worker_count);
   for (unsigned i = 0; i < worker_count; ++i) {
-    if (mode_ == SchedulerMode::kWorkStealing) {
-      workers_.emplace_back([this, i] { worker_loop_stealing(i); });
-    } else {
-      workers_.emplace_back([this, i] { worker_loop_global(i); });
-    }
+    workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
@@ -98,21 +71,8 @@ Scheduler::~Scheduler() { stop(); }
 
 void Scheduler::enqueue(Schedulable* unit) {
   GPSA_DCHECK(unit != nullptr);
-  if (mode_ == SchedulerMode::kGlobalQueue) {
-    MutexLock lock(mutex_);
-    if (stopping_) {
-      return;  // shutdown in progress; work is dropped by design
-    }
-    run_queue_.push_back(unit);
-    // Notify while holding the lock: a worker between its predicate check
-    // and its wait re-checks under this same mutex, so the wakeup cannot
-    // be lost; and stop()+destruction cannot free cv_ underneath us.
-    cv_.notify_one();
-    return;
-  }
-
   if (stop_flag_.load(std::memory_order_acquire)) {
-    return;  // dropped by design, as above
+    return;  // shutdown in progress; work is dropped by design
   }
   // Count the unit as pending BEFORE publishing it: a parker that reads
   // pending_ == 0 after setting its parked bit knows every published unit
@@ -171,25 +131,13 @@ void Scheduler::wake_one() {
 }
 
 void Scheduler::stop() {
-  if (mode_ == SchedulerMode::kGlobalQueue) {
-    {
-      MutexLock lock(mutex_);
-      stopping_ = true;
-      // Notify under the lock (annotation-audit find): the old
-      // unlock-then-notify left the same window the enqueue comment
-      // describes — a concurrent sequential stop()+destruction could
-      // free cv_ between this thread's unlock and its notify.
-      cv_.notify_all();
-    }
-  } else {
-    stop_flag_.store(true, std::memory_order_seq_cst);
-    // Wake everyone regardless of the parked bitmap: a worker between its
-    // bit-set and its wait sees either the flag or the epoch bump.
-    for (auto& worker : worker_state_) {
-      worker->epoch.fetch_add(1, std::memory_order_seq_cst);
-      // Atomic eventcount (see wake_one): no condvar lifetime to protect.
-      worker->epoch.notify_all();  // gpsa-lint: allow(locked-notify)
-    }
+  stop_flag_.store(true, std::memory_order_seq_cst);
+  // Wake everyone regardless of the parked bitmap: a worker between its
+  // bit-set and its wait sees either the flag or the epoch bump.
+  for (auto& worker : worker_state_) {
+    worker->epoch.fetch_add(1, std::memory_order_seq_cst);
+    // Atomic eventcount (see wake_one): no condvar lifetime to protect.
+    worker->epoch.notify_all();  // gpsa-lint: allow(locked-notify)
   }
   // Idempotent: a second call finds every worker already joined.
   for (auto& worker : workers_) {
@@ -199,35 +147,7 @@ void Scheduler::stop() {
   }
 }
 
-void Scheduler::worker_loop_global(unsigned index) {
-  set_current_thread_name("gpsa-w" + std::to_string(index));
-  while (true) {
-    Schedulable* unit = nullptr;
-    {
-      MutexLock lock(mutex_);
-      // Explicit predicate loop rather than cv_.wait(lock, pred): the
-      // thread-safety analysis checks the guarded reads here, where the
-      // lock is visibly held, instead of inside an opaque lambda.
-      while (!stopping_ && run_queue_.empty()) {
-        cv_.wait(lock);
-      }
-      if (stopping_) {
-        return;
-      }
-      unit = run_queue_.front();
-      run_queue_.pop_front();
-    }
-    slices_.fetch_add(1, std::memory_order_relaxed);
-    unit->slice_begin();
-    const bool more = unit->execute_batch(batch_size_);
-    unit->slice_end();
-    if (more) {
-      enqueue(unit);
-    }
-  }
-}
-
-void Scheduler::worker_loop_stealing(unsigned index) {
+void Scheduler::worker_loop(unsigned index) {
   set_current_thread_name("gpsa-w" + std::to_string(index));
   tls_worker = WorkerTls{this, index};
   Worker& self = *worker_state_[index];

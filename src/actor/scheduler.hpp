@@ -7,27 +7,16 @@
 // batch of messages, and it is re-enqueued if work remains. The batch
 // bound keeps any one actor from monopolizing a worker.
 //
-// Two run-queue substrates exist behind the GPSA_SCHEDULER runtime
-// switch (DESIGN.md §8):
-//
-//   - kWorkStealing (default): per-worker bounded Chase–Lev deques
-//     (work_stealing_deque.hpp). An enqueue from a worker thread lands on
-//     that worker's own deque (local LIFO); external submissions and
-//     deque overflow go through a global injector queue; idle workers
-//     steal the FIFO end of random victims, taking up to half of the
-//     victim's backlog per episode. A parked-worker bitmap plus a global
-//     pending-unit counter lets enqueue wake at most one sleeper and
-//     makes "sleep while work is unclaimed" impossible (Dekker on
-//     seq_cst pending/parked accesses). A fairness tick services the
-//     injector and the worker's own FIFO end every 61 slices so local
-//     LIFO churn cannot starve anyone.
-//   - kGlobalQueue: the original single std::mutex + std::deque +
-//     condition_variable run queue, kept as the ablation baseline and
-//     fallback. notify_one is issued while the lock is held: the
-//     predicate re-check under the same mutex already makes lost wakeups
-//     impossible, and notifying under the lock additionally closes the
-//     window where a racing stop()+destruction could free the condvar
-//     between enqueue's unlock and its notify.
+// Run queues (DESIGN.md §8): per-worker bounded Chase–Lev deques
+// (work_stealing_deque.hpp). An enqueue from a worker thread lands on
+// that worker's own deque (local LIFO); external submissions and deque
+// overflow go through a global injector queue; idle workers steal the
+// FIFO end of random victims, taking up to half of the victim's backlog
+// per episode. A parked-worker bitmap plus a global pending-unit counter
+// lets enqueue wake at most one sleeper and makes "sleep while work is
+// unclaimed" impossible (Dekker on seq_cst pending/parked accesses). A
+// fairness tick services the injector and the worker's own FIFO end
+// every 61 slices so local LIFO churn cannot starve anyone.
 #pragma once
 
 #include <atomic>
@@ -63,15 +52,16 @@ class Schedulable {
   /// True when the unit is neither mid-slice nor claimed by / queued on
   /// any run queue. Actor<M> refines idle_hint() with its mailbox state
   /// machine: IDLE there means "not enqueued anywhere and mailbox seen
-  /// empty", and the in-slice flag covers the pop-to-state-reset window.
+  /// empty", and the in-flight count covers the pop-to-state-reset window.
   bool quiescent() const {
-    return !in_slice_.load(std::memory_order_seq_cst) && idle_hint();
+    return slices_in_flight_.load(std::memory_order_seq_cst) == 0 &&
+           idle_hint();
   }
 
   /// Slices this unit has fully completed. The despawn protocol
   /// (ActorSystem::despawn_job) reads this before and after a quiescent()
-  /// sweep: slice_end() bumps the counter BEFORE clearing the in-slice
-  /// flag, so an unchanged counter across a window in which every unit
+  /// sweep: slice_end() bumps the counter BEFORE dropping the in-flight
+  /// count, so an unchanged counter across a window in which every unit
   /// read quiescent means no slice ran anywhere in that window.
   std::uint64_t slices_completed() const {
     return slices_completed_.load(std::memory_order_seq_cst);
@@ -84,37 +74,32 @@ class Schedulable {
  private:
   friend class Scheduler;
 
-  void slice_begin() { in_slice_.store(true, std::memory_order_seq_cst); }
+  // A count, not a flag: two slices of one unit can overlap. Once a slice
+  // stores IDLE, a producer may re-enqueue the unit and a second worker
+  // may start the next slice before the first worker reaches slice_end().
+  // A flag cleared by that first slice_end() would let quiescent() read
+  // true while the second slice still runs.
+  void slice_begin() {
+    slices_in_flight_.fetch_add(1, std::memory_order_seq_cst);
+  }
   void slice_end() {
-    // Counter first, then the flag: a reader that sees in_slice_ == false
-    // with an unchanged counter knows this slice's writes are visible.
+    // Counter first, then the in-flight count: a reader that sees no slice
+    // in flight with an unchanged counter knows this slice's writes are
+    // visible.
     slices_completed_.fetch_add(1, std::memory_order_seq_cst);
-    in_slice_.store(false, std::memory_order_seq_cst);
+    slices_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
   }
 
   std::uint32_t job_tag_ = 0;
-  std::atomic<bool> in_slice_{false};
+  std::atomic<std::uint32_t> slices_in_flight_{0};
   std::atomic<std::uint64_t> slices_completed_{0};
 };
-
-enum class SchedulerMode {
-  kGlobalQueue,   // single mutex-protected FIFO (ablation baseline)
-  kWorkStealing,  // per-worker Chase–Lev deques + injector (default)
-};
-
-/// Reads GPSA_SCHEDULER ("global" | "stealing"); defaults to
-/// kWorkStealing for unset or unrecognized values.
-SchedulerMode scheduler_mode_from_env();
-
-const char* scheduler_mode_name(SchedulerMode mode);
 
 class Scheduler {
  public:
   /// `worker_count` threads are started immediately.
   /// `batch_size` bounds messages processed per scheduling slice.
-  /// The two-argument form takes the mode from GPSA_SCHEDULER.
   explicit Scheduler(unsigned worker_count, std::size_t batch_size = 256);
-  Scheduler(unsigned worker_count, std::size_t batch_size, SchedulerMode mode);
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -123,23 +108,21 @@ class Scheduler {
   /// Makes `unit` runnable. Callable from any thread, including workers.
   /// From a worker thread of this scheduler the unit lands on that
   /// worker's local deque; otherwise it goes through the injector.
-  void enqueue(Schedulable* unit) GPSA_EXCLUDES(mutex_, injector_mutex_);
+  void enqueue(Schedulable* unit) GPSA_EXCLUDES(injector_mutex_);
 
   /// Stops accepting work, drains nothing, joins workers. Callers must
   /// quiesce their actors first (the GPSA manager protocol guarantees all
   /// mailboxes are empty before the engine stops the scheduler).
-  void stop() GPSA_EXCLUDES(mutex_);
+  void stop();
 
   unsigned worker_count() const { return static_cast<unsigned>(workers_.size()); }
 
-  SchedulerMode mode() const { return mode_; }
-
-  /// Total scheduling slices executed (for tests and the ablation bench).
+  /// Total scheduling slices executed.
   std::uint64_t slices_executed() const {
     return slices_.load(std::memory_order_relaxed);
   }
 
-  /// Steal episodes that obtained at least one unit (stealing mode only).
+  /// Steal episodes that obtained at least one unit.
   std::uint64_t steals_executed() const {
     return steals_.load(std::memory_order_relaxed);
   }
@@ -150,14 +133,14 @@ class Scheduler {
     return steal_extras_.load(std::memory_order_relaxed);
   }
 
-  /// Per-job fair-share budget, in slices (stealing mode). When nonzero, a
-  /// worker that has run `slices` consecutive slices of the same job tag
-  /// services the FIFO ends (injector, then its own deque's far end)
-  /// before its local LIFO end — the 61-slice fairness tick generalized so
-  /// a resident job cannot monopolize a worker between ticks. 0 (the
-  /// default) disables the per-job trigger; single-job engine runs keep
-  /// the plain fairness tick. Settable at any time (GraphService sets it
-  /// once at startup from GPSA_SERVICE_FAIR_BUDGET).
+  /// Per-job fair-share budget, in slices. When nonzero, a worker that
+  /// has run `slices` consecutive slices of the same job tag services the
+  /// FIFO ends (injector, then its own deque's far end) before its local
+  /// LIFO end — the 61-slice fairness tick generalized so a resident job
+  /// cannot monopolize a worker between ticks. 0 (the default) disables
+  /// the per-job trigger; single-job engine runs keep the plain fairness
+  /// tick. Settable at any time (GraphService sets it once at startup
+  /// from GPSA_SERVICE_FAIR_BUDGET).
   void set_fair_share_budget(std::uint64_t slices) {
     fair_budget_.store(slices, std::memory_order_relaxed);
   }
@@ -182,8 +165,7 @@ class Scheduler {
     std::uint64_t job_run_len = 0;
   };
 
-  void worker_loop_global(unsigned index);
-  void worker_loop_stealing(unsigned index);
+  void worker_loop(unsigned index);
 
   Schedulable* next_unit(Worker& self, unsigned index);
   Schedulable* try_steal(Worker& self, unsigned index);
@@ -194,19 +176,11 @@ class Scheduler {
   bool park(Worker& self, unsigned index);
 
   const std::size_t batch_size_;
-  const SchedulerMode mode_;
   std::atomic<std::uint64_t> slices_{0};
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> steal_extras_{0};
   std::atomic<std::uint64_t> fair_budget_{0};
 
-  // --- kGlobalQueue state -------------------------------------------------
-  Mutex mutex_{"Scheduler.runq"};
-  CondVar cv_;
-  std::deque<Schedulable*> run_queue_ GPSA_GUARDED_BY(mutex_);
-  bool stopping_ GPSA_GUARDED_BY(mutex_) = false;
-
-  // --- kWorkStealing state ------------------------------------------------
   std::vector<std::unique_ptr<Worker>> worker_state_;
   Mutex injector_mutex_{"Scheduler.injector"};
   std::deque<Schedulable*> injector_ GPSA_GUARDED_BY(injector_mutex_);

@@ -47,12 +47,6 @@ class BfsProgram final : public Program {
     return after < before;
   }
 
-  bool has_combiner() const override { return true; }
-
-  Payload combine(Payload a, Payload b) const override {
-    return std::min(a, b);
-  }
-
   VertexId root() const { return root_; }
 
  private:

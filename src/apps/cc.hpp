@@ -40,12 +40,6 @@ class ConnectedComponentsProgram final : public Program {
   bool changed(Payload before, Payload after) const override {
     return after < before;
   }
-
-  bool has_combiner() const override { return true; }
-
-  Payload combine(Payload a, Payload b) const override {
-    return std::min(a, b);
-  }
 };
 
 }  // namespace gpsa

@@ -37,10 +37,6 @@ class InDegreeProgram final : public Program {
   }
 
   std::uint64_t max_supersteps() const override { return 1; }
-
-  bool has_combiner() const override { return true; }
-
-  Payload combine(Payload a, Payload b) const override { return a + b; }
 };
 
 }  // namespace gpsa

@@ -3,9 +3,9 @@
 // Payloads are 31-bit reachability bitmasks: bit i of vertex v's value is
 // set iff v is reachable from source i. Messages carry the sender's mask,
 // the fold is bitwise OR (commutative, associative, idempotent — ideal
-// for the message-driven model and for the combiner). One run answers
-// "which of up to 31 landmark pages reach v?" — a workload web-graph
-// systems use for landmark labeling.
+// for the message-driven model). One run answers "which of up to 31
+// landmark pages reach v?" — a workload web-graph systems use for
+// landmark labeling.
 #pragma once
 
 #include <vector>
@@ -52,10 +52,6 @@ class MultiSourceReachabilityProgram final : public Program {
   bool changed(Payload before, Payload after) const override {
     return after != before;  // OR only grows
   }
-
-  bool has_combiner() const override { return true; }
-
-  Payload combine(Payload a, Payload b) const override { return a | b; }
 
   const std::vector<VertexId>& sources() const { return sources_; }
 

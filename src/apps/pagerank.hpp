@@ -61,12 +61,6 @@ class PageRankProgram final : public Program {
 
   std::uint64_t max_supersteps() const override { return iterations_; }
 
-  bool has_combiner() const override { return true; }
-
-  Payload combine(Payload a, Payload b) const override {
-    return float_to_payload(payload_to_float(a) + payload_to_float(b));
-  }
-
  private:
   std::uint64_t iterations_;
   float damping_;

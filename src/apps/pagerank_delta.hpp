@@ -83,12 +83,6 @@ class PageRankDeltaProgram final : public Program {
 
   std::uint64_t max_supersteps() const override { return max_iterations_; }
 
-  bool has_combiner() const override { return true; }
-
-  Payload combine(Payload a, Payload b) const override {
-    return float_to_payload(payload_to_float(a) + payload_to_float(b));
-  }
-
   bool delta_messages() const override { return true; }
 
   Payload delta(Payload current, Payload last_sent) const override {

@@ -45,12 +45,6 @@ class SsspProgram final : public Program {
     return after < before;
   }
 
-  bool has_combiner() const override { return true; }
-
-  Payload combine(Payload a, Payload b) const override {
-    return std::min(a, b);
-  }
-
   VertexId source() const { return source_; }
 
  private:

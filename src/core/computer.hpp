@@ -11,11 +11,10 @@
 // set — the paper's "negative value" write — keeping the update column's
 // payload fresh.
 //
-// Message-plane contract (DESIGN.md §11): under range routing this actor
-// owns one contiguous vertex slice, so its value-file and latest-column
-// writes never share a cache line with another computer, and batches
-// arrive radix-staged in ascending-dst order — the apply loop walks the
-// slice near-sequentially. Drained batch buffers are recycled into the
+// Message-plane contract (DESIGN.md §11): this actor owns one contiguous
+// vertex slice, so its value-file and latest-column writes never share a
+// cache line with another computer, and batches arrive radix-staged in
+// ascending-dst order — the apply loop walks the slice near-sequentially. Drained batch buffers are recycled into the
 // engine's MessageBatchPool, closing the zero-allocation loop with the
 // dispatchers' leases.
 //

@@ -49,21 +49,12 @@ void DispatcherActor::connect(std::vector<ComputerActor*> computers,
   GPSA_CHECK(computers.size() == owners_.parts());
   computers_ = std::move(computers);
   manager_ = manager;
-  range_staging_ = owners_.routing() == MessageRouting::kRange;
-  // One-time setup: the outer per-owner vectors of empty staging slots.
-  // Under mod routing the element buffers come from the pool; under range
-  // routing the bin vectors grow to their working set during warm-up and
-  // keep that capacity for the rest of the run.
-  staging_.resize(computers_.size());  // gpsa-lint: allow(msg-buffer-alloc)
-  if (range_staging_) {
-    bins_.resize(  // gpsa-lint: allow(msg-buffer-alloc)
-        computers_.size() * kRadixBins);
-    staged_count_.assign(computers_.size(), 0);
-  } else {
-    for (auto& buffer : staging_) {
-      buffer = pool_.lease();  // gpsa-analyze: transfer(staging slot; moved into the mailbox by flush_batch, recycled by the computer)
-    }
-  }
+  // One-time setup: the flat per-owner bin vectors. They grow to their
+  // working set during warm-up and keep that capacity for the rest of the
+  // run.
+  bins_.resize(  // gpsa-lint: allow(msg-buffer-alloc)
+      computers_.size() * kRadixBins);
+  staged_count_.assign(computers_.size(), 0);
   radix_shift_.assign(computers_.size(), 0);
   for (std::size_t owner = 0; owner < computers_.size(); ++owner) {
     const VertexId local =
@@ -76,15 +67,6 @@ void DispatcherActor::connect(std::vector<ComputerActor*> computers,
     radix_shift_[owner] = shift;
   }
   uniform_message_ = program_.uniform_gen_msg();
-  combining_ = behavior_.combine && program_.has_combiner();
-  if (combining_) {
-    combine_slots_.resize(computers_.size());
-    combine_gen_.assign(computers_.size(), 1);
-    for (std::size_t owner = 0; owner < computers_.size(); ++owner) {
-      combine_slots_[owner].assign(
-          owners_.local_size(static_cast<unsigned>(owner)), 0);
-    }
-  }
 }
 
 void DispatcherActor::on_message(DispatcherMsg msg) {
@@ -95,18 +77,10 @@ void DispatcherActor::on_message(DispatcherMsg msg) {
       } catch (const std::exception& e) {
         // A user gen_msg hook threw: report instead of wedging the
         // superstep barrier (§V.C exception handling).
-        for (std::size_t owner = 0; owner < computers_.size(); ++owner) {
-          staging_[owner].clear();
-          if (range_staging_) {
-            for (std::size_t b = 0; b < kRadixBins; ++b) {
-              bins_[owner * kRadixBins + b].clear();
-            }
-            staged_count_[owner] = 0;
-          }
-          if (combining_) {
-            ++combine_gen_[owner];
-          }
+        for (auto& bin : bins_) {
+          bin.clear();
         }
+        std::fill(staged_count_.begin(), staged_count_.end(), 0);
         ManagerMsg failed;
         failed.kind = ManagerMsg::Kind::kWorkerFailed;
         failed.superstep = msg.superstep;
@@ -259,46 +233,16 @@ void DispatcherActor::dispatch_vertex(VertexId v, Payload value,
             : program_.gen_msg(src_ext,
                                orig_ids_ == nullptr ? dst : orig_ids_[dst],
                                value, degree);
-    const std::size_t owner = owners_.owner_of(dst);
-    if (combining_) {
-      const VertexId local =
-          owners_.local_index(dst, static_cast<unsigned>(owner));
-      std::uint64_t& entry = combine_slots_[owner][local];
-      // The entry's low half is the pending message's staging position
-      // + 1: its index in the owner's destination bin under range
-      // staging, in the flat staging buffer under mod.
-      std::vector<VertexMessage>& stage =
-          range_staging_
-              ? bins_[owner * kRadixBins + (local >> radix_shift_[owner])]
-              : staging_[owner];
-      if ((entry >> 32) == combine_gen_[owner]) {
-        VertexMessage& pending =
-            stage[static_cast<std::uint32_t>(entry) - 1];
-        pending.value = program_.combine(pending.value, message);
-      } else {
-        entry = (combine_gen_[owner] << 32) |
-                static_cast<std::uint32_t>(stage.size() + 1);
-        stage.push_back(VertexMessage{dst, message});
-        if (range_staging_) {
-          ++staged_count_[owner];
-        }
-        ++messages_this_superstep_;
-      }
-    } else if (range_staging_) {
-      // Bin-bucketed staging: land the message directly in its radix
-      // bin while dst is in registers; the flush then only needs
-      // sequential copies to emit an ascending-dst batch.
-      const VertexId local =
-          owners_.local_index(dst, static_cast<unsigned>(owner));
-      bins_[owner * kRadixBins + (local >> radix_shift_[owner])]
-          .push_back(VertexMessage{dst, message});
-      ++staged_count_[owner];
-      ++messages_this_superstep_;
-    } else {
-      staging_[owner].push_back(VertexMessage{dst, message});
-      ++messages_this_superstep_;
-    }
-    if (behavior_.overlap && staged_size(owner) >= batch_size_) {
+    // Bin-bucketed staging: land the message directly in its radix bin
+    // while dst is in registers; the flush then only needs sequential
+    // copies to emit an ascending-dst batch.
+    const unsigned owner = owners_.owner_of(dst);
+    const VertexId local = owners_.local_index(dst, owner);
+    bins_[owner * kRadixBins + (local >> radix_shift_[owner])].push_back(
+        VertexMessage{dst, message});
+    ++staged_count_[owner];
+    ++messages_this_superstep_;
+    if (behavior_.overlap && staged_count_[owner] >= batch_size_) {
       flush_batch(owner, superstep);
     }
   }
@@ -306,28 +250,17 @@ void DispatcherActor::dispatch_vertex(VertexId v, Payload value,
 
 void DispatcherActor::flush_batch(std::size_t computer_index,
                                   std::uint64_t superstep) {
-  if (staged_size(computer_index) == 0) {
+  if (staged_count_[computer_index] == 0) {
     return;
   }
   ComputerMsg msg;
   msg.kind = ComputerMsg::Kind::kBatch;
   msg.superstep = superstep;
-  if (range_staging_) {
-    // Cache-ordered staging: concatenate the radix bins into a leased
-    // buffer; the bins keep their capacity for the next window.
-    msg.batch = pool_.lease();
-    gather_bins(computer_index, msg.batch);
-    staged_count_[computer_index] = 0;
-  } else {
-    // Legacy mod routing (ablation baseline): ship the staging buffer in
-    // arrival order and lease its replacement.
-    auto& buffer = staging_[computer_index];
-    msg.batch = std::move(buffer);
-    buffer = pool_.lease();
-  }
-  if (combining_) {
-    ++combine_gen_[computer_index];  // O(1) direct-map reset
-  }
+  // Concatenate the radix bins into a leased buffer; the bins keep their
+  // capacity for the next window.
+  msg.batch = pool_.lease();
+  gather_bins(computer_index, msg.batch);
+  staged_count_[computer_index] = 0;
   computers_[computer_index]->send(std::move(msg));
 }
 
@@ -346,8 +279,8 @@ void DispatcherActor::gather_bins(std::size_t owner,
   out.resize(staged_count_[owner]);  // gpsa-lint: allow(msg-buffer-alloc)
   VertexMessage* cursor = out.data();
   const std::size_t base = owner * kRadixBins;
-  // Ascending bins, arrival order within a bin: per-vertex fold order
-  // matches the unsorted plane, so results stay bit-identical.
+  // Ascending bins, arrival order within a bin: per-vertex fold order is
+  // the dispatch order, exactly as if the batch were never bucketed.
   for (std::size_t b = 0; b < kRadixBins; ++b) {
     std::vector<VertexMessage>& bin = bins_[base + b];
     cursor = std::copy(bin.begin(), bin.end(), cursor);

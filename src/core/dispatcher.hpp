@@ -4,10 +4,9 @@
 // ITERATION_START it walks its interval's active vertices: each has one
 // message generated per out-edge via Program::gen_msg, routed to the
 // computing actor that owns the destination (OwnerMap: contiguous vertex
-// ranges by default, dst mod computer-count as the ablation baseline) in
-// batches, and is then consumed (flag re-set to 1). When the interval is
-// exhausted it reports DISPATCH_OVER with its message/active/edge counts
-// and waits for the next command.
+// ranges) in batches, and is then consumed (flag re-set to 1). When the
+// interval is exhausted it reports DISPATCH_OVER with its
+// message/active/edge counts and waits for the next command.
 //
 // Two ways to find the active vertices (core/exec_mode.hpp):
 //   sweep     stream every record in id order, skipping vertices whose
@@ -21,19 +20,14 @@
 //             flag, so the dispatched set (and therefore every result) is
 //             bit-identical to the sweep's (DESIGN.md §12).
 //
-// Message-plane mechanics (DESIGN.md §11):
-//   - batch buffers are leased from the engine's MessageBatchPool and
-//     recycled by the computing actors after apply, so steady-state
-//     supersteps allocate nothing on this path;
-//   - under range routing messages are staged straight into per-owner
-//     radix bins (256 bins over the owner's dense local range, appended
-//     in arrival order) and a flush concatenates the bins into a leased
-//     buffer with sequential copies, so the computer applies each batch
-//     in ascending-dst order — near-sequential value-column writes — and
-//     the dispatcher never re-scans a batch to sort it;
-//   - the combiner index is a direct-map table over each owner's dense
-//     local range (generation-tagged for O(1) per-flush reset), replacing
-//     the per-message unordered_map probe.
+// Message-plane mechanics (DESIGN.md §11), one staging path: each message
+// goes to its owner, then into one of the owner's 256 radix bins (over the
+// owner's dense local range, appended in arrival order); a flush
+// concatenates the bins into a buffer leased from the engine's
+// MessageBatchPool with sequential copies. The computer therefore applies
+// each batch in ascending-dst order — near-sequential value-column writes
+// — and recycles the buffer; the dispatcher never re-scans a batch to
+// sort it.
 #pragma once
 
 #include <cstdint>
@@ -63,9 +57,6 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
     bool overlap = true;
     /// Ignore the stale flag and dispatch every vertex (ablation).
     bool dispatch_inactive = false;
-    /// Combine same-destination messages in the staging buffers
-    /// (Program::combine must be fold-compatible).
-    bool combine = false;
   };
 
   /// `stream` carries the interval's record bytes (the reader supplies
@@ -128,13 +119,8 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   void flush_batch(std::size_t computer_index, std::uint64_t superstep);
   void flush_all(std::uint64_t superstep);
   /// Concatenates `owner`'s staged bins (ascending, arrival order within
-  /// a bin) into `out` and clears them (range routing's ordered flush).
+  /// a bin) into `out` and clears them (the ordered flush).
   void gather_bins(std::size_t owner, std::vector<VertexMessage>& out);
-
-  /// Messages currently staged for `owner` under either staging scheme.
-  std::size_t staged_size(std::size_t owner) const {
-    return range_staging_ ? staged_count_[owner] : staging_[owner].size();
-  }
 
   const std::uint32_t id_;
   const Interval interval_;
@@ -159,30 +145,18 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   std::vector<ComputerActor*> computers_;
   ManagerActor* manager_ = nullptr;
 
-  // Mod routing: per-computer staging buffers, seeded once at connect();
-  // afterwards every buffer entering or leaving circulates through the
-  // pool. Unused under range routing (bins_ stages instead).
-  std::vector<std::vector<VertexMessage>> staging_;
-  // Range routing: flat parts x kRadixBins bucketed staging. Pushes append
-  // to the destination's bin; flushes gather the bins in ascending order
-  // with sequential copies. Bin vectors are allocated lazily during
-  // warm-up and keep their capacity, so steady-state supersteps stay
+  // Flat parts x kRadixBins bucketed staging. Pushes append to the
+  // destination's bin; flushes gather the bins in ascending order with
+  // sequential copies. Bin vectors are allocated lazily during warm-up
+  // and keep their capacity, so steady-state supersteps stay
   // allocation-free on this path too.
   std::vector<std::vector<VertexMessage>> bins_;
-  // Range routing: staged-message count per owner (the flush trigger;
-  // summing 256 bin sizes per push would defeat the point).
+  // Staged-message count per owner (the flush trigger; summing 256 bin
+  // sizes per push would defeat the point).
   std::vector<std::size_t> staged_count_;
-  // Direct-map combiner: per owner, one generation-tagged entry per dense
-  // local vertex — entry (gen << 32) | (staging position + 1) is live iff
-  // its generation matches combine_gen_[owner]. Bumping the generation
-  // resets the whole table in O(1) at each flush.
-  std::vector<std::vector<std::uint64_t>> combine_slots_;
-  std::vector<std::uint64_t> combine_gen_;
   // Per-owner radix shift: (local_size - 1) >> shift < kRadixBins.
   std::vector<unsigned> radix_shift_;
-  bool range_staging_ = false;
   bool uniform_message_ = false;
-  bool combining_ = false;
   bool has_degree_ = false;
   std::uint64_t messages_this_superstep_ = 0;
   std::uint64_t messages_sent_total_ = 0;

@@ -40,6 +40,9 @@ namespace gpsa {
 
 struct EngineOptions {
   unsigned num_dispatchers = 2;
+  /// Computing actors, each owning one contiguous vertex slice
+  /// (core/ownership.hpp). On tiny graphs the partitioner may produce
+  /// fewer non-empty slices; the engine then spawns exactly that many.
   unsigned num_computers = 2;
   /// Scheduler worker threads; 0 means default_worker_count().
   unsigned scheduler_workers = 0;
@@ -84,11 +87,6 @@ struct EngineOptions {
   /// superstep (X-Stream-like full streaming). Only meaningful for
   /// monotone apps (BFS/CC/SSSP), whose folds tolerate replayed values.
   bool dispatch_inactive = false;
-  /// Dispatcher-side message combining (Program::combine). Reduces
-  /// message counts without changing results for fold-compatible
-  /// combiners; off by default so message statistics match the paper's
-  /// uncombined protocol.
-  bool enable_combiner = false;
   /// Working directory for the CSR and value files; empty -> private
   /// scratch directory removed at teardown.
   std::string work_dir;
@@ -96,18 +94,6 @@ struct EngineOptions {
   /// readahead window, drop-behind, cold-start. Unset fields follow
   /// GPSA_IO_BACKEND / GPSA_READAHEAD_MB / etc.
   IoOptions io;
-  /// Lease/recycle batch buffers through the shared MessageBatchPool so
-  /// steady-state supersteps allocate nothing on the message plane.
-  /// Unset follows GPSA_MSG_POOL (default on); false is the
-  /// allocate-per-flush ablation baseline.
-  std::optional<bool> message_pool;
-  /// Destination -> computer map (core/ownership.hpp). Unset follows
-  /// GPSA_ROUTING (default range: contiguous per-computer vertex slices
-  /// from the Interval machinery; mod keeps the legacy interleaved map as
-  /// the ablation baseline). Under range routing on tiny graphs the
-  /// partitioner may produce fewer than num_computers non-empty slices;
-  /// the engine then spawns exactly that many computers.
-  std::optional<MessageRouting> routing;
   /// How dispatchers find active vertices (core/exec_mode.hpp). Unset
   /// follows GPSA_EXEC (default worklist: iterate the active bitmap's
   /// dispatch generation, O(active) per superstep; sweep streams every
@@ -162,9 +148,10 @@ struct RunResult {
   /// complement, used by the message-plane bench).
   std::vector<double> computer_busy_seconds;
   /// Batch-buffer pool activity (hits/misses/steady misses/bytes
-  /// recycled); enabled=false when the run used the allocation baseline.
+  /// recycled/free buffers at job end).
   MessagePoolStats pool;
-  /// Routing the run actually used (after GPSA_ROUTING resolution).
+  /// Destination -> computer map the run used (core/ownership.hpp; range
+  /// is the only one).
   MessageRouting routing = MessageRouting::kRange;
   /// Execution mode the run actually used (after GPSA_EXEC resolution).
   ExecMode exec = ExecMode::kWorklist;

@@ -166,21 +166,15 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   GPSA_CHECK(!intervals.empty());
 
   // --- Message plane: destination ownership + batch-buffer pool. ---------
-  // Range routing derives contiguous per-computer slices from the same
-  // interval machinery; the partitioner may return fewer non-empty slices
-  // than requested on tiny graphs, and we spawn exactly that many
-  // computers.
-  const MessageRouting routing = resolve_message_routing(options.routing);
-  const OwnerMap owners =
-      routing == MessageRouting::kRange
-          ? OwnerMap::make_range_from_intervals(
-                make_intervals(csr, options.num_computers, options.partition))
-          : OwnerMap::make_mod(n, options.num_computers);
+  // Contiguous per-computer slices come from the same interval machinery;
+  // the partitioner may return fewer non-empty slices than requested on
+  // tiny graphs, and we spawn exactly that many computers.
+  const OwnerMap owners = OwnerMap::make_range_from_intervals(
+      make_intervals(csr, options.num_computers, options.partition));
   // The pool outlives every actor of this job: despawn_job below destroys
   // the job's actors (and thus any leased buffers still in mailboxes)
   // before this frame unwinds (message_pool.hpp).
-  MessageBatchPool pool(options.message_batch,
-                        resolve_message_pool_enabled(options.message_pool));
+  MessageBatchPool pool(options.message_batch);
 
   // --- Cold-cache protocol (bench_ablation_io): everything written or
   // faulted in during setup — CSR validation touches every entry page —
@@ -234,7 +228,6 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   DispatcherActor::Behavior behavior;
   behavior.overlap = options.overlap_dispatch_compute;
   behavior.dispatch_inactive = options.dispatch_inactive;
-  behavior.combine = options.enable_combiner;
   for (std::uint32_t d = 0; d < intervals.size(); ++d) {
     dispatchers.push_back(system.spawn_in_job<DispatcherActor>(
         ctx.job_tag, d, intervals[d], std::cref(csr), std::ref(*streams[d]),
@@ -308,7 +301,6 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
     out.computer_busy_seconds.push_back(computer->busy_seconds());
   }
   out.pool = pool.stats();
-  out.routing = routing;
   out.exec = exec;
   out.csr_format = csr.format();
   out.csr_order = csr.order();

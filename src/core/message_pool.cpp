@@ -1,32 +1,16 @@
 #include "core/message_pool.hpp"
 
-#include <cstdlib>
-#include <string>
-
 #include "util/check.hpp"
 
 namespace gpsa {
 
-bool resolve_message_pool_enabled(std::optional<bool> requested) {
-  if (requested.has_value()) {
-    return *requested;
-  }
-  const char* raw = std::getenv("GPSA_MSG_POOL");
-  if (raw == nullptr || *raw == '\0') {
-    return true;
-  }
-  const std::string value(raw);
-  return !(value == "0" || value == "false" || value == "off" ||
-           value == "no");
-}
-
-MessageBatchPool::MessageBatchPool(std::size_t batch_capacity, bool enabled)
-    : batch_capacity_(batch_capacity), enabled_(enabled) {
+MessageBatchPool::MessageBatchPool(std::size_t batch_capacity)
+    : batch_capacity_(batch_capacity) {
   GPSA_CHECK(batch_capacity_ > 0);
 }
 
 std::vector<VertexMessage> MessageBatchPool::lease() {
-  if (enabled_) {
+  {
     MutexLock lock(mutex_);
     ++leases_;
     if (!free_.empty()) {
@@ -49,9 +33,6 @@ std::vector<VertexMessage> MessageBatchPool::lease() {
 }
 
 void MessageBatchPool::recycle(std::vector<VertexMessage>&& buffer) {
-  if (!enabled_) {
-    return;  // dropped; the ablation baseline frees every batch
-  }
   buffer.clear();  // destroys nothing (trivial elements), keeps capacity
   MutexLock lock(mutex_);
   recycled_bytes_ += buffer.capacity() * sizeof(VertexMessage);
@@ -66,12 +47,12 @@ void MessageBatchPool::mark_superstep() {
 MessagePoolStats MessageBatchPool::stats() const {
   MutexLock lock(mutex_);
   MessagePoolStats out;
-  out.enabled = enabled_;
   out.leases = leases_;
   out.hits = hits_;
   out.misses = misses_;
   out.steady_misses = steady_misses_;
   out.recycled_bytes = recycled_bytes_;
+  out.free_buffers = free_.size();
   return out;
 }
 

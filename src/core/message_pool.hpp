@@ -9,11 +9,11 @@
 //
 // This pool closes the loop: dispatchers *lease* an empty buffer with the
 // batch capacity already reserved, and computing actors *recycle* the
-// drained buffer after applying it. After a warm-up superstep or two the
-// set of circulating buffers covers the maximum in-flight batch count and
-// steady-state supersteps run allocation-free — MessagePoolStats reports
-// exactly that (steady_misses == 0) and the message-plane bench gates on
-// it.
+// drained buffer after applying it. The pool allocates only when more
+// batches are in flight at once than ever before, so the buffer count
+// tracks the peak in-flight batch count; no buffer is dropped, and at
+// job end every buffer the pool allocated is back on its free list
+// (MessagePoolStats: free_buffers == misses).
 //
 // Concurrency: lease() runs on dispatcher actors, recycle() on computing
 // actors, mark_superstep() on the manager — all scheduler workers. One
@@ -33,7 +33,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -82,36 +81,35 @@ inline Status decode_batch_into(const std::uint8_t* data, std::size_t size,
   return Status::ok();
 }
 
-/// Pool activity surfaced in RunResult (and the bench JSON artifact).
+/// Pool activity surfaced in RunResult.
 struct MessagePoolStats {
-  bool enabled = false;
+  /// Always true: every run pools its batch buffers.
+  bool enabled = true;
   std::uint64_t leases = 0;
   /// Leases served from the free list (no allocation).
   std::uint64_t hits = 0;
   /// Leases that had to allocate a fresh buffer.
   std::uint64_t misses = 0;
-  /// Misses after the warm-up window (the first two supersteps). Zero in
-  /// steady state by design; the message-plane bench gate enforces it.
+  /// Misses after the first two supersteps. Not a leak count: with more
+  /// than one worker the peak number of batches in flight can still rise
+  /// after superstep 2 under a different schedule, and each new peak
+  /// allocates once. free_buffers == misses at job end is the no-drop
+  /// guarantee.
   std::uint64_t steady_misses = 0;
   /// Capacity returned through recycle(), in bytes.
   std::uint64_t recycled_bytes = 0;
+  /// Buffers on the free list when the stats were taken.
+  std::uint64_t free_buffers = 0;
 };
-
-/// Reads GPSA_MSG_POOL (default on) when `requested` is unset.
-bool resolve_message_pool_enabled(std::optional<bool> requested);
 
 class MessageBatchPool {
  public:
   /// `batch_capacity`: capacity every leased buffer is reserved to
-  /// (EngineOptions::message_batch). `enabled=false` degrades lease() to
-  /// plain allocation and recycle() to a drop — the ablation baseline —
-  /// while keeping one code path in the actors.
-  explicit MessageBatchPool(std::size_t batch_capacity, bool enabled = true);
+  /// (EngineOptions::message_batch).
+  explicit MessageBatchPool(std::size_t batch_capacity);
 
   MessageBatchPool(const MessageBatchPool&) = delete;
   MessageBatchPool& operator=(const MessageBatchPool&) = delete;
-
-  bool enabled() const { return enabled_; }
 
   /// An empty buffer with at least batch_capacity reserved.
   std::vector<VertexMessage> lease() GPSA_EXCLUDES(mutex_);
@@ -119,15 +117,14 @@ class MessageBatchPool {
   /// Return a drained buffer; its capacity re-enters circulation.
   void recycle(std::vector<VertexMessage>&& buffer) GPSA_EXCLUDES(mutex_);
 
-  /// Superstep boundary (called by the manager): after two of these the
-  /// warm-up window closes and further misses count as steady_misses.
+  /// Superstep boundary (called by the manager): after two of these
+  /// further misses also count as steady_misses.
   void mark_superstep() GPSA_EXCLUDES(mutex_);
 
   MessagePoolStats stats() const GPSA_EXCLUDES(mutex_);
 
  private:
   const std::size_t batch_capacity_;
-  const bool enabled_;
 
   mutable Mutex mutex_{"MessagePool.free"};
   std::vector<std::vector<VertexMessage>> free_ GPSA_GUARDED_BY(mutex_);

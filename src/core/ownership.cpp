@@ -1,64 +1,24 @@
 #include "core/ownership.hpp"
 
-#include <cstdlib>
-
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace gpsa {
 
 const char* message_routing_name(MessageRouting routing) {
   switch (routing) {
-    case MessageRouting::kMod:
-      return "mod";
     case MessageRouting::kRange:
       return "range";
   }
   return "unknown";
 }
 
-Result<MessageRouting> parse_message_routing(std::string_view name) {
-  if (name == "mod") {
-    return MessageRouting::kMod;
-  }
-  if (name == "range") {
-    return MessageRouting::kRange;
-  }
-  return invalid_argument("unknown message routing '" + std::string(name) +
-                          "' (expected mod|range)");
-}
-
-MessageRouting resolve_message_routing(
-    std::optional<MessageRouting> requested) {
-  if (requested.has_value()) {
-    return *requested;
-  }
-  const char* raw = std::getenv("GPSA_ROUTING");
-  if (raw == nullptr || *raw == '\0') {
-    return MessageRouting::kRange;
-  }
-  auto parsed = parse_message_routing(raw);
-  if (!parsed.is_ok()) {
-    GPSA_LOG(Warn) << "GPSA_ROUTING: " << parsed.status().to_string()
-                   << "; using range";
-    return MessageRouting::kRange;
-  }
-  return parsed.value();
-}
-
-OwnerMap::OwnerMap(MessageRouting routing, VertexId num_vertices,
-                   unsigned parts, std::vector<VertexId> boundaries)
-    : routing_(routing),
-      num_vertices_(num_vertices),
-      parts_(parts),
+OwnerMap::OwnerMap(std::vector<VertexId> boundaries)
+    : num_vertices_(boundaries.back()),
+      parts_(static_cast<unsigned>(boundaries.size() - 1)),
       boundaries_(std::move(boundaries)) {
-  if (routing_ != MessageRouting::kRange) {
-    return;
-  }
   // Block granularity: at most ~4Ki blocks so the table stays resident in
   // L1/L2 next to the dispatch loop's working set.
   constexpr unsigned kMaxBlocks = 4096;
-  block_shift_ = 0;
   while ((static_cast<std::uint64_t>(num_vertices_) >> block_shift_) >=
          kMaxBlocks) {
     ++block_shift_;
@@ -76,20 +36,13 @@ OwnerMap::OwnerMap(MessageRouting routing, VertexId num_vertices,
   }
 }
 
-OwnerMap OwnerMap::make_mod(VertexId num_vertices, unsigned parts) {
-  GPSA_CHECK(parts >= 1);
-  return OwnerMap(MessageRouting::kMod, num_vertices, parts, {});
-}
-
 OwnerMap OwnerMap::make_range(std::vector<VertexId> boundaries) {
   GPSA_CHECK(boundaries.size() >= 2);
   GPSA_CHECK(boundaries.front() == 0);
   for (std::size_t i = 1; i < boundaries.size(); ++i) {
     GPSA_CHECK(boundaries[i] >= boundaries[i - 1]);
   }
-  const VertexId n = boundaries.back();
-  const auto parts = static_cast<unsigned>(boundaries.size() - 1);
-  return OwnerMap(MessageRouting::kRange, n, parts, std::move(boundaries));
+  return OwnerMap(std::move(boundaries));
 }
 
 OwnerMap OwnerMap::make_range_from_intervals(

@@ -18,6 +18,11 @@
 //   compute(...)      -- folds one message into the accumulator
 //                        (Algorithm 3 line 10).
 //
+// Messages are not combined: every out-edge of an active vertex carries
+// its own message to the destination's fold, as in the paper's protocol
+// (§V). Dispatcher-side combining cost more than the in-memory sends it
+// saved (EXPERIMENTS.md).
+//
 // All engines in this repository (GPSA, the GraphChi-style PSW baseline,
 // the X-Stream-style baseline, and the sequential reference) execute the
 // same Program, which is what makes the cross-engine equivalence tests and
@@ -102,22 +107,6 @@ class Program {
   virtual Payload delta(Payload current, Payload last_sent) const {
     (void)last_sent;
     return current;
-  }
-
-  // --- Optional Pregel-style message combiner -------------------------------
-  // When supported (and enabled via EngineOptions::enable_combiner), the
-  // dispatcher merges messages bound for the same destination inside its
-  // staging buffers before sending, cutting mailbox traffic. Correctness
-  // requirement: compute(compute(seed, a), b) == compute(seed,
-  // combine(a, b)) — true for min/max/sum/or folds.
-
-  virtual bool has_combiner() const { return false; }
-
-  /// Merges two messages for the same destination. Only called when
-  /// has_combiner() is true.
-  virtual Payload combine(Payload a, Payload b) const {
-    (void)a;
-    return b;
   }
 };
 

@@ -335,9 +335,6 @@ void GraphService::run_one(const std::shared_ptr<Job>& job) {
   eo.message_batch = options_.message_batch;
   eo.max_supersteps = job->options.max_supersteps;
   eo.exec = job->options.exec;
-  eo.routing = job->options.routing;
-  eo.message_pool = job->options.message_pool;
-  eo.enable_combiner = job->options.enable_combiner;
 
   JobContext ctx;
   ctx.csr = &csr_;

@@ -83,9 +83,6 @@ struct JobOptions {
   /// Caps supersteps in addition to Program::max_supersteps. 0 = no cap.
   std::uint64_t max_supersteps = 0;
   std::optional<ExecMode> exec;
-  std::optional<MessageRouting> routing;
-  std::optional<bool> message_pool;
-  bool enable_combiner = false;
   /// Keep RunResult::values in the stored result. Turn off for
   /// high-volume query streams where only latencies/counters matter —
   /// thousands of retained n-sized vectors add up.

@@ -2,11 +2,9 @@
 // scheduler fairness, wakeup races, and cross-actor messaging patterns
 // (ping-pong, fan-in) resembling the engine's dispatcher/computer flow.
 //
-// Every scheduler-facing test runs under BOTH run-queue substrates
-// (SchedulerMode::kGlobalQueue and kWorkStealing) via TEST_P, so the
-// ablation fallback stays as correct as the default. Single-threaded
-// properties of the Chase–Lev deque (LIFO/FIFO ends, growth, overflow)
-// are covered here; the multi-thief races live in test_sanitize_stress.
+// Single-threaded properties of the Chase–Lev deque (LIFO/FIFO ends,
+// growth, overflow) are covered here; the multi-thief races live in
+// test_sanitize_stress.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,16 +18,6 @@
 
 namespace gpsa {
 namespace {
-
-class SchedulerModeTest : public ::testing::TestWithParam<SchedulerMode> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    BothSubstrates, SchedulerModeTest,
-    ::testing::Values(SchedulerMode::kGlobalQueue,
-                      SchedulerMode::kWorkStealing),
-    [](const ::testing::TestParamInfo<SchedulerMode>& param) {
-      return scheduler_mode_name(param.param);
-    });
 
 /// Records received ints; fulfils a promise at a target count.
 class CollectorActor final : public Actor<int> {
@@ -52,8 +40,8 @@ class CollectorActor final : public Actor<int> {
   std::promise<std::vector<int>> promise_;
 };
 
-TEST_P(SchedulerModeTest, DeliversInOrderFromOneSender) {
-  ActorSystem system(2, 256, GetParam());
+TEST(ActorScheduler, DeliversInOrderFromOneSender) {
+  ActorSystem system(2, 256);
   auto* collector = system.spawn<CollectorActor>(1000U);
   auto future = collector->future();
   for (int i = 0; i < 1000; ++i) {
@@ -67,10 +55,10 @@ TEST_P(SchedulerModeTest, DeliversInOrderFromOneSender) {
   system.shutdown();
 }
 
-TEST_P(SchedulerModeTest, FanInFromManyThreadsDeliversAll) {
+TEST(ActorScheduler, FanInFromManyThreadsDeliversAll) {
   constexpr int kSenders = 8;
   constexpr int kEach = 5000;
-  ActorSystem system(4, 256, GetParam());
+  ActorSystem system(4, 256);
   auto* collector = system.spawn<CollectorActor>(
       static_cast<std::size_t>(kSenders * kEach));
   auto future = collector->future();
@@ -115,8 +103,8 @@ class RelayActor final : public Actor<int> {
   std::promise<void> promise_;
 };
 
-TEST_P(SchedulerModeTest, PingPongTerminates) {
-  ActorSystem system(2, 256, GetParam());
+TEST(ActorScheduler, PingPongTerminates) {
+  ActorSystem system(2, 256);
   auto* a = system.spawn<RelayActor>();
   auto* b = system.spawn<RelayActor>();
   a->set_peer(b);
@@ -128,11 +116,11 @@ TEST_P(SchedulerModeTest, PingPongTerminates) {
   system.shutdown();
 }
 
-TEST_P(SchedulerModeTest, ThousandsOfActorsAllRun) {
+TEST(ActorScheduler, ThousandsOfActorsAllRun) {
   // The paper claims "scalable parallelism with thousands of actors";
   // spawn 2000 collectors and touch each once.
   constexpr int kActors = 2000;
-  ActorSystem system(4, 256, GetParam());
+  ActorSystem system(4, 256);
   std::vector<CollectorActor*> actors;
   std::vector<std::future<std::vector<int>>> futures;
   actors.reserve(kActors);
@@ -162,10 +150,10 @@ class CountingActor final : public Actor<int> {
   }
 };
 
-TEST_P(SchedulerModeTest, BatchBoundPreventsStarvation) {
+TEST(ActorScheduler, BatchBoundPreventsStarvation) {
   // One worker, tiny batches: a flooded actor must not starve a second
   // actor whose single message arrives after the flood begins.
-  ActorSystem system(1, /*batch_size=*/8, GetParam());
+  ActorSystem system(1, /*batch_size=*/8);
   auto* flooded = system.spawn<CountingActor>();
   auto* starved = system.spawn<CollectorActor>(1U);
   auto future = starved->future();
@@ -183,12 +171,12 @@ TEST_P(SchedulerModeTest, BatchBoundPreventsStarvation) {
   EXPECT_GT(system.scheduler().slices_executed(), 100'000U / 8 / 2);
 }
 
-TEST_P(SchedulerModeTest, TwoFloodedActorsShareOneWorker) {
+TEST(ActorScheduler, TwoFloodedActorsShareOneWorker) {
   // Both actors continuously re-enqueue themselves on a single worker. In
   // stealing mode the re-enqueue is a local LIFO push, so without the
   // fairness tick one actor could monopolize the worker forever; this
   // pins the anti-starvation guarantee for the self-re-enqueue shape.
-  ActorSystem system(1, /*batch_size=*/4, GetParam());
+  ActorSystem system(1, /*batch_size=*/4);
   auto* first = system.spawn<CountingActor>();
   auto* second = system.spawn<CountingActor>();
   for (int i = 0; i < 20'000; ++i) {
@@ -206,16 +194,15 @@ TEST_P(SchedulerModeTest, TwoFloodedActorsShareOneWorker) {
   system.shutdown();
 }
 
-TEST_P(SchedulerModeTest, PingStormOneProducerManyWorkers) {
-  // Wake-path regression (ISSUE 2 satellite): one producer sends isolated
-  // single messages with pauses long enough for every worker to park
-  // between sends. Each send must produce exactly one effective wakeup; a
-  // lost notify_one (global mode: notify racing the cv_ wait predicate;
-  // stealing mode: a parked bit set after the enqueuer's bitmap read)
-  // strands the message and hangs the final future, which the ctest
-  // timeout turns into a hard failure.
+TEST(ActorScheduler, PingStormOneProducerManyWorkers) {
+  // Wake-path regression: one producer sends isolated single messages
+  // with pauses long enough for every worker to park between sends. Each
+  // send must produce exactly one effective wakeup; a lost wakeup (a
+  // parked bit set after the enqueuer's bitmap read) strands the message
+  // and hangs the final future, which the ctest timeout turns into a hard
+  // failure.
   constexpr int kPings = 600;
-  ActorSystem system(4, 256, GetParam());
+  ActorSystem system(4, 256);
   auto* collector = system.spawn<CollectorActor>(kPings);
   auto future = collector->future();
   for (int i = 0; i < kPings; ++i) {
@@ -230,16 +217,16 @@ TEST_P(SchedulerModeTest, PingStormOneProducerManyWorkers) {
   system.shutdown();
 }
 
-TEST_P(SchedulerModeTest, StopIsIdempotent) {
-  ActorSystem system(2, 256, GetParam());
+TEST(ActorScheduler, StopIsIdempotent) {
+  ActorSystem system(2, 256);
   auto* collector = system.spawn<CollectorActor>(1U);
   collector->send(1);
   system.shutdown();
   system.shutdown();  // second call must be a no-op
 }
 
-TEST_P(SchedulerModeTest, MailboxSizeVisible) {
-  ActorSystem system(1, 256, GetParam());
+TEST(ActorScheduler, MailboxSizeVisible) {
+  ActorSystem system(1, 256);
   // Block the single worker with a long-running actor message so queued
   // messages are observable.
   class Blocker final : public Actor<int> {
@@ -261,17 +248,6 @@ TEST_P(SchedulerModeTest, MailboxSizeVisible) {
   EXPECT_GE(blocker->mailbox_size(), 2U);
   blocker->release.store(true);
   system.shutdown();
-}
-
-TEST(SchedulerEnv, ModeFromEnvParsesBothSpellings) {
-  EXPECT_STREQ(scheduler_mode_name(SchedulerMode::kGlobalQueue), "global");
-  EXPECT_STREQ(scheduler_mode_name(SchedulerMode::kWorkStealing), "stealing");
-  ::setenv("GPSA_SCHEDULER", "global", 1);
-  EXPECT_EQ(scheduler_mode_from_env(), SchedulerMode::kGlobalQueue);
-  ::setenv("GPSA_SCHEDULER", "stealing", 1);
-  EXPECT_EQ(scheduler_mode_from_env(), SchedulerMode::kWorkStealing);
-  ::unsetenv("GPSA_SCHEDULER");
-  EXPECT_EQ(scheduler_mode_from_env(), SchedulerMode::kWorkStealing);
 }
 
 // --- WorkStealingDeque single-thread properties ------------------------------

@@ -1,6 +1,6 @@
 // Tests for the engine extensions beyond the paper's minimum: worker
-// exception handling (§V.C), dispatcher-side message combining, and the
-// additional vertex programs (multi-source reachability, in-degree).
+// exception handling (§V.C) and the additional vertex programs
+// (multi-source reachability, in-degree).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -110,58 +110,6 @@ TEST(WorkerFailure, EngineRemainsUsableAfterFailure) {
                         oracle_bfs_levels(Csr::from_edges(graph), 0));
 }
 
-// --- Message combining --------------------------------------------------------
-
-TEST(Combiner, PreservesResultsAndReducesMessages) {
-  // star graph: every leaf sends its label to the hub — maximally
-  // combinable traffic.
-  const EdgeList graph = star(256);
-  const ConnectedComponentsProgram program;
-
-  EngineOptions plain = small_options();
-  const auto without = Engine::run(graph, program, plain);
-  ASSERT_TRUE(without.is_ok());
-
-  EngineOptions combined = small_options();
-  combined.enable_combiner = true;
-  const auto with = Engine::run(graph, program, combined);
-  ASSERT_TRUE(with.is_ok());
-
-  expect_payloads_equal(with.value().values, without.value().values);
-  EXPECT_LT(with.value().total_messages, without.value().total_messages);
-}
-
-TEST(Combiner, PageRankSumsCombineExactlyEnough) {
-  const EdgeList graph = rmat(8, 3000, 31);
-  const PageRankProgram program(5);
-  EngineOptions combined = small_options();
-  combined.enable_combiner = true;
-  const auto with = Engine::run(graph, program, combined);
-  ASSERT_TRUE(with.is_ok());
-  const ReferenceResult ref = reference_run(Csr::from_edges(graph), program);
-  expect_float_payloads_near(with.value().values, ref.values);
-}
-
-TEST(Combiner, MonotoneAppsMatchReferenceWithCombining) {
-  const EdgeList graph = rmat(8, 2500, 37);
-  EngineOptions combined = small_options();
-  combined.enable_combiner = true;
-  {
-    const BfsProgram program(0);
-    const auto r = Engine::run(graph, program, combined);
-    ASSERT_TRUE(r.is_ok());
-    expect_payloads_equal(r.value().values,
-                          reference_run(Csr::from_edges(graph), program).values);
-  }
-  {
-    const ConnectedComponentsProgram program;
-    const auto r = Engine::run(graph, program, combined);
-    ASSERT_TRUE(r.is_ok());
-    expect_payloads_equal(r.value().values,
-                          reference_run(Csr::from_edges(graph), program).values);
-  }
-}
-
 // --- Multi-source reachability ------------------------------------------------
 
 TEST(MultiBfs, MatchesPerSourceOracles) {
@@ -217,20 +165,6 @@ TEST(InDegree, MatchesTransposeDegrees) {
   for (VertexId v = 0; v < transpose.num_vertices(); ++v) {
     ASSERT_EQ(result.value().values[v], transpose.out_degree(v))
         << "vertex " << v;
-  }
-}
-
-TEST(InDegree, CombinerStillCountsExactly) {
-  const EdgeList graph = star(64);
-  const InDegreeProgram program;
-  EngineOptions combined = small_options();
-  combined.enable_combiner = true;
-  const auto result = Engine::run(graph, program, combined);
-  ASSERT_TRUE(result.is_ok());
-  // Hub receives one edge from each leaf.
-  EXPECT_EQ(result.value().values[0], 63U);
-  for (VertexId v = 1; v < 64; ++v) {
-    ASSERT_EQ(result.value().values[v], 1U);
   }
 }
 

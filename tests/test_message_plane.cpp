@@ -1,33 +1,30 @@
-// Message-plane configuration matrix (DESIGN.md §11): the batch-buffer
-// pool, the vertex->computer ownership map, and the cache-ordered apply
-// path must be pure performance knobs — every application's payloads are
-// identical no matter how the plane is configured.
+// Message-plane tests (DESIGN.md §11): the batch-buffer pool, the
+// vertex->computer ownership map, and the cache-ordered apply path.
 //
 // Coverage:
-//   - MessageBatchPool unit contract: lease/recycle reuse, warm-up
-//     accounting (steady_misses), the disabled (ablation) mode, and
-//     recycled-byte tracking.
-//   - OwnerMap unit contract: mod and range owner/local-index/local-size
-//     arithmetic, interval-derived boundaries, name round-trips.
-//   - Engine equality across the full pooling x routing x combiner cube:
-//     bit-identical for the monotone apps (BFS/CC/SSSP fold with min, so
-//     arrival order cannot matter); PageRank bit-identical wherever the
-//     per-vertex fold order is provably unchanged (single dispatcher,
-//     combiner fixed) and float-near across the order-changing crossings.
-//   - RunResult surfacing: pool stats (zero steady-state misses), the
-//     resolved routing, per-computer busy seconds.
+//   - MessageBatchPool unit contract: lease/recycle reuse, the
+//     steady_misses counter, recycled-byte and free-buffer tracking.
+//   - OwnerMap unit contract: range owner/local-index/local-size
+//     arithmetic, interval-derived boundaries, the routing name.
+//   - Engine runs: monotone apps match the reference executor with small
+//     batches; PageRank with one dispatcher is bit-identical run to run
+//     (the radix staging is stable, so the per-vertex fold order is the
+//     dispatch order whatever the schedule).
+//   - RunResult surfacing: pool stats (no buffer dropped at any worker
+//     count), the routing, per-computer busy seconds.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
 #include "apps/pagerank.hpp"
+#include "apps/reference.hpp"
 #include "apps/sssp.hpp"
 #include "core/engine.hpp"
 #include "core/message_pool.hpp"
 #include "core/ownership.hpp"
+#include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "test_support.hpp"
 
@@ -35,7 +32,6 @@ namespace gpsa {
 namespace {
 
 using testing::diamond_graph;
-using testing::expect_float_payloads_near;
 using testing::expect_payloads_equal;
 
 // --- MessageBatchPool --------------------------------------------------------
@@ -62,7 +58,7 @@ TEST(MessagePool, LeaseRecycleReusesCapacity) {
 
 TEST(MessagePool, SteadyMissesCountOnlyAfterWarmup) {
   MessageBatchPool pool(16);
-  // Warm-up: two supersteps' worth of misses are expected and free.
+  // The first two supersteps' misses are not counted as steady.
   auto a = pool.lease();
   auto b = pool.lease();
   pool.mark_superstep();
@@ -70,7 +66,7 @@ TEST(MessagePool, SteadyMissesCountOnlyAfterWarmup) {
   pool.mark_superstep();
   EXPECT_EQ(pool.stats().steady_misses, 0u);
 
-  // Steady state: a hit stays clean, a fresh allocation is a violation.
+  // After them: a hit stays clean, a fresh allocation counts.
   auto hit = pool.lease();  // served from the recycled buffer
   EXPECT_EQ(pool.stats().steady_misses, 0u);
   auto miss = pool.lease();  // free list empty -> allocates
@@ -83,52 +79,21 @@ TEST(MessagePool, SteadyMissesCountOnlyAfterWarmup) {
   pool.recycle(std::move(miss));
 }
 
-TEST(MessagePool, DisabledModeAllocatesAndDrops) {
-  MessageBatchPool pool(32, /*enabled=*/false);
-  auto buffer = pool.lease();
-  EXPECT_GE(buffer.capacity(), 32u);
-  pool.recycle(std::move(buffer));
-  auto again = pool.lease();
-  EXPECT_GE(again.capacity(), 32u);
-
-  // The ablation baseline reports nothing but its disabled flag: the
-  // bench must not be able to mistake it for a pooled run.
-  const MessagePoolStats stats = pool.stats();
-  EXPECT_FALSE(stats.enabled);
-  EXPECT_EQ(stats.leases, 0u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.recycled_bytes, 0u);
-}
-
 TEST(MessagePool, RecycledBytesTrackCapacity) {
   MessageBatchPool pool(128);
   auto buffer = pool.lease();
   const std::uint64_t expected =
       static_cast<std::uint64_t>(buffer.capacity()) * sizeof(VertexMessage);
+  EXPECT_EQ(pool.stats().free_buffers, 0u);
   pool.recycle(std::move(buffer));
   EXPECT_EQ(pool.stats().recycled_bytes, expected);
+  EXPECT_EQ(pool.stats().free_buffers, 1u);
 }
 
 // --- OwnerMap ----------------------------------------------------------------
 
-TEST(OwnerMap, ModInterleavesAndPacksLocalIndices) {
-  const OwnerMap map = OwnerMap::make_mod(/*num_vertices=*/10, /*parts=*/3);
-  EXPECT_EQ(map.routing(), MessageRouting::kMod);
-  EXPECT_EQ(map.parts(), 3u);
-  for (VertexId v = 0; v < 10; ++v) {
-    EXPECT_EQ(map.owner_of(v), v % 3) << "vertex " << v;
-    EXPECT_EQ(map.local_index(v, map.owner_of(v)), v / 3) << "vertex " << v;
-  }
-  // Vertices 0,3,6,9 / 1,4,7 / 2,5,8.
-  EXPECT_EQ(map.local_size(0), 4u);
-  EXPECT_EQ(map.local_size(1), 3u);
-  EXPECT_EQ(map.local_size(2), 3u);
-}
-
 TEST(OwnerMap, RangeOwnsContiguousSlices) {
   const OwnerMap map = OwnerMap::make_range({0, 4, 7, 10});
-  EXPECT_EQ(map.routing(), MessageRouting::kRange);
   EXPECT_EQ(map.parts(), 3u);
   EXPECT_EQ(map.num_vertices(), 10u);
   for (VertexId v = 0; v < 10; ++v) {
@@ -158,47 +123,17 @@ TEST(OwnerMap, RangeFromIntervalsUsesIntervalBoundaries) {
   EXPECT_EQ(map.local_index(8, 1), 3u);
 }
 
-TEST(OwnerMap, RoutingNamesRoundTrip) {
-  for (const auto routing : {MessageRouting::kMod, MessageRouting::kRange}) {
-    const auto parsed = parse_message_routing(message_routing_name(routing));
-    ASSERT_TRUE(parsed.is_ok());
-    EXPECT_EQ(parsed.value(), routing);
-  }
-  EXPECT_FALSE(parse_message_routing("hash").is_ok());
-  EXPECT_FALSE(parse_message_routing("").is_ok());
+TEST(OwnerMap, RoutingNameIsRange) {
+  EXPECT_STREQ(message_routing_name(MessageRouting::kRange), "range");
 }
 
-TEST(OwnerMap, ResolveFollowsEnvAndDefaultsToRange) {
-  ASSERT_EQ(::setenv("GPSA_ROUTING", "mod", 1), 0);
-  EXPECT_EQ(resolve_message_routing(std::nullopt), MessageRouting::kMod);
-  // Explicit request beats the environment.
-  EXPECT_EQ(resolve_message_routing(MessageRouting::kRange),
-            MessageRouting::kRange);
-  ASSERT_EQ(::setenv("GPSA_ROUTING", "bogus", 1), 0);
-  EXPECT_EQ(resolve_message_routing(std::nullopt), MessageRouting::kRange);
-  ASSERT_EQ(::unsetenv("GPSA_ROUTING"), 0);
-  EXPECT_EQ(resolve_message_routing(std::nullopt), MessageRouting::kRange);
-}
+// --- Engine runs --------------------------------------------------------------
 
-TEST(MessagePool, ResolveFollowsEnvAndDefaultsToOn) {
-  ASSERT_EQ(::setenv("GPSA_MSG_POOL", "0", 1), 0);
-  EXPECT_FALSE(resolve_message_pool_enabled(std::nullopt));
-  EXPECT_TRUE(resolve_message_pool_enabled(true));  // explicit beats env
-  ASSERT_EQ(::unsetenv("GPSA_MSG_POOL"), 0);
-  EXPECT_TRUE(resolve_message_pool_enabled(std::nullopt));
-}
-
-// --- Engine equality across the configuration cube ---------------------------
-
-EngineOptions plane_options(bool pool, MessageRouting routing, bool combine,
-                            unsigned dispatchers = 2, unsigned computers = 3) {
+EngineOptions plane_options(unsigned dispatchers = 2, unsigned computers = 3) {
   EngineOptions eo;
   eo.num_dispatchers = dispatchers;
   eo.num_computers = computers;
   eo.message_batch = 256;  // small batches: plenty of lease/recycle traffic
-  eo.message_pool = pool;
-  eo.routing = routing;
-  eo.enable_combiner = combine;
   return eo;
 }
 
@@ -209,127 +144,72 @@ class MessagePlaneEquality : public ::testing::Test {
   }
 };
 
-TEST_F(MessagePlaneEquality, MonotoneAppsBitIdenticalAcrossFullCube) {
+TEST_F(MessagePlaneEquality, MonotoneAppsMatchReference) {
+  // BFS/CC/SSSP fold with min, so arrival order cannot matter: the
+  // small-batch plane must reproduce the sequential reference exactly.
   const EdgeList graph = test_graph();
+  const Csr csr = Csr::from_edges(graph);
   const BfsProgram bfs(0);
   const ConnectedComponentsProgram cc;
   const SsspProgram sssp(0);
   for (const Program* program :
        std::initializer_list<const Program*>{&bfs, &cc, &sssp}) {
     SCOPED_TRACE(program->name());
-    // Baseline is the legacy plane: allocate-per-flush, interleaved mod
-    // routing, no combiner.
-    const auto baseline = Engine::run(
-        graph, *program,
-        plane_options(false, MessageRouting::kMod, false));
-    ASSERT_TRUE(baseline.is_ok());
-    for (const bool pool : {false, true}) {
-      for (const auto routing :
-           {MessageRouting::kMod, MessageRouting::kRange}) {
-        for (const bool combine : {false, true}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "pool=" << pool << " routing="
-                       << message_routing_name(routing)
-                       << " combine=" << combine);
-          const auto result =
-              Engine::run(graph, *program, plane_options(pool, routing, combine));
-          ASSERT_TRUE(result.is_ok());
-          EXPECT_EQ(result.value().routing, routing);
-          EXPECT_EQ(result.value().pool.enabled, pool);
-          expect_payloads_equal(result.value().values,
-                                baseline.value().values);
-        }
-      }
-    }
+    const auto result = Engine::run(graph, *program, plane_options());
+    ASSERT_TRUE(result.is_ok());
+    EXPECT_EQ(result.value().routing, MessageRouting::kRange);
+    expect_payloads_equal(result.value().values,
+                          reference_run(csr, *program).values);
   }
 }
 
 TEST_F(MessagePlaneEquality, PageRankBitIdenticalWhereFoldOrderIsFixed) {
   // With a single dispatcher the per-vertex fold order is the dispatch
-  // scan order under mod routing and — because the radix scatter is a
-  // stable counting sort — exactly the same order under range routing.
-  // Pooling never reorders anything. So this 2x2 must be bit-identical.
+  // scan order — the radix scatter is a stable counting sort — so two
+  // runs must be bit-identical however the computers are scheduled.
   const EdgeList graph = test_graph();
   const PageRankProgram program(4);
-  const auto baseline = Engine::run(
-      graph, program,
-      plane_options(false, MessageRouting::kMod, false, /*dispatchers=*/1));
-  ASSERT_TRUE(baseline.is_ok());
-  for (const bool pool : {false, true}) {
-    for (const auto routing : {MessageRouting::kMod, MessageRouting::kRange}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "pool=" << pool << " routing="
-                   << message_routing_name(routing));
-      const auto result = Engine::run(
-          graph, program,
-          plane_options(pool, routing, false, /*dispatchers=*/1));
-      ASSERT_TRUE(result.is_ok());
-      EXPECT_EQ(result.value().total_messages,
-                baseline.value().total_messages);
-      expect_payloads_equal(result.value().values, baseline.value().values);
-    }
-  }
-}
-
-TEST_F(MessagePlaneEquality, PageRankNearEqualAcrossOrderChangingConfigs) {
-  // Combining re-associates the float fold and multiple dispatchers
-  // interleave arrival order, so these crossings are near-equal, not
-  // bit-equal.
-  const EdgeList graph = test_graph();
-  const PageRankProgram program(4);
-  const auto baseline = Engine::run(
-      graph, program, plane_options(false, MessageRouting::kMod, false));
-  ASSERT_TRUE(baseline.is_ok());
-  for (const bool pool : {false, true}) {
-    for (const auto routing : {MessageRouting::kMod, MessageRouting::kRange}) {
-      for (const bool combine : {false, true}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "pool=" << pool << " routing="
-                     << message_routing_name(routing)
-                     << " combine=" << combine);
-        const auto result =
-            Engine::run(graph, program, plane_options(pool, routing, combine));
-        ASSERT_TRUE(result.is_ok());
-        expect_float_payloads_near(result.value().values,
-                                   baseline.value().values);
-      }
-    }
-  }
+  const auto first =
+      Engine::run(graph, program, plane_options(/*dispatchers=*/1));
+  const auto second =
+      Engine::run(graph, program, plane_options(/*dispatchers=*/1));
+  ASSERT_TRUE(first.is_ok());
+  ASSERT_TRUE(second.is_ok());
+  EXPECT_EQ(second.value().total_messages, first.value().total_messages);
+  expect_payloads_equal(second.value().values, first.value().values);
 }
 
 // --- RunResult surfacing ------------------------------------------------------
 
-TEST_F(MessagePlaneEquality, PooledRunReportsZeroSteadyMisses) {
+TEST_F(MessagePlaneEquality, PooledRunDropsNoBuffer) {
+  // What the pool guarantees: every buffer it allocated is back on the
+  // free list at job end, at any worker count. (steady_misses is not
+  // asserted: with several workers the peak number of batches in flight
+  // can still rise after superstep 2 under another schedule, and each new
+  // peak allocates once.)
   const EdgeList graph = test_graph();
-  const PageRankProgram program(6);  // enough supersteps to leave warm-up
-  const auto result = Engine::run(
-      graph, program, plane_options(true, MessageRouting::kRange, false));
-  ASSERT_TRUE(result.is_ok());
-  const MessagePoolStats& pool = result.value().pool;
-  EXPECT_TRUE(pool.enabled);
-  EXPECT_GT(pool.leases, 0u);
-  EXPECT_GT(pool.hits, 0u);
-  EXPECT_GT(pool.recycled_bytes, 0u);
-  // The pool's whole point: once warm, the plane allocates nothing.
-  EXPECT_EQ(pool.steady_misses, 0u);
+  const PageRankProgram program(6);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    EngineOptions eo = plane_options();
+    eo.scheduler_workers = workers;
+    const auto result = Engine::run(graph, program, eo);
+    ASSERT_TRUE(result.is_ok());
+    const MessagePoolStats& pool = result.value().pool;
+    EXPECT_TRUE(pool.enabled);
+    EXPECT_GT(pool.leases, 0u);
+    EXPECT_GT(pool.hits, 0u);
+    EXPECT_GT(pool.recycled_bytes, 0u);
+    EXPECT_EQ(pool.hits + pool.misses, pool.leases);
+    EXPECT_EQ(pool.free_buffers, pool.misses);
 
-  // The compute-side busy clock is populated per spawned computer.
-  ASSERT_FALSE(result.value().computer_busy_seconds.empty());
-  for (const double busy : result.value().computer_busy_seconds) {
-    EXPECT_GE(busy, 0.0);
-    EXPECT_LE(busy, result.value().elapsed_seconds);
+    // The compute-side busy clock is populated per spawned computer.
+    ASSERT_FALSE(result.value().computer_busy_seconds.empty());
+    for (const double busy : result.value().computer_busy_seconds) {
+      EXPECT_GE(busy, 0.0);
+      EXPECT_LE(busy, result.value().elapsed_seconds);
+    }
   }
-}
-
-TEST_F(MessagePlaneEquality, UnpooledRunReportsDisabledStats) {
-  const EdgeList graph = test_graph();
-  const PageRankProgram program(3);
-  const auto result = Engine::run(
-      graph, program, plane_options(false, MessageRouting::kRange, false));
-  ASSERT_TRUE(result.is_ok());
-  EXPECT_FALSE(result.value().pool.enabled);
-  EXPECT_EQ(result.value().pool.hits, 0u);
-  EXPECT_EQ(result.value().pool.recycled_bytes, 0u);
 }
 
 TEST(MessagePlaneEdge, MoreComputersThanVerticesShrinksToNonEmptySlices) {
@@ -337,10 +217,10 @@ TEST(MessagePlaneEdge, MoreComputersThanVerticesShrinksToNonEmptySlices) {
   // computer per non-empty interval slice and must still be correct.
   const EdgeList graph = diamond_graph();
   const BfsProgram program(0);
-  EngineOptions one = plane_options(true, MessageRouting::kRange, false,
-                                    /*dispatchers=*/1, /*computers=*/1);
-  EngineOptions many = plane_options(true, MessageRouting::kRange, false,
-                                     /*dispatchers=*/2, /*computers=*/8);
+  const EngineOptions one =
+      plane_options(/*dispatchers=*/1, /*computers=*/1);
+  const EngineOptions many =
+      plane_options(/*dispatchers=*/2, /*computers=*/8);
   const auto a = Engine::run(graph, program, one);
   const auto b = Engine::run(graph, program, many);
   ASSERT_TRUE(a.is_ok());

@@ -720,58 +720,33 @@ TEST(WorkStealingDequeRace, EmptyStealAbaWindow) {
 
 // --- 5. Scheduler park/wake under oversubscription ---------------------------
 
-TEST(SchedulerPark, StormOfSingleWakeupsDrainsInBothModes) {
+TEST(SchedulerPark, StormOfSingleWakeupsDrains) {
   // Scheduler-level companion to the deque races: isolated enqueues from
   // an external thread against workers that park between messages. Any
-  // lost wakeup (parked bit set after the enqueuer's bitmap read, or a
-  // cv_ notify racing the wait predicate) deadlocks the final count and
-  // trips the ctest timeout.
-  for (const SchedulerMode mode :
-       {SchedulerMode::kGlobalQueue, SchedulerMode::kWorkStealing}) {
-    SCOPED_TRACE(scheduler_mode_name(mode));
-    class CountDown final : public Actor<int> {
-     public:
-      std::atomic<int> seen{0};
+  // lost wakeup (parked bit set after the enqueuer's bitmap read) deadlocks
+  // the final count and trips the ctest timeout.
+  class CountDown final : public Actor<int> {
+   public:
+    std::atomic<int> seen{0};
 
-     protected:
-      void on_message(int) override {
-        seen.fetch_add(1, std::memory_order_relaxed);
-      }
-    };
-    constexpr int kMessages = 4'000 / kScaleDivisor;
-    ActorSystem system(4, 16, mode);
-    auto* actor = system.spawn<CountDown>();
-    for (int i = 0; i < kMessages; ++i) {
-      actor->send(i);
-      if ((i & 15) == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
+   protected:
+    void on_message(int) override {
+      seen.fetch_add(1, std::memory_order_relaxed);
     }
-    while (actor->seen.load(std::memory_order_relaxed) < kMessages) {
-      std::this_thread::yield();
+  };
+  constexpr int kMessages = 4'000 / kScaleDivisor;
+  ActorSystem system(4, 16);
+  auto* actor = system.spawn<CountDown>();
+  for (int i = 0; i < kMessages; ++i) {
+    actor->send(i);
+    if ((i & 15) == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
-    system.shutdown();
   }
-}
-
-TEST(SchedulerPark, GlobalModeStopRacesSleepingWorkers) {
-  // Regression shape for the annotation-audit find in Scheduler::stop():
-  // the global-queue path used to notify_all() *after* unlocking, leaving
-  // a window where a worker could wake on stopping_, return, and let the
-  // scheduler (and its cv_) be destroyed while the stopping thread still
-  // held a reference for the notify. Tight create/stop churn with workers
-  // that have just parked keeps the destruction racing the notify; TSan
-  // flags the use-after-free, and a lost wakeup trips the ctest timeout.
-  constexpr int kRounds = 200 / kScaleDivisor;
-  for (int round = 0; round < kRounds; ++round) {
-    Scheduler scheduler(3, 8, SchedulerMode::kGlobalQueue);
-    // No work enqueued: every worker parks on cv_ almost immediately,
-    // which is the deepest-sleep shape for the stop broadcast.
-    if ((round & 3) == 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    scheduler.stop();
-  }  // ~Scheduler destroys cv_ right behind stop()'s notify
+  while (actor->seen.load(std::memory_order_relaxed) < kMessages) {
+    std::this_thread::yield();
+  }
+  system.shutdown();
 }
 
 TEST(SchedulerPark, IoThreadPoolSubmitStormAgainstTeardown) {
@@ -821,6 +796,22 @@ class StealLeaf final : public Schedulable {
   std::atomic<int>& done_;
 };
 
+/// Waits until every unit's slices have fully ended. A unit's done-count
+/// bump happens inside execute_batch, but the worker still writes the
+/// unit's slice bookkeeping in slice_end() afterwards, so a test may only
+/// destroy units it has seen quiescent.
+void wait_until_quiescent(const Schedulable& unit,
+                          const std::deque<StealLeaf>& leaves) {
+  while (!unit.quiescent()) {
+    std::this_thread::yield();
+  }
+  for (const StealLeaf& leaf : leaves) {
+    while (!leaf.quiescent()) {
+      std::this_thread::yield();
+    }
+  }
+}
+
 /// Flood unit: enqueues every leaf from worker context in one burst, so
 /// they land on the executing worker's own deque and build a deep backlog.
 /// It then holds its worker hostage with a bounded wait: while it occupies
@@ -867,7 +858,7 @@ TEST(StealSizing, DeepBacklogsMigrateBatchedExtras) {
   // arrives.
   constexpr int kLeaves = 384;
   constexpr int kMaxRounds = 10;
-  Scheduler scheduler(4, 1, SchedulerMode::kWorkStealing);
+  Scheduler scheduler(4, 1);
   for (int round = 0;
        round < kMaxRounds && scheduler.steal_extras_migrated() == 0;
        ++round) {
@@ -883,6 +874,7 @@ TEST(StealSizing, DeepBacklogsMigrateBatchedExtras) {
     while (done.load(std::memory_order_acquire) < kLeaves + 1) {
       std::this_thread::yield();
     }
+    wait_until_quiescent(flooder, leaves);
   }
   EXPECT_GT(scheduler.steal_extras_migrated(), 0u);
   EXPECT_GT(scheduler.steals_executed(), 0u);
@@ -917,7 +909,7 @@ TEST(StealSizing, ShallowBacklogsNeverMigrateExtras) {
   // run. A false batch here is exactly the small-graph steal churn the
   // depth gate exists to prevent.
   constexpr int kRounds = 300 / kScaleDivisor + 10;
-  Scheduler scheduler(3, 1, SchedulerMode::kWorkStealing);
+  Scheduler scheduler(3, 1);
   for (int round = 0; round < kRounds; ++round) {
     std::atomic<int> done{0};
     std::deque<StealLeaf> leaves;
@@ -928,6 +920,7 @@ TEST(StealSizing, ShallowBacklogsNeverMigrateExtras) {
     while (done.load(std::memory_order_acquire) < 3) {
       std::this_thread::yield();
     }
+    wait_until_quiescent(dripper, leaves);
     ASSERT_EQ(scheduler.steal_extras_migrated(), 0u) << "round " << round;
   }
   scheduler.stop();
@@ -984,7 +977,7 @@ TEST(JobDespawn, ChurnAgainstResidentJobFreesNoLiveActor) {
   constexpr int kIterations = 60 / kScaleDivisor;
   constexpr int kActorsPerJob = 3;
   constexpr int kMessagesPerActor = 40;
-  ActorSystem system(4, 16, SchedulerMode::kWorkStealing);
+  ActorSystem system(4, 16);
   auto* resident = system.spawn_in_job<DespawnResident>(1);
   resident->send(0);
 
@@ -1056,7 +1049,7 @@ TEST(JobDespawn, DespawnBlocksUntilInFlightSliceCompletes) {
   // returning early would free the actor under the worker's feet (the
   // pending completed_ bump would then write through a freed `this`).
   constexpr int kRounds = 20 / kScaleDivisor + 2;
-  ActorSystem system(2, 16, SchedulerMode::kWorkStealing);
+  ActorSystem system(2, 16);
   for (int round = 0; round < kRounds; ++round) {
     const std::uint32_t job = 1 + static_cast<std::uint32_t>(round);
     std::atomic<bool> entered{false};
@@ -1070,6 +1063,59 @@ TEST(JobDespawn, DespawnBlocksUntilInFlightSliceCompletes) {
     ASSERT_EQ(completed.load(), 1) << "round " << round;
   }
   system.shutdown();
+}
+
+/// Raw unit whose two slices overlap on two workers. Slice 1 re-enqueues
+/// the unit (as a producer's schedule_if_idle may once an actor has stored
+/// IDLE) and holds its worker until slice 2 has started elsewhere; slice 2
+/// waits until slice 1 has completed and then samples quiescent().
+class OverlappingSlicesProbe final : public Schedulable {
+ public:
+  explicit OverlappingSlicesProbe(Scheduler& scheduler)
+      : scheduler_(scheduler) {}
+
+  bool execute_batch(std::size_t /*max_messages*/) override {
+    if (started_.fetch_add(1) == 0) {
+      scheduler_.enqueue(this);
+      while (started_.load() < 2) {
+        std::this_thread::yield();
+      }
+    } else {
+      while (slices_completed() < 1) {
+        std::this_thread::yield();
+      }
+      quiescent_in_slice_two_.store(quiescent());
+      sampled_.store(true);
+    }
+    return false;
+  }
+
+  bool sampled() const { return sampled_.load(); }
+  bool quiescent_in_slice_two() const {
+    return quiescent_in_slice_two_.load();
+  }
+
+ private:
+  Scheduler& scheduler_;
+  std::atomic<int> started_{0};
+  std::atomic<bool> sampled_{false};
+  std::atomic<bool> quiescent_in_slice_two_{false};
+};
+
+TEST(JobDespawn, OverlappingSlicesKeepUnitNonQuiescent) {
+  // Slice 1's slice_end must not mark the unit quiescent while slice 2 is
+  // still running: despawn_job would free the actor under slice 2. Slice
+  // 1 can only end after slice 2 started (it waits for that), so the
+  // sample is taken with exactly one slice in flight.
+  Scheduler scheduler(2, 1);
+  OverlappingSlicesProbe probe(scheduler);
+  scheduler.enqueue(&probe);
+  while (!probe.sampled() || !probe.quiescent()) {
+    std::this_thread::yield();
+  }
+  EXPECT_FALSE(probe.quiescent_in_slice_two());
+  EXPECT_EQ(probe.slices_completed(), 2u);
+  scheduler.stop();
 }
 
 // --- Runtime lockdep cross-check (DESIGN.md §15) ------------------------

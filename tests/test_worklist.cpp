@@ -35,16 +35,13 @@ namespace {
 using testing::expect_float_payloads_near;
 using testing::expect_payloads_equal;
 
-EngineOptions matrix_options(ExecMode exec, bool pool,
-                             MessageRouting routing) {
+EngineOptions matrix_options(ExecMode exec) {
   EngineOptions eo;
   eo.num_dispatchers = 2;
   eo.num_computers = 2;
   eo.scheduler_workers = 2;
   eo.message_batch = 8;  // tiny batches exercise the flush paths
   eo.exec = exec;
-  eo.message_pool = pool;
-  eo.routing = routing;
   return eo;
 }
 
@@ -68,9 +65,9 @@ EdgeList bidirectional_chain(VertexId n) {
   return g;
 }
 
-// --- Bit-identical results across exec x pool x routing --------------------
+// --- Bit-identical results across exec modes -------------------------------
 
-TEST(Worklist, MonotoneAppsBitIdenticalAcrossExecPoolRouting) {
+TEST(Worklist, MonotoneAppsBitIdenticalAcrossExec) {
   const EdgeList graph = rmat(8, 2000, 42);
   const Csr csr = Csr::from_edges(graph);
   const BfsProgram bfs(0);
@@ -80,21 +77,13 @@ TEST(Worklist, MonotoneAppsBitIdenticalAcrossExecPoolRouting) {
   const Program* const programs[] = {&bfs, &cc, &sssp, &multi};
   for (const Program* program : programs) {
     const ReferenceResult ref = reference_run(csr, *program);
-    for (const bool pool : {false, true}) {
-      for (const MessageRouting routing :
-           {MessageRouting::kRange, MessageRouting::kMod}) {
-        const auto sweep = must_run(
-            graph, *program, matrix_options(ExecMode::kSweep, pool, routing));
-        const auto worklist = must_run(
-            graph, *program,
-            matrix_options(ExecMode::kWorklist, pool, routing));
-        SCOPED_TRACE(program->name() + " pool=" + (pool ? "on" : "off") +
-                     " routing=" +
-                     (routing == MessageRouting::kRange ? "range" : "mod"));
-        expect_payloads_equal(worklist, sweep);
-        expect_payloads_equal(worklist, ref.values);
-      }
-    }
+    const auto sweep =
+        must_run(graph, *program, matrix_options(ExecMode::kSweep));
+    const auto worklist =
+        must_run(graph, *program, matrix_options(ExecMode::kWorklist));
+    SCOPED_TRACE(program->name());
+    expect_payloads_equal(worklist, sweep);
+    expect_payloads_equal(worklist, ref.values);
   }
 }
 
@@ -117,10 +106,10 @@ TEST(Worklist, PageRankBitIdenticalUnderDeterministicSchedule) {
 
   const auto multi_sweep = must_run(
       graph, program,
-      matrix_options(ExecMode::kSweep, true, MessageRouting::kRange));
+      matrix_options(ExecMode::kSweep));
   const auto multi_worklist = must_run(
       graph, program,
-      matrix_options(ExecMode::kWorklist, true, MessageRouting::kRange));
+      matrix_options(ExecMode::kWorklist));
   expect_float_payloads_near(multi_worklist, multi_sweep);
 }
 
@@ -135,7 +124,7 @@ TEST(Worklist, LongChainSingleVertexFrontierRunsToCompletion) {
   const EdgeList graph = chain(kN);
   const auto oracle = oracle_bfs_levels(Csr::from_edges(graph), 0);
   for (const ExecMode exec : {ExecMode::kSweep, ExecMode::kWorklist}) {
-    EngineOptions eo = matrix_options(exec, true, MessageRouting::kRange);
+    EngineOptions eo = matrix_options(exec);
     const auto result = Engine::run(graph, BfsProgram(0), eo);
     ASSERT_TRUE(result.is_ok()) << result.status().to_string();
     const RunResult& r = result.value();
@@ -156,8 +145,7 @@ TEST(Worklist, LongChainSingleVertexFrontierRunsToCompletion) {
 
 TEST(Worklist, EdgesTouchedShrinkToTheFrontier) {
   const EdgeList graph = chain(64);
-  EngineOptions eo = matrix_options(ExecMode::kSweep, true,
-                                    MessageRouting::kRange);
+  EngineOptions eo = matrix_options(ExecMode::kSweep);
   const auto sweep = Engine::run(graph, BfsProgram(0), eo);
   eo.exec = ExecMode::kWorklist;
   const auto worklist = Engine::run(graph, BfsProgram(0), eo);
@@ -234,8 +222,7 @@ TEST(WorklistDelta, PageRankDeltaConvergesToTheFixedPoint) {
   const PageRankDeltaProgram program(/*max_iterations=*/100, 0.85F,
                                      /*eps=*/1e-7F);
   const auto result = Engine::run(
-      graph, program, matrix_options(ExecMode::kWorklist, true,
-                                     MessageRouting::kRange));
+      graph, program, matrix_options(ExecMode::kWorklist));
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const RunResult& r = result.value();
   // Unlike push PageRank the delta program quiesces on its own: residuals
@@ -344,8 +331,7 @@ TEST(WorklistRecovery, ResumeRebuildsTheBitmapFromRecoveredFlags) {
   auto dir = ScratchDir::create("worklist_crash");
   ASSERT_TRUE(dir.is_ok());
 
-  EngineOptions eo = matrix_options(ExecMode::kWorklist, true,
-                                    MessageRouting::kRange);
+  EngineOptions eo = matrix_options(ExecMode::kWorklist);
   eo.checkpoint_each_superstep = true;
   eo.work_dir = dir.value().path();
 
