@@ -55,6 +55,8 @@ class PageRankProgram final : public Program {
                             payload_to_float(message));
   }
 
+  bool sum_fold() const override { return true; }
+
   bool changed(Payload /*before*/, Payload /*after*/) const override {
     return true;  // any received contribution re-activates the vertex
   }

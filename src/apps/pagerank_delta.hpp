@@ -75,6 +75,8 @@ class PageRankDeltaProgram final : public Program {
                             payload_to_float(message));
   }
 
+  bool sum_fold() const override { return true; }
+
   bool changed(Payload before, Payload after) const override {
     // Contributions are non-negative, so the growth is the received mass;
     // below the epsilon the vertex stays inactive and the mass is dropped.

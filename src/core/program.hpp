@@ -16,7 +16,8 @@
 //                        with the stored value (min-fold); PageRank seeds
 //                        with the teleport term and ignores the old rank.
 //   compute(...)      -- folds one message into the accumulator
-//                        (Algorithm 3 line 10).
+//                        (Algorithm 3 line 10). Sum folds (PageRank)
+//                        declare sum_fold() and are folded exactly.
 //
 // Messages are not combined: every out-edge of an active vertex carries
 // its own message to the destination's fold, as in the paper's protocol
@@ -34,6 +35,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "graph/types.hpp"
@@ -71,9 +73,18 @@ class Program {
   virtual Payload first_update(VertexId v, Payload stored) const = 0;
 
   /// Folds one message into the accumulator. Must be commutative and
-  /// associative up to the app's accepted tolerance (message arrival order
-  /// is nondeterministic).
+  /// associative: message arrival order at a vertex follows the schedule.
+  /// A float sum is neither, so sum-fold programs declare sum_fold() and
+  /// the GPSA computing actor folds them exactly instead (below).
   virtual Payload compute(Payload accumulator, Payload message) const = 0;
+
+  /// True when compute() is the non-negative float sum
+  /// payload_to_float(accumulator) + payload_to_float(message) (PageRank,
+  /// PageRankDeltaProgram). The GPSA computing actor then never calls
+  /// compute(): it keeps each vertex's accumulator as an exact FixedSum
+  /// and stores its correctly rounded float, so the result does not
+  /// depend on arrival order, schedule or worker count.
+  virtual bool sum_fold() const { return false; }
 
   /// Whether the post-fold value counts as an update relative to the value
   /// the vertex held before this superstep (drives the stale flag and
@@ -109,5 +120,49 @@ class Program {
     return current;
   }
 };
+
+// --- Exact sum fold (Program::sum_fold) --------------------------------------
+//
+// A sum-fold accumulator is a 64-bit fixed-point number with scale 2^-56.
+// Integer addition is associative, so every arrival order of a vertex's
+// messages yields the same FixedSum, and the slot receives its correctly
+// rounded float. The bounds:
+//   - a term >= 2^-32 converts exactly (its 24-bit significand's lowest
+//     bit is worth >= 2^-55); a smaller term is truncated to a multiple of
+//     2^-56, identically in every order;
+//   - a sum < 2^7 fits (2^7 * 2^56 = 2^63). A term or sum at or above 2^7
+//     (or inf/NaN) throws std::overflow_error, which fails the job with a
+//     Status instead of wrapping.
+// PageRank values are <= 1, so PageRank stays within both.
+
+using FixedSum = std::uint64_t;
+
+/// Bits of 128.0F: non-negative float payloads order as integers, so every
+/// payload at or above this one is >= 2^7, inf or NaN.
+inline constexpr Payload kFixedSumPayloadLimit = 0x4300'0000U;
+
+inline FixedSum payload_to_fixed(Payload payload) {
+  if (payload >= kFixedSumPayloadLimit) {
+    throw std::overflow_error("sum fold: term >= 2^7");
+  }
+  // Scaling by 2^56 is exact in float; the int64 conversion truncates.
+  return static_cast<FixedSum>(
+      static_cast<std::int64_t>(payload_to_float(payload) * 0x1p56F));
+}
+
+inline FixedSum fixed_add(FixedSum a, FixedSum b) {
+  const FixedSum sum = a + b;  // both < 2^63: cannot wrap
+  if ((sum >> 63) != 0) {
+    throw std::overflow_error("sum fold: sum >= 2^7");
+  }
+  return sum;
+}
+
+inline Payload fixed_to_payload(FixedSum sum) {
+  // The int64 -> float conversion rounds to nearest; scaling back by 2^-56
+  // is exact (the result is 0 or >= 2^-56, far above float's subnormals).
+  return float_to_payload(
+      static_cast<float>(static_cast<std::int64_t>(sum)) * 0x1p-56F);
+}
 
 }  // namespace gpsa

@@ -167,6 +167,16 @@ TEST(ActorScheduler, BatchBoundPreventsStarvation) {
   // the injector) makes it resolve promptly. Either way it must resolve.
   const auto got = future.get();
   EXPECT_EQ(got[0], 7);
+  // shutdown() drops whatever is still queued, so let the flood drain
+  // first: the slice count then measures the whole 100k, not the part
+  // that happened to run before the starved actor answered.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (flooded->count.load() < 100'000U &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(flooded->count.load(), 100'000U);
   system.shutdown();
   EXPECT_GT(system.scheduler().slices_executed(), 100'000U / 8 / 2);
 }

@@ -2,8 +2,12 @@
 // executor, validated against independent classic-algorithm oracles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <vector>
 
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
@@ -58,6 +62,58 @@ TEST(PageRankProgram, Hooks) {
   EXPECT_FLOAT_EQ(payload_to_float(pr.first_update(0, 0)), 0.15F / 4.0F);
   EXPECT_TRUE(pr.changed(1, 1));
   EXPECT_EQ(pr.max_supersteps(), 5U);
+  EXPECT_TRUE(pr.sum_fold());
+  EXPECT_FALSE(BfsProgram(0).sum_fold());
+}
+
+// --- Exact sum fold (program.hpp) --------------------------------------------
+
+TEST(SumFold, TermsAtOrAbove2ToMinus32RoundTripExactly) {
+  for (const float value : {1.0F, 0.15F / 16384.0F, 0x1p-32F,
+                            0x1.fffffep-32F, 127.99999F}) {
+    const Payload p = float_to_payload(value);
+    EXPECT_EQ(fixed_to_payload(payload_to_fixed(p)), p) << value;
+  }
+  EXPECT_EQ(payload_to_fixed(float_to_payload(1.0F)), FixedSum{1} << 56);
+  EXPECT_EQ(payload_to_fixed(float_to_payload(0x1p-57F)), 0U);
+}
+
+TEST(SumFold, SumIsIndependentOfOrderAndCorrectlyRounded) {
+  // 1 + 2^-24 + 2^-30 is just above the midpoint between 1 and 1 + 2^-23:
+  // the correctly rounded float is 1 + 2^-23, while a float fold in this
+  // order loses both small terms and returns 1.
+  const std::vector<float> terms = {1.0F, 0x1p-24F, 0x1p-30F, 0.3F, 1e-9F};
+  std::vector<std::size_t> order(terms.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<FixedSum> sums;
+  do {
+    FixedSum sum = 0;
+    for (const std::size_t i : order) {
+      sum = fixed_add(sum, payload_to_fixed(float_to_payload(terms[i])));
+    }
+    sums.push_back(sum);
+  } while (std::next_permutation(order.begin(), order.end()));
+  for (const FixedSum sum : sums) {
+    EXPECT_EQ(sum, sums.front());
+  }
+  const double exact = 1.0 + 0x1p-24 + 0x1p-30 + static_cast<double>(0.3F) +
+                       static_cast<double>(1e-9F);
+  EXPECT_EQ(fixed_to_payload(sums.front()),
+            float_to_payload(static_cast<float>(exact)));
+  FixedSum head = payload_to_fixed(float_to_payload(1.0F));
+  head = fixed_add(head, payload_to_fixed(float_to_payload(0x1p-24F)));
+  head = fixed_add(head, payload_to_fixed(float_to_payload(0x1p-30F)));
+  EXPECT_EQ(fixed_to_payload(head), float_to_payload(1.0F + 0x1p-23F));
+}
+
+TEST(SumFold, OutOfRangeTermOrSumThrows) {
+  EXPECT_THROW((void)payload_to_fixed(float_to_payload(128.0F)),
+               std::overflow_error);
+  EXPECT_THROW((void)payload_to_fixed(
+                   float_to_payload(std::numeric_limits<float>::infinity())),
+               std::overflow_error);
+  const FixedSum big = payload_to_fixed(float_to_payload(100.0F));
+  EXPECT_THROW((void)fixed_add(big, big), std::overflow_error);
 }
 
 TEST(SsspProgram, HooksAndWeights) {

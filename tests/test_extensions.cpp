@@ -78,6 +78,27 @@ class PoisonedDispatchProgram final : public Program {
   }
 };
 
+/// A sum fold whose values leave the exact fold's range (program.hpp).
+class OversizedSumProgram final : public Program {
+ public:
+  std::string name() const override { return "oversized-sum"; }
+  InitialState init(VertexId /*v*/, VertexId /*n*/) const override {
+    return {float_to_payload(100.0F), true};
+  }
+  Payload gen_msg(VertexId /*s*/, VertexId /*d*/, Payload value,
+                  std::uint32_t /*deg*/) const override {
+    return value;
+  }
+  Payload first_update(VertexId /*v*/, Payload stored) const override {
+    return stored;
+  }
+  Payload compute(Payload accumulator, Payload message) const override {
+    return float_to_payload(payload_to_float(accumulator) +
+                            payload_to_float(message));
+  }
+  bool sum_fold() const override { return true; }
+};
+
 TEST(WorkerFailure, ComputeExceptionSurfacesAsStatus) {
   const EdgeList graph = diamond_graph();
   const PoisonedComputeProgram program;
@@ -96,6 +117,17 @@ TEST(WorkerFailure, DispatchExceptionSurfacesAsStatus) {
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   EXPECT_NE(result.status().message().find("poisoned source"),
             std::string::npos);
+}
+
+TEST(WorkerFailure, SumFoldOverflowSurfacesAsStatus) {
+  // 100 + 100 is past the fixed-point accumulator's 2^7 bound: the job
+  // fails with a Status instead of storing a wrapped sum.
+  const EdgeList graph = diamond_graph();
+  const OversizedSumProgram program;
+  const auto result = Engine::run(graph, program, small_options());
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("sum fold"), std::string::npos);
 }
 
 TEST(WorkerFailure, EngineRemainsUsableAfterFailure) {

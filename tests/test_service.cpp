@@ -27,12 +27,10 @@ namespace {
 
 using testing::expect_payloads_equal;
 
-// One dispatcher + one computer per job: every mailbox has a single
-// sender, so fold order is deterministic and even PageRank's sum fold is
-// bit-identical to a sequential engine run at the same shape
-// (test_engine.cpp SingleDispatcherSingleComputer precedent). Job-level
-// concurrency still exercises the shared scheduler: multiple jobs'
-// actors interleave on the same workers.
+// One dispatcher + one computer per job: the smallest actor ensemble, so
+// job-level concurrency dominates — multiple jobs' actors interleave on
+// the same workers. PageRankAtDefaultShapeMatchesEngine covers the
+// default 2 x 2 shape.
 ServiceOptions small_service_options() {
   ServiceOptions so;
   so.num_dispatchers = 1;
@@ -151,6 +149,45 @@ TEST(GraphService, ConcurrentJobsBitIdenticalToSequential) {
   EXPECT_EQ(stats.failed, 0U);
   EXPECT_EQ(stats.queued, 0U);
   EXPECT_EQ(stats.running, 0U);
+}
+
+TEST(GraphService, PageRankAtDefaultShapeMatchesEngine) {
+  // At the default 2 dispatchers x 2 computers each computer folds two
+  // dispatchers' batches in whatever order the shared scheduler delivers
+  // them; the exact sum fold keeps PageRank bit-identical to engine runs
+  // at the same shape, whatever their worker count.
+  const EdgeList graph = rmat(8, 1500, /*seed=*/3);
+  const ServiceOptions defaults;
+  ServiceOptions so = small_service_options();
+  so.num_dispatchers = defaults.num_dispatchers;
+  so.num_computers = defaults.num_computers;
+  auto service = open_service(graph, so);
+
+  const auto pagerank = std::make_shared<const PageRankProgram>(10);
+  auto id = service->submit(pagerank);
+  ASSERT_TRUE(id.is_ok()) << id.status().to_string();
+  // Concurrent queries share the scheduler with the PageRank job.
+  std::vector<JobId> queries;
+  for (const VertexId root : {0U, 17U, 200U}) {
+    auto query = service->submit(std::make_shared<const BfsProgram>(root));
+    ASSERT_TRUE(query.is_ok()) << query.status().to_string();
+    queries.push_back(query.value());
+  }
+  auto status = service->wait(id.value());
+  ASSERT_TRUE(status.is_ok()) << status.status().to_string();
+  ASSERT_EQ(status.value().state, JobState::kDone);
+  ASSERT_NE(status.value().result, nullptr);
+  for (const JobId query : queries) {
+    ASSERT_TRUE(service->wait(query).is_ok());
+  }
+
+  EngineOptions eo = matching_engine_options(so);
+  for (const unsigned workers : {1U, 4U}) {
+    SCOPED_TRACE(::testing::Message() << "engine workers=" << workers);
+    eo.scheduler_workers = workers;
+    expect_payloads_equal(status.value().result->values,
+                          engine_baseline(*service, *pagerank, eo));
+  }
 }
 
 TEST(GraphService, PerJobResultsAreIsolated) {

@@ -88,10 +88,10 @@ TEST(Worklist, MonotoneAppsBitIdenticalAcrossExec) {
 }
 
 TEST(Worklist, PageRankBitIdenticalUnderDeterministicSchedule) {
-  // Float folds depend on arrival order, so bit-identity across exec
-  // modes is asserted under a single-actor schedule (one dispatcher, one
-  // computer, one worker: ascending dispatch in both modes makes arrival
-  // order identical). The multi-actor case is covered within tolerance.
+  // Both modes dispatch the same vertex set, and the exact sum fold makes
+  // the result independent of arrival order: bit-identical under a
+  // single-actor schedule (one dispatcher, one computer, one worker) and
+  // at the multi-actor matrix shape alike.
   const EdgeList graph = rmat(7, 1200, 9);
   const PageRankProgram program(8);
   EngineOptions eo;
@@ -110,7 +110,7 @@ TEST(Worklist, PageRankBitIdenticalUnderDeterministicSchedule) {
   const auto multi_worklist = must_run(
       graph, program,
       matrix_options(ExecMode::kWorklist));
-  expect_float_payloads_near(multi_worklist, multi_sweep);
+  expect_payloads_equal(multi_worklist, multi_sweep);
 }
 
 // --- The activation/halting regression (single-vertex frontier) ------------
