@@ -30,8 +30,8 @@ unit checkers over it:
 
   lease-balance    Every MessageBatchPool::lease() result must, within
                    its function, either be recycle()d, be std::move()d
-                   onward (ownership transfer: into a mailbox message, a
-                   TaggedBatch, the wire), or carry an explicit
+                   onward (ownership transfer: into a mailbox message, an
+                   inbound queue, the wire), or carry an explicit
                    `// gpsa-analyze: transfer(<why>)` note. A leased
                    buffer that silently dies is not a leak (the pool
                    tolerates drops) but it is a steady-state pool miss in

@@ -3,11 +3,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <exception>
 #include <filesystem>
 #include <future>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "actor/actor_system.hpp"
 #include "cluster/node_state.hpp"
@@ -37,7 +39,7 @@ class ClusterComputer;
 // per-node store layout (each node's value store covers exactly its
 // owner slice, indexed by OwnerMap::local_index).
 //
-// The per-node state, dispatch loop, and apply order all live in
+// The per-node state, dispatch loop, and apply all live in
 // cluster/node_state.hpp, shared with the socket data plane
 // (cluster_net.cpp) — the sharing is what makes the two engines
 // bit-identical and this simulation a usable oracle.
@@ -56,16 +58,15 @@ class ClusterComputer final : public Actor<ComputerMsg> {
   void on_message(ComputerMsg msg) override;
 
  private:
+  void report_failure(std::uint64_t superstep, const std::exception& e);
+
   const std::uint32_t node_;
   ClusterNodeState& state_;
   const Program& program_;
   MessageBatchPool& pool_;
   ClusterManager* manager_ = nullptr;
-  /// Batches buffered until the superstep boundary; applied in canonical
-  /// (src_node, seq) order by apply_tagged_batches. Mailbox causality
-  /// guarantees completeness: a dispatcher's batches are enqueued before
-  /// its DISPATCH_OVER ack, which precedes the manager's COMPUTE_OVER.
-  std::vector<TaggedBatch> pending_;
+  /// Vertices updated this superstep by batches applied so far.
+  std::uint64_t updates_ = 0;
   std::uint64_t received_total_ = 0;
 };
 
@@ -120,6 +121,8 @@ class ClusterManager final : public Actor<ManagerMsg> {
     std::uint64_t wire_frames = 0;
     std::vector<std::uint64_t> superstep_wire_bytes;
     bool converged = false;
+    /// Set when a worker failed; the run then returns it as its Status.
+    std::string error;
   };
   std::future<Outcome> future() { return promise_.get_future(); }
 
@@ -172,6 +175,7 @@ class ClusterManager final : public Actor<ManagerMsg> {
         }
         break;
       case ManagerMsg::Kind::kWorkerFailed:
+        outcome_.error = std::move(msg.error);
         finish(/*converged=*/false);
         break;
     }
@@ -225,24 +229,52 @@ class ClusterManager final : public Actor<ManagerMsg> {
 void ClusterComputer::on_message(ComputerMsg msg) {
   switch (msg.kind) {
     case ComputerMsg::Kind::kBatch:
+      // Applied on arrival, in mailbox order: the fold's result does not
+      // depend on it (node_state.hpp).
       received_total_ += msg.batch.size();
-      pending_.push_back(
-          TaggedBatch{msg.src_node, msg.seq, std::move(msg.batch)});
+      try {
+        updates_ +=
+            cluster_apply_batch(state_, program_, msg.batch, msg.superstep);
+      } catch (const std::exception& e) {
+        report_failure(msg.superstep, e);
+      }
+      pool_.recycle(std::move(msg.batch));
       break;
     case ComputerMsg::Kind::kComputeOver: {
-      const std::uint64_t updates = apply_tagged_batches(
-          state_, program_, pending_, msg.superstep, pool_);
+      // Every batch of the superstep precedes this message in the mailbox
+      // (a dispatcher enqueues its batches before its DISPATCH_OVER ack,
+      // which precedes the manager's COMPUTE_OVER).
+      try {
+        updates_ += cluster_publish_sums(state_, program_, msg.superstep);
+      } catch (const std::exception& e) {
+        report_failure(msg.superstep, e);
+        break;
+      }
       ManagerMsg ack;
       ack.kind = ManagerMsg::Kind::kComputeOver;
       ack.superstep = msg.superstep;
       ack.worker_id = node_;
-      ack.count = updates;
+      ack.count = updates_;
+      updates_ = 0;
       manager_->send(std::move(ack));
       break;
     }
     case ComputerMsg::Kind::kSystemOver:
       break;
   }
+}
+
+void ClusterComputer::report_failure(std::uint64_t superstep,
+                                     const std::exception& e) {
+  // A sum left the exact fold's range, or a program hook threw: fail the
+  // run with a Status instead of terminating the process.
+  ManagerMsg failed;
+  failed.kind = ManagerMsg::Kind::kWorkerFailed;
+  failed.superstep = superstep;
+  failed.worker_id = node_;
+  failed.error =
+      "cluster node " + std::to_string(node_) + ": " + e.what();
+  manager_->send(std::move(failed));
 }
 
 void ClusterDispatcher::on_message(DispatcherMsg msg) {
@@ -258,12 +290,11 @@ void ClusterDispatcher::on_message(DispatcherMsg msg) {
 void ClusterDispatcher::run_iteration(std::uint64_t superstep) {
   const NodeDispatchCore::IterationStats stats = core_.run_iteration(
       superstep,
-      [&](unsigned dst, std::uint32_t seq, std::vector<VertexMessage>&& batch) {
+      [&](unsigned dst, std::uint32_t /*seq*/,
+          std::vector<VertexMessage>&& batch) {
         ComputerMsg msg;
         msg.kind = ComputerMsg::Kind::kBatch;
         msg.superstep = superstep;
-        msg.src_node = node_;
-        msg.seq = seq;
         msg.batch = std::move(batch);
         computers_[dst]->send(std::move(msg));
       });
@@ -383,6 +414,10 @@ Result<ClusterRunResult> ClusterEngine::run(const EdgeList& graph,
   start.kind = ManagerMsg::Kind::kStartRun;
   manager->send(std::move(start));
   const ClusterManager::Outcome outcome = future.get();
+  if (!outcome.error.empty()) {
+    system.shutdown();
+    return internal_error("ClusterEngine: " + outcome.error);
+  }
 
   ClusterRunResult out;
   out.supersteps = outcome.supersteps;

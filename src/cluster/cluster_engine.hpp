@@ -35,6 +35,8 @@ struct ClusterOptions {
   /// Vertex-interval assignment across nodes.
   PartitionStrategy partition = PartitionStrategy::kBalancedEdges;
   /// Scheduler worker threads backing the whole simulated cluster.
+  /// run_cluster_rank ignores it: a rank runs dispatch and apply on its
+  /// control thread, with one transport worker per peer.
   unsigned scheduler_workers = 0;  // 0 = default
   /// VertexMessages per inter-node batch (matches
   /// EngineOptions::message_batch; see the rationale there).

@@ -2,6 +2,12 @@
 // sync (protocol overview in cluster_net.hpp; bit-identity argument in
 // node_state.hpp).
 //
+// The control thread runs dispatch and apply: it applies its own flushes
+// inline, and the remote batches the poller has queued both between
+// flushes and while it waits for the peers' end-of-superstep markers. No
+// wait on the job path is a timed tick: every wait ends on an event (a
+// frame, a fence, the poller's eventfd) or on the peer-death deadline.
+//
 // Interleave safety: all cross-rank per-superstep state below is indexed
 // by superstep parity (s % 2) and reset when consumed. That is race-free
 // because the barrier orders supersteps two deep — a peer can only send
@@ -87,6 +93,7 @@ int g_net_crash_at_superstep = -1;
 constexpr std::uint64_t kGoSentinel = ~std::uint64_t{0};
 
 using ValueEntries = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+using Batch = std::vector<VertexMessage>;
 
 Result<std::uint64_t> parse_env_u64(const char* name, const char* text) {
   errno = 0;
@@ -190,6 +197,19 @@ class ControlState {
     cv_.notify_all();
   }
 
+  /// InboundPoller error handler: `peer`'s link is gone (EOF, reset or
+  /// decode poisoning). Fatal only to waits that still need something
+  /// from that peer (wait_error): after the last barrier a rank closes
+  /// its links as soon as it is done, while a slower rank may still wait
+  /// for rank 0's release or rank 0 for its final values.
+  void peer_lost(std::uint32_t peer, Status status) GPSA_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    if (peers_[peer].lost.is_ok()) {
+      peers_[peer].lost = std::move(status);
+    }
+    cv_.notify_all();
+  }
+
   /// First error wins; every waiter observes it.
   void fail(Status status) GPSA_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
@@ -262,7 +282,7 @@ class ControlState {
         }
         apply_entries(pl.value().entries);
         if (pl.value().final_sync != 0) {
-          final_values_ += 1;
+          peers_[peer].final_values = true;
         }
         break;
       }
@@ -290,9 +310,7 @@ class ControlState {
       if (go_) {
         return Status::ok();
       }
-      if (!error_.is_ok()) {
-        return error_;
-      }
+      GPSA_RETURN_IF_ERROR(wait_error(rank_zero));
       const int remaining = deadline.remaining_ms();
       if (remaining <= 0) {
         return io_error("timed out waiting for the cluster GO broadcast");
@@ -301,62 +319,59 @@ class ControlState {
     }
   }
 
-  /// Waits until every peer's superstep-`superstep` traffic is complete
-  /// (EOS received, frame and message counts matching), then moves the
-  /// buffered batches into `out` and resets the parity slots.
-  Status wait_superstep_inbound(std::uint64_t superstep, int timeout_ms,
-                                std::vector<TaggedBatch>& out)
+  /// Moves the superstep-`superstep` batches that have arrived so far
+  /// into `out` (which must be empty) without waiting.
+  void take_inbound(std::uint64_t superstep, std::vector<Batch>& out)
+      GPSA_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    out.swap(inbound_[superstep & 1]);
+  }
+
+  /// Hands every superstep-`superstep` batch to `apply` as it arrives
+  /// (outside the lock; `ready` is the caller's empty scratch queue) until
+  /// every peer's traffic for it is complete — EOS received, frame and
+  /// message counts matching — then resets the parity slots.
+  template <typename Apply>
+  Status drain_inbound(std::uint64_t superstep, int timeout_ms,
+                       std::vector<Batch>& ready, Apply&& apply)
       GPSA_EXCLUDES(mutex_) {
     const unsigned q = superstep & 1;
     Deadline deadline(timeout_ms);
-    MutexLock lock(mutex_);
     for (;;) {
-      bool complete = true;
-      for (std::uint32_t p = 0; p < ranks_ && complete; ++p) {
-        if (p == self_) {
-          continue;
+      bool complete = false;
+      {
+        MutexLock lock(mutex_);
+        for (;;) {
+          GPSA_ASSIGN_OR_RETURN(complete, inbound_complete(superstep));
+          if (complete || !inbound_[q].empty()) {
+            break;
+          }
+          GPSA_RETURN_IF_ERROR(wait_error(every_peer));
+          const int remaining = deadline.remaining_ms();
+          if (remaining <= 0) {
+            return io_error("timed out waiting for superstep " +
+                            std::to_string(superstep) +
+                            " traffic (peer dead or stalled?)");
+          }
+          cv_.wait_for_ms(lock, remaining);
         }
-        const PeerSlot& slot = peers_[p];
-        if (!slot.eos[q]) {
-          complete = false;
-        } else if (slot.eos_payload[q].superstep != superstep) {
-          return internal_error(
-              "superstep protocol violation: end-of-superstep " +
-              std::to_string(slot.eos_payload[q].superstep) +
-              " in the parity slot of " + std::to_string(superstep));
-        } else if (slot.batches[q] != slot.eos_payload[q].batch_frames ||
-                   slot.messages[q] != slot.eos_payload[q].messages) {
-          complete = false;  // frames still in flight on that link
+        ready.swap(inbound_[q]);
+        if (complete) {
+          for (PeerSlot& slot : peers_) {
+            slot.eos[q] = false;
+            slot.batches[q] = 0;
+            slot.messages[q] = 0;
+          }
         }
       }
+      for (Batch& batch : ready) {
+        apply(batch);
+      }
+      ready.clear();
       if (complete) {
-        break;
+        return Status::ok();
       }
-      if (!error_.is_ok()) {
-        return error_;
-      }
-      const int remaining = deadline.remaining_ms();
-      if (remaining <= 0) {
-        return io_error("timed out waiting for superstep " +
-                        std::to_string(superstep) +
-                        " traffic (peer dead or stalled?)");
-      }
-      cv_.wait_for_ms(lock, remaining);
     }
-    for (std::uint32_t p = 0; p < ranks_; ++p) {
-      if (p == self_) {
-        continue;
-      }
-      PeerSlot& slot = peers_[p];
-      for (TaggedBatch& batch : slot.pending[q]) {
-        out.push_back(std::move(batch));
-      }
-      slot.pending[q].clear();
-      slot.eos[q] = false;
-      slot.batches[q] = 0;
-      slot.messages[q] = 0;
-    }
-    return Status::ok();
   }
 
   /// Coordinator: waits for every peer's barrier entry for `superstep`,
@@ -377,9 +392,7 @@ class ControlState {
         }
         break;
       }
-      if (!error_.is_ok()) {
-        return error_;
-      }
+      GPSA_RETURN_IF_ERROR(wait_error(every_peer));
       const int remaining = deadline.remaining_ms();
       if (remaining <= 0) {
         return io_error("timed out waiting for barrier entries of superstep " +
@@ -403,9 +416,7 @@ class ControlState {
       if (released_[q] && release_[q].superstep == superstep) {
         break;
       }
-      if (!error_.is_ok()) {
-        return error_;
-      }
+      GPSA_RETURN_IF_ERROR(wait_error(rank_zero));
       const int remaining = deadline.remaining_ms();
       if (remaining <= 0) {
         return io_error("timed out waiting for the barrier release of "
@@ -424,13 +435,19 @@ class ControlState {
   Status wait_final_values(int timeout_ms) GPSA_EXCLUDES(mutex_) {
     Deadline deadline(timeout_ms);
     MutexLock lock(mutex_);
+    // Peers still owing their final Values frame.
+    auto owing = [](std::uint32_t, const PeerSlot& slot) {
+      return !slot.final_values;
+    };
     for (;;) {
-      if (final_values_ == ranks_ - 1) {
+      bool done = true;
+      for (std::uint32_t p = 0; p < ranks_; ++p) {
+        done = done && (p == self_ || peers_[p].final_values);
+      }
+      if (done) {
         return Status::ok();
       }
-      if (!error_.is_ok()) {
-        return error_;
-      }
+      GPSA_RETURN_IF_ERROR(wait_error(owing));
       const int remaining = deadline.remaining_ms();
       if (remaining <= 0) {
         return io_error("timed out waiting for the final value sync");
@@ -443,15 +460,69 @@ class ControlState {
   struct PeerSlot {
     bool eos[2] = {false, false};
     EndOfSuperstepPayload eos_payload[2];
+    /// Batches and messages received (queued in inbound_) per parity.
     std::uint64_t batches[2] = {0, 0};
     std::uint64_t messages[2] = {0, 0};
-    std::vector<TaggedBatch> pending[2];
+    /// Its final_sync-marked Values frame arrived (rank 0).
+    bool final_values = false;
+    /// Set once its link is gone (peer_lost).
+    Status lost;
   };
+
+  // Peer selectors for wait_error.
+  static bool every_peer(std::uint32_t /*peer*/, const PeerSlot& /*slot*/) {
+    return true;
+  }
+  static bool rank_zero(std::uint32_t peer, const PeerSlot& /*slot*/) {
+    return peer == 0;
+  }
   struct CoordSlot {
     std::uint64_t superstep = 0;
     std::uint32_t count = 0;
     SyncAggregate agg;
   };
+
+  /// What a wait that still needs something from the peers `needs`
+  /// selects fails with: the run-wide error, else the first such peer's
+  /// loss, else OK.
+  template <typename Needs>
+  Status wait_error(Needs&& needs) const GPSA_REQUIRES(mutex_) {
+    if (!error_.is_ok()) {
+      return error_;
+    }
+    for (std::uint32_t p = 0; p < ranks_; ++p) {
+      if (p != self_ && !peers_[p].lost.is_ok() && needs(p, peers_[p])) {
+        return peers_[p].lost;
+      }
+    }
+    return Status::ok();
+  }
+
+  /// Whether every peer's superstep-`superstep` traffic has arrived.
+  Result<bool> inbound_complete(std::uint64_t superstep) const
+      GPSA_REQUIRES(mutex_) {
+    const unsigned q = superstep & 1;
+    for (std::uint32_t p = 0; p < ranks_; ++p) {
+      if (p == self_) {
+        continue;
+      }
+      const PeerSlot& slot = peers_[p];
+      if (!slot.eos[q]) {
+        return false;
+      }
+      if (slot.eos_payload[q].superstep != superstep) {
+        return internal_error(
+            "superstep protocol violation: end-of-superstep " +
+            std::to_string(slot.eos_payload[q].superstep) +
+            " in the parity slot of " + std::to_string(superstep));
+      }
+      if (slot.batches[q] != slot.eos_payload[q].batch_frames ||
+          slot.messages[q] != slot.eos_payload[q].messages) {
+        return false;  // frames still in flight on that link
+      }
+    }
+    return true;
+  }
 
   void fail_locked(Status status) GPSA_REQUIRES(mutex_) {
     if (error_.is_ok()) {
@@ -477,8 +548,7 @@ class ControlState {
     PeerSlot& slot = peers_[peer];
     slot.batches[q] += 1;
     slot.messages[q] += batch.size();
-    slot.pending[q].push_back(
-        TaggedBatch{peer, frame.header.seq, std::move(batch)});
+    inbound_[q].push_back(std::move(batch));
   }
 
   void apply_entries(const ValueEntries& entries) GPSA_REQUIRES(mutex_) {
@@ -500,11 +570,12 @@ class ControlState {
   Mutex mutex_{"ClusterNet.control"};
   CondVar cv_;
   std::vector<PeerSlot> peers_ GPSA_GUARDED_BY(mutex_);  // [rank]; self unused
+  /// Received batches not yet taken by the control thread, per parity.
+  std::vector<Batch> inbound_[2] GPSA_GUARDED_BY(mutex_);
   CoordSlot coord_[2] GPSA_GUARDED_BY(mutex_);
   bool released_[2] GPSA_GUARDED_BY(mutex_) = {false, false};
   SyncReleasePayload release_[2] GPSA_GUARDED_BY(mutex_);
   bool go_ GPSA_GUARDED_BY(mutex_) = false;
-  std::uint32_t final_values_ GPSA_GUARDED_BY(mutex_) = 0;
   std::vector<Payload> mirror_ GPSA_GUARDED_BY(mutex_);
   Status error_ GPSA_GUARDED_BY(mutex_);
 };
@@ -528,18 +599,14 @@ Status abort_handshake(const Socket& socket, std::uint16_t rank,
   return failed_precondition("handshake rejected: " + reason);
 }
 
-/// Bootstrap: connect to every lower rank, accept from every higher rank,
+/// Bootstrap: connect to every lower rank, accept from every higher rank
+/// on `listener` (bound by the caller; invalid on the highest rank),
 /// Hello/HelloAck on each link. Returns links indexed by peer rank (the
-/// self slot left empty).
+/// self slot left empty); the listener closes on return.
 Result<std::vector<PeerLink>> run_rendezvous(const ClusterNetOptions& net,
-                                             std::uint64_t fingerprint) {
+                                             std::uint64_t fingerprint,
+                                             Socket listener) {
   std::vector<PeerLink> links(net.ranks);
-  Socket listener;
-  if (net.rank + 1 < net.ranks) {
-    GPSA_ASSIGN_OR_RETURN(
-        listener,
-        tcp_listen(static_cast<std::uint16_t>(net.base_port + net.rank)));
-  }
   const auto self = static_cast<std::uint16_t>(net.rank);
   // Connector side (toward lower ranks): Hello, then wait for HelloAck.
   for (std::uint32_t p = 0; p < net.rank; ++p) {
@@ -803,6 +870,15 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
   }
 
   WallTimer timer;
+  // Listen before building anything: a peer that finishes its own build
+  // first then waits in the accept backlog instead of being refused and
+  // backing off.
+  Socket listener;
+  if (net.rank + 1 < net.ranks) {
+    GPSA_ASSIGN_OR_RETURN(
+        listener,
+        tcp_listen(static_cast<std::uint16_t>(net.base_port + net.rank)));
+  }
   const Csr csr = Csr::from_edges(graph);
   std::vector<EdgeCount> degrees(n);
   for (VertexId v = 0; v < n; ++v) {
@@ -857,7 +933,7 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
       n, graph.num_edges(), net.ranks, program.name(),
       resolve_csr_format(std::nullopt), resolve_csr_order(std::nullopt));
   GPSA_ASSIGN_OR_RETURN(std::vector<PeerLink> links,
-                        run_rendezvous(net, fingerprint));
+                        run_rendezvous(net, fingerprint, std::move(listener)));
 
   ControlState ctrl(net.ranks, net.rank, &pool);
   if (net.rank == 0) {
@@ -905,10 +981,11 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
         ctrl.on_frame(peer, std::move(frame));
       },
       [&ctrl](std::uint32_t peer, Status status) {
-        ctrl.fail(failed_precondition("peer rank " + std::to_string(peer) +
-                                      " died: " + status.message()));
+        ctrl.peer_lost(peer, failed_precondition(
+                                 "peer rank " + std::to_string(peer) +
+                                 " died: " + status.message()));
       });
-  poller.start();
+  const Status poller_started = poller.start();
 
   // Any mid-run failure: tell the survivors why (best-effort), then tear
   // down. The fence bounds how long the abort frames may take to flush.
@@ -925,6 +1002,9 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
     system.shutdown();
     return status;
   };
+  if (!poller_started.is_ok()) {
+    return abort_run(poller_started);
+  }
 
   // GO: rank 0's rendezvous finishing means every rank reached rank 0,
   // and a rank only proceeds once its own links are also up.
@@ -958,9 +1038,9 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
     std::uint64_t frames_sent = 0;
     std::vector<std::uint64_t> superstep_wire_bytes;
   };
-  std::vector<TaggedBatch> local_pending;
   std::vector<std::uint64_t> batches_to(net.ranks, 0);
   std::vector<std::uint64_t> messages_to(net.ranks, 0);
+  std::vector<Batch> ready;  // scratch queue of arrived remote batches
   std::uint64_t prev_bytes = 0;
   std::uint64_t prev_frames = 0;
 
@@ -972,23 +1052,32 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
     for (std::uint64_t s = 0;; ++s) {
       std::fill(batches_to.begin(), batches_to.end(), std::uint64_t{0});
       std::fill(messages_to.begin(), messages_to.end(), std::uint64_t{0});
-      local_pending.clear();
+      std::uint64_t updates = 0;
+      auto apply = [&](Batch& batch) {
+        out.own_received += batch.size();
+        updates += cluster_apply_batch(state, program, batch, s);
+        pool.recycle(std::move(batch));
+      };
       const NodeDispatchCore::IterationStats stats = core.run_iteration(
-          s, [&](unsigned dst, std::uint32_t seq,
-                 std::vector<VertexMessage>&& batch) {
+          s, [&](unsigned dst, std::uint32_t seq, Batch&& batch) {
             if (dst == net.rank) {
-              local_pending.push_back(
-                  TaggedBatch{net.rank, seq, std::move(batch)});
-              return;
+              apply(batch);
+            } else {
+              batches_to[dst] += 1;
+              messages_to[dst] += batch.size();
+              TransportMsg msg;
+              msg.kind = TransportMsg::Kind::kBatch;
+              msg.superstep = s;
+              msg.seq = seq;
+              msg.batch = std::move(batch);
+              transports[dst]->send(std::move(msg));
             }
-            batches_to[dst] += 1;
-            messages_to[dst] += batch.size();
-            TransportMsg msg;
-            msg.kind = TransportMsg::Kind::kBatch;
-            msg.superstep = s;
-            msg.seq = seq;
-            msg.batch = std::move(batch);
-            transports[dst]->send(std::move(msg));
+            // Apply whatever the peers have delivered meanwhile.
+            ctrl.take_inbound(s, ready);
+            for (Batch& arrived : ready) {
+              apply(arrived);
+            }
+            ready.clear();
           });
       if (g_net_crash_at_superstep >= 0 &&
           static_cast<std::uint64_t>(g_net_crash_at_superstep) == s) {
@@ -1004,18 +1093,10 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
         eos.messages = messages_to[p];
         send_control(transports[p], FrameType::kEndOfSuperstep, eos.encode());
       }
-      std::vector<TaggedBatch> inbound;
       GPSA_RETURN_IF_ERROR(
-          ctrl.wait_superstep_inbound(s, net.timeout_ms, inbound));
-      for (TaggedBatch& batch : local_pending) {
-        inbound.push_back(std::move(batch));
-      }
-      local_pending.clear();
-      for (const TaggedBatch& batch : inbound) {
-        out.own_received += batch.batch.size();
-      }
-      const std::uint64_t updates =
-          apply_tagged_batches(state, program, inbound, s, pool);
+          ctrl.drain_inbound(s, net.timeout_ms, ready, apply));
+      // Every message of the superstep is in: publish the exact sums.
+      updates += cluster_publish_sums(state, program, s);
       if (superstep_sync) {
         const ValueEntries entries = updated_entries(state, s);
         if (net.rank == 0) {
@@ -1091,7 +1172,16 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
     return out;
   };
 
-  auto loop_result = run_loop();
+  auto loop_result = [&]() -> Result<LoopOutcome> {
+    try {
+      return run_loop();
+    } catch (const std::exception& e) {
+      // A sum left the exact fold's range, or a program hook threw: fail
+      // the run like any other mid-run error, so the peers hear of it.
+      return internal_error("run_cluster_rank: rank " +
+                            std::to_string(net.rank) + ": " + e.what());
+    }
+  }();
   if (!loop_result.is_ok()) {
     return abort_run(loop_result.status());
   }

@@ -6,15 +6,20 @@
 // shared per-node compute core (cluster/node_state.hpp) over its own
 // vertex slice; remote batches travel as wire frames through one
 // transport actor per peer, and supersteps close with a coordinator
-// barrier at rank 0. Because dispatch order, batch boundaries, and the
-// canonical (src_node, seq) apply order are shared with the in-process
-// simulation, the per-rank value stores come out bit-identical to the
-// simulation's — the single-process run is the correctness oracle the
-// multi-process tests diff against, byte for byte.
+// barrier at rank 0. Each rank applies batches as they arrive — its own
+// flushes inline, remote ones between flushes and while it waits for the
+// peers' end-of-superstep markers — and publishes its exact sums at the
+// barrier. Because dispatch order, batch boundaries and the apply code are
+// shared with the in-process simulation, and the apply's result does not
+// depend on arrival order (node_state.hpp), the per-rank value stores come
+// out bit-identical to the simulation's — the single-process run is the
+// correctness oracle the multi-process tests diff against, byte for byte.
 //
-// Bootstrap is rendezvous by rank: rank k listens on base_port + k and
-// accepts one connection from every higher rank; higher ranks connect to
-// all lower ranks (retrying until the peer's listener exists). The
+// Bootstrap is rendezvous by rank: rank k listens on base_port + k — bound
+// first thing, before the graph build, so early peers wait in the accept
+// backlog — and accepts one connection from every higher rank; higher
+// ranks connect to all lower ranks (retrying with a short backoff while
+// the peer's listener does not exist yet). The
 // connector opens with a Hello carrying its version range, rank topology,
 // and a graph fingerprint; the acceptor validates, negotiates the highest
 // common version, and replies HelloAck. Rank 0 broadcasts a GO release

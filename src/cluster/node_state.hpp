@@ -4,22 +4,26 @@
 // ClusterEngine::run (the in-process simulation) and
 // run_cluster_rank (the socket data plane) must produce
 // bit-identical value columns — the simulation is the oracle the
-// multi-process tests diff against, byte for byte, including
-// order-sensitive float programs like PageRank. That only works if both
-// engines share, by construction:
+// multi-process tests diff against, byte for byte, including float
+// programs like PageRank. That holds because both engines share, by
+// construction:
 //
 //   1. the node state itself (ClusterNodeState): the two-column slot
-//      protocol, worklist bitmap, and delta-dispatch memory;
+//      protocol, worklist bitmap, delta-dispatch memory and the exact
+//      sum fold;
 //   2. the dispatch loop (NodeDispatchCore): identical vertex visit
-//      order, identical batch boundaries, and a per-destination sequence
-//      number stamped on every flushed batch;
-//   3. the apply order: batches are buffered per superstep and applied
-//      sorted by (source node, sequence) — apply_tagged_batches — so the
-//      nondeterministic arrival order (mailbox interleaving in-process,
-//      TCP timing across processes) never reaches the float accumulator.
+//      order and identical batch boundaries;
+//   3. an apply whose result does not depend on arrival order
+//      (cluster_apply_batch): min-style folds are order-free already, and
+//      sum-fold programs add every message to the node's SliceSumFold
+//      (core/program.hpp) — an exact sum — whose rounded value
+//      cluster_publish_sums stores once per superstep, deciding
+//      activation from the whole sum.
 //
-// The engines differ only in how a flushed batch travels: a mailbox send
-// in-process, a BATCH wire frame across ranks.
+// So batches apply as they arrive, in whatever order the mailboxes (in
+// process) or TCP timing (across processes) deliver them. The engines
+// differ only in how a flushed batch travels: a mailbox send in-process,
+// a BATCH wire frame across ranks.
 #pragma once
 
 #include <algorithm>
@@ -63,6 +67,9 @@ struct ClusterNodeState {
   /// Delta programs: per-local-vertex value as of its last dispatch
   /// (written only by this node's dispatcher). Empty otherwise.
   std::vector<Payload> last_sent;
+  /// Sum-fold programs: the node's exact message sums (written only by
+  /// the node's apply, published at the superstep's end).
+  std::optional<SliceSumFold> sums;
 
   void init(VertexId begin_vertex, VertexId end_vertex,
             const Program& program, VertexId num_vertices) {
@@ -72,6 +79,7 @@ struct ClusterNodeState {
     columns[0].resize(size);
     columns[1].resize(size);
     latest.assign(size, 0);
+    init_sums(program);
     for (VertexId v = begin; v < end; ++v) {
       const Program::InitialState st = program.init(v, num_vertices);
       columns[0][v - begin] = make_slot(st.value, !st.active);
@@ -86,6 +94,7 @@ struct ClusterNodeState {
     end = end_vertex;
     const VertexId size = end - begin;
     latest.assign(size, 0);
+    init_sums(program);
     if (size == 0) {
       return Status::ok();  // nothing to own; keep the (empty) vectors
     }
@@ -117,6 +126,12 @@ struct ClusterNodeState {
     }
   }
 
+  void init_sums(const Program& program) {
+    if (program.sum_fold()) {
+      sums.emplace().init(begin, end - begin);
+    }
+  }
+
   Slot load(VertexId v, unsigned column) const {
     if (file) {
       return file->load(v - begin, column);
@@ -138,77 +153,89 @@ struct ClusterNodeState {
   }
 };
 
-/// A flushed batch tagged with its canonical position in the superstep's
-/// apply order: the sending node and that sender's per-destination
-/// sequence number.
-struct TaggedBatch {
-  std::uint32_t src_node = 0;
-  std::uint32_t seq = 0;
-  std::vector<VertexMessage> batch;
-};
+/// v's first message of the superstep: returns v's freshest stored
+/// payload and makes the update column v's latest.
+inline Payload cluster_first_touch(ClusterNodeState& state, VertexId v,
+                                   unsigned update_col) {
+  const Payload base =
+      slot_payload(state.load(v, state.latest[v - state.begin]));
+  state.latest[v - state.begin] = static_cast<std::uint8_t>(update_col);
+  return base;
+}
 
-/// Applies one message to the update column — the single shared
-/// implementation both engines' computers run. Returns true when the
-/// vertex's value changed (an "update" in the manager's accounting).
-[[nodiscard]] inline bool cluster_apply_message(ClusterNodeState& state,
-                                  const Program& program,
-                                  const VertexMessage& message,
-                                  std::uint64_t superstep) {
-  const VertexId v = message.dst;
-  GPSA_DCHECK(v >= state.begin && v < state.end);
+/// Applies one batch as it arrives — the single shared implementation
+/// both engines run, mirroring ComputerActor's apply. A sum-fold
+/// program's messages only join the node's exact sums
+/// (cluster_publish_sums decides them); any other program folds into the
+/// update column. Returns the number of vertices updated.
+inline std::uint64_t cluster_apply_batch(
+    ClusterNodeState& state, const Program& program,
+    const std::vector<VertexMessage>& batch, std::uint64_t superstep) {
   const unsigned update_col = ValueFile::update_column(superstep);
-  const Slot current = state.load(v, update_col);
-  if (slot_is_stale(current)) {
-    const Payload base =
-        slot_payload(state.load(v, state.latest[v - state.begin]));
-    const Payload seed = program.first_update(v, base);
-    const Payload acc = program.compute(seed, message.value);
-    const bool updated = program.changed(base, acc);
-    state.store(v, update_col, make_slot(updated ? acc : base, !updated));
-    state.latest[v - state.begin] = static_cast<std::uint8_t>(update_col);
-    if (updated) {
-      // Bit and stale flag publish together (the same lock-step as the
-      // single-machine ComputerActor::apply).
+  if (state.sums.has_value()) {
+    for (const VertexMessage& m : batch) {
+      GPSA_DCHECK(m.dst >= state.begin && m.dst < state.end);
+      state.sums->add(m.dst, m.value, [&] {
+        const Payload base = cluster_first_touch(state, m.dst, update_col);
+        // The "negative value" copy, stale until the publish decides.
+        state.store(m.dst, update_col, make_slot(base, /*stale=*/true));
+        return program.first_update(m.dst, base);
+      });
+    }
+    return 0;
+  }
+  std::uint64_t updates = 0;
+  for (const VertexMessage& m : batch) {
+    const VertexId v = m.dst;
+    GPSA_DCHECK(v >= state.begin && v < state.end);
+    const Slot current = state.load(v, update_col);
+    if (!slot_is_stale(current)) {
+      const Payload seed = slot_payload(current);
+      const Payload acc = program.compute(seed, m.value);
+      if (acc != seed) {
+        state.store(v, update_col, make_slot(acc, /*stale=*/false));
+      }
+      continue;
+    }
+    const Payload base = cluster_first_touch(state, v, update_col);
+    const Payload acc =
+        program.compute(program.first_update(v, base), m.value);
+    if (program.changed(base, acc)) {
+      // Slot and worklist bit together, as in ComputerActor::apply.
+      state.store(v, update_col, make_slot(acc, /*stale=*/false));
       if (state.worklist.has_value()) {
         state.worklist->set(v - state.begin, update_col);
       }
-      return true;
+      ++updates;
+    } else {
+      state.store(v, update_col, make_slot(base, /*stale=*/true));
     }
-    return false;
   }
-  const Payload seed = slot_payload(current);
-  const Payload acc = program.compute(seed, message.value);
-  if (acc != seed) {
-    state.store(v, update_col, make_slot(acc, /*stale=*/false));
-  }
-  return false;
+  return updates;
 }
 
-/// Superstep-boundary apply in canonical order: sorts the buffered
-/// batches by (src_node, seq), applies every message, recycles the
-/// buffers, and clears the list. Returns the number of updated vertices.
-inline std::uint64_t apply_tagged_batches(ClusterNodeState& state,
+/// End of a superstep's apply, once every batch of it is applied:
+/// activates every vertex whose rounded exact sum counts as changed
+/// against its stored value. Returns the number of updated vertices (0
+/// for programs without sum_fold()).
+inline std::uint64_t cluster_publish_sums(ClusterNodeState& state,
                                           const Program& program,
-                                          std::vector<TaggedBatch>& batches,
-                                          std::uint64_t superstep,
-                                          MessageBatchPool& pool) {
-  std::sort(batches.begin(), batches.end(),
-            [](const TaggedBatch& a, const TaggedBatch& b) {
-              if (a.src_node != b.src_node) {
-                return a.src_node < b.src_node;
-              }
-              return a.seq < b.seq;
-            });
-  std::uint64_t updates = 0;
-  for (TaggedBatch& tagged : batches) {
-    for (const VertexMessage& m : tagged.batch) {
-      if (cluster_apply_message(state, program, m, superstep)) {
-        ++updates;
-      }
-    }
-    pool.recycle(std::move(tagged.batch));
+                                          std::uint64_t superstep) {
+  if (!state.sums.has_value()) {
+    return 0;
   }
-  batches.clear();
+  const unsigned update_col = ValueFile::update_column(superstep);
+  AscendingBitSetter activate(
+      state.worklist.has_value() ? &*state.worklist : nullptr, update_col);
+  std::uint64_t updates = 0;
+  state.sums->finish([&](VertexId v, Payload value) {
+    if (program.changed(slot_payload(state.load(v, update_col)), value)) {
+      state.store(v, update_col, make_slot(value, /*stale=*/false));
+      activate.set(v - state.begin);
+      ++updates;
+    }
+  });
+  activate.flush();
   return updates;
 }
 

@@ -11,16 +11,21 @@
 // set — the paper's "negative value" write — keeping the update column's
 // payload fresh.
 //
-// Sum-fold programs (Program::sum_fold, PageRank) fold exactly: each
-// vertex of the slice keeps a FixedSum accumulator, and the first message
-// of a superstep stores its rounded float (and clears the stale flag) as
-// above. Later messages only add to the sum; at COMPUTE_OVER, before the
-// ack, every summed vertex's slot receives the correctly rounded float of
-// its exact sum. Each dispatcher's stream is deterministic, but the
-// interleaving of several dispatchers' batches at this actor follows the
-// schedule; an exact sum erases it, so results are bit-identical at any
-// shape and worker count while every message is still applied as it
-// arrives. (Rounding after every message instead cost ~35% more apply
+// Sum-fold programs (Program::sum_fold, PageRank) fold exactly: every
+// message adds to its vertex's FixedSum in the slice's SliceSumFold. A
+// vertex's first message copies its stored value into the update column
+// as above, still stale, and seeds the sum; at COMPUTE_OVER, before the
+// ack, store_sums rounds each sum once and only then decides activation
+// with Program::changed against that copied value — storing the sum,
+// clearing the flag, setting the worklist bit and counting the update.
+// It walks the slice in ascending order, so its stores stream and its
+// worklist bits go out one atomic OR per word. Each dispatcher's stream
+// is deterministic, but the interleaving of several dispatchers' batches
+// at this actor follows the schedule; an exact sum erases it, and
+// deciding activation on the whole sum erases it from
+// PageRankDeltaProgram's epsilon gate too, so results are bit-identical
+// at any shape and worker count while every message is still applied as
+// it arrives. (Rounding after every message instead cost ~35% more apply
 // time: the conversion and slot store sit on each message's path.)
 //
 // Message-plane contract (DESIGN.md §11): this actor owns one contiguous
@@ -36,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <vector>
 
 #include "actor/actor.hpp"
@@ -84,13 +90,24 @@ class ComputerActor final : public Actor<ComputerMsg> {
  private:
   void apply(const VertexMessage& message, unsigned update_col);
 
-  /// Stores the rounded exact sum of every vertex summed this superstep
-  /// into the update column and resets their accumulators.
+  /// v's first message of the superstep: returns v's freshest stored
+  /// payload and makes the update column v's latest.
+  Payload first_touch(VertexId v, unsigned update_col);
+
+  /// first_touch for a sum-fold program: also copies the payload into the
+  /// update column, still stale, and returns first_update's seed.
+  Payload first_sum_touch(VertexId v, unsigned update_col);
+
+  /// Stores `value` as v's update (stale flag clear) and counts it; the
+  /// caller sets v's worklist bit.
+  void store_update(VertexId v, unsigned update_col, Payload value);
+
+  /// Activates every vertex summed this superstep whose rounded exact sum
+  /// counts as changed against its stored value (sum-fold programs).
   void store_sums(unsigned update_col);
 
-  /// sums_ entry of a vertex without a running sum this superstep (no
-  /// real sum has the top bit set).
-  static constexpr FixedSum kNoSum = ~FixedSum{0};
+  /// Sends the manager kWorkerFailed for `superstep`.
+  void report_failure(std::uint64_t superstep, const std::exception& e);
 
   const std::uint32_t id_;
   ValueFile& values_;
@@ -103,14 +120,10 @@ class ComputerActor final : public Actor<ComputerMsg> {
   ActiveBitmap* const worklist_;
   /// Renumbered files' internal -> original id map; nullptr = identity.
   const VertexId* const orig_ids_;
-  /// First vertex of this actor's slice.
-  const VertexId slice_begin_;
-  /// Sum-fold programs' exact accumulators, one per slice vertex (kNoSum
-  /// until v's first updating message of the superstep); empty for other
-  /// programs.
-  std::vector<FixedSum> sums_;
-  /// Vertices with a running sum this superstep (reserved to the slice).
-  std::vector<VertexId> summed_;
+  /// Program::sum_fold(), read once.
+  const bool sum_fold_;
+  /// Sum-fold programs' exact message sums over the slice.
+  SliceSumFold sums_;
 
   ManagerActor* manager_ = nullptr;
   std::uint64_t updates_this_superstep_ = 0;

@@ -50,14 +50,6 @@ struct ComputerMsg {
   enum class Kind : std::uint8_t { kBatch, kComputeOver, kSystemOver };
   Kind kind = Kind::kBatch;
   std::uint64_t superstep = 0;
-  /// kBatch (cluster engines only): sending node and that sender's batch
-  /// sequence number toward this receiver. Together they define the
-  /// canonical apply order — batches are buffered and applied sorted by
-  /// (src_node, seq) at the superstep boundary, so the in-process
-  /// simulation and the socket data plane produce bit-identical value
-  /// columns even for order-sensitive float programs (DESIGN.md §14).
-  std::uint32_t src_node = 0;
-  std::uint32_t seq = 0;
   std::vector<VertexMessage> batch;  // kBatch only
 };
 

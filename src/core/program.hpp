@@ -33,10 +33,12 @@
 // 2^31, or non-negative floats via float_to_payload/payload_to_float.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "graph/types.hpp"
 #include "storage/slot.hpp"
@@ -75,15 +77,18 @@ class Program {
   /// Folds one message into the accumulator. Must be commutative and
   /// associative: message arrival order at a vertex follows the schedule.
   /// A float sum is neither, so sum-fold programs declare sum_fold() and
-  /// the GPSA computing actor folds them exactly instead (below).
+  /// the GPSA computing actor and the cluster engines fold them exactly
+  /// instead (SliceSumFold, below).
   virtual Payload compute(Payload accumulator, Payload message) const = 0;
 
   /// True when compute() is the non-negative float sum
   /// payload_to_float(accumulator) + payload_to_float(message) (PageRank,
-  /// PageRankDeltaProgram). The GPSA computing actor then never calls
-  /// compute(): it keeps each vertex's accumulator as an exact FixedSum
-  /// and stores its correctly rounded float, so the result does not
-  /// depend on arrival order, schedule or worker count.
+  /// PageRankDeltaProgram). The GPSA computing actor and the cluster
+  /// engines then never call compute(): they keep each vertex's seed plus
+  /// messages as an exact FixedSum and, at the end of the superstep,
+  /// store its correctly rounded float and decide activation from it, so
+  /// the result does not depend on arrival order, schedule, worker count
+  /// or rank count.
   virtual bool sum_fold() const { return false; }
 
   /// Whether the post-fold value counts as an update relative to the value
@@ -164,5 +169,64 @@ inline Payload fixed_to_payload(FixedSum sum) {
   return float_to_payload(
       static_cast<float>(static_cast<std::int64_t>(sum)) * 0x1p-56F);
 }
+
+/// One vertex slice's exact fold of a superstep's sum-fold messages, the
+/// one implementation every executor of sum_fold() programs shares
+/// (ComputerActor and both cluster engines). add() takes each message as
+/// it arrives, in any order; finish() hands every vertex that received
+/// messages the correctly rounded float of its exact sum once, at the end
+/// of the superstep and in ascending vertex order, and resets it. The
+/// caller decides activation there with Program::changed, so the decision
+/// sees the whole superstep's mass, never a prefix that depends on
+/// arrival order.
+class SliceSumFold {
+ public:
+  /// Sizes the fold for the slice [begin, begin + size).
+  void init(VertexId begin, VertexId size) {
+    begin_ = begin;
+    sums_.assign(size, kNoSum);
+    summed_.assign((static_cast<std::size_t>(size) + 63) / 64, 0);
+  }
+
+  /// Adds one message to v's sum. On v's first message since the last
+  /// finish() the sum starts from `seed()`: the caller's first touch of
+  /// v, returning the program's first_update seed.
+  template <typename Seed>
+  void add(VertexId v, Payload message, Seed&& seed) {
+    const VertexId i = v - begin_;
+    FixedSum& sum = sums_[i];
+    if (sum == kNoSum) {
+      sum = fixed_add(payload_to_fixed(seed()), payload_to_fixed(message));
+      summed_[i / 64] |= std::uint64_t{1} << (i % 64);
+      return;
+    }
+    sum = fixed_add(sum, payload_to_fixed(message));
+  }
+
+  /// Calls publish(v, value) with the correctly rounded sum of every
+  /// vertex summed since the last finish(), in ascending order (so the
+  /// caller's stores stream through the slice), then resets their sums.
+  template <typename Publish>
+  void finish(Publish&& publish) {
+    for (std::size_t w = 0; w < summed_.size(); ++w) {
+      for (std::uint64_t bits = summed_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t i = w * 64 + std::countr_zero(bits);
+        publish(begin_ + static_cast<VertexId>(i), fixed_to_payload(sums_[i]));
+        sums_[i] = kNoSum;
+      }
+      summed_[w] = 0;
+    }
+  }
+
+ private:
+  /// Sum of a vertex without messages this superstep (no real sum has
+  /// the top bit set).
+  static constexpr FixedSum kNoSum = ~FixedSum{0};
+
+  VertexId begin_ = 0;
+  std::vector<FixedSum> sums_;
+  /// One bit per slice vertex with a running sum.
+  std::vector<std::uint64_t> summed_;
+};
 
 }  // namespace gpsa

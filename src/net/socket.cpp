@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -107,6 +108,9 @@ Result<Socket> tcp_accept(const Socket& listener, int timeout_ms) {
 Result<Socket> tcp_connect_retry(std::uint16_t port, int timeout_ms) {
   const auto deadline = deadline_from(timeout_ms);
   const sockaddr_in addr = loopback_addr(port);
+  // Short doubling backoff: a peer that binds its listener first thing
+  // is usually there within a millisecond or two.
+  auto backoff = std::chrono::milliseconds(1);
   for (;;) {
     Socket sock(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!sock.valid()) {
@@ -126,7 +130,8 @@ Result<Socket> tcp_connect_retry(std::uint16_t port, int timeout_ms) {
                       ") gave up after " + std::to_string(timeout_ms) +
                       " ms (peer never started listening?)");
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::this_thread::sleep_for(backoff);
+    backoff = std::min(backoff * 2, std::chrono::milliseconds(20));
   }
 }
 

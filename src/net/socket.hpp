@@ -64,7 +64,8 @@ class Socket {
 
 /// Connects to 127.0.0.1:`port`, retrying refused/unreachable attempts
 /// until the deadline — the peer's listener may simply not exist yet
-/// during cluster bootstrap.
+/// during cluster bootstrap. Retries back off from 1 ms, doubling up to
+/// 20 ms.
 [[nodiscard]] Result<Socket> tcp_connect_retry(std::uint16_t port, int timeout_ms);
 
 /// TCP_NODELAY: barrier frames are latency-sensitive and tiny.

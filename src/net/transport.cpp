@@ -1,6 +1,8 @@
 #include "net/transport.hpp"
 
 #include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
@@ -129,16 +131,29 @@ InboundPoller::InboundPoller(std::vector<Peer> peers, FrameHandler on_frame,
   }
 }
 
-InboundPoller::~InboundPoller() { stop(); }
+InboundPoller::~InboundPoller() {
+  stop();
+  if (wake_fd_ >= 0) {
+    ::close(wake_fd_);
+  }
+}
 
-void InboundPoller::start() {
-  GPSA_CHECK(!thread_.joinable());
+Status InboundPoller::start() {
+  GPSA_CHECK(!thread_.joinable() && wake_fd_ < 0);
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd_ < 0) {
+    return io_error_errno("eventfd failed");
+  }
   thread_ = std::thread([this] { run(); });
+  return Status::ok();
 }
 
 void InboundPoller::stop() {
-  stop_.store(true);
   if (thread_.joinable()) {
+    // A failed write can only be EAGAIN on a saturated counter, which is
+    // readable already: the poll wakes either way.
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
     thread_.join();
   }
 }
@@ -154,8 +169,10 @@ void InboundPoller::run() {
   }
   std::vector<pollfd> fds;
   std::vector<Link*> by_fd;
-  while (!stop_.load()) {
-    fds.clear();
+  for (;;) {
+    // Slot 0 is the wake-up eventfd (readable once stop() wrote it);
+    // links follow in by_fd order.
+    fds.assign(1, pollfd{wake_fd_, POLLIN, 0});
     by_fd.clear();
     for (Link& link : links_) {
       if (!link.dead) {
@@ -163,10 +180,10 @@ void InboundPoller::run() {
         by_fd.push_back(&link);
       }
     }
-    if (fds.empty()) {
+    if (by_fd.empty()) {
       return;  // every peer gone; nothing left to poll
     }
-    const int rc = ::poll(fds.data(), fds.size(), /*timeout_ms=*/100);
+    const int rc = ::poll(fds.data(), fds.size(), /*timeout=*/-1);
     if (rc < 0) {
       if (errno == EINTR) {
         continue;
@@ -179,14 +196,14 @@ void InboundPoller::run() {
       }
       return;
     }
-    if (rc == 0) {
-      continue;  // tick: re-check the stop flag
+    if (fds[0].revents != 0) {
+      return;  // stop() woke us
     }
-    for (std::size_t i = 0; i < fds.size(); ++i) {
+    for (std::size_t i = 1; i < fds.size(); ++i) {
       if (fds[i].revents == 0) {
         continue;
       }
-      drain(*by_fd[i]);
+      drain(*by_fd[i - 1]);
     }
   }
 }

@@ -17,6 +17,8 @@
 // engine's handler. EOF / ECONNRESET / decode poisoning surface through
 // the error handler exactly once per peer — the engine's peer-death
 // detection — after which the dead link is dropped from the poll set.
+// The poll waits without a timeout: stop() wakes it through an eventfd
+// in the same poll set, so stopping an idle poller costs no tick.
 #pragma once
 
 #include <atomic>
@@ -47,7 +49,8 @@ struct WireMetrics {
 struct TransportMsg {
   enum class Kind : std::uint8_t { kBatch, kControl, kFence };
   Kind kind = Kind::kControl;
-  /// kBatch: superstep tag + canonical batch sequence + leased buffer.
+  /// kBatch: superstep tag + the sender's per-destination batch sequence
+  /// (the frame header's seq) + leased buffer.
   std::uint64_t superstep = 0;
   std::uint32_t seq = 0;
   std::vector<VertexMessage> batch;
@@ -116,8 +119,9 @@ class InboundPoller {
   InboundPoller(const InboundPoller&) = delete;
   InboundPoller& operator=(const InboundPoller&) = delete;
 
-  void start();
-  void stop();  // idempotent; joins the thread
+  /// Creates the wake-up eventfd and starts the thread.
+  [[nodiscard]] Status start();
+  void stop();  // idempotent; wakes and joins the thread
 
  private:
   struct Link {
@@ -133,7 +137,8 @@ class InboundPoller {
   std::vector<Link> links_;
   FrameHandler on_frame_;
   ErrorHandler on_error_;
-  std::atomic<bool> stop_{false};
+  /// eventfd that stop() writes to end the poll loop; -1 before start().
+  int wake_fd_ = -1;
   std::thread thread_;
 };
 

@@ -6,9 +6,10 @@
 // supersteps whose dispatch column is g, and written by computing actors
 // in the preceding superstep (whose *update* column is g). A set bit is
 // exactly equivalent to a clear stale flag in the matching column — the
-// computing actor sets it in the same first-update branch that stores the
-// non-stale slot — which is what keeps worklist results bit-identical to
-// the sweep's.
+// computing actor sets it in the same step that stores the non-stale slot
+// (for sum-fold programs, at the end of the superstep through an
+// AscendingBitSetter) — which is what keeps worklist results bit-identical
+// to the sweep's.
 //
 // Concurrency (see the BitmapWord helpers in slot.hpp): computing actors
 // publish with an atomic fetch_or because a 64-vertex word can straddle
@@ -57,6 +58,13 @@ class ActiveBitmap {
     GPSA_DCHECK(v < num_vertices_ && generation < kGenerations);
     bitmap_word_set_relaxed(generations_[generation][word_index(v)],
                             BitmapWord{1} << bit_index(v));
+  }
+
+  /// Activates every vertex of word `w` whose bit is set in `bits` (one
+  /// atomic OR; see AscendingBitSetter).
+  void set_bits(std::size_t w, unsigned generation, BitmapWord bits) {
+    GPSA_DCHECK(w < words_per_generation_ && generation < kGenerations);
+    bitmap_word_set_relaxed(generations_[generation][w], bits);
   }
 
   bool test(VertexId v, unsigned generation) const {
@@ -110,6 +118,43 @@ class ActiveBitmap {
   VertexId num_vertices_;
   std::size_t words_per_generation_;
   std::vector<BitmapWord> generations_[kGenerations];
+};
+
+/// Activates vertices visited in ascending order with one atomic OR per
+/// word instead of one per vertex: a word's bits publish when the visit
+/// leaves it, and at flush(). For end-of-superstep passes that no
+/// dispatcher reads until the superstep's barrier, which flush() precedes.
+/// A null bitmap (sweep mode) makes every call a no-op.
+class AscendingBitSetter {
+ public:
+  AscendingBitSetter(ActiveBitmap* bitmap, unsigned generation)
+      : bitmap_(bitmap), generation_(generation) {}
+
+  void set(VertexId v) {
+    if (bitmap_ == nullptr) {
+      return;
+    }
+    const std::size_t w = ActiveBitmap::word_index(v);
+    GPSA_DCHECK(bits_ == 0 || w >= word_);
+    if (w != word_) {
+      flush();
+      word_ = w;
+    }
+    bits_ |= BitmapWord{1} << ActiveBitmap::bit_index(v);
+  }
+
+  void flush() {
+    if (bits_ != 0) {
+      bitmap_->set_bits(word_, generation_, bits_);
+      bits_ = 0;
+    }
+  }
+
+ private:
+  ActiveBitmap* const bitmap_;
+  const unsigned generation_;
+  std::size_t word_ = 0;
+  BitmapWord bits_ = 0;
 };
 
 }  // namespace gpsa

@@ -8,7 +8,7 @@
 // against its in-process oracle.
 //
 // Helper-specific environment:
-//   GPSA_NET_HELPER_PROGRAM   pagerank | bfs                [pagerank]
+//   GPSA_NET_HELPER_PROGRAM   pagerank | pagerank_delta | bfs [pagerank]
 //   GPSA_NET_HELPER_EXEC      sweep | worklist              [engine default]
 //   GPSA_NET_HELPER_STORE     value-store directory         [in-memory]
 //   GPSA_NET_HELPER_SUMMARY   result summary path           [none]
@@ -22,6 +22,7 @@
 
 #include "apps/bfs.hpp"
 #include "apps/pagerank.hpp"
+#include "apps/pagerank_delta.hpp"
 #include "cluster/cluster_net.hpp"
 #include "graph/generators.hpp"
 
@@ -49,6 +50,9 @@ int main() {
   }
   if (program_name == "pagerank") {
     program = std::make_unique<PageRankProgram>(5);
+  } else if (program_name == "pagerank_delta") {
+    // Must match the oracle program in tests/test_net.cpp.
+    program = std::make_unique<PageRankDeltaProgram>(100, 0.85F, 1e-4F);
   } else if (program_name == "bfs") {
     program = std::make_unique<BfsProgram>(0);
   } else {

@@ -324,6 +324,21 @@ TEST(ClusterCrash, ValidateRejectsWrongAppTagAndMissingNodes) {
   EXPECT_EQ(missing.status().code(), StatusCode::kCorruptData);
 }
 
+TEST(Cluster, SumFoldOverflowSurfacesAsStatus) {
+  // The overflow throws on a scheduler worker, in a node's apply or in
+  // its end-of-superstep publish; the run must return it as a Status
+  // instead of terminating the process.
+  ClusterOptions co;
+  co.num_nodes = 2;
+  co.scheduler_workers = 2;
+  const auto result = ClusterEngine::run(testing::diamond_graph(),
+                                         testing::OversizedSumProgram(), co);
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("sum fold"), std::string::npos)
+      << result.status().to_string();
+}
+
 TEST(Cluster, RejectsBadOptions) {
   const EdgeList graph = chain(8);
   ClusterOptions co;

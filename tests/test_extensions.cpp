@@ -22,6 +22,7 @@ namespace {
 using testing::diamond_graph;
 using testing::expect_float_payloads_near;
 using testing::expect_payloads_equal;
+using testing::OversizedSumProgram;
 
 EngineOptions small_options() {
   EngineOptions eo;
@@ -76,27 +77,6 @@ class PoisonedDispatchProgram final : public Program {
   Payload compute(Payload accumulator, Payload message) const override {
     return std::min(accumulator, message);
   }
-};
-
-/// A sum fold whose values leave the exact fold's range (program.hpp).
-class OversizedSumProgram final : public Program {
- public:
-  std::string name() const override { return "oversized-sum"; }
-  InitialState init(VertexId /*v*/, VertexId /*n*/) const override {
-    return {float_to_payload(100.0F), true};
-  }
-  Payload gen_msg(VertexId /*s*/, VertexId /*d*/, Payload value,
-                  std::uint32_t /*deg*/) const override {
-    return value;
-  }
-  Payload first_update(VertexId /*v*/, Payload stored) const override {
-    return stored;
-  }
-  Payload compute(Payload accumulator, Payload message) const override {
-    return float_to_payload(payload_to_float(accumulator) +
-                            payload_to_float(message));
-  }
-  bool sum_fold() const override { return true; }
 };
 
 TEST(WorkerFailure, ComputeExceptionSurfacesAsStatus) {

@@ -1,10 +1,11 @@
 // Tests for the real network data plane (DESIGN.md §14): the wire-frame
 // codec (round trips, fragmentation, corruption and version rejection,
 // decoder poisoning), the socket layer over real loopback connections
-// (partial writes, short reads, EOF), and the multi-process cluster
-// engine — fork+exec'd ranks whose per-node value stores must come out
-// bit-identical to the in-process simulation, plus crash-injection runs
-// proving a dead peer surfaces as a clean error instead of a hang.
+// (partial writes, short reads, EOF, the poller's prompt stop), and the
+// multi-process cluster engine — fork+exec'd ranks whose per-node value
+// stores must come out bit-identical to the in-process simulation, plus
+// crash-injection runs proving a dead peer surfaces as a clean error
+// instead of a hang.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 
 #include "apps/bfs.hpp"
 #include "apps/pagerank.hpp"
+#include "apps/pagerank_delta.hpp"
 #include "apps/reference.hpp"
 #include "cluster/cluster_engine.hpp"
 #include "cluster/cluster_net.hpp"
@@ -28,6 +30,7 @@
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "net/socket.hpp"
+#include "net/transport.hpp"
 #include "net/wire_frame.hpp"
 #include "platform/file_util.hpp"
 #include "test_support.hpp"
@@ -282,9 +285,12 @@ TEST(WireFrame, Crc32MatchesReferenceVectors) {
 
 std::uint16_t next_port() {
   // Distinct base per test process, spaced so concurrent ctest binaries
-  // and sequential tests in this one never collide.
+  // and sequential tests in this one never collide. The block stays below
+  // the kernel's ephemeral range (32768 and up by default): a client
+  // socket closed moments ago holds its ephemeral port in TIME_WAIT
+  // without SO_REUSEADDR, and a listener's bind on that port then fails.
   static std::uint16_t next =
-      static_cast<std::uint16_t>(31000 + (::getpid() % 8000));
+      static_cast<std::uint16_t>(20000 + (::getpid() % 8000));
   next = static_cast<std::uint16_t>(next + 16);
   return next;
 }
@@ -417,6 +423,31 @@ TEST(NetSocket, WaitReadableTimesOutOnSilence) {
   EXPECT_FALSE(readable.value());
 }
 
+TEST(InboundPoller, StopWakesAnIdlePoller) {
+  // No traffic and no EOF: only stop() itself can end the poll, and it
+  // must do so at once instead of waiting out a timeout.
+  double best_ms = 1e9;
+  int errors = 0;
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    LoopbackPair pair = make_loopback_pair();
+    std::vector<InboundPoller::Peer> peers(1);
+    peers[0].rank = 1;
+    peers[0].socket = &pair.server;
+    InboundPoller poller(
+        std::move(peers), [](std::uint32_t, Frame&&) {},
+        [&errors](std::uint32_t, Status) { ++errors; });
+    ASSERT_TRUE(poller.start().is_ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const auto t0 = std::chrono::steady_clock::now();
+    poller.stop();
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - t0;
+    best_ms = std::min(best_ms, took.count());
+  }
+  EXPECT_LT(best_ms, 20.0);
+  EXPECT_EQ(errors, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Cluster-net options
 
@@ -476,6 +507,39 @@ TEST(ClusterNet, SingleRankClusterMatchesReference) {
   EXPECT_EQ(result.value().bytes_on_wire, 0U);  // nothing crossed a socket
   EXPECT_EQ(result.value().superstep_wire_bytes.size(),
             result.value().supersteps);
+}
+
+TEST(ClusterNet, SumFoldOverflowFailsEveryRank) {
+  // Two ranks as threads of this process. Both folds overflow: each rank
+  // must return a Status (its own overflow, or the peer's abort) rather
+  // than terminate the process.
+  const std::uint16_t port = next_port();
+  Result<ClusterRunResult> results[2] = {internal_error("not run"),
+                                         internal_error("not run")};
+  std::vector<std::thread> ranks;
+  for (std::uint32_t rank = 0; rank < 2; ++rank) {
+    ranks.emplace_back([&results, rank, port] {
+      ClusterNetOptions net;
+      net.rank = rank;
+      net.ranks = 2;
+      net.base_port = port;
+      net.timeout_ms = 5000;
+      results[rank] = run_cluster_rank(testing::diamond_graph(),
+                                       testing::OversizedSumProgram(),
+                                       ClusterOptions{}, net);
+    });
+  }
+  for (std::thread& thread : ranks) {
+    thread.join();
+  }
+  bool overflow_seen = false;
+  for (const auto& result : results) {
+    ASSERT_FALSE(result.is_ok());
+    overflow_seen = overflow_seen ||
+        result.status().message().find("sum fold") != std::string::npos;
+  }
+  EXPECT_TRUE(overflow_seen) << results[0].status().to_string() << " / "
+                             << results[1].status().to_string();
 }
 
 // ---------------------------------------------------------------------------
@@ -582,6 +646,9 @@ TEST_P(ClusterNetProcessTest, BitIdenticalToInProcessSimulation) {
   std::unique_ptr<Program> program;
   if (std::string(param.program) == "pagerank") {
     program = std::make_unique<PageRankProgram>(5);
+  } else if (std::string(param.program) == "pagerank_delta") {
+    // Must match tests/cluster_net_rank.cpp.
+    program = std::make_unique<PageRankDeltaProgram>(100, 0.85F, 1e-4F);
   } else {
     program = std::make_unique<BfsProgram>(0);
   }
@@ -649,7 +716,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ClusterNetCase{"pagerank", "sweep"},
                       ClusterNetCase{"pagerank", "worklist"},
                       ClusterNetCase{"bfs", "sweep"},
-                      ClusterNetCase{"bfs", "worklist"}),
+                      ClusterNetCase{"bfs", "worklist"},
+                      ClusterNetCase{"pagerank_delta", "sweep"},
+                      ClusterNetCase{"pagerank_delta", "worklist"}),
     [](const ::testing::TestParamInfo<ClusterNetCase>& param_info) {
       return std::string(param_info.param.program) + "_" +
              param_info.param.exec;

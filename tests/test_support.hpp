@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "core/program.hpp"
 #include "graph/edge_list.hpp"
 #include "storage/slot.hpp"
 
@@ -48,5 +50,27 @@ inline EdgeList diamond_graph() {
   g.ensure_vertices(6);
   return g;
 }
+
+/// A sum fold whose values leave the exact fold's range (program.hpp):
+/// every run of it must fail with a Status.
+class OversizedSumProgram final : public Program {
+ public:
+  std::string name() const override { return "oversized-sum"; }
+  InitialState init(VertexId /*v*/, VertexId /*n*/) const override {
+    return {float_to_payload(100.0F), true};
+  }
+  Payload gen_msg(VertexId /*s*/, VertexId /*d*/, Payload value,
+                  std::uint32_t /*deg*/) const override {
+    return value;
+  }
+  Payload first_update(VertexId /*v*/, Payload stored) const override {
+    return stored;
+  }
+  Payload compute(Payload accumulator, Payload message) const override {
+    return float_to_payload(payload_to_float(accumulator) +
+                            payload_to_float(message));
+  }
+  bool sum_fold() const override { return true; }
+};
 
 }  // namespace gpsa::testing
