@@ -41,10 +41,8 @@ int main() {
       EngineOptions eo;
       eo.num_dispatchers = 2;
       eo.num_computers = 2;
-      // dispatch_inactive requires the sweep (the worklist never
-      // enumerates inactive vertices); pin both cells so the ablation
-      // isolates the stale-flag skip, not the execution mode.
-      eo.exec = ExecMode::kSweep;
+      // dispatch-all seeds every worklist bit each superstep, so both
+      // cells run the same dispatch loop and differ only in the skip.
       eo.dispatch_inactive = dispatch_all;
       // dispatch-all never reaches zero messages; stop on zero updates,
       // plus a hard budget in case of float-style churn.

@@ -8,9 +8,7 @@
 // Options:
 //   --algo=pagerank|pagerank_delta|bfs|cc|sssp|multibfs|indegree (required)
 //                       (pagerank_delta: residual messages; converges on its
-//                       own below GPSA_DELTA_EPS. Engine-wide: GPSA_EXEC=
-//                       worklist|sweep selects active-bitmap vs full-scan
-//                       dispatch, worklist is the default)
+//                       own below GPSA_DELTA_EPS)
 //   --engine=gpsa|graphchi|xstream|cluster|reference (default gpsa)
 //   --graph=PATH        load a graph file instead of generating
 //   --format=edges|adjacency|binary (text formats; default edges)
@@ -303,14 +301,15 @@ int main(int argc, char** argv) {
     }
     const ClusterRunResult& r = result.value();
     std::printf("cluster(%u nodes): %llu supersteps, %llu messages "
-                "(%.1f%% remote), send imbalance %.2f, modeled net %.4f s\n",
+                "(%.1f%% remote), send imbalance %.2f, %llu bytes on wire\n",
                 co.num_nodes,
                 static_cast<unsigned long long>(r.supersteps),
                 static_cast<unsigned long long>(r.total_messages),
                 100.0 * static_cast<double>(r.remote_messages) /
                     static_cast<double>(
                         std::max<std::uint64_t>(r.total_messages, 1)),
-                r.send_imbalance(), r.modeled_network_seconds);
+                r.send_imbalance(),
+                static_cast<unsigned long long>(r.bytes_on_wire));
     values = r.values;
   } else if (engine == "reference") {
     const ReferenceResult r =

@@ -68,18 +68,6 @@ def io_report() -> dict:
     return {"cells": [cell("off", 100.0), cell("on", 200.0)]}
 
 
-def worklist_report() -> dict:
-    def cell(exec_mode, edges, series):
-        return {"exec": exec_mode, "seconds": 0.5, "supersteps": 4,
-                "messages": 100, "active": 50, "edges_touched": edges,
-                "superstep_active": [10, 40, 5, 1],
-                "superstep_edges": series}
-    return {"results_identical": True, "reference_identical": True,
-            "reference_seconds": 2.0,
-            "cells": [cell("sweep", 90, [10, 20, 30, 30]),
-                      cell("worklist", 40, [10, 20, 5, 5])]}
-
-
 def service_report() -> dict:
     return {"bench": "service_qps", "clients": 4, "queries": 400,
             "failures": 0, "wall_seconds": 2.5, "qps": 160.0,
@@ -124,17 +112,6 @@ def main() -> int:
             {
                 "below-threshold": lambda r: ["3.0"],
                 "missing-dataset": lambda r: ["1.5", "twitter"],
-            }, tmp)
-
-        check_gate(
-            "worklist", "check_worklist_ratio.py", worklist_report(),
-            ["2.0"],
-            {
-                "below-threshold": lambda r: ["20.0"],
-                "results-differ": lambda r: (
-                    r.update(results_identical=False), ["2.0"])[1],
-                "superstep-mismatch": lambda r: (
-                    r["cells"][1].update(supersteps=5), ["2.0"])[1],
             }, tmp)
 
         check_gate(

@@ -1,5 +1,5 @@
 // Delta (residual) PageRank — the delta-programming variant the worklist
-// execution mode exists for (DESIGN.md §12).
+// exists for (DESIGN.md §12).
 //
 // Push PageRank re-sends every vertex's full share every superstep, so
 // the frontier never shrinks and the run only stops on the iteration
@@ -29,7 +29,7 @@ namespace gpsa {
 
 /// Re-activation threshold resolution: an explicit value beats
 /// GPSA_DELTA_EPS beats the 1e-7 default (warn + default on a bad env
-/// value, mirroring GPSA_EXEC).
+/// value, mirroring GPSA_CSR_FORMAT).
 float resolve_delta_eps(std::optional<float> requested);
 
 class PageRankDeltaProgram final : public Program {

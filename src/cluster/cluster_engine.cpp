@@ -8,7 +8,6 @@
 #include <future>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "actor/actor_system.hpp"
@@ -364,7 +363,6 @@ Result<ClusterRunResult> ClusterEngine::run(const EdgeList& graph,
     }
   }
 
-  const ExecMode exec = resolve_exec_mode(options.exec);
   std::vector<ClusterNodeState> states(nodes);
   for (unsigned node = 0; node < nodes; ++node) {
     if (backend != nullptr) {
@@ -377,8 +375,7 @@ Result<ClusterRunResult> ClusterEngine::run(const EdgeList& graph,
       states[node].init(intervals[node].begin_vertex,
                         intervals[node].end_vertex, program, n);
     }
-    states[node].prepare_exec(exec == ExecMode::kWorklist,
-                              program.delta_messages());
+    states[node].prepare_exec(program.delta_messages());
   }
 
   std::uint64_t budget = program.max_supersteps();
@@ -442,15 +439,6 @@ Result<ClusterRunResult> ClusterEngine::run(const EdgeList& graph,
     out.remote_messages += dispatchers[node]->remote_messages();
     out.remote_batches += dispatchers[node]->remote_batches();
   }
-  const double bandwidth =
-      options.net_bandwidth_mbps * 1024.0 * 1024.0;
-  out.modeled_network_seconds =
-      (bandwidth > 0.0
-           ? static_cast<double>(out.remote_messages * sizeof(VertexMessage)) /
-                 bandwidth
-           : 0.0) +
-      static_cast<double>(out.remote_batches) *
-          options.net_latency_us_per_batch * 1e-6;
   system.shutdown();
 
   // End-of-run checkpoint sweep: bump every node store's completed-

@@ -16,12 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include <optional>
-#include <string>
-
-#include "core/exec_mode.hpp"
 #include "core/program.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/partition.hpp"
@@ -42,9 +39,6 @@ struct ClusterOptions {
   /// EngineOptions::message_batch; see the rationale there).
   std::size_t message_batch = 4096;
   std::uint64_t max_supersteps = 0;  // 0 = program/quiescence only
-  /// Modeled interconnect for the network-time estimate.
-  double net_bandwidth_mbps = 1000.0;  // ~gigabit
-  double net_latency_us_per_batch = 50.0;
   /// When non-empty, each node's two-column value store becomes a real
   /// on-disk value file at "<value_store_dir>/node<k>.values", constructed
   /// through the configured I/O backend — the per-node placement a
@@ -52,12 +46,6 @@ struct ClusterOptions {
   std::string value_store_dir;
   /// Storage I/O configuration for the per-node value files (src/io/).
   IoOptions io;
-  /// How each node's dispatcher finds its active vertices. Unset follows
-  /// GPSA_EXEC (default worklist; see EngineOptions::exec). Each node
-  /// keeps its own node-local bitmap — on a real deployment no activation
-  /// state crosses the network, because a remote message already carries
-  /// the activation.
-  std::optional<ExecMode> exec;
 };
 
 struct ClusterRunResult {
@@ -66,10 +54,6 @@ struct ClusterRunResult {
   std::uint64_t remote_messages = 0;  // crossed a node boundary
   std::uint64_t remote_batches = 0;
   double elapsed_seconds = 0.0;
-  /// remote bytes / bandwidth + batches * latency — kept as a cross-check
-  /// next to the measured wire metrics below (the bench asserts the two
-  /// agree within a sane factor).
-  double modeled_network_seconds = 0.0;
   /// Wire traffic. In-process simulation: a frame-accurate *model* — the
   /// exact bytes the remote batches would occupy as BATCH frames
   /// (measured_wire=false). Socket data plane: *measured* at the

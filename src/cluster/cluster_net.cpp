@@ -847,10 +847,6 @@ Result<ClusterNetOptions> ClusterNetOptions::from_env() {
                               v + "'");
     }
   }
-  if (const char* uring = std::getenv("GPSA_NET_URING")) {
-    const std::string v(uring);
-    net.use_uring = (v == "1" || v == "on" || v == "true");
-  }
   return net;
 }
 
@@ -907,7 +903,6 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
     }
   }
 
-  const ExecMode exec = resolve_exec_mode(options.exec);
   ClusterNodeState state;
   if (backend != nullptr) {
     GPSA_RETURN_IF_ERROR(state.init_file_backed(
@@ -920,7 +915,7 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
     state.init(intervals[net.rank].begin_vertex,
                intervals[net.rank].end_vertex, program, n);
   }
-  state.prepare_exec(exec == ExecMode::kWorklist, program.delta_messages());
+  state.prepare_exec(program.delta_messages());
 
   std::uint64_t budget = program.max_supersteps();
   if (options.max_supersteps != 0) {
@@ -955,7 +950,7 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
     }
     transports[p] = system.spawn<TransportActor>(
         static_cast<std::uint16_t>(net.rank), links[p].version,
-        &links[p].socket, &pool, &metrics, net.timeout_ms, net.use_uring,
+        &links[p].socket, &pool, &metrics, net.timeout_ms,
         [&ctrl, p](Status status) {
           ctrl.fail(failed_precondition(
               "send to peer rank " + std::to_string(p) + " failed: " +
@@ -1239,14 +1234,6 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
   result.node_messages_received.assign(net.ranks, 0);
   result.node_messages_sent[net.rank] = outcome.own_messages;
   result.node_messages_received[net.rank] = outcome.own_received;
-  const double bandwidth = options.net_bandwidth_mbps * 1024.0 * 1024.0;
-  result.modeled_network_seconds =
-      (bandwidth > 0.0 ? static_cast<double>(outcome.remote_messages *
-                                             sizeof(VertexMessage)) /
-                             bandwidth
-                       : 0.0) +
-      static_cast<double>(outcome.remote_batches) *
-          options.net_latency_us_per_batch * 1e-6;
 
   if (state.file) {
     GPSA_RETURN_IF_ERROR(state.file->checkpoint(outcome.supersteps));

@@ -31,7 +31,6 @@
 //   GPSA_CLUSTER_PORT        rendezvous base port           [29600]
 //   GPSA_CLUSTER_VALUE_SYNC  final | superstep              [final]
 //   GPSA_NET_TIMEOUT_MS      peer-death / barrier deadline  [30000]
-//   GPSA_NET_URING           opt into the io_uring send path [off]
 #pragma once
 
 #include <cstdint>
@@ -71,9 +70,6 @@ struct ClusterNetOptions {
   /// delta-sync mode).
   enum class ValueSync : std::uint8_t { kFinal, kSuperstep };
   ValueSync value_sync = ValueSync::kFinal;
-  /// Route sends through the io_uring path when the build has it
-  /// (GPSA_NET_URING; runtime-probed, silently falls back to sendmsg).
-  bool use_uring = false;
 
   /// Builds options from the GPSA_CLUSTER_* / GPSA_NET_* environment.
   /// Errors when GPSA_CLUSTER_RANK / GPSA_CLUSTER_RANKS are missing or

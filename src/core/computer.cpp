@@ -10,7 +10,7 @@ ComputerActor::ComputerActor(std::uint32_t id, ValueFile& values,
                              const Program& program,
                              std::vector<std::uint8_t>& latest_column,
                              MessageBatchPool& pool, const OwnerMap& owners,
-                             ActiveBitmap* worklist, const VertexId* orig_ids)
+                             ActiveBitmap& worklist, const VertexId* orig_ids)
     : id_(id),
       values_(values),
       program_(program),
@@ -117,10 +117,8 @@ void ComputerActor::apply(const VertexMessage& message,
     // flag: this and store_sums are the only stores that clear the flag
     // in a freshly-invalidated column, so "bit set in generation g" <=>
     // "column g's flag clear" — worklist dispatch reads exactly the
-    // sweep's active set.
-    if (worklist_ != nullptr) {
-      worklist_->set(v, update_col);
-    }
+    // stale-flag active set.
+    worklist_.set(v, update_col);
   } else {
     // Even a non-update writes the copied payload ("a negative value will
     // be written"), so this column now holds v's freshest value.

@@ -58,19 +58,18 @@ class ManagerActor;
 
 class ComputerActor final : public Actor<ComputerMsg> {
  public:
-  /// `worklist` (nullptr in sweep mode) receives the activation bit for
-  /// every vertex this actor updates: set in the update column's
-  /// generation inside the same first-update branch that clears the
-  /// slot's stale flag, so bit and flag can never disagree (the
-  /// bit-identical-results invariant, DESIGN.md §12). `orig_ids` (non-null
-  /// only for renumbered v2 files) translates the vertex id handed to
-  /// Program::first_update back to the original id; storage indexing
-  /// stays internal. `owners` gives this actor's slice (owner `id`).
+  /// `worklist` receives the activation bit for every vertex this actor
+  /// updates: set in the update column's generation inside the same
+  /// first-update branch that clears the slot's stale flag, so bit and
+  /// flag can never disagree (the bitmap/stale-flag invariant, DESIGN.md
+  /// §12). `orig_ids` (non-null only for renumbered v2 files) translates
+  /// the vertex id handed to Program::first_update back to the original
+  /// id; storage indexing stays internal. `owners` gives this actor's
+  /// slice (owner `id`).
   ComputerActor(std::uint32_t id, ValueFile& values, const Program& program,
                 std::vector<std::uint8_t>& latest_column,
                 MessageBatchPool& pool, const OwnerMap& owners,
-                ActiveBitmap* worklist = nullptr,
-                const VertexId* orig_ids = nullptr);
+                ActiveBitmap& worklist, const VertexId* orig_ids = nullptr);
 
   void connect(ManagerActor* manager);
 
@@ -116,8 +115,8 @@ class ComputerActor final : public Actor<ComputerMsg> {
   /// entry v is only ever written by the computer owning v.
   std::vector<std::uint8_t>& latest_column_;
   MessageBatchPool& pool_;
-  /// Worklist mode's active bitmap; nullptr = sweep mode.
-  ActiveBitmap* const worklist_;
+  /// The job's active bitmap (engine-owned).
+  ActiveBitmap& worklist_;
   /// Renumbered files' internal -> original id map; nullptr = identity.
   const VertexId* const orig_ids_;
   /// Program::sum_fold(), read once.

@@ -18,7 +18,7 @@ DispatcherActor::DispatcherActor(std::uint32_t id, Interval interval,
                                  const OwnerMap& owners,
                                  MessageBatchPool& pool,
                                  std::size_t batch_size, Behavior behavior,
-                                 ActiveBitmap* worklist,
+                                 ActiveBitmap& worklist,
                                  std::vector<Payload>* last_sent,
                                  const VertexId* orig_ids)
     : id_(id),
@@ -36,10 +36,6 @@ DispatcherActor::DispatcherActor(std::uint32_t id, Interval interval,
       last_sent_(last_sent),
       orig_ids_(orig_ids) {
   GPSA_CHECK(batch_size_ > 0);
-  // dispatch_inactive forces vertices the bitmap never lists; the engine
-  // rejects the combination up front (engine.cpp), this guards spawns that
-  // bypass it.
-  GPSA_CHECK(worklist_ == nullptr || !behavior_.dispatch_inactive);
   has_degree_ = csr_.has_degree();
 }
 
@@ -104,11 +100,7 @@ void DispatcherActor::run_iteration(std::uint64_t superstep) {
 
   readahead_.begin_superstep();
 
-  if (worklist_ != nullptr) {
-    run_worklist(superstep, dispatch_col);
-  } else {
-    run_sweep(superstep, dispatch_col);
-  }
+  run_worklist(superstep, dispatch_col);
   flush_all(superstep);
   messages_sent_total_ += messages_this_superstep_;
   vertex_checks_total_ += checks_this_superstep_;
@@ -124,44 +116,25 @@ void DispatcherActor::run_iteration(std::uint64_t superstep) {
   manager_->send(done);
 }
 
-void DispatcherActor::run_sweep(std::uint64_t superstep,
-                                unsigned dispatch_col) {
-  const auto offsets = csr_.record_offsets();
-  // Algorithm 2: stream the interval's records in id order, driven by the
-  // entry cursor (`curoff`), skipping stale vertices. Record bytes come
-  // through the I/O backend's stream; the reader only supplies offsets.
-  std::uint64_t cursor = interval_.begin_entry;
-  checks_this_superstep_ += interval_.vertex_count();
-  for (VertexId v = interval_.begin_vertex; v < interval_.end_vertex; ++v) {
-    GPSA_DCHECK(cursor == offsets[v]);
-    readahead_.advance(cursor, v);
-    const Slot slot = values_.load(v, dispatch_col);
-    if (!behavior_.dispatch_inactive && slot_is_stale(slot)) {
-      cursor = offsets[v + 1];  // skip(sequence)
-      continue;
-    }
-    dispatch_vertex(v, slot_payload(slot), cursor, offsets[v + 1], superstep);
-    cursor = offsets[v + 1];
-    // Consume: "after a dispatcher finishes processing, it will invalidate
-    // the value of the current vertex by setting its highest bit to 1".
-    values_.consume(v, dispatch_col);
-  }
-}
-
 void DispatcherActor::run_worklist(std::uint64_t superstep,
                                    unsigned dispatch_col) {
   if (interval_.begin_vertex >= interval_.end_vertex) {
     return;
   }
+  if (behavior_.dispatch_inactive) {
+    // The skip-flag ablation: every vertex of the interval is active.
+    worklist_.set_range(dispatch_col, interval_.begin_vertex,
+                        interval_.end_vertex);
+  }
   const auto offsets = csr_.record_offsets();
   // Word-scan the interval's slice of the dispatch generation: countr_zero
-  // walks each word's set bits in ascending vertex order (matching the
-  // sweep's dispatch order), popcount sizes the batch for the counters.
+  // walks each word's set bits in ascending vertex order, popcount sizes
+  // the batch for the counters.
   const std::size_t first = ActiveBitmap::word_index(interval_.begin_vertex);
   const std::size_t last = ActiveBitmap::word_index(interval_.end_vertex - 1);
   for (std::size_t w = first; w <= last; ++w) {
     BitmapWord bits =
-        worklist_->word(dispatch_col, w) &
+        worklist_.word(dispatch_col, w) &
         ActiveBitmap::range_mask(w, interval_.begin_vertex,
                                  interval_.end_vertex);
     checks_this_superstep_ += static_cast<std::uint64_t>(std::popcount(bits));
@@ -174,8 +147,9 @@ void DispatcherActor::run_worklist(std::uint64_t superstep,
       readahead_.advance(cursor, v);
       const Slot slot = values_.load(v, dispatch_col);
       // Bitmap/stale-flag equivalence (DESIGN.md §12): a set bit means the
-      // owning computer stored this column non-stale last superstep.
-      GPSA_DCHECK(!slot_is_stale(slot));
+      // owning computer stored this column non-stale last superstep —
+      // unless the ablation seeded it.
+      GPSA_DCHECK(behavior_.dispatch_inactive || !slot_is_stale(slot));
       dispatch_vertex(v, slot_payload(slot), cursor, offsets[v + 1],
                       superstep);
       values_.consume(v, dispatch_col);
@@ -184,8 +158,8 @@ void DispatcherActor::run_worklist(std::uint64_t superstep,
   // Retire the consumed generation before the next superstep's computers
   // re-publish into it (the manager barrier orders the two); boundary
   // words are mask-cleared, so the neighbouring dispatcher keeps its bits.
-  worklist_->clear_range(dispatch_col, interval_.begin_vertex,
-                         interval_.end_vertex);
+  worklist_.clear_range(dispatch_col, interval_.begin_vertex,
+                        interval_.end_vertex);
 }
 
 void DispatcherActor::dispatch_vertex(VertexId v, Payload value,

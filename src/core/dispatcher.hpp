@@ -8,17 +8,14 @@
 // interval is exhausted it reports DISPATCH_OVER with its
 // message/active/edge counts and waits for the next command.
 //
-// Two ways to find the active vertices (core/exec_mode.hpp):
-//   sweep     stream every record in id order, skipping vertices whose
-//             dispatch-column stale flag is set — Algorithm 2 as written,
-//             O(interval) per superstep;
-//   worklist  scan the interval's words of the active bitmap's dispatch
-//             generation (countr_zero per set bit, popcount to count the
-//             batch), jump the entry cursor straight to offsets[v] for
-//             each set bit, and clear the interval's bits afterwards —
-//             O(active) per superstep. A set bit is exactly a clear stale
-//             flag, so the dispatched set (and therefore every result) is
-//             bit-identical to the sweep's (DESIGN.md §12).
+// One dispatch loop finds the active vertices: it scans the interval's
+// words of the active bitmap's dispatch generation (countr_zero per set
+// bit, popcount to count the batch), jumps the entry cursor straight to
+// offsets[v] for each set bit, and clears the interval's bits afterwards —
+// O(active) per superstep. A set bit is exactly a clear stale flag, so the
+// dispatched set is the one Algorithm 2's stale-flag scan visits
+// (DESIGN.md §12). The dispatch_inactive ablation sets every bit of the
+// interval first, so the same loop then visits every vertex.
 //
 // Message-plane mechanics (DESIGN.md §11), one staging path: each message
 // goes to its owner, then into one of the owner's 256 radix bins (over the
@@ -55,16 +52,17 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   struct Behavior {
     /// Flush batches as they fill (true) or only at interval end (false).
     bool overlap = true;
-    /// Ignore the stale flag and dispatch every vertex (ablation).
+    /// Seed every bit of the interval each superstep and dispatch every
+    /// vertex, stale or not (ablation).
     bool dispatch_inactive = false;
   };
 
   /// `stream` carries the interval's record bytes (the reader supplies
   /// only metadata: offsets, degree flag); `readahead` runs the window
   /// policy over it and the value file. `owners` routes destinations and
-  /// `pool` supplies batch buffers. `worklist` selects the execution mode:
-  /// nullptr sweeps the interval, non-null iterates the bitmap's dispatch
-  /// generation. `last_sent` (non-null only for delta programs) is the
+  /// `pool` supplies batch buffers. `worklist` is the active bitmap whose
+  /// dispatch generation the dispatcher iterates and clears over its
+  /// interval. `last_sent` (non-null only for delta programs) is the
   /// per-vertex last-dispatched-value plane; this dispatcher writes only
   /// its own interval's entries. `orig_ids` (non-null only for renumbered
   /// v2 files) maps internal ids back to original ones at the Program
@@ -76,7 +74,7 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
                   ReadaheadScheduler& readahead, ValueFile& values,
                   const Program& program, const OwnerMap& owners,
                   MessageBatchPool& pool, std::size_t batch_size,
-                  Behavior behavior, ActiveBitmap* worklist = nullptr,
+                  Behavior behavior, ActiveBitmap& worklist,
                   std::vector<Payload>* last_sent = nullptr,
                   const VertexId* orig_ids = nullptr);
 
@@ -109,9 +107,7 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   static constexpr std::size_t kRadixBins = 256;
 
   void run_iteration(std::uint64_t superstep);
-  /// Algorithm 2's full interval scan (stale-flag skip per vertex).
-  void run_sweep(std::uint64_t superstep, unsigned dispatch_col);
-  /// Worklist mode: iterate + clear the bitmap's dispatch generation.
+  /// Iterates + clears the interval's slice of the dispatch generation.
   void run_worklist(std::uint64_t superstep, unsigned dispatch_col);
   /// Streams one active vertex's record and stages its messages.
   void dispatch_vertex(VertexId v, Payload value, std::uint64_t begin_entry,
@@ -133,8 +129,8 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   MessageBatchPool& pool_;
   const std::size_t batch_size_;
   const Behavior behavior_;
-  /// Worklist mode's active bitmap; nullptr = sweep mode.
-  ActiveBitmap* const worklist_;
+  /// The job's active bitmap (engine-owned).
+  ActiveBitmap& worklist_;
   /// Delta programs' last-dispatched-value plane (engine-owned; this
   /// dispatcher reads/writes only its interval's entries, so the
   /// single-writer rule needs no synchronization). nullptr otherwise.
@@ -163,8 +159,8 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   std::uint64_t entries_read_total_ = 0;
   std::uint64_t vertex_checks_total_ = 0;
   // Per-superstep work-done counters reported in DISPATCH_OVER: vertices
-  // dispatched, record entries streamed, and vertex checks performed
-  // (sweep: the whole interval; worklist: only the set bits).
+  // dispatched, record entries streamed, and vertex checks performed (one
+  // per set bit).
   std::uint64_t dispatched_this_superstep_ = 0;
   std::uint64_t entries_this_superstep_ = 0;
   std::uint64_t checks_this_superstep_ = 0;

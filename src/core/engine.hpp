@@ -82,10 +82,11 @@ struct EngineOptions {
   /// actors only start after dispatch finishes — the conventional
   /// sequential compute-then-dispatch BSP the paper's model replaces.
   bool overlap_dispatch_compute = true;
-  /// Ablation knob (bench_ablation_skipflag): when true, dispatchers
-  /// ignore the stale flag and generate messages for every vertex every
-  /// superstep (X-Stream-like full streaming). Only meaningful for
-  /// monotone apps (BFS/CC/SSSP), whose folds tolerate replayed values.
+  /// Ablation knob (bench_ablation_skipflag): when true, every dispatcher
+  /// sets all of its interval's worklist bits at the start of each
+  /// superstep, so every vertex generates messages every superstep
+  /// (X-Stream-like full streaming). Only meaningful for monotone apps
+  /// (BFS/CC/SSSP), whose folds tolerate replayed values.
   bool dispatch_inactive = false;
   /// Working directory for the CSR and value files; empty -> private
   /// scratch directory removed at teardown.
@@ -94,13 +95,6 @@ struct EngineOptions {
   /// readahead window, drop-behind, cold-start. Unset fields follow
   /// GPSA_IO_BACKEND / GPSA_READAHEAD_MB / etc.
   IoOptions io;
-  /// How dispatchers find active vertices (core/exec_mode.hpp). Unset
-  /// follows GPSA_EXEC (default worklist: iterate the active bitmap's
-  /// dispatch generation, O(active) per superstep; sweep streams every
-  /// interval record, O(V), and is kept as the ablation baseline).
-  /// Results are bit-identical between modes. dispatch_inactive requires
-  /// sweep — the worklist never enumerates inactive vertices.
-  std::optional<ExecMode> exec;
 };
 
 struct RunResult {
@@ -123,9 +117,8 @@ struct RunResult {
   /// Vertices actually dispatched per superstep (the frontier size).
   std::vector<std::uint64_t> superstep_active_vertices;
   /// Work done per superstep: CSR record entries streamed plus one unit
-  /// per vertex examined. Sweep pays the O(V) offset walk every superstep
-  /// even on a one-vertex frontier; worklist pays O(active). The
-  /// worklist-vs-sweep CI gate compares the sums of this vector.
+  /// per vertex examined — O(active), since dispatchers examine only the
+  /// worklist's set bits.
   std::vector<std::uint64_t> superstep_edges_touched;
   /// Final payload per vertex (freshest column at quiescence).
   std::vector<Payload> values;
@@ -153,7 +146,8 @@ struct RunResult {
   /// Destination -> computer map the run used (core/ownership.hpp; range
   /// is the only one).
   MessageRouting routing = MessageRouting::kRange;
-  /// Execution mode the run actually used (after GPSA_EXEC resolution).
+  /// Execution mode the run used (core/exec_mode.hpp; worklist is the
+  /// only one).
   ExecMode exec = ExecMode::kWorklist;
   /// Readahead window hit rate over every prefetch plane of the run
   /// (summed `prefetch` counters; 1.0 when no window activity occurred).

@@ -1,48 +1,17 @@
 #include "core/exec_mode.hpp"
 
-#include <cstdlib>
-#include <string>
-
-#include "util/logging.hpp"
-
 namespace gpsa {
 
 const char* exec_mode_name(ExecMode mode) {
   switch (mode) {
-    case ExecMode::kSweep:
-      return "sweep";
     case ExecMode::kWorklist:
       return "worklist";
   }
   return "unknown";
 }
 
-Result<ExecMode> parse_exec_mode(std::string_view name) {
-  if (name == "sweep") {
-    return ExecMode::kSweep;
-  }
-  if (name == "worklist") {
-    return ExecMode::kWorklist;
-  }
-  return invalid_argument("unknown exec mode '" + std::string(name) +
-                          "' (expected sweep|worklist)");
-}
-
 ExecMode resolve_exec_mode(std::optional<ExecMode> requested) {
-  if (requested.has_value()) {
-    return *requested;
-  }
-  const char* raw = std::getenv("GPSA_EXEC");
-  if (raw == nullptr || *raw == '\0') {
-    return ExecMode::kWorklist;
-  }
-  auto parsed = parse_exec_mode(raw);
-  if (!parsed.is_ok()) {
-    GPSA_LOG(Warn) << "GPSA_EXEC: " << parsed.status().to_string()
-                   << "; using worklist";
-    return ExecMode::kWorklist;
-  }
-  return parsed.value();
+  return requested.value_or(ExecMode::kWorklist);
 }
 
 }  // namespace gpsa

@@ -1,39 +1,26 @@
-// Execution-mode selection: sweep vs worklist (DESIGN.md §12).
+// Execution-mode name (DESIGN.md §12).
 //
-//   sweep     Algorithm 2 as written: every superstep walks every
-//             interval's CSR offsets, skipping stale vertices one slot
-//             check at a time. O(V) per superstep even when a handful of
-//             vertices are active — the ablation baseline.
-//   worklist  Dispatchers iterate the set bits of a dense active-vertex
-//             bitmap (storage/active_bitmap.hpp) and jump the entry
-//             cursor straight to each active record. O(active) per
-//             superstep; results stay bit-identical to the sweep because
-//             a set bit is exactly a clear stale flag.
+// Every executor has one dispatch loop: dispatchers iterate the set bits
+// of a dense active-vertex bitmap (storage/active_bitmap.hpp) and jump
+// the entry cursor straight to each active record, O(active) per
+// superstep. A set bit is exactly a clear stale flag, so the dispatched
+// set is the one the paper's stale-flag scan (Algorithm 2) visits.
 //
-// Resolution mirrors the message-plane knobs (core/ownership.hpp):
-// explicit EngineOptions beat the GPSA_EXEC environment variable, which
-// beats the default (worklist). An unparsable env value warns and falls
-// back to the default rather than failing the run.
+// ExecMode has that one value. It stays as a type so run reports
+// (RunResult::exec) keep naming the mode they ran under.
 #pragma once
 
 #include <optional>
-#include <string_view>
-
-#include "util/status.hpp"
 
 namespace gpsa {
 
 enum class ExecMode {
-  kSweep,     // full interval scan, stale-flag skip (paper Algorithm 2)
   kWorklist,  // active-bitmap iteration (DESIGN.md §12)
 };
 
 const char* exec_mode_name(ExecMode mode);
 
-Result<ExecMode> parse_exec_mode(std::string_view name);
-
-/// Explicit request beats GPSA_EXEC, which beats the default (worklist).
-/// A malformed env value logs a warning and yields the default.
+/// Returns the mode a run uses: always kWorklist.
 ExecMode resolve_exec_mode(std::optional<ExecMode> requested);
 
 }  // namespace gpsa

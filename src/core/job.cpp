@@ -24,7 +24,7 @@ namespace {
 
 /// Explicit option beats GPSA_CHECKPOINT_INTERVAL beats 1 (the historical
 /// checkpoint-every-superstep cadence). Malformed env warns and falls
-/// back, matching the other env knobs (exec_mode.cpp).
+/// back, matching the other env knobs (csr_v2.cpp).
 std::uint64_t resolve_checkpoint_interval(
     std::optional<std::uint64_t> requested) {
   if (requested.has_value() && *requested != 0) {
@@ -81,14 +81,6 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   const std::span<const VertexId> perm = csr.permutation();
   const VertexId* const orig = perm.empty() ? nullptr : perm.data();
 
-  // --- Execution mode (DESIGN.md §12). ------------------------------------
-  const ExecMode exec = resolve_exec_mode(options.exec);
-  if (exec == ExecMode::kWorklist && options.dispatch_inactive) {
-    return invalid_argument(
-        "engine: dispatch_inactive requires exec=sweep (the worklist only "
-        "enumerates active vertices; set EngineOptions::exec or "
-        "GPSA_EXEC=sweep)");
-  }
   if (resume && program.delta_messages()) {
     return failed_precondition(
         "engine: cannot resume a delta program ('" + program.name() +
@@ -97,11 +89,8 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   }
   // Generation g of the bitmap mirrors value column g: a bit set in g is
   // exactly a clear stale flag in column g, so worklist dispatch touches
-  // the same vertex set a sweep would (the bit-identical invariant).
-  std::optional<ActiveBitmap> bitmap;
-  if (exec == ExecMode::kWorklist) {
-    bitmap.emplace(n);
-  }
+  // the vertex set the paper's stale-flag scan would (DESIGN.md §12).
+  ActiveBitmap worklist(n);
   // Delta programs: per-vertex value as of its last dispatch. Written only
   // by the dispatcher owning the vertex's interval (single-writer).
   std::optional<std::vector<Payload>> last_sent;
@@ -126,15 +115,13 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
                           recover_value_file(values));
     std::fill(latest_column.begin(), latest_column.end(),
               static_cast<std::uint8_t>(report.valid_column));
-    if (bitmap.has_value()) {
-      // Rebuild the dispatch generation from the recovered stale flags
-      // (recovery re-activates the frontier in the dispatch column; the
-      // bitmap in the crashed process died with it).
-      const unsigned dcol = ValueFile::dispatch_column(report.resume_superstep);
-      for (VertexId v = 0; v < n; ++v) {
-        if (!slot_is_stale(values.load(v, dcol))) {
-          bitmap->set(v, dcol);
-        }
+    // Rebuild the dispatch generation from the recovered stale flags
+    // (recovery re-activates the frontier in the dispatch column; the
+    // bitmap in the crashed process died with it).
+    const unsigned dcol = ValueFile::dispatch_column(report.resume_superstep);
+    for (VertexId v = 0; v < n; ++v) {
+      if (!slot_is_stale(values.load(v, dcol))) {
+        worklist.set(v, dcol);
       }
     }
     // Values come from the file, but programs that cache per-graph
@@ -154,8 +141,8 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
       values.store(v, d0, make_slot(st.value, /*stale=*/!st.active));
       values.store(v, u0, make_slot(st.value, /*stale=*/true));
       latest_column[v] = static_cast<std::uint8_t>(d0);
-      if (st.active && bitmap.has_value()) {
-        bitmap->set(v, d0);
+      if (st.active) {
+        worklist.set(v, d0);
       }
     }
   }
@@ -205,7 +192,6 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   }
 
   // --- Spawn and wire the actor ensemble under this job's namespace. -----
-  ActiveBitmap* const worklist = bitmap.has_value() ? &*bitmap : nullptr;
   std::vector<Payload>* const last_sent_plane =
       last_sent.has_value() ? &*last_sent : nullptr;
   std::vector<ComputerActor*> computers;
@@ -213,8 +199,8 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   for (std::uint32_t c = 0; c < owners.parts(); ++c) {
     computers.push_back(system.spawn_in_job<ComputerActor>(
         ctx.job_tag, c, std::ref(values), std::cref(program),
-        std::ref(latest_column), std::ref(pool), std::cref(owners), worklist,
-        orig));
+        std::ref(latest_column), std::ref(pool), std::cref(owners),
+        std::ref(worklist), orig));
   }
   const std::uint64_t checkpoint_interval =
       options.checkpoint_each_superstep
@@ -234,7 +220,7 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
         ctx.job_tag, d, intervals[d], std::cref(csr), std::ref(*streams[d]),
         std::ref(*readaheads[d]), std::ref(values), std::cref(program),
         std::cref(owners), std::ref(pool), options.message_batch, behavior,
-        worklist, last_sent_plane, orig));
+        std::ref(worklist), last_sent_plane, orig));
   }
   for (DispatcherActor* dispatcher : dispatchers) {
     dispatcher->connect(computers, manager);
@@ -302,7 +288,6 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
     out.computer_busy_seconds.push_back(computer->busy_seconds());
   }
   out.pool = pool.stats();
-  out.exec = exec;
   out.csr_format = csr.format();
   out.csr_order = csr.order();
   out.csr_file_bytes = csr.entry_file_bytes();

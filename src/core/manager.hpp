@@ -49,8 +49,7 @@ struct ManagerResult {
   /// Vertices actually dispatched per superstep (the frontier size).
   std::vector<std::uint64_t> superstep_active;
   /// CSR entries examined per superstep: streamed record entries plus one
-  /// per vertex check — sweep pays O(interval) checks every superstep,
-  /// worklist only O(active), which is exactly what this measures.
+  /// per vertex check (one check per worklist bit, so O(active)).
   std::vector<std::uint64_t> superstep_edges;
 };
 

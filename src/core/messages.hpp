@@ -68,9 +68,8 @@ struct ManagerMsg {
   /// kDispatchOver only: vertices this dispatcher actually dispatched.
   std::uint64_t active = 0;
   /// kDispatchOver only: CSR entries the dispatcher examined — streamed
-  /// record entries plus one per vertex check, so the sweep's O(V)
-  /// per-superstep offset walk is visible next to the worklist's
-  /// O(active) (the work-done metric RunResult surfaces per superstep).
+  /// record entries plus one per vertex check (the work-done metric
+  /// RunResult surfaces per superstep).
   std::uint64_t edges = 0;
   /// kDispatchOver, cluster engines only: frame-accurate model of the
   /// wire traffic this dispatcher's remote batches would cost — one

@@ -12,17 +12,13 @@
 // cluster_net.cpp) may close the fd, and only after both sides stopped.
 //
 // Writes use sendmsg(MSG_NOSIGNAL) so a dead peer surfaces as EPIPE, not
-// SIGPIPE. The optional io_uring send path (UringSender) reuses the
-// GPSA_WITH_URING probe from src/io/: same raw-syscall, no-liburing ring,
-// one IORING_OP_SEND in flight, falling back to sendmsg when the kernel
-// or sandbox refuses the ring.
+// SIGPIPE.
 #pragma once
 
 #include <sys/uio.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "util/status.hpp"
 
@@ -92,20 +88,5 @@ class Socket {
   iovec iov{const_cast<std::uint8_t*>(data), size};
   return send_all(socket, &iov, 1, timeout_ms);
 }
-
-/// io_uring send path (IORING_OP_SEND, one in flight). create() returns
-/// nullptr when the build lacks the probe, the kernel refuses the ring,
-/// or the fallback is simply the right answer — callers treat nullptr as
-/// "use send_all". Not thread-safe; owned by one transport actor.
-class UringSender {
- public:
-  virtual ~UringSender() = default;
-  static std::unique_ptr<UringSender> create();
-
-  /// Sends the whole buffer through the ring (resuming short sends),
-  /// falling back on the caller for anything the ring cannot express.
-  [[nodiscard]] virtual Status send(const Socket& socket, const std::uint8_t* data,
-                      std::size_t size, int timeout_ms) = 0;
-};
 
 }  // namespace gpsa

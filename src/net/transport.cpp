@@ -16,7 +16,6 @@ namespace gpsa {
 TransportActor::TransportActor(std::uint16_t src_rank, std::uint16_t version,
                                const Socket* socket, MessageBatchPool* pool,
                                WireMetrics* metrics, int timeout_ms,
-                               bool use_uring,
                                std::function<void(Status)> on_error)
     : src_rank_(src_rank),
       version_(version),
@@ -24,11 +23,7 @@ TransportActor::TransportActor(std::uint16_t src_rank, std::uint16_t version,
       pool_(pool),
       metrics_(metrics),
       timeout_ms_(timeout_ms),
-      on_error_(std::move(on_error)) {
-  if (use_uring) {
-    uring_ = UringSender::create();
-  }
-}
+      on_error_(std::move(on_error)) {}
 
 void TransportActor::on_message(TransportMsg msg) {
   switch (msg.kind) {
@@ -81,19 +76,10 @@ Status TransportActor::write_batch(std::uint64_t superstep, std::uint32_t seq,
   crc = crc32(msg_bytes, msg_len, crc);
   encode_frame_header(prefix, version_, FrameType::kBatch, src_rank_, seq,
                       static_cast<std::uint32_t>(8 + msg_len), crc);
-  Status status;
-  if (uring_ != nullptr && msg_len > 0) {
-    // The one-buffer ring path sends the prefix then the payload; the
-    // byte stream is identical either way.
-    status = uring_->send(*socket_, prefix, sizeof(prefix), timeout_ms_);
-    if (status.is_ok()) {
-      status = uring_->send(*socket_, msg_bytes, msg_len, timeout_ms_);
-    }
-  } else {
-    iovec iov[2] = {{prefix, sizeof(prefix)},
-                    {const_cast<std::uint8_t*>(msg_bytes), msg_len}};
-    status = send_all(*socket_, iov, msg_len > 0 ? 2 : 1, timeout_ms_);
-  }
+  iovec iov[2] = {{prefix, sizeof(prefix)},
+                  {const_cast<std::uint8_t*>(msg_bytes), msg_len}};
+  const Status status =
+      send_all(*socket_, iov, msg_len > 0 ? 2 : 1, timeout_ms_);
   if (status.is_ok()) {
     metrics_->bytes += sizeof(prefix) + msg_len;
     metrics_->frames += 1;

@@ -70,7 +70,7 @@ class TransportActor final : public Actor<TransportMsg> {
   /// the first failed send (engine-side abort propagation).
   TransportActor(std::uint16_t src_rank, std::uint16_t version,
                  const Socket* socket, MessageBatchPool* pool,
-                 WireMetrics* metrics, int timeout_ms, bool use_uring,
+                 WireMetrics* metrics, int timeout_ms,
                  std::function<void(Status)> on_error);
 
  protected:
@@ -88,7 +88,6 @@ class TransportActor final : public Actor<TransportMsg> {
   MessageBatchPool* pool_;
   WireMetrics* metrics_;
   const int timeout_ms_;
-  std::unique_ptr<UringSender> uring_;
   std::function<void(Status)> on_error_;
   std::uint32_t control_seq_ = 0;
   Status error_;  // sticky: once a send fails the link is dead

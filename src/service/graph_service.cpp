@@ -334,7 +334,6 @@ void GraphService::run_one(const std::shared_ptr<Job>& job) {
   eo.partition = options_.partition;
   eo.message_batch = options_.message_batch;
   eo.max_supersteps = job->options.max_supersteps;
-  eo.exec = job->options.exec;
 
   JobContext ctx;
   ctx.csr = &csr_;

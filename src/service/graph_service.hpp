@@ -82,7 +82,6 @@ struct ServiceOptions {
 struct JobOptions {
   /// Caps supersteps in addition to Program::max_supersteps. 0 = no cap.
   std::uint64_t max_supersteps = 0;
-  std::optional<ExecMode> exec;
   /// Keep RunResult::values in the stored result. Turn off for
   /// high-volume query streams where only latencies/counters matter —
   /// thousands of retained n-sized vectors add up.

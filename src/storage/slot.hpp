@@ -89,9 +89,9 @@ inline Slot slot_consume_relaxed(Slot& storage) {
                                                  std::memory_order_relaxed);
 }
 
-// --- Active-bitmap word protocol (worklist execution mode) --------------
+// --- Active-bitmap word protocol (the worklist) --------------------------
 //
-// The worklist mode (storage/active_bitmap.hpp, DESIGN.md §12) mirrors the
+// The worklist (storage/active_bitmap.hpp, DESIGN.md §12) mirrors the
 // two-column slot protocol with two generations of dense per-vertex bits:
 // a computing actor publishes "dispatch v next superstep" by setting v's
 // bit in the next generation, and dispatchers consume a generation by

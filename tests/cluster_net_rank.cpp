@@ -9,13 +9,11 @@
 //
 // Helper-specific environment:
 //   GPSA_NET_HELPER_PROGRAM   pagerank | pagerank_delta | bfs [pagerank]
-//   GPSA_NET_HELPER_EXEC      sweep | worklist              [engine default]
 //   GPSA_NET_HELPER_STORE     value-store directory         [in-memory]
 //   GPSA_NET_HELPER_SUMMARY   result summary path           [none]
 //   GPSA_NET_HELPER_CRASH_AT  _exit(3) mid-superstep N      [off]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -60,15 +58,6 @@ int main() {
   }
 
   ClusterOptions options;
-  if (const char* exec = std::getenv("GPSA_NET_HELPER_EXEC")) {
-    if (std::strcmp(exec, "sweep") == 0) {
-      options.exec = ExecMode::kSweep;
-    } else if (std::strcmp(exec, "worklist") == 0) {
-      options.exec = ExecMode::kWorklist;
-    } else {
-      return fail(std::string("unknown GPSA_NET_HELPER_EXEC: ") + exec);
-    }
-  }
   if (const char* store = std::getenv("GPSA_NET_HELPER_STORE")) {
     options.value_store_dir = store;
   }

@@ -2,7 +2,7 @@
 // permutations, format negotiation, the converter, byte-weighted
 // partitioning, checkpoint write-back batching, and — the contract the
 // CI csr-v2 gate leans on — result equality across format x order x
-// exec mode x I/O backend. v1 files must stay byte-for-byte what the
+// I/O backend. v1 files must stay byte-for-byte what the
 // historical writer produced.
 #include <gtest/gtest.h>
 
@@ -550,7 +550,7 @@ TEST(CsrV2Partition, BalancedEdgesWeighsEncodedBytesNotDegrees) {
 // --- Engine equality matrix --------------------------------------------------
 
 Result<RunResult> run_engine(const EdgeList& graph, const Program& program,
-                             CsrFormat format, CsrOrder order, ExecMode exec,
+                             CsrFormat format, CsrOrder order,
                              IoBackendKind backend, unsigned actors) {
   EngineOptions eo;
   eo.num_dispatchers = actors;
@@ -558,20 +558,18 @@ Result<RunResult> run_engine(const EdgeList& graph, const Program& program,
   eo.scheduler_workers = actors;
   eo.csr_format = format;
   eo.csr_order = order;
-  eo.exec = exec;
   eo.io.backend = backend;
   return Engine::run(graph, program, eo);
 }
 
-TEST(CsrV2Engine, MonotoneAppsBitIdenticalAcrossFormatOrderExecBackend) {
+TEST(CsrV2Engine, MonotoneAppsBitIdenticalAcrossFormatOrderBackend) {
   const EdgeList graph = rmat(/*scale=*/9, /*edges=*/8000, /*seed=*/17);
   const BfsProgram bfs(/*root=*/0);
   const ConnectedComponentsProgram cc;
   for (const Program* program :
        std::initializer_list<const Program*>{&bfs, &cc}) {
     auto baseline = run_engine(graph, *program, CsrFormat::kV1,
-                               CsrOrder::kNone, ExecMode::kWorklist,
-                               IoBackendKind::kMmap, 2);
+                               CsrOrder::kNone, IoBackendKind::kMmap, 2);
     ASSERT_TRUE(baseline.is_ok()) << baseline.status().to_string();
     for (const auto format : {CsrFormat::kV1, CsrFormat::kV2}) {
       for (const auto order :
@@ -579,18 +577,14 @@ TEST(CsrV2Engine, MonotoneAppsBitIdenticalAcrossFormatOrderExecBackend) {
         if (format == CsrFormat::kV1 && order != CsrOrder::kNone) {
           continue;
         }
-        for (const auto exec : {ExecMode::kSweep, ExecMode::kWorklist}) {
-          for (const auto backend :
-               {IoBackendKind::kMmap, IoBackendKind::kPread}) {
-            auto run = run_engine(graph, *program, format, order, exec,
-                                  backend, 2);
-            ASSERT_TRUE(run.is_ok()) << run.status().to_string();
-            EXPECT_EQ(run.value().csr_format, format);
-            EXPECT_EQ(run.value().csr_order, order);
-            EXPECT_GT(run.value().csr_file_bytes, 0u);
-            expect_payloads_equal(run.value().values,
-                                  baseline.value().values);
-          }
+        for (const auto backend :
+             {IoBackendKind::kMmap, IoBackendKind::kPread}) {
+          auto run = run_engine(graph, *program, format, order, backend, 2);
+          ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+          EXPECT_EQ(run.value().csr_format, format);
+          EXPECT_EQ(run.value().csr_order, order);
+          EXPECT_GT(run.value().csr_file_bytes, 0u);
+          expect_payloads_equal(run.value().values, baseline.value().values);
         }
       }
     }
@@ -604,23 +598,20 @@ TEST(CsrV2Engine, PageRankBitIdenticalAcrossFormatsAtFixedOrder) {
   const EdgeList graph = rmat(/*scale=*/8, /*edges=*/4000, /*seed=*/23);
   const PageRankProgram pagerank(/*iterations=*/10);
   auto v1 = run_engine(graph, pagerank, CsrFormat::kV1, CsrOrder::kNone,
-                       ExecMode::kWorklist, IoBackendKind::kMmap, 1);
+                       IoBackendKind::kMmap, 1);
   ASSERT_TRUE(v1.is_ok()) << v1.status().to_string();
-  for (const auto exec : {ExecMode::kSweep, ExecMode::kWorklist}) {
-    for (const auto backend :
-         {IoBackendKind::kMmap, IoBackendKind::kPread}) {
-      auto v2 = run_engine(graph, pagerank, CsrFormat::kV2, CsrOrder::kNone,
-                           exec, backend, 1);
-      ASSERT_TRUE(v2.is_ok()) << v2.status().to_string();
-      expect_payloads_equal(v2.value().values, v1.value().values);
-    }
+  for (const auto backend : {IoBackendKind::kMmap, IoBackendKind::kPread}) {
+    auto v2 = run_engine(graph, pagerank, CsrFormat::kV2, CsrOrder::kNone,
+                         backend, 1);
+    ASSERT_TRUE(v2.is_ok()) << v2.status().to_string();
+    expect_payloads_equal(v2.value().values, v1.value().values);
   }
   // Renumbering changes fold order, which the exact sum fold erases: the
   // results stay bit-identical and keyed by original ids (a misapplied
   // inverse permutation would scramble them).
   for (const auto order : {CsrOrder::kDegree, CsrOrder::kBfs}) {
     auto reordered = run_engine(graph, pagerank, CsrFormat::kV2, order,
-                                ExecMode::kWorklist, IoBackendKind::kMmap, 1);
+                                IoBackendKind::kMmap, 1);
     ASSERT_TRUE(reordered.is_ok()) << reordered.status().to_string();
     expect_payloads_equal(reordered.value().values, v1.value().values);
   }
@@ -638,9 +629,9 @@ TEST(CsrV2Engine, BytesReadShrinkWithV2) {
   const EdgeList graph = rmat(/*scale=*/10, /*edges=*/30000, /*seed=*/29);
   const PageRankProgram pagerank(/*iterations=*/5);
   auto v1 = run_engine(graph, pagerank, CsrFormat::kV1, CsrOrder::kNone,
-                       ExecMode::kSweep, IoBackendKind::kMmap, 2);
+                       IoBackendKind::kMmap, 2);
   auto v2 = run_engine(graph, pagerank, CsrFormat::kV2, CsrOrder::kNone,
-                       ExecMode::kSweep, IoBackendKind::kMmap, 2);
+                       IoBackendKind::kMmap, 2);
   ASSERT_TRUE(v1.is_ok() && v2.is_ok());
   // The CSR side of bytes_read shrinks with the encoding; the value-scan
   // side is identical, so total fundamental reads must drop.

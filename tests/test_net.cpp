@@ -560,7 +560,6 @@ struct RankSpec {
   std::uint32_t ranks = 3;
   std::uint16_t port = 0;
   std::string program = "pagerank";
-  std::string exec;        // "", "sweep", "worklist"
   std::string store_dir;   // "" = in-memory
   std::string summary;     // "" = no summary
   std::string value_sync;  // "" = default (final)
@@ -580,9 +579,6 @@ pid_t spawn_rank(const RankSpec& spec) {
   ::setenv("GPSA_CLUSTER_PORT", std::to_string(spec.port).c_str(), 1);
   ::setenv("GPSA_NET_TIMEOUT_MS", std::to_string(spec.timeout_ms).c_str(), 1);
   ::setenv("GPSA_NET_HELPER_PROGRAM", spec.program.c_str(), 1);
-  if (!spec.exec.empty()) {
-    ::setenv("GPSA_NET_HELPER_EXEC", spec.exec.c_str(), 1);
-  }
   if (!spec.store_dir.empty()) {
     ::setenv("GPSA_NET_HELPER_STORE", spec.store_dir.c_str(), 1);
   }
@@ -627,26 +623,21 @@ std::map<std::string, std::vector<std::uint64_t>> parse_summary(
   return out;
 }
 
-struct ClusterNetCase {
-  const char* program;
-  const char* exec;
-};
-
-class ClusterNetProcessTest : public ::testing::TestWithParam<ClusterNetCase> {
-};
+/// Program name as the helper's GPSA_NET_HELPER_PROGRAM takes it.
+class ClusterNetProcessTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ClusterNetProcessTest, BitIdenticalToInProcessSimulation) {
-  const ClusterNetCase param = GetParam();
+  const std::string program_name = GetParam();
   const std::uint32_t kRanks = 3;
   auto dir = ScratchDir::create("cluster_net");
   ASSERT_TRUE(dir.is_ok());
 
-  // In-process oracle: same graph, same partition count, same exec mode.
+  // In-process oracle: same graph, same partition count.
   const EdgeList graph = rmat(8, 2000, 91);
   std::unique_ptr<Program> program;
-  if (std::string(param.program) == "pagerank") {
+  if (program_name == "pagerank") {
     program = std::make_unique<PageRankProgram>(5);
-  } else if (std::string(param.program) == "pagerank_delta") {
+  } else if (program_name == "pagerank_delta") {
     // Must match tests/cluster_net_rank.cpp.
     program = std::make_unique<PageRankDeltaProgram>(100, 0.85F, 1e-4F);
   } else {
@@ -656,9 +647,6 @@ TEST_P(ClusterNetProcessTest, BitIdenticalToInProcessSimulation) {
   oracle_options.num_nodes = kRanks;
   oracle_options.scheduler_workers = 2;
   oracle_options.value_store_dir = dir.value().file("oracle");
-  oracle_options.exec = std::string(param.exec) == "worklist"
-                            ? ExecMode::kWorklist
-                            : ExecMode::kSweep;
   const auto oracle = ClusterEngine::run(graph, *program, oracle_options);
   ASSERT_TRUE(oracle.is_ok()) << oracle.status().to_string();
   EXPECT_FALSE(oracle.value().measured_wire);  // the model, not the wire
@@ -672,8 +660,7 @@ TEST_P(ClusterNetProcessTest, BitIdenticalToInProcessSimulation) {
     spec.rank = rank;
     spec.ranks = kRanks;
     spec.port = port;
-    spec.program = param.program;
-    spec.exec = param.exec;
+    spec.program = program_name;
     spec.store_dir = net_store;
     spec.summary = dir.value().file("rank" + std::to_string(rank) + ".summary");
     pids.push_back(spawn_rank(spec));
@@ -712,16 +699,10 @@ TEST_P(ClusterNetProcessTest, BitIdenticalToInProcessSimulation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ProgramsAndExecModes, ClusterNetProcessTest,
-    ::testing::Values(ClusterNetCase{"pagerank", "sweep"},
-                      ClusterNetCase{"pagerank", "worklist"},
-                      ClusterNetCase{"bfs", "sweep"},
-                      ClusterNetCase{"bfs", "worklist"},
-                      ClusterNetCase{"pagerank_delta", "sweep"},
-                      ClusterNetCase{"pagerank_delta", "worklist"}),
-    [](const ::testing::TestParamInfo<ClusterNetCase>& param_info) {
-      return std::string(param_info.param.program) + "_" +
-             param_info.param.exec;
+    Programs, ClusterNetProcessTest,
+    ::testing::Values("pagerank", "bfs", "pagerank_delta"),
+    [](const ::testing::TestParamInfo<const char*>& param_info) {
+      return std::string(param_info.param);
     });
 
 TEST(ClusterNetProcess, SuperstepValueSyncTracksTheClusterLive) {

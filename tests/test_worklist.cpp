@@ -1,13 +1,14 @@
-// Worklist/delta execution mode (DESIGN.md §12).
+// Worklist execution (DESIGN.md §12).
 //
-// The contract under test: worklist dispatch (active-bitmap iteration)
-// touches exactly the vertex set a sweep would — a bit set in generation
-// g is a clear stale flag in column g — so every app's results are
-// identical across execution modes, while the per-superstep work
-// (vertex checks + streamed entries) shrinks from O(V) to O(active).
-// Plus the delta-programming variant (PageRankDeltaProgram): messages
-// carry residuals, re-activation is gated on GPSA_DELTA_EPS, and the run
-// quiesces on its own instead of exhausting an iteration budget.
+// The contract under test: dispatch iterates the active bitmap, and a bit
+// set in generation g is exactly a clear stale flag in column g — so
+// every app's results equal the single-thread reference executor's, while
+// the per-superstep work (vertex checks + streamed entries) is O(active),
+// not O(V). The dispatch_inactive ablation seeds every bit and so
+// dispatches every vertex every superstep. Plus the delta-programming
+// variant (PageRankDeltaProgram): messages carry residuals, re-activation
+// is gated on GPSA_DELTA_EPS, and the run quiesces on its own instead of
+// exhausting an iteration budget.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -26,6 +27,7 @@
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "platform/file_util.hpp"
+#include "storage/active_bitmap.hpp"
 #include "storage/value_file.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
@@ -36,13 +38,21 @@ namespace {
 using testing::expect_float_payloads_near;
 using testing::expect_payloads_equal;
 
-EngineOptions matrix_options(ExecMode exec) {
+EngineOptions matrix_options() {
   EngineOptions eo;
   eo.num_dispatchers = 2;
   eo.num_computers = 2;
   eo.scheduler_workers = 2;
   eo.message_batch = 8;  // tiny batches exercise the flush paths
-  eo.exec = exec;
+  return eo;
+}
+
+/// The shape under which one actor of each kind runs on one worker.
+EngineOptions single_actor_options() {
+  EngineOptions eo;
+  eo.num_dispatchers = 1;
+  eo.num_computers = 1;
+  eo.scheduler_workers = 1;
   return eo;
 }
 
@@ -66,9 +76,33 @@ EdgeList bidirectional_chain(VertexId n) {
   return g;
 }
 
-// --- Bit-identical results across exec modes -------------------------------
+// --- The active bitmap's range operations ----------------------------------
 
-TEST(Worklist, MonotoneAppsBitIdenticalAcrossExec) {
+TEST(Worklist, BitmapSetRangeTouchesOnlyTheRange) {
+  // [3, 130) covers a partial first word, one whole word and a partial
+  // last word; the bits around it and the other generation stay clear.
+  ActiveBitmap bitmap(200);
+  bitmap.set(1, 0);
+  bitmap.set(150, 0);
+  bitmap.set_range(0, 3, 130);
+  for (VertexId v = 0; v < 200; ++v) {
+    const bool in_range = v >= 3 && v < 130;
+    EXPECT_EQ(bitmap.test(v, 0), in_range || v == 1 || v == 150) << v;
+    EXPECT_FALSE(bitmap.test(v, 1)) << v;
+  }
+  bitmap.clear_range(0, 0, 140);
+  for (VertexId v = 0; v < 200; ++v) {
+    EXPECT_EQ(bitmap.test(v, 0), v == 150) << v;
+  }
+  bitmap.set_range(1, 7, 7);  // empty range: no-op
+  for (VertexId v = 0; v < 200; ++v) {
+    EXPECT_FALSE(bitmap.test(v, 1)) << v;
+  }
+}
+
+// --- Results equal the reference executor's ---------------------------------
+
+TEST(Worklist, MonotoneAppsMatchReference) {
   const EdgeList graph = rmat(8, 2000, 42);
   const Csr csr = Csr::from_edges(graph);
   const BfsProgram bfs(0);
@@ -78,40 +112,21 @@ TEST(Worklist, MonotoneAppsBitIdenticalAcrossExec) {
   const Program* const programs[] = {&bfs, &cc, &sssp, &multi};
   for (const Program* program : programs) {
     const ReferenceResult ref = reference_run(csr, *program);
-    const auto sweep =
-        must_run(graph, *program, matrix_options(ExecMode::kSweep));
-    const auto worklist =
-        must_run(graph, *program, matrix_options(ExecMode::kWorklist));
+    const auto worklist = must_run(graph, *program, matrix_options());
     SCOPED_TRACE(program->name());
-    expect_payloads_equal(worklist, sweep);
     expect_payloads_equal(worklist, ref.values);
   }
 }
 
 TEST(Worklist, PageRankBitIdenticalUnderDeterministicSchedule) {
-  // Both modes dispatch the same vertex set, and the exact sum fold makes
-  // the result independent of arrival order: bit-identical under a
-  // single-actor schedule (one dispatcher, one computer, one worker) and
-  // at the multi-actor matrix shape alike.
+  // The exact sum fold makes the result independent of arrival order:
+  // bit-identical under a single-actor schedule (one dispatcher, one
+  // computer, one worker) and at the multi-actor matrix shape alike.
   const EdgeList graph = rmat(7, 1200, 9);
   const PageRankProgram program(8);
-  EngineOptions eo;
-  eo.num_dispatchers = 1;
-  eo.num_computers = 1;
-  eo.scheduler_workers = 1;
-  eo.exec = ExecMode::kSweep;
-  const auto sweep = must_run(graph, program, eo);
-  eo.exec = ExecMode::kWorklist;
-  const auto worklist = must_run(graph, program, eo);
-  expect_payloads_equal(worklist, sweep);
-
-  const auto multi_sweep = must_run(
-      graph, program,
-      matrix_options(ExecMode::kSweep));
-  const auto multi_worklist = must_run(
-      graph, program,
-      matrix_options(ExecMode::kWorklist));
-  expect_payloads_equal(multi_worklist, multi_sweep);
+  const auto single = must_run(graph, program, single_actor_options());
+  const auto multi = must_run(graph, program, matrix_options());
+  expect_payloads_equal(multi, single);
 }
 
 // --- The activation/halting regression (single-vertex frontier) ------------
@@ -124,95 +139,78 @@ TEST(Worklist, LongChainSingleVertexFrontierRunsToCompletion) {
   constexpr VertexId kN = 64;
   const EdgeList graph = chain(kN);
   const auto oracle = oracle_bfs_levels(Csr::from_edges(graph), 0);
-  for (const ExecMode exec : {ExecMode::kSweep, ExecMode::kWorklist}) {
-    EngineOptions eo = matrix_options(exec);
-    const auto result = Engine::run(graph, BfsProgram(0), eo);
-    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-    const RunResult& r = result.value();
-    SCOPED_TRACE(exec_mode_name(exec));
-    EXPECT_TRUE(r.converged);
-    ASSERT_EQ(r.supersteps, kN);
-    expect_payloads_equal(r.values, oracle);
-    ASSERT_EQ(r.superstep_active_vertices.size(), r.supersteps);
-    for (std::uint64_t s = 0; s < r.supersteps; ++s) {
-      EXPECT_EQ(r.superstep_active_vertices[s], 1U) << "superstep " << s;
-      EXPECT_EQ(r.superstep_messages[s], s + 1 < kN ? 1U : 0U)
-          << "superstep " << s;
-    }
+  const auto result = Engine::run(graph, BfsProgram(0), matrix_options());
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const RunResult& r = result.value();
+  EXPECT_TRUE(r.converged);
+  ASSERT_EQ(r.supersteps, kN);
+  expect_payloads_equal(r.values, oracle);
+  ASSERT_EQ(r.superstep_active_vertices.size(), r.supersteps);
+  for (std::uint64_t s = 0; s < r.supersteps; ++s) {
+    EXPECT_EQ(r.superstep_active_vertices[s], 1U) << "superstep " << s;
+    EXPECT_EQ(r.superstep_messages[s], s + 1 < kN ? 1U : 0U)
+        << "superstep " << s;
   }
 }
 
 // --- Per-superstep work counters -------------------------------------------
 
 TEST(Worklist, EdgesTouchedShrinkToTheFrontier) {
-  const EdgeList graph = chain(64);
-  EngineOptions eo = matrix_options(ExecMode::kSweep);
-  const auto sweep = Engine::run(graph, BfsProgram(0), eo);
-  eo.exec = ExecMode::kWorklist;
-  const auto worklist = Engine::run(graph, BfsProgram(0), eo);
-  ASSERT_TRUE(sweep.is_ok() && worklist.is_ok());
-  const RunResult& s = sweep.value();
-  const RunResult& w = worklist.value();
-  ASSERT_EQ(s.superstep_edges_touched.size(), s.supersteps);
+  // One full pass over the value column costs num_vertices slot checks a
+  // superstep before a single record is streamed. The worklist checks
+  // only the frontier (one vertex per superstep on a chain), so each
+  // superstep's work — checks plus streamed entries — stays below that.
+  constexpr VertexId kN = 64;
+  const EdgeList graph = chain(kN);
+  const auto result = Engine::run(graph, BfsProgram(0), matrix_options());
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const RunResult& w = result.value();
   ASSERT_EQ(w.superstep_edges_touched.size(), w.supersteps);
-  ASSERT_EQ(w.supersteps, s.supersteps);
-  // The dispatched frontier is identical...
-  EXPECT_EQ(w.superstep_active_vertices, s.superstep_active_vertices);
-  EXPECT_EQ(w.superstep_messages, s.superstep_messages);
-  // ...but the sweep re-checks all 64 vertices every superstep while the
-  // worklist checks one. The CI gate asserts the same >= 2x reduction on
-  // the BFS tail (scripts/check_worklist_ratio.py).
-  const auto sum = [](const std::vector<std::uint64_t>& v) {
-    return std::accumulate(v.begin(), v.end(), std::uint64_t{0});
-  };
-  EXPECT_GE(sum(s.superstep_edges_touched),
-            2 * sum(w.superstep_edges_touched));
+  const std::uint64_t full_pass = kN;
+  const std::uint64_t touched =
+      std::accumulate(w.superstep_edges_touched.begin(),
+                      w.superstep_edges_touched.end(), std::uint64_t{0});
+  EXPECT_GE(full_pass * w.supersteps, 2 * touched);
   for (std::uint64_t step = 0; step < w.supersteps; ++step) {
-    EXPECT_LT(w.superstep_edges_touched[step],
-              s.superstep_edges_touched[step])
+    EXPECT_LT(w.superstep_edges_touched[step], full_pass)
         << "superstep " << step;
   }
 }
 
-// --- dispatch_inactive x worklist ------------------------------------------
+// --- dispatch_inactive: the skip-flag ablation -------------------------------
 
-TEST(Worklist, DispatchInactiveRequiresSweep) {
-  const EdgeList graph = chain(8);
-  EngineOptions eo;
-  eo.dispatch_inactive = true;
-  eo.exec = ExecMode::kWorklist;
-  const auto rejected = Engine::run(graph, BfsProgram(0), eo);
-  ASSERT_FALSE(rejected.is_ok());
-  EXPECT_NE(rejected.status().to_string().find("sweep"), std::string::npos)
-      << rejected.status().to_string();
-
-  eo.exec = ExecMode::kSweep;
-  const auto accepted = Engine::run(graph, BfsProgram(0), eo);
-  EXPECT_TRUE(accepted.is_ok()) << accepted.status().to_string();
+TEST(Worklist, DispatchInactiveDispatchesEveryVertex) {
+  // Seeding every bit makes every vertex dispatch every superstep, so
+  // each superstep sends one message per edge; the min folds absorb the
+  // replayed values and the results still equal the reference's.
+  const EdgeList graph = rmat(8, 2000, 42);
+  const Csr csr = Csr::from_edges(graph);
+  const BfsProgram bfs(0);
+  const ConnectedComponentsProgram cc;
+  const Program* const programs[] = {&bfs, &cc};
+  for (const Program* program : programs) {
+    SCOPED_TRACE(program->name());
+    EngineOptions eo = matrix_options();
+    eo.dispatch_inactive = true;
+    const auto result = Engine::run(graph, *program, eo);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    const RunResult& r = result.value();
+    expect_payloads_equal(r.values, reference_run(csr, *program).values);
+    ASSERT_GT(r.supersteps, 0U);
+    ASSERT_EQ(r.superstep_messages.size(), r.supersteps);
+    ASSERT_EQ(r.superstep_active_vertices.size(), r.supersteps);
+    for (std::uint64_t s = 0; s < r.supersteps; ++s) {
+      EXPECT_EQ(r.superstep_messages[s], graph.num_edges())
+          << "superstep " << s;
+      EXPECT_EQ(r.superstep_active_vertices[s], graph.num_vertices())
+          << "superstep " << s;
+    }
+  }
 }
 
-// --- GPSA_EXEC resolution ---------------------------------------------------
-
 TEST(Worklist, ExecModeResolution) {
-  ASSERT_EQ(::unsetenv("GPSA_EXEC"), 0);
   EXPECT_EQ(resolve_exec_mode(std::nullopt), ExecMode::kWorklist);
-
-  ASSERT_EQ(::setenv("GPSA_EXEC", "sweep", 1), 0);
-  EXPECT_EQ(resolve_exec_mode(std::nullopt), ExecMode::kSweep);
-  // An explicit option always beats the environment.
-  EXPECT_EQ(resolve_exec_mode(ExecMode::kWorklist), ExecMode::kWorklist);
-
-  ASSERT_EQ(::setenv("GPSA_EXEC", "worklist", 1), 0);
-  EXPECT_EQ(resolve_exec_mode(std::nullopt), ExecMode::kWorklist);
-
-  // Unknown values warn and fall back to the default.
-  ASSERT_EQ(::setenv("GPSA_EXEC", "bogus", 1), 0);
-  EXPECT_EQ(resolve_exec_mode(std::nullopt), ExecMode::kWorklist);
-  ASSERT_EQ(::unsetenv("GPSA_EXEC"), 0);
-
-  EXPECT_FALSE(parse_exec_mode("BOGUS").is_ok());
-  EXPECT_EQ(parse_exec_mode("sweep").value(), ExecMode::kSweep);
-  EXPECT_EQ(parse_exec_mode("worklist").value(), ExecMode::kWorklist);
+  EXPECT_STREQ(exec_mode_name(resolve_exec_mode(std::nullopt)), "worklist");
 }
 
 // --- Delta PageRank ---------------------------------------------------------
@@ -222,8 +220,7 @@ TEST(WorklistDelta, PageRankDeltaConvergesToTheFixedPoint) {
   const Csr csr = Csr::from_edges(graph);
   const PageRankDeltaProgram program(/*max_iterations=*/100, 0.85F,
                                      /*eps=*/1e-7F);
-  const auto result = Engine::run(
-      graph, program, matrix_options(ExecMode::kWorklist));
+  const auto result = Engine::run(graph, program, matrix_options());
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const RunResult& r = result.value();
   // Unlike push PageRank the delta program quiesces on its own: residuals
@@ -239,18 +236,14 @@ TEST(WorklistDelta, PageRankDeltaConvergesToTheFixedPoint) {
   expect_float_payloads_near(r.values, ref.values, /*rel_tol=*/1e-3);
 }
 
-TEST(WorklistDelta, DeltaIdenticalAcrossExecModes) {
+TEST(WorklistDelta, DeltaBitIdenticalAcrossActorShapes) {
+  // The epsilon gate is decided on each vertex's whole exact sum, so the
+  // single-actor schedule and the multi-actor shape agree bit for bit.
   const EdgeList graph = bidirectional_chain(17);
   const PageRankDeltaProgram program(100, 0.85F, 1e-7F);
-  EngineOptions eo;
-  eo.num_dispatchers = 1;
-  eo.num_computers = 1;
-  eo.scheduler_workers = 1;
-  eo.exec = ExecMode::kSweep;
-  const auto sweep = must_run(graph, program, eo);
-  eo.exec = ExecMode::kWorklist;
-  const auto worklist = must_run(graph, program, eo);
-  expect_payloads_equal(worklist, sweep);
+  const auto single = must_run(graph, program, single_actor_options());
+  const auto multi = must_run(graph, program, matrix_options());
+  expect_payloads_equal(multi, single);
 }
 
 TEST(WorklistDelta, DeltaBitIdenticalAcrossSchedules) {
@@ -315,7 +308,7 @@ TEST(WorklistDelta, ResumeOfDeltaProgramIsRejected) {
       << resumed.status().to_string();
 }
 
-// --- Crash recovery under worklist mode ------------------------------------
+// --- Crash recovery: the bitmap is rebuilt on resume -------------------------
 
 /// Overwrites the crashed superstep's update column with garbage and
 /// randomly consumes dispatch flags (same shape as test_recovery.cpp).
@@ -349,7 +342,7 @@ TEST(WorklistRecovery, ResumeRebuildsTheBitmapFromRecoveredFlags) {
   auto dir = ScratchDir::create("worklist_crash");
   ASSERT_TRUE(dir.is_ok());
 
-  EngineOptions eo = matrix_options(ExecMode::kWorklist);
+  EngineOptions eo = matrix_options();
   eo.checkpoint_each_superstep = true;
   eo.work_dir = dir.value().path();
 
