@@ -1,15 +1,16 @@
-// Distributed-simulation bench (paper §III.B motivation c, and the
+// Cluster scale-out bench (paper §III.B motivation c, and the
 // introduction's distributed-systems cost analysis): communication volume,
-// per-node load balance, and bytes on wire as the simulated cluster grows
-// — the costs that motivate the single-machine design.
+// per-node load balance, and bytes on wire as the in-process cluster grows
+// (ranks as threads over socketpairs) — the costs that motivate the
+// single-machine design.
 //
-// Second section: the *real* network data plane (DESIGN.md §14). The
+// Second section: the cluster across processes (DESIGN.md §14). The
 // bench re-execs itself as GPSA_CLUSTER_RANKS localhost processes
 // (GPSA_CLUSTER_RANK in the environment marks a child), runs the same
-// PageRank over real sockets, and cross-checks the measured bytes-on-wire
-// against the in-process simulation's frame-accurate model plus
-// bit-identity of the value vectors. GPSA_BENCH_JSON lands both views for
-// the CI gate (scripts/check_cluster_net.py).
+// PageRank over TCP, and cross-checks it against the in-process run:
+// bit-identical values and equal supersteps, messages, wire bytes and
+// frames. GPSA_BENCH_JSON lands both views for the CI gate
+// (scripts/check_cluster_net.py).
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -126,7 +127,7 @@ bool parse_net_report(const std::string& path, NetReport& out) {
 }
 
 /// Parent mode: spawn kNetRanks copies of this binary over localhost
-/// sockets and cross-check against the in-process simulation.
+/// sockets and cross-check against the in-process run.
 bool run_net_section(const EdgeList& graph, JsonWriter& json) {
   std::printf("== Real network data plane: %u localhost processes ==\n\n",
               kNetRanks);
@@ -135,9 +136,9 @@ bool run_net_section(const EdgeList& graph, JsonWriter& json) {
   ClusterOptions options;
   options.num_nodes = kNetRanks;
   options.max_supersteps = kNetSupersteps;
-  const auto model = ClusterEngine::run(graph, program, options);
-  if (!model.is_ok()) {
-    std::fprintf(stderr, "%s\n", model.status().to_string().c_str());
+  const auto in_process = ClusterEngine::run(graph, program, options);
+  if (!in_process.is_ok()) {
+    std::fprintf(stderr, "%s\n", in_process.status().to_string().c_str());
     return false;
   }
 
@@ -184,28 +185,22 @@ bool run_net_section(const EdgeList& graph, JsonWriter& json) {
   }
   std::remove(report_path.c_str());
 
-  const ClusterRunResult& m = model.value();
+  const ClusterRunResult& m = in_process.value();
   const bool bit_identity = net.values == m.values;
-  const double wire_factor =
-      m.bytes_on_wire > 0 ? static_cast<double>(net.bytes_on_wire) /
-                                static_cast<double>(m.bytes_on_wire)
-                          : 0.0;
 
-  TextTable table({"view", "supersteps", "messages", "wire bytes", "frames",
+  TextTable table({"run", "supersteps", "messages", "wire bytes", "frames",
                    "elapsed (s)"});
-  table.add_row({"modeled (in-process)", TextTable::num(m.supersteps),
+  table.add_row({"in-process (socketpairs)", TextTable::num(m.supersteps),
                  TextTable::num(m.total_messages),
                  TextTable::num(m.bytes_on_wire), TextTable::num(m.frames_sent),
                  TextTable::num(m.elapsed_seconds, 4)});
-  table.add_row({"measured (sockets)", TextTable::num(net.supersteps),
+  table.add_row({"processes (TCP)", TextTable::num(net.supersteps),
                  TextTable::num(net.total_messages),
                  TextTable::num(net.bytes_on_wire),
                  TextTable::num(net.frames_sent),
                  TextTable::num(net.elapsed_seconds, 4)});
   table.print();
-  std::printf("\nbit-identical values: %s; measured/modeled wire bytes: "
-              "%.3f (control-frame overhead above 1.0)\n\n",
-              bit_identity ? "yes" : "NO", wire_factor);
+  std::printf("\nbit-identical values: %s\n\n", bit_identity ? "yes" : "NO");
 
   json.key("net").begin_object();
   json.key("ranks").value(kNetRanks);
@@ -213,12 +208,12 @@ bool run_net_section(const EdgeList& graph, JsonWriter& json) {
   json.key("bit_identity").value(bit_identity);
   json.key("supersteps").value(net.supersteps);
   json.key("total_messages").value(net.total_messages);
-  json.key("measured_bytes_on_wire").value(net.bytes_on_wire);
-  json.key("measured_frames").value(net.frames_sent);
-  json.key("modeled_supersteps").value(m.supersteps);
-  json.key("modeled_total_messages").value(m.total_messages);
-  json.key("modeled_bytes_on_wire").value(m.bytes_on_wire);
-  json.key("modeled_frames").value(m.frames_sent);
+  json.key("bytes_on_wire").value(net.bytes_on_wire);
+  json.key("frames").value(net.frames_sent);
+  json.key("in_process_supersteps").value(m.supersteps);
+  json.key("in_process_total_messages").value(m.total_messages);
+  json.key("in_process_bytes_on_wire").value(m.bytes_on_wire);
+  json.key("in_process_frames").value(m.frames_sent);
   json.key("elapsed_seconds").value(net.elapsed_seconds);
   json.key("superstep_wire_bytes").begin_array();
   for (const std::uint64_t bytes : net.superstep_wire) {

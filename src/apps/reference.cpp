@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <queue>
 
 #include "apps/weights.hpp"
@@ -28,6 +29,12 @@ ReferenceResult reference_run(const Csr& graph, const Program& program,
     budget = std::min(budget, max_supersteps);
   }
 
+  // Sum-fold programs fold through the exact sum ComputerActor uses, so
+  // the result does not depend on the order messages arrive in.
+  std::optional<SliceSumFold> sums;
+  if (program.sum_fold()) {
+    sums.emplace().init(0, n);
+  }
   std::vector<Payload> accumulator(n, 0);
   std::vector<char> touched(n, 0);
   std::vector<VertexId> touched_list;
@@ -57,7 +64,11 @@ ReferenceResult reference_run(const Csr& graph, const Program& program,
       for (VertexId dst : graph.neighbors(src)) {
         const Payload msg = program.gen_msg(src, dst, value, degree);
         ++messages;
-        if (!touched[dst]) {
+        if (sums.has_value()) {
+          sums->add(dst, msg, [&] {
+            return program.first_update(dst, out.values[dst]);
+          });
+        } else if (!touched[dst]) {
           touched[dst] = 1;
           touched_list.push_back(dst);
           accumulator[dst] =
@@ -77,6 +88,14 @@ ReferenceResult reference_run(const Csr& graph, const Program& program,
     // Commit: activity for the next superstep is "received a message and
     // the fold changed the value".
     std::fill(active.begin(), active.end(), 0);
+    if (sums.has_value()) {
+      sums->finish([&](VertexId v, Payload sum) {
+        if (program.changed(out.values[v], sum)) {
+          out.values[v] = sum;
+          active[v] = 1;
+        }
+      });
+    }
     for (VertexId v : touched_list) {
       touched[v] = 0;
       if (program.changed(out.values[v], accumulator[v])) {

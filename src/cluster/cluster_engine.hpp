@@ -1,18 +1,17 @@
-// Simulated distributed GPSA (paper §III.B, motivation c: "Actor-based
+// Distributed GPSA in one process (paper §III.B, motivation c: "Actor-based
 // graph processing can ... be directly applicable to distributed
 // systems").
 //
-// The cluster engine deploys the same actor protocol across N simulated
-// nodes in one process. Each node owns a contiguous vertex interval, the
-// matching slice of the CSR, and its own two-column value store (the same
-// slot protocol as storage/value_file.hpp, held in memory — a distributed
-// deployment would place one value file per node). Dispatching actors on
-// node A route messages to the computing actor owning the destination,
-// which may live on any node: the send is the same mailbox operation —
-// the actor model's location transparency — but the engine accounts every
-// node-crossing message as network traffic, so the bench can report
-// communication volume and per-node load balance versus cluster size (the
-// distributed-systems costs the paper's introduction calls out).
+// ClusterEngine::run deploys N cluster ranks as threads of one process.
+// Each rank owns a contiguous vertex interval, the matching slice of the
+// CSR, and its own two-column value store (the same slot protocol as
+// storage/value_file.hpp, in memory or one value file per node). The
+// ranks run the same superstep loop as the rank processes of
+// run_cluster_rank (cluster_net.hpp), connected pairwise by socketpairs
+// instead of TCP, so every node-crossing batch is a real wire frame: the
+// result reports measured communication volume and per-node load balance
+// versus cluster size (the distributed-systems costs the paper's
+// introduction calls out).
 #pragma once
 
 #include <cstdint>
@@ -31,10 +30,10 @@ struct ClusterOptions {
   unsigned num_nodes = 4;
   /// Vertex-interval assignment across nodes.
   PartitionStrategy partition = PartitionStrategy::kBalancedEdges;
-  /// Scheduler worker threads backing the whole simulated cluster.
-  /// run_cluster_rank ignores it: a rank runs dispatch and apply on its
-  /// control thread, with one transport worker per peer.
-  unsigned scheduler_workers = 0;  // 0 = default
+  /// Read by nothing: a rank runs dispatch and apply on its control
+  /// thread, with one transport worker per peer. Kept only because
+  /// perfbench still sets it; drop it with the next benchmark change.
+  unsigned scheduler_workers = 0;
   /// VertexMessages per inter-node batch (matches
   /// EngineOptions::message_batch; see the rationale there).
   std::size_t message_batch = 4096;
@@ -54,17 +53,12 @@ struct ClusterRunResult {
   std::uint64_t remote_messages = 0;  // crossed a node boundary
   std::uint64_t remote_batches = 0;
   double elapsed_seconds = 0.0;
-  /// Wire traffic. In-process simulation: a frame-accurate *model* — the
-  /// exact bytes the remote batches would occupy as BATCH frames
-  /// (measured_wire=false). Socket data plane: *measured* at the
-  /// transports, control frames included, aggregated cluster-wide at rank
-  /// 0 through the superstep barriers (measured_wire=true; non-zero
-  /// ranks report their own share).
-  bool measured_wire = false;
+  /// Wire traffic measured at the transports, control frames included:
+  /// rank 0's view, aggregated cluster-wide through the superstep
+  /// barriers (a non-zero rank process reports its own share).
   std::uint64_t bytes_on_wire = 0;
   std::uint64_t frames_sent = 0;
-  /// Wire bytes attributed to each superstep (same provenance as
-  /// bytes_on_wire; index = superstep).
+  /// Wire bytes attributed to each superstep (index = superstep).
   std::vector<std::uint64_t> superstep_wire_bytes;
   bool converged = false;
   std::vector<Payload> values;
@@ -80,6 +74,12 @@ struct ClusterRunResult {
 
 class ClusterEngine {
  public:
+  /// Largest num_nodes run() accepts. Each rank thread brings one
+  /// transport worker per peer and a poller, so threads grow as N².
+  static constexpr unsigned kMaxNodes = 16;
+
+  /// Runs every rank as a thread of this process and returns rank 0's
+  /// view (values, totals, wire series) with every rank's load counters.
   static Result<ClusterRunResult> run(const EdgeList& graph,
                                       const Program& program,
                                       const ClusterOptions& options);

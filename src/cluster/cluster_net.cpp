@@ -1,6 +1,7 @@
 // Socket data plane: rendezvous, transports, superstep barrier, value
 // sync (protocol overview in cluster_net.hpp; bit-identity argument in
-// node_state.hpp).
+// node_state.hpp). run_rank is the rank body both entry points share
+// (cluster_rank.hpp); run_cluster_rank adds the TCP rendezvous.
 //
 // The control thread runs dispatch and apply: it applies its own flushes
 // inline, and the remote batches the poller has queued both between
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "actor/actor_system.hpp"
+#include "cluster/cluster_rank.hpp"
 #include "cluster/node_state.hpp"
 #include "core/message_pool.hpp"
 #include "core/messages.hpp"
@@ -580,16 +582,6 @@ class ControlState {
   Status error_ GPSA_GUARDED_BY(mutex_);
 };
 
-/// One fully handshaken peer connection.
-struct PeerLink {
-  std::uint32_t rank = 0;
-  Socket socket;
-  std::uint16_t version = kWireVersionMax;
-  /// Carries any bytes the handshake read past its frame (handed to the
-  /// poller — see InboundPoller::Peer::decoder).
-  FrameDecoder decoder;
-};
-
 Status abort_handshake(const Socket& socket, std::uint16_t rank,
                        int timeout_ms, const std::string& reason) {
   std::vector<std::uint8_t> payload(reason.begin(), reason.end());
@@ -850,6 +842,50 @@ Result<ClusterNetOptions> ClusterNetOptions::from_env() {
   return net;
 }
 
+Result<ClusterPlan> make_cluster_plan(const EdgeList& graph,
+                                      const Program& program,
+                                      const ClusterOptions& options,
+                                      unsigned parts) {
+  Csr csr = Csr::from_edges(graph);
+  const VertexId n = csr.num_vertices();
+  std::vector<EdgeCount> degrees(n);
+  for (VertexId v = 0; v < n; ++v) {
+    degrees[v] = csr.out_degree(v);
+  }
+  const auto intervals =
+      make_intervals_from_degrees(degrees, parts, options.partition);
+  GPSA_CHECK(!intervals.empty());
+
+  std::unique_ptr<IoBackend> backend;
+  if (!options.value_store_dir.empty()) {
+    GPSA_ASSIGN_OR_RETURN(const IoConfig io_config, options.io.resolve());
+    GPSA_ASSIGN_OR_RETURN(backend, IoBackend::create(io_config));
+    std::error_code ec;
+    std::filesystem::create_directories(options.value_store_dir, ec);
+    if (ec) {
+      return io_error("cluster: cannot create value store dir " +
+                      options.value_store_dir + ": " + ec.message());
+    }
+  }
+
+  std::uint64_t budget = program.max_supersteps();
+  if (options.max_supersteps != 0) {
+    budget = std::min(budget, options.max_supersteps);
+  }
+  return ClusterPlan{std::move(csr),
+                     OwnerMap::make_range_from_intervals(intervals), budget,
+                     std::move(backend)};
+}
+
+Status ClusterPlan::init_node(unsigned node, const Program& program,
+                              const ClusterOptions& options,
+                              ClusterNodeState& state) const {
+  return state.init(
+      owners.range_begin(node), owners.range_end(node), program,
+      csr.num_vertices(), backend.get(),
+      options.value_store_dir + "/node" + std::to_string(node) + ".values");
+}
+
 Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
                                           const Program& program,
                                           const ClusterOptions& options,
@@ -875,52 +911,16 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
         listener,
         tcp_listen(static_cast<std::uint16_t>(net.base_port + net.rank)));
   }
-  const Csr csr = Csr::from_edges(graph);
-  std::vector<EdgeCount> degrees(n);
-  for (VertexId v = 0; v < n; ++v) {
-    degrees[v] = csr.out_degree(v);
-  }
-  const auto intervals =
-      make_intervals_from_degrees(degrees, net.ranks, options.partition);
-  if (intervals.size() != net.ranks) {
+  GPSA_ASSIGN_OR_RETURN(const ClusterPlan plan,
+                        make_cluster_plan(graph, program, options, net.ranks));
+  if (plan.owners.parts() != net.ranks) {
     return invalid_argument("run_cluster_rank: the partition produced " +
-                            std::to_string(intervals.size()) +
+                            std::to_string(plan.owners.parts()) +
                             " slices for " + std::to_string(net.ranks) +
                             " ranks (graph too small for the rank count?)");
   }
-  const OwnerMap owners = OwnerMap::make_range_from_intervals(intervals);
-  MessageBatchPool pool(options.message_batch);
-
-  std::unique_ptr<IoBackend> backend;
-  if (!options.value_store_dir.empty()) {
-    GPSA_ASSIGN_OR_RETURN(const IoConfig io_config, options.io.resolve());
-    GPSA_ASSIGN_OR_RETURN(backend, IoBackend::create(io_config));
-    std::error_code ec;
-    std::filesystem::create_directories(options.value_store_dir, ec);
-    if (ec) {
-      return io_error("run_cluster_rank: cannot create value store dir " +
-                      options.value_store_dir + ": " + ec.message());
-    }
-  }
-
   ClusterNodeState state;
-  if (backend != nullptr) {
-    GPSA_RETURN_IF_ERROR(state.init_file_backed(
-        *backend,
-        options.value_store_dir + "/node" + std::to_string(net.rank) +
-            ".values",
-        intervals[net.rank].begin_vertex, intervals[net.rank].end_vertex,
-        program, n));
-  } else {
-    state.init(intervals[net.rank].begin_vertex,
-               intervals[net.rank].end_vertex, program, n);
-  }
-  state.prepare_exec(program.delta_messages());
-
-  std::uint64_t budget = program.max_supersteps();
-  if (options.max_supersteps != 0) {
-    budget = std::min(budget, options.max_supersteps);
-  }
+  GPSA_RETURN_IF_ERROR(plan.init_node(net.rank, program, options, state));
 
   // The cluster engine builds its CSR in memory, so the storage config
   // every rank runs under is whatever the environment resolves to.
@@ -929,7 +929,23 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
       resolve_csr_format(std::nullopt), resolve_csr_order(std::nullopt));
   GPSA_ASSIGN_OR_RETURN(std::vector<PeerLink> links,
                         run_rendezvous(net, fingerprint, std::move(listener)));
+  GPSA_ASSIGN_OR_RETURN(
+      ClusterRunResult result,
+      run_rank(plan, program, options, net, std::move(links), state, {}));
+  result.elapsed_seconds = timer.elapsed_seconds();
+  if (state.file) {
+    GPSA_RETURN_IF_ERROR(state.file->checkpoint(result.supersteps));
+  }
+  return result;
+}
 
+Result<ClusterRunResult> run_rank(
+    const ClusterPlan& plan, const Program& program,
+    const ClusterOptions& options, const ClusterNetOptions& net,
+    std::vector<PeerLink> links, ClusterNodeState& state,
+    const std::function<void(const Status&)>& on_abort) {
+  const VertexId n = plan.csr.num_vertices();
+  MessageBatchPool pool(options.message_batch);
   ControlState ctrl(net.ranks, net.rank, &pool);
   if (net.rank == 0) {
     std::vector<Payload> mirror(n);
@@ -985,6 +1001,9 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
   // Any mid-run failure: tell the survivors why (best-effort), then tear
   // down. The fence bounds how long the abort frames may take to flush.
   auto abort_run = [&](Status status) -> Status {
+    if (on_abort) {
+      on_abort(status);
+    }
     for (TransportActor* transport : transports) {
       if (transport != nullptr) {
         send_control(transport, FrameType::kAbort,
@@ -1016,7 +1035,7 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
     }
   }
 
-  NodeDispatchCore core(net.rank, state, csr, program, owners, pool,
+  NodeDispatchCore core(net.rank, state, plan.csr, program, plan.owners, pool,
                         options.message_batch);
   const bool superstep_sync =
       net.value_sync == ClusterNetOptions::ValueSync::kSuperstep;
@@ -1041,7 +1060,7 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
 
   auto run_loop = [&]() -> Result<LoopOutcome> {
     LoopOutcome out;
-    if (budget == 0) {
+    if (plan.budget == 0) {
       return out;  // every rank computes this identically — no barrier
     }
     for (std::uint64_t s = 0;; ++s) {
@@ -1128,7 +1147,7 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
         superstep_wire = agg.wire_bytes + delta_bytes;
         out.frames_sent += agg.wire_frames + delta_frames;
         converged = (total_messages == 0);
-        halt = converged || (s + 1 >= budget);
+        halt = converged || (s + 1 >= plan.budget);
         SyncReleasePayload release;
         release.superstep = s;
         release.halt = halt ? 1 : 0;
@@ -1173,8 +1192,8 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
     } catch (const std::exception& e) {
       // A sum left the exact fold's range, or a program hook threw: fail
       // the run like any other mid-run error, so the peers hear of it.
-      return internal_error("run_cluster_rank: rank " +
-                            std::to_string(net.rank) + ": " + e.what());
+      return internal_error("cluster rank " + std::to_string(net.rank) +
+                            ": " + e.what());
     }
   }();
   if (!loop_result.is_ok()) {
@@ -1216,8 +1235,6 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
   result.remote_messages = outcome.remote_messages;
   result.remote_batches = outcome.remote_batches;
   result.converged = outcome.converged;
-  result.elapsed_seconds = timer.elapsed_seconds();
-  result.measured_wire = true;
   result.bytes_on_wire = outcome.bytes_on_wire;
   result.frames_sent = outcome.frames_sent;
   result.superstep_wire_bytes = std::move(outcome.superstep_wire_bytes);
@@ -1234,10 +1251,6 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
   result.node_messages_received.assign(net.ranks, 0);
   result.node_messages_sent[net.rank] = outcome.own_messages;
   result.node_messages_received[net.rank] = outcome.own_received;
-
-  if (state.file) {
-    GPSA_RETURN_IF_ERROR(state.file->checkpoint(outcome.supersteps));
-  }
   return result;
 }
 

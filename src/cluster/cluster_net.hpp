@@ -1,19 +1,17 @@
-// Multi-process cluster engine over real sockets (DESIGN.md §14).
+// Multi-process cluster over real sockets (DESIGN.md §14).
 //
-// run_cluster_rank() is ClusterEngine::run's distributed twin: N real
-// processes, one per rank, connected pairwise over localhost TCP. Every
-// process loads the same graph, partitions it identically, and runs the
-// shared per-node compute core (cluster/node_state.hpp) over its own
-// vertex slice; remote batches travel as wire frames through one
-// transport actor per peer, and supersteps close with a coordinator
+// run_cluster_rank() runs one rank per process: N processes connected
+// pairwise over localhost TCP. Every process loads the same graph,
+// partitions it identically, and runs run_rank (cluster_rank.hpp) — the
+// superstep loop ClusterEngine::run runs in one process over socketpairs
+// — on its own vertex slice: remote batches travel as wire frames through
+// one transport actor per peer, and supersteps close with a coordinator
 // barrier at rank 0. Each rank applies batches as they arrive — its own
 // flushes inline, remote ones between flushes and while it waits for the
 // peers' end-of-superstep markers — and publishes its exact sums at the
-// barrier. Because dispatch order, batch boundaries and the apply code are
-// shared with the in-process simulation, and the apply's result does not
-// depend on arrival order (node_state.hpp), the per-rank value stores come
-// out bit-identical to the simulation's — the single-process run is the
-// correctness oracle the multi-process tests diff against, byte for byte.
+// barrier. The apply's result does not depend on arrival order
+// (node_state.hpp), so the per-rank value stores and the wire traffic
+// come out identical to the in-process run's, byte for byte.
 //
 // Bootstrap is rendezvous by rank: rank k listens on base_port + k — bound
 // first thing, before the graph build, so early peers wait in the accept
@@ -83,8 +81,8 @@ struct ClusterNetOptions {
 /// with this rank's view of the result:
 ///   - values: rank 0 holds the full, bit-exact value vector (mirror fed
 ///     by value sync); other ranks fill only their own slice.
-///   - wire metrics: measured at the transports (measured_wire = true).
-///     Rank 0 reports cluster-wide totals and the per-superstep series
+///   - wire metrics: measured at the transports. Rank 0 reports
+///     cluster-wide totals and the per-superstep series
 ///     aggregated through the barrier; other ranks report their own
 ///     share. Bytes sent after the last barrier (the final value sync)
 ///     are counted only in each sender's own totals.

@@ -1,18 +1,12 @@
-// The per-node compute core shared by both cluster engines
-// (DESIGN.md §14).
-//
-// ClusterEngine::run (the in-process simulation) and
-// run_cluster_rank (the socket data plane) must produce
-// bit-identical value columns — the simulation is the oracle the
-// multi-process tests diff against, byte for byte, including float
-// programs like PageRank. That holds because both engines share, by
-// construction:
+// The per-node compute core of a cluster rank (DESIGN.md §14): what
+// run_rank (cluster_rank.hpp) runs on its own vertex slice, whichever
+// entry point started it.
 //
 //   1. the node state itself (ClusterNodeState): the two-column slot
 //      protocol, worklist bitmap, delta-dispatch memory and the exact
 //      sum fold;
-//   2. the dispatch loop (NodeDispatchCore): one worklist scan, so
-//      identical vertex visit order and identical batch boundaries;
+//   2. the dispatch loop (NodeDispatchCore): one worklist scan, so a
+//      fixed vertex visit order and fixed batch boundaries;
 //   3. an apply whose result does not depend on arrival order
 //      (cluster_apply_batch): min-style folds are order-free already, and
 //      sum-fold programs add every message to the node's SliceSumFold
@@ -20,10 +14,10 @@
 //      cluster_publish_sums stores once per superstep, deciding
 //      activation from the whole sum.
 //
-// So batches apply as they arrive, in whatever order the mailboxes (in
-// process) or TCP timing (across processes) deliver them. The engines
-// differ only in how a flushed batch travels: a mailbox send in-process,
-// a BATCH wire frame across ranks.
+// So batches apply as they arrive, in whatever order the links deliver
+// them, and a cluster run is bit-identical to the single-machine engine
+// and to itself: in one process over socketpairs or across processes
+// over TCP, at any rank count.
 #pragma once
 
 #include <algorithm>
@@ -40,7 +34,6 @@
 #include "core/program.hpp"
 #include "graph/csr.hpp"
 #include "io/io_backend.hpp"
-#include "net/wire_frame.hpp"
 #include "storage/active_bitmap.hpp"
 #include "storage/slot.hpp"
 #include "storage/value_file.hpp"
@@ -71,61 +64,42 @@ struct ClusterNodeState {
   /// the node's apply, published at the superstep's end).
   std::optional<SliceSumFold> sums;
 
-  void init(VertexId begin_vertex, VertexId end_vertex,
-            const Program& program, VertexId num_vertices) {
-    init_slice(begin_vertex, end_vertex, program);
-    const std::size_t size = end - begin;
-    columns[0].resize(size);
-    columns[1].resize(size);
-    for (VertexId v = begin; v < end; ++v) {
-      const Program::InitialState st = program.init(v, num_vertices);
-      columns[0][v - begin] = make_slot(st.value, !st.active);
-      columns[1][v - begin] = make_slot(st.value, true);
-    }
-  }
-
-  Status init_file_backed(IoBackend& backend, const std::string& path,
-                          VertexId begin_vertex, VertexId end_vertex,
-                          const Program& program, VertexId num_vertices) {
-    init_slice(begin_vertex, end_vertex, program);
+  /// Sets up the slice [begin_vertex, end_vertex) with the program's
+  /// initial values, in memory or, when `backend` is set, in a value file
+  /// created at `path`; then seeds the worklist bits (generation 0 =
+  /// superstep 0's dispatch column) and the delta memory, as the engine
+  /// front-ends do.
+  Status init(VertexId begin_vertex, VertexId end_vertex,
+              const Program& program, VertexId num_vertices,
+              IoBackend* backend, const std::string& path) {
+    begin = begin_vertex;
+    end = end_vertex;
     const VertexId size = end - begin;
-    if (size == 0) {
-      return Status::ok();  // nothing to own; keep the (empty) vectors
+    latest.assign(size, 0);
+    worklist = ActiveBitmap(size);
+    if (program.sum_fold()) {
+      sums.emplace().init(begin, size);
     }
-    GPSA_ASSIGN_OR_RETURN(ValueFile f,
-                          backend.create_value_file(path, size, program.name()));
+    if (program.delta_messages()) {
+      last_sent.assign(size, Payload{0});
+    }
+    if (backend == nullptr) {
+      columns[0].resize(size);
+      columns[1].resize(size);
+    } else if (size > 0) {  // an empty slice owns no file
+      GPSA_ASSIGN_OR_RETURN(
+          ValueFile f, backend->create_value_file(path, size, program.name()));
+      file.emplace(std::move(f));
+    }
     for (VertexId v = begin; v < end; ++v) {
       const Program::InitialState st = program.init(v, num_vertices);
-      f.store(v - begin, 0, make_slot(st.value, !st.active));
-      f.store(v - begin, 1, make_slot(st.value, true));
-    }
-    file.emplace(std::move(f));
-    return Status::ok();
-  }
-
-  /// Seeds the worklist bits and the delta memory after init, mirroring
-  /// the engine front-ends (generation 0 = superstep 0's dispatch column).
-  void prepare_exec(bool delta_messages) {
-    for (VertexId v = begin; v < end; ++v) {
-      if (!slot_is_stale(load(v, 0))) {
+      store(v, 0, make_slot(st.value, !st.active));
+      store(v, 1, make_slot(st.value, true));
+      if (st.active) {
         worklist.set(v - begin, 0);
       }
     }
-    if (delta_messages) {
-      last_sent.assign(end - begin, Payload{0});
-    }
-  }
-
-  /// Sets the node's slice and sizes what both init paths share.
-  void init_slice(VertexId begin_vertex, VertexId end_vertex,
-                  const Program& program) {
-    begin = begin_vertex;
-    end = end_vertex;
-    latest.assign(end - begin, 0);
-    worklist = ActiveBitmap(end - begin);
-    if (program.sum_fold()) {
-      sums.emplace().init(begin, end - begin);
-    }
+    return Status::ok();
   }
 
   Slot load(VertexId v, unsigned column) const {
@@ -159,8 +133,7 @@ inline Payload cluster_first_touch(ClusterNodeState& state, VertexId v,
   return base;
 }
 
-/// Applies one batch as it arrives — the single shared implementation
-/// both engines run, mirroring ComputerActor's apply. A sum-fold
+/// Applies one batch as it arrives, mirroring ComputerActor's apply. A sum-fold
 /// program's messages only join the node's exact sums
 /// (cluster_publish_sums decides them); any other program folds into the
 /// update column. Returns the number of vertices updated.
@@ -234,7 +207,7 @@ inline std::uint64_t cluster_publish_sums(ClusterNodeState& state,
 
 /// The dispatch half of a node's superstep, parameterized over how a
 /// flushed batch travels. Visit order (worklist bits ascending), batch
-/// boundaries, and sequence numbering are fixed here, so every engine
+/// boundaries, and sequence numbering are fixed here, so every run
 /// flushes byte-identical batches in the same order.
 class NodeDispatchCore {
  public:
@@ -246,8 +219,6 @@ class NodeDispatchCore {
     std::uint64_t messages = 0;        // all messages dispatched
     std::uint64_t remote_messages = 0; // crossed a node boundary
     std::uint64_t remote_batches = 0;
-    /// Frame-accurate wire model: one BATCH frame per remote flush.
-    std::uint64_t remote_wire_bytes = 0;
   };
 
   NodeDispatchCore(std::uint32_t node, ClusterNodeState& state,
@@ -332,7 +303,6 @@ class NodeDispatchCore {
     }
     if (node != node_) {
       ++stats_.remote_batches;
-      stats_.remote_wire_bytes += batch_frame_wire_bytes(buffer.size());
     }
     const std::uint32_t seq = seq_[node]++;
     std::vector<VertexMessage> out = std::move(buffer);

@@ -71,13 +71,6 @@ struct ManagerMsg {
   /// record entries plus one per vertex check (the work-done metric
   /// RunResult surfaces per superstep).
   std::uint64_t edges = 0;
-  /// kDispatchOver, cluster engines only: frame-accurate model of the
-  /// wire traffic this dispatcher's remote batches would cost — one
-  /// BATCH frame per remote flush, batch_frame_wire_bytes() each. The
-  /// manager folds these into the per-superstep wire-byte series that
-  /// the socket data plane measures for real (DESIGN.md §14).
-  std::uint64_t wire_bytes = 0;
-  std::uint64_t wire_frames = 0;
   std::string error;  // kWorkerFailed only
 };
 

@@ -135,6 +135,14 @@ Result<Socket> tcp_connect_retry(std::uint16_t port, int timeout_ms) {
   }
 }
 
+Result<std::pair<Socket, Socket>> socket_pair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    return io_error_errno("socketpair() failed");
+  }
+  return std::make_pair(Socket(fds[0]), Socket(fds[1]));
+}
+
 Status set_nodelay(const Socket& socket) {
   const int one = 1;
   if (::setsockopt(socket.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) !=

@@ -1,4 +1,5 @@
-// Minimal TCP plumbing for the cluster data plane (DESIGN.md §14).
+// Minimal socket plumbing for the cluster data plane (DESIGN.md §14):
+// TCP links between rank processes, socketpairs between in-process ranks.
 //
 // Everything here is localhost-first and deadline-driven: every call that
 // can block takes a timeout in milliseconds and converts "nothing
@@ -9,7 +10,7 @@
 // The fd is used full-duplex by two threads: the inbound poller thread
 // reads while a transport actor writes. The two directions share no
 // buffers, so no locking is needed — but only the owner (PeerLink in
-// cluster_net.cpp) may close the fd, and only after both sides stopped.
+// cluster_rank.hpp) may close the fd, and only after both sides stopped.
 //
 // Writes use sendmsg(MSG_NOSIGNAL) so a dead peer surfaces as EPIPE, not
 // SIGPIPE.
@@ -19,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "util/status.hpp"
 
@@ -63,6 +65,11 @@ class Socket {
 /// during cluster bootstrap. Retries back off from 1 ms, doubling up to
 /// 20 ms.
 [[nodiscard]] Result<Socket> tcp_connect_retry(std::uint16_t port, int timeout_ms);
+
+/// A connected pair of local stream sockets (AF_UNIX): the link between
+/// two ranks that run in one process. Frames cross it exactly as they
+/// cross a TCP link.
+[[nodiscard]] Result<std::pair<Socket, Socket>> socket_pair();
 
 /// TCP_NODELAY: barrier frames are latency-sensitive and tiny.
 [[nodiscard]] Status set_nodelay(const Socket& socket);

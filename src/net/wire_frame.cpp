@@ -393,8 +393,4 @@ Result<std::uint16_t> negotiate_version(std::uint16_t local_min,
   return high;
 }
 
-std::uint64_t batch_frame_wire_bytes(std::uint64_t messages) {
-  return kFrameHeaderSize + 8 + messages * 8;
-}
-
 }  // namespace gpsa

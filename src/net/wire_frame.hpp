@@ -235,10 +235,4 @@ struct ValuesPayload {
                                         std::uint16_t remote_min,
                                         std::uint16_t remote_max);
 
-/// Exact bytes a BATCH frame of `messages` VertexMessages occupies on the
-/// wire (header + superstep + 8 bytes per message). The in-process
-/// simulation uses this to model bytes-on-wire with frame accuracy; the
-/// bench cross-checks the model against the measured plane.
-std::uint64_t batch_frame_wire_bytes(std::uint64_t messages);
-
 }  // namespace gpsa

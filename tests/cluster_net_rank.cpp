@@ -83,7 +83,6 @@ int main() {
     out << "supersteps " << r.supersteps << "\n";
     out << "total_messages " << r.total_messages << "\n";
     out << "converged " << (r.converged ? 1 : 0) << "\n";
-    out << "measured_wire " << (r.measured_wire ? 1 : 0) << "\n";
     out << "bytes_on_wire " << r.bytes_on_wire << "\n";
     out << "frames_sent " << r.frames_sent << "\n";
     out << "superstep_wire";

@@ -1,7 +1,9 @@
-// Tests for the simulated distributed engine: correctness across node
-// counts (location transparency), communication accounting, load balance
-// of the two partitioning strategies, and crash consistency of the
-// per-node value stores (fork-based checkpoint crash injection).
+// Tests for the in-process cluster run (every rank a thread, linked by
+// socketpairs): bit-identity with the single-machine engine and the
+// reference across node counts (location transparency), communication
+// accounting, load balance of the two partitioning strategies, option
+// checks, and crash consistency of the per-node value stores (fork-based
+// checkpoint crash injection).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -9,9 +11,12 @@
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
 #include "apps/pagerank.hpp"
+#include "apps/pagerank_delta.hpp"
 #include "apps/reference.hpp"
 #include "cluster/cluster_engine.hpp"
+#include "core/engine.hpp"
 #include "graph/csr.hpp"
+#include "graph/csr_file.hpp"
 #include "graph/generators.hpp"
 #include "platform/file_util.hpp"
 #include "test_support.hpp"
@@ -19,7 +24,6 @@
 namespace gpsa {
 namespace {
 
-using testing::expect_float_payloads_near;
 using testing::expect_payloads_equal;
 
 class ClusterNodeCountTest : public ::testing::TestWithParam<unsigned> {};
@@ -30,7 +34,6 @@ TEST_P(ClusterNodeCountTest, BfsMatchesReferenceOnAnyClusterSize) {
   const BfsProgram program(0);
   ClusterOptions co;
   co.num_nodes = nodes;
-  co.scheduler_workers = 2;
   const auto result = ClusterEngine::run(graph, program, co);
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const ReferenceResult ref = reference_run(Csr::from_edges(graph), program);
@@ -45,7 +48,6 @@ TEST_P(ClusterNodeCountTest, CcMatchesReferenceOnAnyClusterSize) {
   const ConnectedComponentsProgram program;
   ClusterOptions co;
   co.num_nodes = nodes;
-  co.scheduler_workers = 2;
   const auto result = ClusterEngine::run(graph, program, co);
   ASSERT_TRUE(result.is_ok());
   const ReferenceResult ref = reference_run(Csr::from_edges(graph), program);
@@ -55,16 +57,54 @@ TEST_P(ClusterNodeCountTest, CcMatchesReferenceOnAnyClusterSize) {
 INSTANTIATE_TEST_SUITE_P(NodeCounts, ClusterNodeCountTest,
                          ::testing::Values(1U, 2U, 3U, 5U, 8U));
 
+class ClusterMatchesEngineTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ClusterMatchesEngineTest, BitIdenticalToTheSingleMachineEngine) {
+  // Both fold sum programs exactly and min programs order-free, so the
+  // cluster equals the engine bit for bit, at any node count.
+  const unsigned nodes = GetParam();
+  auto dir = ScratchDir::create("cluster_vs_engine");
+  ASSERT_TRUE(dir.is_ok());
+  const EdgeList graph = rmat(9, 4000, 103);
+  const std::string base = dir.value().file("g.csr");
+  ASSERT_TRUE(preprocess_edges_to_csr(graph, base, /*with_degree=*/true)
+                  .is_ok());
+  const PageRankProgram pagerank(5);
+  const PageRankDeltaProgram delta(100, 0.85F, 1e-4F);
+  const BfsProgram bfs(0);
+  const ConnectedComponentsProgram cc;
+  const Program* const programs[] = {&pagerank, &delta, &bfs, &cc};
+  for (const Program* program : programs) {
+    SCOPED_TRACE(program->name());
+    EngineOptions eo;
+    eo.num_dispatchers = 2;
+    eo.num_computers = 2;
+    eo.work_dir = dir.value().path();
+    const auto engine = Engine::run_from_csr(base, *program, eo);
+    ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
+    ClusterOptions co;
+    co.num_nodes = nodes;
+    const auto cluster = ClusterEngine::run(graph, *program, co);
+    ASSERT_TRUE(cluster.is_ok()) << cluster.status().to_string();
+    expect_payloads_equal(cluster.value().values, engine.value().values);
+    EXPECT_EQ(cluster.value().supersteps, engine.value().supersteps);
+    EXPECT_EQ(cluster.value().total_messages, engine.value().total_messages);
+    EXPECT_EQ(cluster.value().converged, engine.value().converged);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(NodeCounts, ClusterMatchesEngineTest,
+                         ::testing::Values(1U, 2U, 3U, 5U));
+
 TEST(Cluster, PageRankMatchesReference) {
   const EdgeList graph = rmat(8, 2500, 95);
   const PageRankProgram program(5);
   ClusterOptions co;
   co.num_nodes = 4;
-  co.scheduler_workers = 2;
   const auto result = ClusterEngine::run(graph, program, co);
   ASSERT_TRUE(result.is_ok());
   const ReferenceResult ref = reference_run(Csr::from_edges(graph), program);
-  expect_float_payloads_near(result.value().values, ref.values);
+  expect_payloads_equal(result.value().values, ref.values);
 }
 
 TEST(Cluster, WorklistMatchesReference) {
@@ -79,7 +119,6 @@ TEST(Cluster, WorklistMatchesReference) {
   for (const Program* program : programs) {
     ClusterOptions co;
     co.num_nodes = 3;
-    co.scheduler_workers = 2;
     const auto result = ClusterEngine::run(graph, *program, co);
     ASSERT_TRUE(result.is_ok()) << result.status().to_string();
     SCOPED_TRACE(program->name());
@@ -97,7 +136,6 @@ TEST(Cluster, ZeroBudgetRunsZeroSupersteps) {
   const EdgeList graph = chain(16);
   ClusterOptions co;
   co.num_nodes = 2;
-  co.scheduler_workers = 2;
   const auto result = ClusterEngine::run(graph, PageRankProgram(0), co);
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_EQ(result.value().supersteps, 0U);
@@ -109,7 +147,6 @@ TEST(Cluster, OptionCapZeroMeansUncappedAndSmallerCapWins) {
   const EdgeList graph = chain(16);
   ClusterOptions co;
   co.num_nodes = 2;
-  co.scheduler_workers = 2;
   co.max_supersteps = 0;  // uncapped: BFS runs the chain down
   const auto uncapped = ClusterEngine::run(graph, BfsProgram(0), co);
   ASSERT_TRUE(uncapped.is_ok());
@@ -132,7 +169,6 @@ TEST(Cluster, SingleNodeHasNoRemoteTraffic) {
   const EdgeList graph = rmat(7, 800, 97);
   ClusterOptions co;
   co.num_nodes = 1;
-  co.scheduler_workers = 1;
   const auto result = ClusterEngine::run(graph, BfsProgram(0), co);
   ASSERT_TRUE(result.is_ok());
   EXPECT_EQ(result.value().remote_messages, 0U);
@@ -148,7 +184,6 @@ TEST(Cluster, RemoteTrafficGrowsWithNodeCount) {
   for (const unsigned nodes : {2U, 4U, 8U}) {
     ClusterOptions co;
     co.num_nodes = nodes;
-    co.scheduler_workers = 2;
     const auto result = ClusterEngine::run(graph, program, co);
     ASSERT_TRUE(result.is_ok());
     EXPECT_GT(result.value().remote_messages, previous);
@@ -162,7 +197,6 @@ TEST(Cluster, AccountingSumsAreConsistent) {
   const EdgeList graph = rmat(8, 1500, 101);
   ClusterOptions co;
   co.num_nodes = 3;
-  co.scheduler_workers = 2;
   const auto result = ClusterEngine::run(graph, PageRankProgram(4), co);
   ASSERT_TRUE(result.is_ok());
   const ClusterRunResult& r = result.value();
@@ -188,7 +222,6 @@ TEST(Cluster, EdgeBalancedPartitioningReducesSendImbalance) {
     ClusterOptions co;
     co.num_nodes = 4;
     co.partition = strategy;
-    co.scheduler_workers = 2;
     const auto result = ClusterEngine::run(graph, program, co);
     ASSERT_TRUE(result.is_ok());
     if (strategy == PartitionStrategy::kUniformVertices) {
@@ -213,7 +246,6 @@ void run_cluster_crash_child(const std::string& dir, int crash_after) {
     const EdgeList graph = rmat(8, 2000, 91);
     ClusterOptions co;
     co.num_nodes = 3;
-    co.scheduler_workers = 2;
     co.value_store_dir = dir;
     (void)ClusterEngine::run(graph, BfsProgram(0), co);
     ::_exit(1);  // not reached: the crash hook exits first
@@ -229,7 +261,6 @@ TEST(ClusterCrash, FileBackedRunCheckpointsEveryNodeStore) {
   const EdgeList graph = rmat(8, 2000, 91);
   ClusterOptions co;
   co.num_nodes = 3;
-  co.scheduler_workers = 2;
   co.value_store_dir = dir.value().file("stores");
   const auto result = ClusterEngine::run(graph, BfsProgram(0), co);
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
@@ -275,7 +306,6 @@ TEST(ClusterCrash, ValidateRejectsWrongAppTagAndMissingNodes) {
   const EdgeList graph = rmat(8, 2000, 91);
   ClusterOptions co;
   co.num_nodes = 2;
-  co.scheduler_workers = 2;
   co.value_store_dir = dir.value().file("stores");
   ASSERT_TRUE(ClusterEngine::run(graph, BfsProgram(0), co).is_ok());
   // Stores were written by BFS; a CC run must not resume from them.
@@ -297,7 +327,6 @@ TEST(Cluster, SumFoldOverflowSurfacesAsStatus) {
   // instead of terminating the process.
   ClusterOptions co;
   co.num_nodes = 2;
-  co.scheduler_workers = 2;
   const auto result = ClusterEngine::run(testing::diamond_graph(),
                                          testing::OversizedSumProgram(), co);
   ASSERT_FALSE(result.is_ok());
@@ -311,6 +340,12 @@ TEST(Cluster, RejectsBadOptions) {
   ClusterOptions co;
   co.num_nodes = 0;
   EXPECT_FALSE(ClusterEngine::run(graph, BfsProgram(0), co).is_ok());
+  // Rejected before any socket or thread exists: each rank thread
+  // brings a transport worker per peer, so threads grow as N².
+  co.num_nodes = ClusterEngine::kMaxNodes + 1;
+  const auto too_many = ClusterEngine::run(graph, BfsProgram(0), co);
+  ASSERT_FALSE(too_many.is_ok());
+  EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument);
   const EdgeList empty;
   EXPECT_FALSE(ClusterEngine::run(empty, BfsProgram(0), {}).is_ok());
 }

@@ -19,7 +19,6 @@ namespace gpsa {
 namespace {
 
 using testing::diamond_graph;
-using testing::expect_float_payloads_near;
 using testing::expect_payloads_equal;
 
 EngineOptions small_options() {
@@ -83,7 +82,7 @@ TEST(Engine, PageRankMatchesReferenceOnRmat) {
       reference_run(Csr::from_edges(graph), program);
   EXPECT_EQ(result.value().supersteps, ref.supersteps);
   EXPECT_EQ(result.value().total_messages, ref.total_messages);
-  expect_float_payloads_near(result.value().values, ref.values);
+  expect_payloads_equal(result.value().values, ref.values);
 }
 
 TEST(Engine, BfsMatchesReferenceOnRmat) {
@@ -276,7 +275,7 @@ TEST(Engine, RunsFromFigure4bCsrWithoutDegrees) {
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const ReferenceResult ref =
       reference_run(Csr::from_edges(graph), program);
-  expect_float_payloads_near(result.value().values, ref.values);
+  expect_payloads_equal(result.value().values, ref.values);
 }
 
 TEST(Engine, WorkDirFilesAreCreatedAndReusable) {

@@ -135,7 +135,7 @@ TEST_P(EquivalenceTest, PageRankFiveSupersteps) {
   const PageRankProgram program(5);
   const ReferenceResult ref = reference_run(Csr::from_edges(graph), program);
   const AllResults all = run_all(graph, program);
-  expect_float_payloads_near(all.gpsa, ref.values);
+  expect_payloads_equal(all.gpsa, ref.values);
   expect_float_payloads_near(all.psw, ref.values);
   expect_float_payloads_near(all.xstream, ref.values);
   EXPECT_EQ(all.gpsa_messages, ref.total_messages);

@@ -2,10 +2,11 @@
 // codec (round trips, fragmentation, corruption and version rejection,
 // decoder poisoning), the socket layer over real loopback connections
 // (partial writes, short reads, EOF, the poller's prompt stop), and the
-// multi-process cluster engine — fork+exec'd ranks whose per-node value
-// stores must come out bit-identical to the in-process simulation, plus
-// crash-injection runs proving a dead peer surfaces as a clean error
-// instead of a hang.
+// multi-process cluster run — fork+exec'd ranks whose per-node value
+// stores and wire traffic must equal the in-process run's (the same rank
+// loop over socketpairs) and whose values equal the single-thread
+// reference, plus crash-injection runs proving a dead peer surfaces as a
+// clean error instead of a hang.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -264,14 +265,6 @@ TEST(WireFrame, NegotiateVersionPicksHighestCommon) {
   EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(WireFrame, BatchFrameWireBytesMatchesLayout) {
-  // header + 8-byte superstep tag + 8 bytes per VertexMessage — the
-  // in-process engine's wire model must track the real frame layout.
-  static_assert(sizeof(VertexMessage) == 8);
-  EXPECT_EQ(batch_frame_wire_bytes(0), kFrameHeaderSize + 8);
-  EXPECT_EQ(batch_frame_wire_bytes(100), kFrameHeaderSize + 8 + 800);
-}
-
 TEST(WireFrame, Crc32MatchesReferenceVectors) {
   // Reflected CRC-32 (0xEDB88320), zlib-compatible: the standard "123456789"
   // check value pins the polynomial and bit order.
@@ -503,7 +496,6 @@ TEST(ClusterNet, SingleRankClusterMatchesReference) {
   expect_payloads_equal(result.value().values, ref.values);
   EXPECT_EQ(result.value().total_messages, ref.total_messages);
   EXPECT_TRUE(result.value().converged);
-  EXPECT_TRUE(result.value().measured_wire);
   EXPECT_EQ(result.value().bytes_on_wire, 0U);  // nothing crossed a socket
   EXPECT_EQ(result.value().superstep_wire_bytes.size(),
             result.value().supersteps);
@@ -626,13 +618,13 @@ std::map<std::string, std::vector<std::uint64_t>> parse_summary(
 /// Program name as the helper's GPSA_NET_HELPER_PROGRAM takes it.
 class ClusterNetProcessTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(ClusterNetProcessTest, BitIdenticalToInProcessSimulation) {
+TEST_P(ClusterNetProcessTest, BitIdenticalToInProcessRun) {
   const std::string program_name = GetParam();
   const std::uint32_t kRanks = 3;
   auto dir = ScratchDir::create("cluster_net");
   ASSERT_TRUE(dir.is_ok());
 
-  // In-process oracle: same graph, same partition count.
+  // In-process run: same graph, same partition count, ranks as threads.
   const EdgeList graph = rmat(8, 2000, 91);
   std::unique_ptr<Program> program;
   if (program_name == "pagerank") {
@@ -643,13 +635,11 @@ TEST_P(ClusterNetProcessTest, BitIdenticalToInProcessSimulation) {
   } else {
     program = std::make_unique<BfsProgram>(0);
   }
-  ClusterOptions oracle_options;
-  oracle_options.num_nodes = kRanks;
-  oracle_options.scheduler_workers = 2;
-  oracle_options.value_store_dir = dir.value().file("oracle");
-  const auto oracle = ClusterEngine::run(graph, *program, oracle_options);
-  ASSERT_TRUE(oracle.is_ok()) << oracle.status().to_string();
-  EXPECT_FALSE(oracle.value().measured_wire);  // the model, not the wire
+  ClusterOptions run_options;
+  run_options.num_nodes = kRanks;
+  run_options.value_store_dir = dir.value().file("in_process");
+  const auto in_process = ClusterEngine::run(graph, *program, run_options);
+  ASSERT_TRUE(in_process.is_ok()) << in_process.status().to_string();
 
   // The real thing: one process per rank over localhost sockets.
   const std::string net_store = dir.value().file("net");
@@ -669,33 +659,37 @@ TEST_P(ClusterNetProcessTest, BitIdenticalToInProcessSimulation) {
     EXPECT_EQ(wait_exit_code(pids[rank]), 0) << "rank " << rank << " failed";
   }
 
-  // The tentpole acceptance: per-node value stores byte-identical to the
-  // in-process simulation's.
+  // Per-node value stores byte-identical to the in-process run's.
   for (std::uint32_t rank = 0; rank < kRanks; ++rank) {
     const std::string name = "/node" + std::to_string(rank) + ".values";
-    const auto oracle_bytes = read_file(oracle_options.value_store_dir + name);
+    const auto run_bytes = read_file(run_options.value_store_dir + name);
     const auto net_bytes = read_file(net_store + name);
-    ASSERT_TRUE(oracle_bytes.is_ok()) << oracle_bytes.status().to_string();
+    ASSERT_TRUE(run_bytes.is_ok()) << run_bytes.status().to_string();
     ASSERT_TRUE(net_bytes.is_ok()) << net_bytes.status().to_string();
-    EXPECT_TRUE(oracle_bytes.value() == net_bytes.value())
-        << "node " << rank << " value store differs from the simulation";
+    EXPECT_TRUE(run_bytes.value() == net_bytes.value())
+        << "node " << rank << " value store differs from the in-process run";
   }
 
-  // Rank 0's aggregate view matches the simulation, and the wire metrics
-  // are real measurements.
+  // Rank 0's view matches the in-process run's, wire traffic included:
+  // both carry the same frames, over socketpairs or TCP.
   const auto summary = parse_summary(dir.value().file("rank0.summary"));
   ASSERT_EQ(summary.count("values"), 1U);
-  expect_payloads_equal(
-      std::vector<Payload>(summary.at("values").begin(),
-                           summary.at("values").end()),
-      oracle.value().values);
-  EXPECT_EQ(summary.at("supersteps")[0], oracle.value().supersteps);
-  EXPECT_EQ(summary.at("total_messages")[0], oracle.value().total_messages);
-  EXPECT_EQ(summary.at("converged")[0], oracle.value().converged ? 1U : 0U);
-  EXPECT_EQ(summary.at("measured_wire")[0], 1U);
-  EXPECT_GT(summary.at("bytes_on_wire")[0], 0U);
-  EXPECT_GT(summary.at("frames_sent")[0], 0U);
-  EXPECT_EQ(summary.at("superstep_wire").size(), oracle.value().supersteps);
+  const std::vector<Payload> rank0_values(summary.at("values").begin(),
+                                          summary.at("values").end());
+  expect_payloads_equal(rank0_values, in_process.value().values);
+  EXPECT_EQ(summary.at("supersteps")[0], in_process.value().supersteps);
+  EXPECT_EQ(summary.at("total_messages")[0], in_process.value().total_messages);
+  EXPECT_EQ(summary.at("converged")[0], in_process.value().converged ? 1U : 0U);
+  EXPECT_GT(in_process.value().bytes_on_wire, 0U);
+  EXPECT_EQ(summary.at("bytes_on_wire")[0], in_process.value().bytes_on_wire);
+  EXPECT_EQ(summary.at("frames_sent")[0], in_process.value().frames_sent);
+  EXPECT_EQ(summary.at("superstep_wire"),
+            in_process.value().superstep_wire_bytes);
+
+  // And an oracle that shares no cluster code: the single-thread
+  // reference, exact for the sum-fold programs too.
+  const ReferenceResult ref = reference_run(Csr::from_edges(graph), *program);
+  expect_payloads_equal(rank0_values, ref.values);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -713,11 +707,10 @@ TEST(ClusterNetProcess, SuperstepValueSyncTracksTheClusterLive) {
   ASSERT_TRUE(dir.is_ok());
   const EdgeList graph = rmat(8, 2000, 91);
   const PageRankProgram program(5);
-  ClusterOptions oracle_options;
-  oracle_options.num_nodes = kRanks;
-  oracle_options.scheduler_workers = 2;
-  const auto oracle = ClusterEngine::run(graph, program, oracle_options);
-  ASSERT_TRUE(oracle.is_ok());
+  ClusterOptions run_options;
+  run_options.num_nodes = kRanks;
+  const auto in_process = ClusterEngine::run(graph, program, run_options);
+  ASSERT_TRUE(in_process.is_ok());
 
   const std::uint16_t port = next_port();
   std::vector<pid_t> pids;
@@ -738,7 +731,7 @@ TEST(ClusterNetProcess, SuperstepValueSyncTracksTheClusterLive) {
   expect_payloads_equal(
       std::vector<Payload>(summary.at("values").begin(),
                            summary.at("values").end()),
-      oracle.value().values);
+      in_process.value().values);
 }
 
 TEST(ClusterNetProcess, DeadPeerSurfacesAsErrorNotHang) {

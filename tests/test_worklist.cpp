@@ -233,7 +233,7 @@ TEST(WorklistDelta, PageRankDeltaConvergesToTheFixedPoint) {
   // The reference executor runs the same delta protocol.
   const ReferenceResult ref = reference_run(csr, program);
   EXPECT_TRUE(ref.converged);
-  expect_float_payloads_near(r.values, ref.values, /*rel_tol=*/1e-3);
+  expect_payloads_equal(r.values, ref.values);
 }
 
 TEST(WorklistDelta, DeltaBitIdenticalAcrossActorShapes) {
