@@ -14,7 +14,6 @@
 #include "storage/value_file.hpp"
 #include "util/mpsc_queue.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace {
 
@@ -30,17 +29,6 @@ void BM_MpscQueuePushPop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MpscQueuePushPop);
-
-void BM_SpscRingPushPop(benchmark::State& state) {
-  SpscRing<std::uint64_t> ring(1024);
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    ring.try_push(i++);
-    benchmark::DoNotOptimize(ring.try_pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 void BM_SlotEncodeDecode(benchmark::State& state) {
   Rng rng(1);

@@ -80,7 +80,6 @@ from pathlib import Path
 
 MEMORY_ORDER_ALLOWED = (
     "src/util/mpsc_queue.hpp",
-    "src/util/spsc_ring.hpp",
     "src/actor/work_stealing_deque.hpp",
     "src/actor/scheduler.hpp",
     "src/actor/scheduler.cpp",

@@ -29,7 +29,7 @@ ReferenceResult reference_run(const Csr& graph, const Program& program,
     budget = std::min(budget, max_supersteps);
   }
 
-  // Sum-fold programs fold through the exact sum ComputerActor uses, so
+  // Sum-fold programs fold through the exact sum SliceApply uses, so
   // the result does not depend on the order messages arrive in.
   std::optional<SliceSumFold> sums;
   if (program.sum_fold()) {

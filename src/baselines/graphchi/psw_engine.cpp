@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "baselines/graphchi/shard.hpp"
@@ -17,7 +19,7 @@ namespace gpsa {
 
 Result<BaselineResult> PswEngine::run(const EdgeList& graph,
                                       const Program& program,
-                                      const BaselineOptions& options) {
+                                      const BaselineOptions& options) try {
   const VertexId n = graph.num_vertices();
   if (n == 0) {
     return invalid_argument("PswEngine: empty graph");
@@ -195,6 +197,11 @@ Result<BaselineResult> PswEngine::run(const EdgeList& graph,
         const VertexId end = shards.interval_end(q);
         std::vector<Payload> acc(end - begin);
         std::vector<char> touched(end - begin, 0);
+        // Sum-fold programs fold exactly, as the engine's apply does.
+        std::optional<SliceSumFold> sums;
+        if (program.sum_fold()) {
+          sums.emplace().init(begin, end - begin);
+        }
         // Stream only the dirty blocks (GraphChi's block-level shard I/O).
         const auto shard = shards.shard(q);
         for (std::uint64_t b = 0; b < block_flags[q].size(); ++b) {
@@ -207,6 +214,12 @@ Result<BaselineResult> PswEngine::run(const EdgeList& graph,
           for (std::uint64_t i = first; i < last; ++i) {
             const ShardEdge& edge = shard[i];
             if (edge.stamp != stamp) {
+              continue;
+            }
+            if (sums.has_value()) {
+              sums->add(edge.dst, edge.value, [&] {
+                return program.first_update(edge.dst, values[edge.dst]);
+              });
               continue;
             }
             const VertexId local = edge.dst - begin;
@@ -228,6 +241,15 @@ Result<BaselineResult> PswEngine::run(const EdgeList& graph,
             next_scheduled[v] = 1;
           }
         }
+        if (sums.has_value()) {
+          // Activation is decided on the finished sum.
+          sums->finish([&](VertexId v, Payload sum) {
+            if (program.changed(values[v], sum)) {
+              values[v] = sum;
+              next_scheduled[v] = 1;
+            }
+          });
+        }
       }
     });
 
@@ -248,6 +270,9 @@ Result<BaselineResult> PswEngine::run(const EdgeList& graph,
       8 * graph.num_edges() + 4 * static_cast<std::uint64_t>(n);
   out.values = std::move(values);
   return out;
+} catch (const std::exception& e) {
+  // A program hook threw, or a sum left the exact fold's range.
+  return internal_error(std::string("PswEngine: ") + e.what());
 }
 
 }  // namespace gpsa

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <exception>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "platform/file_util.hpp"
@@ -84,7 +86,7 @@ class UpdateStream {
 
 Result<BaselineResult> XStreamEngine::run(const EdgeList& graph,
                                           const Program& program,
-                                          const BaselineOptions& options) {
+                                          const BaselineOptions& options) try {
   const VertexId n = graph.num_vertices();
   if (n == 0) {
     return invalid_argument("XStreamEngine: empty graph");
@@ -205,6 +207,11 @@ Result<BaselineResult> XStreamEngine::run(const EdgeList& graph,
         const VertexId end = boundaries[q + 1];
         std::vector<Payload> acc(end - begin);
         std::vector<char> touched(end - begin, 0);
+        // Sum-fold programs fold exactly, as the engine's apply does.
+        std::optional<SliceSumFold> sums;
+        if (program.sum_fold()) {
+          sums.emplace().init(begin, end - begin);
+        }
         for (unsigned p = 0; p < partitions; ++p) {
           auto updates = spill[p][q].read_all();
           if (!updates.is_ok()) {
@@ -212,6 +219,12 @@ Result<BaselineResult> XStreamEngine::run(const EdgeList& graph,
             continue;
           }
           for (const Update& u : updates.value()) {
+            if (sums.has_value()) {
+              sums->add(u.dst, u.value, [&] {
+                return program.first_update(u.dst, values[u.dst]);
+              });
+              continue;
+            }
             const VertexId local = u.dst - begin;
             if (!touched[local]) {
               touched[local] = 1;
@@ -230,6 +243,15 @@ Result<BaselineResult> XStreamEngine::run(const EdgeList& graph,
             values[v] = acc[local];
             next_active[v] = 1;
           }
+        }
+        if (sums.has_value()) {
+          // Activation is decided on the finished sum.
+          sums->finish([&](VertexId v, Payload sum) {
+            if (program.changed(values[v], sum)) {
+              values[v] = sum;
+              next_active[v] = 1;
+            }
+          });
         }
       }
     });
@@ -258,6 +280,9 @@ Result<BaselineResult> XStreamEngine::run(const EdgeList& graph,
                           8 * avg_updates;
   out.values = std::move(values);
   return out;
+} catch (const std::exception& e) {
+  // A program hook threw, or a sum left the exact fold's range.
+  return internal_error(std::string("XStreamEngine: ") + e.what());
 }
 
 }  // namespace gpsa

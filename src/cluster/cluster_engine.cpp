@@ -83,7 +83,7 @@ Result<ClusterRunResult> ClusterEngine::run(const EdgeList& graph,
   const unsigned nodes = plan.owners.parts();
   std::vector<ClusterNodeState> states(nodes);
   for (unsigned node = 0; node < nodes; ++node) {
-    GPSA_RETURN_IF_ERROR(plan.init_node(node, program, options, states[node]));
+    GPSA_RETURN_IF_ERROR(plan.init_node(node, program, states[node]));
   }
   // A full mesh: links[a][b] is rank a's end of the a-b socketpair.
   std::vector<std::vector<PeerLink>> links(nodes);
@@ -145,21 +145,22 @@ Result<ClusterRunResult> ClusterEngine::run(const EdgeList& graph,
     out.remote_batches += r.remote_batches;
   }
 
-  // End-of-run checkpoint sweep, serial once every rank has joined: bump
-  // every node store's completed-superstep header so a later
-  // validate/recover sees one consistent cluster epoch. Each checkpoint
-  // is an independent flush, so a crash mid-sweep leaves the headers
-  // disagreeing — validate_value_stores detects exactly that.
+  // End-of-run checkpoint sweep of a kept store (scratch files are never
+  // checkpointed), serial once every rank has joined: bump every node
+  // file's completed-superstep header so a later validate/recover sees one
+  // consistent cluster epoch. Each checkpoint is an independent flush, so
+  // a crash mid-sweep leaves the headers disagreeing —
+  // validate_value_stores detects exactly that.
+  if (options.value_store_dir.empty()) {
+    return out;
+  }
   int checkpoints_done = 0;
   for (ClusterNodeState& state : states) {
-    if (!state.file) {
-      continue;
-    }
     if (g_checkpoint_crash_after_flushes >= 0 &&
         checkpoints_done++ == g_checkpoint_crash_after_flushes) {
       ::_exit(0);  // crash injection: die between per-node flushes
     }
-    GPSA_RETURN_IF_ERROR(state.file->checkpoint(out.supersteps));
+    GPSA_RETURN_IF_ERROR(state.values.checkpoint(out.supersteps));
   }
   return out;
 }
@@ -171,9 +172,9 @@ void set_cluster_checkpoint_crash_after_flushes(int flushes) {
 Result<std::uint64_t> ClusterEngine::validate_value_stores(
     const std::string& dir, unsigned num_nodes,
     const std::string& expected_app_tag) {
-  // Nodes with empty vertex slices create no file, so this full-set check
-  // applies to runs where every node owned vertices — which the interval
-  // partitioners guarantee whenever num_vertices >= num_nodes.
+  // The partitioners drop empty slices, so a run over fewer vertices than
+  // nodes leaves fewer files than num_nodes, and this full-set check
+  // rejects it.
   std::uint64_t common = 0;
   bool have_common = false;
   for (unsigned node = 0; node < num_nodes; ++node) {

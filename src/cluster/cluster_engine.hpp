@@ -4,8 +4,8 @@
 //
 // ClusterEngine::run deploys N cluster ranks as threads of one process.
 // Each rank owns a contiguous vertex interval, the matching slice of the
-// CSR, and its own two-column value store (the same slot protocol as
-// storage/value_file.hpp, in memory or one value file per node). The
+// CSR, and its own value file (storage/value_file.hpp), which the
+// engine's apply kernel (core/slice_apply.hpp) folds into. The
 // ranks run the same superstep loop as the rank processes of
 // run_cluster_rank (cluster_net.hpp), connected pairwise by socketpairs
 // instead of TCP, so every node-crossing batch is a real wire frame: the
@@ -31,19 +31,21 @@ struct ClusterOptions {
   /// Vertex-interval assignment across nodes.
   PartitionStrategy partition = PartitionStrategy::kBalancedEdges;
   /// Read by nothing: a rank runs dispatch and apply on its control
-  /// thread, with one transport worker per peer. Kept only because
+  /// thread, and all its transports on one worker. Kept only because
   /// perfbench still sets it; drop it with the next benchmark change.
   unsigned scheduler_workers = 0;
   /// VertexMessages per inter-node batch (matches
   /// EngineOptions::message_batch; see the rationale there).
   std::size_t message_batch = 4096;
   std::uint64_t max_supersteps = 0;  // 0 = program/quiescence only
-  /// When non-empty, each node's two-column value store becomes a real
-  /// on-disk value file at "<value_store_dir>/node<k>.values", constructed
-  /// through the configured I/O backend — the per-node placement a
-  /// distributed deployment would use. Empty keeps the in-memory store.
+  /// Where each node's value file goes. Non-empty: kept at
+  /// "<value_store_dir>/node<k>.values" and checkpointed at the end of the
+  /// run — the per-node placement a distributed deployment would use.
+  /// Empty: in a scratch directory under $TMPDIR, never checkpointed and
+  /// removed after the run.
   std::string value_store_dir;
-  /// Storage I/O configuration for the per-node value files (src/io/).
+  /// Storage I/O configuration: the backend that creates every node's
+  /// value file, kept or scratch (src/io/).
   IoOptions io;
 };
 
@@ -74,8 +76,8 @@ struct ClusterRunResult {
 
 class ClusterEngine {
  public:
-  /// Largest num_nodes run() accepts. Each rank thread brings one
-  /// transport worker per peer and a poller, so threads grow as N².
+  /// Largest num_nodes run() accepts. Each rank thread brings a poller
+  /// and one transport worker, so a run starts 3N threads.
   static constexpr unsigned kMaxNodes = 16;
 
   /// Runs every rank as a thread of this process and returns rank 0's

@@ -1,6 +1,6 @@
-// Socket data plane: rendezvous, transports, superstep barrier, value
-// sync (protocol overview in cluster_net.hpp; bit-identity argument in
-// node_state.hpp). run_rank is the rank body both entry points share
+// Socket data plane: rendezvous, transports, superstep barrier, final
+// value sync (protocol overview in cluster_net.hpp; bit-identity argument
+// in node_state.hpp). run_rank is the rank body both entry points share
 // (cluster_rank.hpp); run_cluster_rank adds the TCP rendezvous.
 //
 // The control thread runs dispatch and apply: it applies its own flushes
@@ -16,8 +16,7 @@
 // coordinator only issues after every rank entered barrier s+1, which
 // requires every rank to have consumed its parity slots for s. Frames on
 // one TCP link arrive in send order, so a link's BATCH frames always
-// precede its end-of-superstep marker, and a rank's Values always precede
-// its SyncRequest on the rank-0 link.
+// precede its end-of-superstep marker.
 //
 // gpsa-lint: locked-notify
 #include "cluster/cluster_net.hpp"
@@ -32,6 +31,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,12 +42,12 @@
 #include "core/message_pool.hpp"
 #include "core/messages.hpp"
 #include "core/ownership.hpp"
+#include "core/slice_apply.hpp"
 #include "graph/csr.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
 #include "net/wire_frame.hpp"
 #include "storage/slot.hpp"
-#include "storage/value_file.hpp"
 #include "util/check.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
@@ -192,7 +192,7 @@ class ControlState {
     return std::move(mirror_);
   }
 
-  /// Rank 0 folding its own updated values into the mirror.
+  /// Rank 0 folding its own final values into the mirror.
   void apply_values_local(const ValueEntries& entries) GPSA_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     apply_entries(entries);
@@ -707,12 +707,10 @@ void send_control(TransportActor* transport, FrameType type,
   transport->send(std::move(msg));
 }
 
-/// Values frames toward rank 0, chunked under the frame payload cap. In
-/// final mode the last chunk carries the final_sync marker (an empty
-/// entry set still sends one marked frame, so the coordinator's count
-/// works for ranks that updated nothing).
-void send_values(TransportActor* transport, std::uint64_t superstep,
-                 bool final_sync, const ValueEntries& entries) {
+/// The final value sync toward rank 0: Values frames chunked under the
+/// frame payload cap, the last one carrying the final_sync marker.
+void send_final_values(TransportActor* transport, std::uint64_t superstep,
+                       const ValueEntries& entries) {
   constexpr std::size_t kMaxEntriesPerFrame = (kMaxFramePayload - 13) / 8;
   std::size_t i = 0;
   do {
@@ -724,7 +722,7 @@ void send_values(TransportActor* transport, std::uint64_t superstep,
                            entries.begin() +
                                static_cast<std::ptrdiff_t>(i + count));
     i += count;
-    payload.final_sync = (final_sync && i >= entries.size()) ? 1 : 0;
+    payload.final_sync = i >= entries.size() ? 1 : 0;
     send_control(transport, FrameType::kValues, payload.encode());
   } while (i < entries.size());
 }
@@ -756,30 +754,13 @@ Status fence_transports(const std::vector<TransportActor*>& transports,
   return Status::ok();
 }
 
-/// (vertex, payload) pairs for every vertex this superstep updated: the
-/// post-apply non-stale slots of the update column (the column was
-/// all-stale entering the superstep — its slots were consumed by the
-/// previous dispatch — so non-stale now means written this superstep).
-ValueEntries updated_entries(const ClusterNodeState& state,
-                             std::uint64_t superstep) {
-  ValueEntries out;
-  const unsigned column = ValueFile::update_column(superstep);
-  for (VertexId v = state.begin; v < state.end; ++v) {
-    const Slot slot = state.load(v, column);
-    if (!slot_is_stale(slot)) {
-      out.emplace_back(v, slot_payload(slot));
-    }
-  }
-  return out;
-}
-
 /// (vertex, payload) pairs for the whole owned slice (final sync).
 ValueEntries latest_entries(const ClusterNodeState& state) {
   ValueEntries out;
   out.reserve(state.end - state.begin);
-  for (VertexId v = state.begin; v < state.end; ++v) {
-    out.emplace_back(
-        v, slot_payload(state.load(v, state.latest[v - state.begin])));
+  for (VertexId i = 0; i < state.end - state.begin; ++i) {
+    out.emplace_back(state.begin + i,
+                     slot_payload(state.values.load(i, state.latest[i])));
   }
   return out;
 }
@@ -827,18 +808,6 @@ Result<ClusterNetOptions> ClusterNetOptions::from_env() {
     }
     net.timeout_ms = static_cast<int>(value);
   }
-  if (const char* sync = std::getenv("GPSA_CLUSTER_VALUE_SYNC")) {
-    const std::string v(sync);
-    if (v == "final") {
-      net.value_sync = ValueSync::kFinal;
-    } else if (v == "superstep") {
-      net.value_sync = ValueSync::kSuperstep;
-    } else {
-      return invalid_argument("GPSA_CLUSTER_VALUE_SYNC must be 'final' or "
-                              "'superstep', got '" +
-                              v + "'");
-    }
-  }
   return net;
 }
 
@@ -856,10 +825,13 @@ Result<ClusterPlan> make_cluster_plan(const EdgeList& graph,
       make_intervals_from_degrees(degrees, parts, options.partition);
   GPSA_CHECK(!intervals.empty());
 
-  std::unique_ptr<IoBackend> backend;
-  if (!options.value_store_dir.empty()) {
-    GPSA_ASSIGN_OR_RETURN(const IoConfig io_config, options.io.resolve());
-    GPSA_ASSIGN_OR_RETURN(backend, IoBackend::create(io_config));
+  GPSA_ASSIGN_OR_RETURN(const IoConfig io_config, options.io.resolve());
+  GPSA_ASSIGN_OR_RETURN(std::unique_ptr<IoBackend> backend,
+                        IoBackend::create(io_config));
+  std::optional<ScratchDir> scratch;
+  if (options.value_store_dir.empty()) {
+    GPSA_ASSIGN_OR_RETURN(scratch, ScratchDir::create("cluster"));
+  } else {
     std::error_code ec;
     std::filesystem::create_directories(options.value_store_dir, ec);
     if (ec) {
@@ -867,23 +839,26 @@ Result<ClusterPlan> make_cluster_plan(const EdgeList& graph,
                       options.value_store_dir + ": " + ec.message());
     }
   }
+  std::string store_dir =
+      scratch.has_value() ? scratch->path() : options.value_store_dir;
 
   std::uint64_t budget = program.max_supersteps();
   if (options.max_supersteps != 0) {
     budget = std::min(budget, options.max_supersteps);
   }
   return ClusterPlan{std::move(csr),
-                     OwnerMap::make_range_from_intervals(intervals), budget,
-                     std::move(backend)};
+                     OwnerMap::make_range_from_intervals(intervals),
+                     budget,
+                     std::move(backend),
+                     std::move(store_dir),
+                     std::move(scratch)};
 }
 
 Status ClusterPlan::init_node(unsigned node, const Program& program,
-                              const ClusterOptions& options,
                               ClusterNodeState& state) const {
-  return state.init(
-      owners.range_begin(node), owners.range_end(node), program,
-      csr.num_vertices(), backend.get(),
-      options.value_store_dir + "/node" + std::to_string(node) + ".values");
+  return state.init(owners.range_begin(node), owners.range_end(node), program,
+                    csr.num_vertices(), *backend,
+                    store_dir + "/node" + std::to_string(node) + ".values");
 }
 
 Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
@@ -920,7 +895,7 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
                             " ranks (graph too small for the rank count?)");
   }
   ClusterNodeState state;
-  GPSA_RETURN_IF_ERROR(plan.init_node(net.rank, program, options, state));
+  GPSA_RETURN_IF_ERROR(plan.init_node(net.rank, program, state));
 
   // The cluster engine builds its CSR in memory, so the storage config
   // every rank runs under is whatever the environment resolves to.
@@ -933,8 +908,8 @@ Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,
       ClusterRunResult result,
       run_rank(plan, program, options, net, std::move(links), state, {}));
   result.elapsed_seconds = timer.elapsed_seconds();
-  if (state.file) {
-    GPSA_RETURN_IF_ERROR(state.file->checkpoint(result.supersteps));
+  if (!options.value_store_dir.empty()) {
+    GPSA_RETURN_IF_ERROR(state.values.checkpoint(result.supersteps));
   }
   return result;
 }
@@ -948,17 +923,15 @@ Result<ClusterRunResult> run_rank(
   MessageBatchPool pool(options.message_batch);
   ControlState ctrl(net.ranks, net.rank, &pool);
   if (net.rank == 0) {
-    std::vector<Payload> mirror(n);
-    for (VertexId v = 0; v < n; ++v) {
-      mirror[v] = program.init(v, n).value;
-    }
-    ctrl.init_mirror(std::move(mirror));
+    // The final value sync overwrites every entry.
+    ctrl.init_mirror(std::vector<Payload>(n));
   }
 
   WireMetrics metrics;
-  // One scheduler worker per transport: a peer slow to drain must never
-  // stall sends toward the others.
-  ActorSystem system(std::max(1u, net.ranks - 1));
+  // One scheduler worker runs every transport of the rank. A send blocked
+  // on a full socket cannot deadlock: every peer's poller drains its end
+  // on a thread of its own.
+  ActorSystem system(1);
   std::vector<TransportActor*> transports(net.ranks, nullptr);
   for (std::uint32_t p = 0; p < net.ranks; ++p) {
     if (p == net.rank) {
@@ -1037,8 +1010,9 @@ Result<ClusterRunResult> run_rank(
 
   NodeDispatchCore core(net.rank, state, plan.csr, program, plan.owners, pool,
                         options.message_batch);
-  const bool superstep_sync =
-      net.value_sync == ClusterNetOptions::ValueSync::kSuperstep;
+  SliceApply slice_apply(state.values, program, state.latest, state.worklist,
+                         /*orig_ids=*/nullptr, /*base=*/state.begin,
+                         state.begin, state.end - state.begin);
 
   struct LoopOutcome {
     std::uint64_t supersteps = 0;
@@ -1066,10 +1040,9 @@ Result<ClusterRunResult> run_rank(
     for (std::uint64_t s = 0;; ++s) {
       std::fill(batches_to.begin(), batches_to.end(), std::uint64_t{0});
       std::fill(messages_to.begin(), messages_to.end(), std::uint64_t{0});
-      std::uint64_t updates = 0;
       auto apply = [&](Batch& batch) {
         out.own_received += batch.size();
-        updates += cluster_apply_batch(state, program, batch, s);
+        slice_apply.apply(batch, s);
         pool.recycle(std::move(batch));
       };
       const NodeDispatchCore::IterationStats stats = core.run_iteration(
@@ -1110,18 +1083,7 @@ Result<ClusterRunResult> run_rank(
       GPSA_RETURN_IF_ERROR(
           ctrl.drain_inbound(s, net.timeout_ms, ready, apply));
       // Every message of the superstep is in: publish the exact sums.
-      updates += cluster_publish_sums(state, program, s);
-      if (superstep_sync) {
-        const ValueEntries entries = updated_entries(state, s);
-        if (net.rank == 0) {
-          ctrl.apply_values_local(entries);
-        } else if (!entries.empty()) {
-          // Before the SyncRequest on the same link: the coordinator's
-          // poller applies them to the mirror before counting the barrier
-          // entry (per-link FIFO).
-          send_values(transports[0], s, /*final_sync=*/false, entries);
-        }
-      }
+      const std::uint64_t updates = slice_apply.finish(s);
       GPSA_RETURN_IF_ERROR(fence_transports(transports, net.timeout_ms));
       const std::uint64_t cur_bytes = metrics.bytes.load();
       const std::uint64_t cur_frames = metrics.frames.load();
@@ -1201,21 +1163,18 @@ Result<ClusterRunResult> run_rank(
   }
   LoopOutcome outcome = std::move(loop_result).value();
 
-  // Final value sync: the mirror catches up on everything the superstep
-  // mode would have streamed (in superstep mode it is already current).
-  if (!superstep_sync) {
-    if (net.rank == 0) {
-      ctrl.apply_values_local(latest_entries(state));
-      if (net.ranks > 1) {
-        const Status synced = ctrl.wait_final_values(net.timeout_ms);
-        if (!synced.is_ok()) {
-          return abort_run(synced);
-        }
+  // Final value sync: every rank's slice lands in rank 0's mirror.
+  if (net.rank == 0) {
+    ctrl.apply_values_local(latest_entries(state));
+    if (net.ranks > 1) {
+      const Status synced = ctrl.wait_final_values(net.timeout_ms);
+      if (!synced.is_ok()) {
+        return abort_run(synced);
       }
-    } else {
-      send_values(transports[0], outcome.supersteps, /*final_sync=*/true,
-                  latest_entries(state));
     }
+  } else {
+    send_final_values(transports[0], outcome.supersteps,
+                      latest_entries(state));
   }
 
   // Quiesce: flush every queued frame, then account the post-barrier tail
@@ -1240,12 +1199,6 @@ Result<ClusterRunResult> run_rank(
   result.superstep_wire_bytes = std::move(outcome.superstep_wire_bytes);
   if (net.rank == 0) {
     result.values = ctrl.take_mirror();
-  } else {
-    result.values.assign(n, Payload{0});
-    for (VertexId v = state.begin; v < state.end; ++v) {
-      result.values[v] =
-          slot_payload(state.load(v, state.latest[v - state.begin]));
-    }
   }
   result.node_messages_sent.assign(net.ranks, 0);
   result.node_messages_received.assign(net.ranks, 0);

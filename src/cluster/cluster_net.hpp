@@ -27,7 +27,6 @@
 //   GPSA_CLUSTER_RANK        this process's rank            [required]
 //   GPSA_CLUSTER_RANKS       total process count            [required]
 //   GPSA_CLUSTER_PORT        rendezvous base port           [29600]
-//   GPSA_CLUSTER_VALUE_SYNC  final | superstep              [final]
 //   GPSA_NET_TIMEOUT_MS      peer-death / barrier deadline  [30000]
 #pragma once
 
@@ -62,13 +61,6 @@ struct ClusterNetOptions {
   /// frames. A peer silent past this is declared dead and the run errors
   /// out cleanly instead of hanging.
   int timeout_ms = 30000;
-  /// When a rank's updated values reach the rank-0 mirror: once after
-  /// halt (kFinal, the default — one bulk sync) or at every superstep
-  /// boundary (kSuperstep — rank 0's mirror tracks the cluster live, the
-  /// delta-sync mode).
-  enum class ValueSync : std::uint8_t { kFinal, kSuperstep };
-  ValueSync value_sync = ValueSync::kFinal;
-
   /// Builds options from the GPSA_CLUSTER_* / GPSA_NET_* environment.
   /// Errors when GPSA_CLUSTER_RANK / GPSA_CLUSTER_RANKS are missing or
   /// inconsistent (rank >= ranks, ranks == 0).
@@ -79,8 +71,8 @@ struct ClusterNetOptions {
 /// `options.num_nodes` is ignored — the partition count is net.ranks, one
 /// node per process. Returns once the cluster halts (converged or budget)
 /// with this rank's view of the result:
-///   - values: rank 0 holds the full, bit-exact value vector (mirror fed
-///     by value sync); other ranks fill only their own slice.
+///   - values: rank 0 holds the full, bit-exact value vector (its mirror,
+///     fed by every rank's slice after halt); other ranks return none.
 ///   - wire metrics: measured at the transports. Rank 0 reports
 ///     cluster-wide totals and the per-superstep series
 ///     aggregated through the barrier; other ranks report their own

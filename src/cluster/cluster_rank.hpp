@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster_engine.hpp"
@@ -19,23 +21,27 @@
 #include "io/io_backend.hpp"
 #include "net/socket.hpp"
 #include "net/wire_frame.hpp"
+#include "platform/file_util.hpp"
 #include "util/status.hpp"
 
 namespace gpsa {
 
 /// What every rank derives identically from the graph: the CSR, the
 /// partition (the OwnerMap doubles as the per-node store layout), the
-/// superstep budget and, for file-backed runs, the value-store backend.
-/// In one process, every rank reads the same plan.
+/// superstep budget, and where the node value files go: the backend that
+/// creates them and their directory — value_store_dir, or else a scratch
+/// directory the plan removes with itself. In one process, every rank
+/// reads the same plan.
 struct ClusterPlan {
   Csr csr;
   OwnerMap owners;
   std::uint64_t budget = 0;
-  std::unique_ptr<IoBackend> backend;  // value_store_dir set only
+  std::unique_ptr<IoBackend> backend;
+  std::string store_dir;
+  std::optional<ScratchDir> scratch;  // value_store_dir empty only
 
-  /// Sets up `node`'s slice, value store, worklist bits and delta memory.
+  /// Sets up `node`'s slice, value file, worklist bits and delta memory.
   Status init_node(unsigned node, const Program& program,
-                   const ClusterOptions& options,
                    ClusterNodeState& state) const;
 };
 

@@ -1,30 +1,27 @@
-// The per-node compute core of a cluster rank (DESIGN.md §14): what
+// The per-node state and dispatch of a cluster rank (DESIGN.md §14): what
 // run_rank (cluster_rank.hpp) runs on its own vertex slice, whichever
 // entry point started it.
 //
-//   1. the node state itself (ClusterNodeState): the two-column slot
-//      protocol, worklist bitmap, delta-dispatch memory and the exact
-//      sum fold;
+//   1. the node state itself (ClusterNodeState): the node's value file
+//      (the two-column slot protocol), worklist bitmap and delta-dispatch
+//      memory;
 //   2. the dispatch loop (NodeDispatchCore): one worklist scan, so a
-//      fixed vertex visit order and fixed batch boundaries;
-//   3. an apply whose result does not depend on arrival order
-//      (cluster_apply_batch): min-style folds are order-free already, and
-//      sum-fold programs add every message to the node's SliceSumFold
-//      (core/program.hpp) — an exact sum — whose rounded value
-//      cluster_publish_sums stores once per superstep, deciding
-//      activation from the whole sum.
+//      fixed vertex visit order and fixed batch boundaries.
 //
-// So batches apply as they arrive, in whatever order the links deliver
-// them, and a cluster run is bit-identical to the single-machine engine
-// and to itself: in one process over socketpairs or across processes
-// over TCP, at any rank count.
+// The apply is the engine's own kernel, SliceApply (core/slice_apply.hpp),
+// over the node's file: its result does not depend on arrival order
+// (min-style folds are order-free already, and sum-fold programs fold
+// exactly, deciding activation from the whole superstep's sum). So
+// batches apply as they arrive, in whatever order the links deliver them,
+// and a cluster run is bit-identical to the single-machine engine and to
+// itself: in one process over socketpairs or across processes over TCP,
+// at any rank count.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,18 +38,19 @@
 
 namespace gpsa {
 
-/// One node's vertex state: the same two-column slot protocol as the
-/// single-machine value file, held in node-local memory — or, when a
-/// value-store directory is configured, in a real per-node value file
-/// constructed through the I/O backend (slots indexed node-locally, so
-/// each file covers exactly the node's slice as it would on a real node).
+/// One node's vertex state: its slice of the graph's values in a value
+/// file of its own, created through the plan's I/O backend with slots
+/// indexed node-locally — the same two-column slot protocol as the
+/// single-machine engine, each file covering exactly the node's slice as
+/// it would on a real node. The node's SliceApply (run_rank) folds into
+/// it; its NodeDispatchCore dispatches from it.
 struct ClusterNodeState {
   VertexId begin = 0;
   VertexId end = 0;
-  std::vector<Slot> columns[2];
+  ValueFile values;
+  /// Which column holds local vertex i's freshest payload.
   std::vector<std::uint8_t> latest;
-  std::optional<ValueFile> file;
-  /// Node-local active bitmap over [0, end-begin). The node's computer
+  /// Node-local active bitmap over [0, end-begin). The node's apply
   /// publishes activations (local index, update column's generation); the
   /// node's dispatcher drains and clears. Activation state never crosses
   /// nodes — the message itself carries it.
@@ -60,150 +58,35 @@ struct ClusterNodeState {
   /// Delta programs: per-local-vertex value as of its last dispatch
   /// (written only by this node's dispatcher). Empty otherwise.
   std::vector<Payload> last_sent;
-  /// Sum-fold programs: the node's exact message sums (written only by
-  /// the node's apply, published at the superstep's end).
-  std::optional<SliceSumFold> sums;
 
-  /// Sets up the slice [begin_vertex, end_vertex) with the program's
-  /// initial values, in memory or, when `backend` is set, in a value file
-  /// created at `path`; then seeds the worklist bits (generation 0 =
-  /// superstep 0's dispatch column) and the delta memory, as the engine
-  /// front-ends do.
+  /// Sets up the non-empty slice [begin_vertex, end_vertex) in a value
+  /// file created at `path` with the program's initial values; then seeds
+  /// the worklist bits (generation 0 = superstep 0's dispatch column) and
+  /// the delta memory, as the engine front-ends do.
   Status init(VertexId begin_vertex, VertexId end_vertex,
               const Program& program, VertexId num_vertices,
-              IoBackend* backend, const std::string& path) {
+              IoBackend& backend, const std::string& path) {
     begin = begin_vertex;
     end = end_vertex;
     const VertexId size = end - begin;
+    GPSA_ASSIGN_OR_RETURN(
+        values, backend.create_value_file(path, size, program.name()));
     latest.assign(size, 0);
     worklist = ActiveBitmap(size);
-    if (program.sum_fold()) {
-      sums.emplace().init(begin, size);
-    }
     if (program.delta_messages()) {
       last_sent.assign(size, Payload{0});
     }
-    if (backend == nullptr) {
-      columns[0].resize(size);
-      columns[1].resize(size);
-    } else if (size > 0) {  // an empty slice owns no file
-      GPSA_ASSIGN_OR_RETURN(
-          ValueFile f, backend->create_value_file(path, size, program.name()));
-      file.emplace(std::move(f));
-    }
-    for (VertexId v = begin; v < end; ++v) {
-      const Program::InitialState st = program.init(v, num_vertices);
-      store(v, 0, make_slot(st.value, !st.active));
-      store(v, 1, make_slot(st.value, true));
+    for (VertexId i = 0; i < size; ++i) {
+      const Program::InitialState st = program.init(begin + i, num_vertices);
+      values.store(i, 0, make_slot(st.value, !st.active));
+      values.store(i, 1, make_slot(st.value, true));
       if (st.active) {
-        worklist.set(v - begin, 0);
+        worklist.set(i, 0);
       }
     }
     return Status::ok();
   }
-
-  Slot load(VertexId v, unsigned column) const {
-    if (file) {
-      return file->load(v - begin, column);
-    }
-    return slot_load_relaxed(columns[column][v - begin]);
-  }
-  void store(VertexId v, unsigned column, Slot value) {
-    if (file) {
-      file->store(v - begin, column, value);
-      return;
-    }
-    slot_store_relaxed(columns[column][v - begin], value);
-  }
-  Slot consume(VertexId v, unsigned column) {
-    if (file) {
-      return file->consume(v - begin, column);
-    }
-    return slot_consume_relaxed(columns[column][v - begin]);
-  }
 };
-
-/// v's first message of the superstep: returns v's freshest stored
-/// payload and makes the update column v's latest.
-inline Payload cluster_first_touch(ClusterNodeState& state, VertexId v,
-                                   unsigned update_col) {
-  const Payload base =
-      slot_payload(state.load(v, state.latest[v - state.begin]));
-  state.latest[v - state.begin] = static_cast<std::uint8_t>(update_col);
-  return base;
-}
-
-/// Applies one batch as it arrives, mirroring ComputerActor's apply. A sum-fold
-/// program's messages only join the node's exact sums
-/// (cluster_publish_sums decides them); any other program folds into the
-/// update column. Returns the number of vertices updated.
-inline std::uint64_t cluster_apply_batch(
-    ClusterNodeState& state, const Program& program,
-    const std::vector<VertexMessage>& batch, std::uint64_t superstep) {
-  const unsigned update_col = ValueFile::update_column(superstep);
-  if (state.sums.has_value()) {
-    for (const VertexMessage& m : batch) {
-      GPSA_DCHECK(m.dst >= state.begin && m.dst < state.end);
-      state.sums->add(m.dst, m.value, [&] {
-        const Payload base = cluster_first_touch(state, m.dst, update_col);
-        // The "negative value" copy, stale until the publish decides.
-        state.store(m.dst, update_col, make_slot(base, /*stale=*/true));
-        return program.first_update(m.dst, base);
-      });
-    }
-    return 0;
-  }
-  std::uint64_t updates = 0;
-  for (const VertexMessage& m : batch) {
-    const VertexId v = m.dst;
-    GPSA_DCHECK(v >= state.begin && v < state.end);
-    const Slot current = state.load(v, update_col);
-    if (!slot_is_stale(current)) {
-      const Payload seed = slot_payload(current);
-      const Payload acc = program.compute(seed, m.value);
-      if (acc != seed) {
-        state.store(v, update_col, make_slot(acc, /*stale=*/false));
-      }
-      continue;
-    }
-    const Payload base = cluster_first_touch(state, v, update_col);
-    const Payload acc =
-        program.compute(program.first_update(v, base), m.value);
-    if (program.changed(base, acc)) {
-      // Slot and worklist bit together, as in ComputerActor::apply.
-      state.store(v, update_col, make_slot(acc, /*stale=*/false));
-      state.worklist.set(v - state.begin, update_col);
-      ++updates;
-    } else {
-      state.store(v, update_col, make_slot(base, /*stale=*/true));
-    }
-  }
-  return updates;
-}
-
-/// End of a superstep's apply, once every batch of it is applied:
-/// activates every vertex whose rounded exact sum counts as changed
-/// against its stored value. Returns the number of updated vertices (0
-/// for programs without sum_fold()).
-inline std::uint64_t cluster_publish_sums(ClusterNodeState& state,
-                                          const Program& program,
-                                          std::uint64_t superstep) {
-  if (!state.sums.has_value()) {
-    return 0;
-  }
-  const unsigned update_col = ValueFile::update_column(superstep);
-  AscendingBitSetter activate(state.worklist, update_col);
-  std::uint64_t updates = 0;
-  state.sums->finish([&](VertexId v, Payload value) {
-    if (program.changed(slot_payload(state.load(v, update_col)), value)) {
-      state.store(v, update_col, make_slot(value, /*stale=*/false));
-      activate.set(v - state.begin);
-      ++updates;
-    }
-  });
-  activate.flush();
-  return updates;
-}
 
 /// The dispatch half of a node's superstep, parameterized over how a
 /// flushed batch travels. Visit order (worklist bits ascending), batch
@@ -256,12 +139,11 @@ class NodeDispatchCore {
         while (bits != 0) {
           const unsigned bit = static_cast<unsigned>(std::countr_zero(bits));
           bits &= bits - 1;
-          const VertexId v = state_.begin +
-                             static_cast<VertexId>(w) * kBitmapWordBits + bit;
-          const Slot slot = state_.load(v, dispatch_col);
+          const VertexId i = static_cast<VertexId>(w) * kBitmapWordBits + bit;
+          const Slot slot = state_.values.load(i, dispatch_col);
           GPSA_DCHECK(!slot_is_stale(slot));
-          dispatch_vertex(v, slot_payload(slot), flush);
-          state_.consume(v, dispatch_col);
+          dispatch_vertex(state_.begin + i, slot_payload(slot), flush);
+          state_.values.consume(i, dispatch_col);
         }
       }
       wl.clear_range(dispatch_col, 0, local_size);

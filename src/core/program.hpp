@@ -172,7 +172,8 @@ inline Payload fixed_to_payload(FixedSum sum) {
 
 /// One vertex slice's exact fold of a superstep's sum-fold messages, the
 /// one implementation every executor of sum_fold() programs shares
-/// (ComputerActor and both cluster engines). add() takes each message as
+/// (SliceApply, which the computers and the cluster ranks run, the
+/// reference and the PSW/X-Stream baselines). add() takes each message as
 /// it arrives, in any order; finish() hands every vertex that received
 /// messages the correctly rounded float of its exact sum once, at the end
 /// of the superstep and in ascending vertex order, and resets it. The

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -16,7 +17,8 @@ namespace gpsa {
 
 /// Calls fn(block_begin, block_end, block_index) for `threads` contiguous
 /// blocks covering [begin, end). fn must be safe to run concurrently on
-/// disjoint blocks.
+/// disjoint blocks. If blocks throw, the first block's exception is
+/// rethrown once every block has finished.
 template <typename Fn>
 void parallel_for_blocks(std::uint64_t begin, std::uint64_t end,
                          unsigned threads, Fn&& fn) {
@@ -31,19 +33,33 @@ void parallel_for_blocks(std::uint64_t begin, std::uint64_t end,
     fn(begin, end, 0U);
     return;
   }
+  std::vector<std::exception_ptr> errors(blocks);
+  auto run_block = [&fn, &errors](std::uint64_t lo, std::uint64_t hi,
+                                  unsigned b) {
+    try {
+      fn(lo, hi, b);
+    } catch (...) {
+      errors[b] = std::current_exception();
+    }
+  };
   std::vector<std::thread> pool;
   pool.reserve(blocks - 1);
   for (unsigned b = 0; b < blocks; ++b) {
     const std::uint64_t lo = begin + total * b / blocks;
     const std::uint64_t hi = begin + total * (b + 1) / blocks;
     if (b + 1 == blocks) {
-      fn(lo, hi, b);  // run the last block inline
+      run_block(lo, hi, b);  // run the last block inline
     } else {
-      pool.emplace_back([&fn, lo, hi, b] { fn(lo, hi, b); });
+      pool.emplace_back([&run_block, lo, hi, b] { run_block(lo, hi, b); });
     }
   }
   for (auto& t : pool) {
     t.join();
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) {
+      std::rethrow_exception(error);
+    }
   }
 }
 

@@ -9,7 +9,7 @@
 //
 // Helper-specific environment:
 //   GPSA_NET_HELPER_PROGRAM   pagerank | pagerank_delta | bfs [pagerank]
-//   GPSA_NET_HELPER_STORE     value-store directory         [in-memory]
+//   GPSA_NET_HELPER_STORE     value-store directory         [scratch]
 //   GPSA_NET_HELPER_SUMMARY   result summary path           [none]
 //   GPSA_NET_HELPER_CRASH_AT  _exit(3) mid-superstep N      [off]
 #include <cstdio>

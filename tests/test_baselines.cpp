@@ -20,7 +20,6 @@ namespace gpsa {
 namespace {
 
 using testing::diamond_graph;
-using testing::expect_float_payloads_near;
 using testing::expect_payloads_equal;
 
 BaselineOptions small_options(unsigned partitions = 3) {
@@ -115,7 +114,7 @@ TEST(PswEngine, PageRankMatchesReference) {
   const auto r = PswEngine::run(g, program, small_options());
   ASSERT_TRUE(r.is_ok());
   const ReferenceResult ref = reference_run(Csr::from_edges(g), program);
-  expect_float_payloads_near(r.value().values, ref.values);
+  expect_payloads_equal(r.value().values, ref.values);
 }
 
 TEST(PswEngine, SsspMatchesOracle) {
@@ -174,7 +173,7 @@ TEST(XStreamEngine, PageRankMatchesReference) {
   const auto r = XStreamEngine::run(g, program, small_options());
   ASSERT_TRUE(r.is_ok());
   const ReferenceResult ref = reference_run(Csr::from_edges(g), program);
-  expect_float_payloads_near(r.value().values, ref.values);
+  expect_payloads_equal(r.value().values, ref.values);
 }
 
 TEST(XStreamEngine, StreamsEveryEdgeEverySuperstep) {
@@ -221,7 +220,7 @@ TEST(XStreamEngine, InMemoryModeMatchesOutOfCore) {
   ASSERT_TRUE(ram.is_ok());
   EXPECT_EQ(ram.value().total_messages, disk.value().total_messages);
   EXPECT_EQ(ram.value().edges_streamed, disk.value().edges_streamed);
-  expect_float_payloads_near(ram.value().values, disk.value().values, 1e-6);
+  expect_payloads_equal(ram.value().values, disk.value().values);
 }
 
 TEST(XStreamEngine, InMemoryBfsExact) {
@@ -232,6 +231,20 @@ TEST(XStreamEngine, InMemoryBfsExact) {
   ASSERT_TRUE(r.is_ok());
   expect_payloads_equal(r.value().values,
                         oracle_bfs_levels(Csr::from_edges(g), 0));
+}
+
+TEST(Baselines, SumFoldOverflowSurfacesAsStatus) {
+  // The overflow throws on a gather thread; the run must return it as a
+  // Status, as the engine does, instead of terminating the process.
+  const testing::OversizedSumProgram program;
+  const auto psw = PswEngine::run(diamond_graph(), program, small_options());
+  ASSERT_FALSE(psw.is_ok());
+  EXPECT_NE(psw.status().message().find("sum fold"), std::string::npos)
+      << psw.status().to_string();
+  const auto xs = XStreamEngine::run(diamond_graph(), program, small_options());
+  ASSERT_FALSE(xs.is_ok());
+  EXPECT_NE(xs.status().message().find("sum fold"), std::string::npos)
+      << xs.status().to_string();
 }
 
 TEST(Baselines, RejectEmptyGraph) {

@@ -8,6 +8,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <string>
+
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
 #include "apps/pagerank.hpp"
@@ -321,6 +325,30 @@ TEST(ClusterCrash, ValidateRejectsWrongAppTagAndMissingNodes) {
   EXPECT_EQ(missing.status().code(), StatusCode::kCorruptData);
 }
 
+TEST(Cluster, ScratchValueFilesAreRemovedAfterTheRun) {
+  // Without value_store_dir every node's value file lives in a scratch
+  // directory under $TMPDIR, gone once the run returns — on success and
+  // on failure alike.
+  auto dir = ScratchDir::create("cluster_tmpdir");
+  ASSERT_TRUE(dir.is_ok());
+  const char* old = std::getenv("TMPDIR");
+  const std::string saved = old != nullptr ? old : "";
+  ASSERT_EQ(::setenv("TMPDIR", dir.value().path().c_str(), 1), 0);
+  ClusterOptions co;
+  co.num_nodes = 3;
+  const auto ok = ClusterEngine::run(rmat(8, 2000, 91), BfsProgram(0), co);
+  const auto failed = ClusterEngine::run(testing::diamond_graph(),
+                                         testing::OversizedSumProgram(), co);
+  if (old != nullptr) {
+    ::setenv("TMPDIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  ASSERT_FALSE(failed.is_ok());
+  EXPECT_TRUE(std::filesystem::is_empty(dir.value().path()));
+}
+
 TEST(Cluster, SumFoldOverflowSurfacesAsStatus) {
   // The overflow throws on a scheduler worker, in a node's apply or in
   // its end-of-superstep publish; the run must return it as a Status
@@ -340,8 +368,8 @@ TEST(Cluster, RejectsBadOptions) {
   ClusterOptions co;
   co.num_nodes = 0;
   EXPECT_FALSE(ClusterEngine::run(graph, BfsProgram(0), co).is_ok());
-  // Rejected before any socket or thread exists: each rank thread
-  // brings a transport worker per peer, so threads grow as N².
+  // Rejected before any socket or thread exists: each rank thread brings
+  // a poller and a transport worker.
   co.num_nodes = ClusterEngine::kMaxNodes + 1;
   const auto too_many = ClusterEngine::run(graph, BfsProgram(0), co);
   ASSERT_FALSE(too_many.is_ok());

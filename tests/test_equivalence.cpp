@@ -27,7 +27,6 @@
 namespace gpsa {
 namespace {
 
-using testing::expect_float_payloads_near;
 using testing::expect_payloads_equal;
 
 struct GraphCase {
@@ -136,8 +135,8 @@ TEST_P(EquivalenceTest, PageRankFiveSupersteps) {
   const ReferenceResult ref = reference_run(Csr::from_edges(graph), program);
   const AllResults all = run_all(graph, program);
   expect_payloads_equal(all.gpsa, ref.values);
-  expect_float_payloads_near(all.psw, ref.values);
-  expect_float_payloads_near(all.xstream, ref.values);
+  expect_payloads_equal(all.psw, ref.values);
+  expect_payloads_equal(all.xstream, ref.values);
   EXPECT_EQ(all.gpsa_messages, ref.total_messages);
   EXPECT_EQ(all.psw_messages, ref.total_messages);
   EXPECT_EQ(all.xstream_messages, ref.total_messages);

@@ -445,39 +445,25 @@ TEST(InboundPoller, StopWakesAnIdlePoller) {
 // Cluster-net options
 
 TEST(ClusterNet, FromEnvParsesAndValidates) {
-  auto with_env = [](const char* rank, const char* ranks, const char* sync,
-                     auto&& check) {
+  auto with_env = [](const char* rank, const char* ranks, auto&& check) {
     ASSERT_EQ(::setenv("GPSA_CLUSTER_RANK", rank, 1), 0);
     ASSERT_EQ(::setenv("GPSA_CLUSTER_RANKS", ranks, 1), 0);
-    if (sync != nullptr) {
-      ASSERT_EQ(::setenv("GPSA_CLUSTER_VALUE_SYNC", sync, 1), 0);
-    }
     check(ClusterNetOptions::from_env());
     ::unsetenv("GPSA_CLUSTER_RANK");
     ::unsetenv("GPSA_CLUSTER_RANKS");
-    ::unsetenv("GPSA_CLUSTER_VALUE_SYNC");
   };
   ::unsetenv("GPSA_CLUSTER_RANK");
   ::unsetenv("GPSA_CLUSTER_RANKS");
   EXPECT_FALSE(ClusterNetOptions::from_env().is_ok()) << "missing env";
-  with_env("2", "4", nullptr, [](const Result<ClusterNetOptions>& net) {
+  with_env("2", "4", [](const Result<ClusterNetOptions>& net) {
     ASSERT_TRUE(net.is_ok()) << net.status().to_string();
     EXPECT_EQ(net.value().rank, 2U);
     EXPECT_EQ(net.value().ranks, 4U);
-    EXPECT_EQ(net.value().value_sync, ClusterNetOptions::ValueSync::kFinal);
   });
-  with_env("0", "2", "superstep", [](const Result<ClusterNetOptions>& net) {
-    ASSERT_TRUE(net.is_ok());
-    EXPECT_EQ(net.value().value_sync,
-              ClusterNetOptions::ValueSync::kSuperstep);
-  });
-  with_env("4", "4", nullptr, [](const Result<ClusterNetOptions>& net) {
+  with_env("4", "4", [](const Result<ClusterNetOptions>& net) {
     EXPECT_FALSE(net.is_ok()) << "rank == ranks accepted";
   });
-  with_env("0", "2", "sometimes", [](const Result<ClusterNetOptions>& net) {
-    EXPECT_FALSE(net.is_ok()) << "bad value-sync mode accepted";
-  });
-  with_env("nope", "2", nullptr, [](const Result<ClusterNetOptions>& net) {
+  with_env("nope", "2", [](const Result<ClusterNetOptions>& net) {
     EXPECT_FALSE(net.is_ok()) << "non-numeric rank accepted";
   });
 }
@@ -552,9 +538,9 @@ struct RankSpec {
   std::uint32_t ranks = 3;
   std::uint16_t port = 0;
   std::string program = "pagerank";
-  std::string store_dir;   // "" = in-memory
-  std::string summary;     // "" = no summary
-  std::string value_sync;  // "" = default (final)
+  std::string store_dir;  // "" = scratch, removed after the run
+  std::string summary;    // "" = no summary
+  std::string tmpdir;     // "" = inherited $TMPDIR
   int timeout_ms = 30000;
   int crash_at = -1;
 };
@@ -577,8 +563,8 @@ pid_t spawn_rank(const RankSpec& spec) {
   if (!spec.summary.empty()) {
     ::setenv("GPSA_NET_HELPER_SUMMARY", spec.summary.c_str(), 1);
   }
-  if (!spec.value_sync.empty()) {
-    ::setenv("GPSA_CLUSTER_VALUE_SYNC", spec.value_sync.c_str(), 1);
+  if (!spec.tmpdir.empty()) {
+    ::setenv("TMPDIR", spec.tmpdir.c_str(), 1);
   }
   if (spec.crash_at >= 0) {
     ::setenv("GPSA_NET_HELPER_CRASH_AT", std::to_string(spec.crash_at).c_str(),
@@ -699,45 +685,13 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(param_info.param);
     });
 
-TEST(ClusterNetProcess, SuperstepValueSyncTracksTheClusterLive) {
-  // Delta-sync mode: rank 0's mirror is fed every superstep instead of
-  // once at the end — the final vector must come out the same.
-  const std::uint32_t kRanks = 3;
-  auto dir = ScratchDir::create("cluster_net_sync");
-  ASSERT_TRUE(dir.is_ok());
-  const EdgeList graph = rmat(8, 2000, 91);
-  const PageRankProgram program(5);
-  ClusterOptions run_options;
-  run_options.num_nodes = kRanks;
-  const auto in_process = ClusterEngine::run(graph, program, run_options);
-  ASSERT_TRUE(in_process.is_ok());
-
-  const std::uint16_t port = next_port();
-  std::vector<pid_t> pids;
-  for (std::uint32_t rank = 0; rank < kRanks; ++rank) {
-    RankSpec spec;
-    spec.rank = rank;
-    spec.ranks = kRanks;
-    spec.port = port;
-    spec.value_sync = "superstep";
-    spec.summary = dir.value().file("rank" + std::to_string(rank) + ".summary");
-    pids.push_back(spawn_rank(spec));
-  }
-  for (std::uint32_t rank = 0; rank < kRanks; ++rank) {
-    EXPECT_EQ(wait_exit_code(pids[rank]), 0) << "rank " << rank;
-  }
-  const auto summary = parse_summary(dir.value().file("rank0.summary"));
-  ASSERT_EQ(summary.count("values"), 1U);
-  expect_payloads_equal(
-      std::vector<Payload>(summary.at("values").begin(),
-                           summary.at("values").end()),
-      in_process.value().values);
-}
-
 TEST(ClusterNetProcess, DeadPeerSurfacesAsErrorNotHang) {
   // Rank 1 _exit()s mid-superstep, after dispatching but before its
   // end-of-superstep marker. The survivors must fail within the network
-  // timeout — never hang in the barrier.
+  // timeout — never hang in the barrier. The crashed rank leaves its
+  // scratch value file behind, inside a directory this test removes.
+  auto dir = ScratchDir::create("cluster_net_dead");
+  ASSERT_TRUE(dir.is_ok());
   const std::uint32_t kRanks = 3;
   const std::uint16_t port = next_port();
   const auto started = std::chrono::steady_clock::now();
@@ -750,6 +704,7 @@ TEST(ClusterNetProcess, DeadPeerSurfacesAsErrorNotHang) {
     spec.program = "bfs";
     spec.timeout_ms = 5000;
     spec.crash_at = rank == 1 ? 1 : -1;
+    spec.tmpdir = dir.value().path();
     pids.push_back(spawn_rank(spec));
   }
   EXPECT_EQ(wait_exit_code(pids[1]), 3) << "crash injection did not fire";

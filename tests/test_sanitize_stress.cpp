@@ -47,7 +47,6 @@
 #include "storage/value_file.hpp"
 #include "util/mpsc_queue.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace gpsa {
 namespace {
@@ -173,29 +172,6 @@ TEST(MpscPark, MoveOnlyPayloadsUnderContentionFreeCleanly) {
     t.join();
   }
   queue.reset();  // drains remaining nodes; LSan checks nothing leaks
-}
-
-TEST(SpscPressure, RingSlotHandoffUnderProducerConsumerRace) {
-  // Companion for the ring substrate: heap payloads streamed through a
-  // tiny ring. The try_pop slot reset keeps at most `capacity` live
-  // allocations pinned; LSan/ASan verify the hand-off.
-  constexpr int kTotal = 20'000 / kScaleDivisor;
-  SpscRing<std::unique_ptr<int>> ring(8);
-  std::thread producer([&ring] {
-    for (int i = 0; i < kTotal;) {
-      if (ring.try_push(std::make_unique<int>(i))) {
-        ++i;
-      }
-    }
-  });
-  for (int expected = 0; expected < kTotal;) {
-    if (auto v = ring.try_pop()) {
-      ASSERT_NE(*v, nullptr);
-      ASSERT_EQ(**v, expected);
-      ++expected;
-    }
-  }
-  producer.join();
 }
 
 // --- 2. Two-column flip ------------------------------------------------------

@@ -18,7 +18,6 @@
 namespace gpsa {
 namespace {
 
-using testing::expect_float_payloads_near;
 using testing::expect_payloads_equal;
 
 TEST(Stress, TwoThousandSuperstepsOnAChain) {
@@ -87,11 +86,11 @@ TEST(Stress, LargerRmatAllEnginesAgree) {
   bo.partitions = 6;
   const auto psw = PswEngine::run(graph, program, bo);
   ASSERT_TRUE(psw.is_ok());
-  expect_float_payloads_near(psw.value().values, ref.values);
+  expect_payloads_equal(psw.value().values, ref.values);
 
   const auto xs = XStreamEngine::run(graph, program, bo);
   ASSERT_TRUE(xs.is_ok());
-  expect_float_payloads_near(xs.value().values, ref.values);
+  expect_payloads_equal(xs.value().values, ref.values);
 }
 
 TEST(Stress, SixteenNodeCluster) {

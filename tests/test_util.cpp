@@ -8,7 +8,6 @@
 #include "util/config.hpp"
 #include "util/mpsc_queue.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_ring.hpp"
 #include "util/stats.hpp"
 #include "util/status.hpp"
 
@@ -231,45 +230,6 @@ TEST(MpscQueue, MoveOnlyPayloads) {
   auto v = q.try_pop();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(**v, 5);
-}
-
-// --- SpscRing ----------------------------------------------------------------
-
-TEST(SpscRing, CapacityRoundedToPowerOfTwo) {
-  SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8U);
-}
-
-TEST(SpscRing, FullAndEmptyConditions) {
-  SpscRing<int> ring(2);
-  EXPECT_FALSE(ring.try_pop().has_value());
-  EXPECT_TRUE(ring.try_push(1));
-  EXPECT_TRUE(ring.try_push(2));
-  EXPECT_FALSE(ring.try_push(3));  // full at capacity 2
-  EXPECT_EQ(*ring.try_pop(), 1);
-  EXPECT_TRUE(ring.try_push(3));
-  EXPECT_EQ(*ring.try_pop(), 2);
-  EXPECT_EQ(*ring.try_pop(), 3);
-  EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-TEST(SpscRing, ConcurrentStreamPreservesOrder) {
-  SpscRing<int> ring(64);
-  constexpr int kTotal = 100'000;
-  std::thread producer([&] {
-    for (int i = 0; i < kTotal;) {
-      if (ring.try_push(i)) {
-        ++i;
-      }
-    }
-  });
-  for (int expected = 0; expected < kTotal;) {
-    if (auto v = ring.try_pop()) {
-      ASSERT_EQ(*v, expected);
-      ++expected;
-    }
-  }
-  producer.join();
 }
 
 }  // namespace
