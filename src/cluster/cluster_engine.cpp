@@ -134,16 +134,9 @@ Result<ClusterRunResult> ClusterEngine::run(const EdgeList& graph,
     }
   }
 
-  // Rank 0's view, plus every rank's own load counters.
+  // Every rank holds the same counters; rank 0 also holds the values.
   ClusterRunResult out = std::move(results[0]).value();
   out.elapsed_seconds = timer.elapsed_seconds();
-  for (unsigned node = 1; node < nodes; ++node) {
-    const ClusterRunResult& r = results[node].value();
-    out.node_messages_sent[node] = r.node_messages_sent[node];
-    out.node_messages_received[node] = r.node_messages_received[node];
-    out.remote_messages += r.remote_messages;
-    out.remote_batches += r.remote_batches;
-  }
 
   // End-of-run checkpoint sweep of a kept store (scratch files are never
   // checkpointed), serial once every rank has joined: bump every node

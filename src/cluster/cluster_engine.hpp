@@ -49,20 +49,28 @@ struct ClusterOptions {
   IoOptions io;
 };
 
+/// A cluster run's result. Every rank derives the loop counters from the
+/// same end-of-superstep rows, so every rank reports the same cluster-wide
+/// values; only `values` and the final value sync's share of the wire
+/// totals differ by rank (run_cluster_rank's contract).
 struct ClusterRunResult {
   std::uint64_t supersteps = 0;
   std::uint64_t total_messages = 0;
-  std::uint64_t remote_messages = 0;  // crossed a node boundary
+  /// Messages and batches that crossed a node boundary, all nodes.
+  std::uint64_t remote_messages = 0;
   std::uint64_t remote_batches = 0;
   double elapsed_seconds = 0.0;
-  /// Wire traffic measured at the transports, control frames included:
-  /// rank 0's view, aggregated cluster-wide through the superstep
-  /// barriers (a non-zero rank process reports its own share).
+  /// Wire traffic, control frames included, counted as frames are handed
+  /// to the transports (header plus payload): every rank's supersteps,
+  /// plus the final value sync's frames this rank sent or, on rank 0,
+  /// received.
   std::uint64_t bytes_on_wire = 0;
   std::uint64_t frames_sent = 0;
-  /// Wire bytes attributed to each superstep (index = superstep).
+  /// Wire bytes every rank framed in each superstep (index = superstep).
   std::vector<std::uint64_t> superstep_wire_bytes;
   bool converged = false;
+  /// The full value vector on rank 0 (and from ClusterEngine::run); empty
+  /// on any other rank.
   std::vector<Payload> values;
   /// Messages *sent* by each node (dispatch-side load).
   std::vector<std::uint64_t> node_messages_sent;
@@ -81,7 +89,7 @@ class ClusterEngine {
   static constexpr unsigned kMaxNodes = 16;
 
   /// Runs every rank as a thread of this process and returns rank 0's
-  /// view (values, totals, wire series) with every rank's load counters.
+  /// result: the values, the cluster-wide counters and the wire totals.
   static Result<ClusterRunResult> run(const EdgeList& graph,
                                       const Program& program,
                                       const ClusterOptions& options);

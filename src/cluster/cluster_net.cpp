@@ -9,14 +9,19 @@
 // wait on the job path is a timed tick: every wait ends on an event (a
 // frame, a fence, the poller's eventfd) or on the peer-death deadline.
 //
+// The barrier is END_OF_SUPERSTEP alone. A rank sends the same EOS(s) to
+// every peer: its row of the superstep's send matrix and the wire traffic
+// it framed. Once it has drained every peer's EOS(s) it holds the whole
+// matrix, and derives the halt decision and every cluster-wide counter
+// from it exactly as every other rank does; no rank coordinates.
+//
 // Interleave safety: all cross-rank per-superstep state below is indexed
 // by superstep parity (s % 2) and reset when consumed. That is race-free
-// because the barrier orders supersteps two deep — a peer can only send
-// superstep s+2 traffic after receiving release(s+1), which the
-// coordinator only issues after every rank entered barrier s+1, which
-// requires every rank to have consumed its parity slots for s. Frames on
-// one TCP link arrive in send order, so a link's BATCH frames always
-// precede its end-of-superstep marker.
+// because a peer runs at most one superstep ahead: it sends superstep s+2
+// traffic only after it drained s+1, which needs my EOS(s+1), which I
+// send only after I have drained s and reset its slots. Frames on one
+// link arrive in send order, so a link's BATCH frames always precede its
+// end-of-superstep marker.
 //
 // gpsa-lint: locked-notify
 #include "cluster/cluster_net.hpp"
@@ -90,10 +95,6 @@ namespace {
 // only in a freshly forked, single-threaded test child).
 int g_net_crash_at_superstep = -1;
 
-/// SyncRelease.superstep value of the rank-0 GO broadcast that opens
-/// superstep 0 once the whole mesh is connected.
-constexpr std::uint64_t kGoSentinel = ~std::uint64_t{0};
-
 using ValueEntries = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 using Batch = std::vector<VertexMessage>;
 
@@ -165,12 +166,15 @@ Status send_frame_direct(const Socket& socket, std::uint16_t version,
   return send_all(socket, wire.data(), wire.size(), timeout_ms);
 }
 
-/// What the coordinator aggregates out of the peers' SyncRequests.
-struct SyncAggregate {
-  std::uint64_t messages = 0;
-  std::uint64_t updates = 0;
-  std::uint64_t wire_bytes = 0;
-  std::uint64_t wire_frames = 0;
+/// Frames and the bytes they put on the wire, by the transport's own
+/// formula: the frame header plus the payload.
+struct Traffic {
+  std::uint64_t bytes = 0;
+  std::uint64_t frames = 0;
+  void add(std::size_t payload_len) {
+    bytes += kFrameHeaderSize + payload_len;
+    frames += 1;
+  }
 };
 
 /// All cross-thread state of a rank's control loop: the inbound frame
@@ -201,9 +205,9 @@ class ControlState {
 
   /// InboundPoller error handler: `peer`'s link is gone (EOF, reset or
   /// decode poisoning). Fatal only to waits that still need something
-  /// from that peer (wait_error): after the last barrier a rank closes
-  /// its links as soon as it is done, while a slower rank may still wait
-  /// for rank 0's release or rank 0 for its final values.
+  /// from that peer (wait_error): a rank closes its links as soon as it
+  /// is done, while a slower rank may still drain the last superstep or
+  /// rank 0 wait for the final values.
   void peer_lost(std::uint32_t peer, Status status) GPSA_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     if (peers_[peer].lost.is_ok()) {
@@ -227,7 +231,7 @@ class ControlState {
         handle_batch(peer, frame);
         break;
       case FrameType::kEndOfSuperstep: {
-        auto pl = EndOfSuperstepPayload::decode(frame.payload);
+        auto pl = EndOfSuperstepPayload::decode(frame.payload, ranks_);
         if (!pl.is_ok()) {
           fail_locked(pl.status());
           break;
@@ -235,45 +239,7 @@ class ControlState {
         PeerSlot& slot = peers_[peer];
         const unsigned q = pl.value().superstep & 1;
         slot.eos[q] = true;
-        slot.eos_payload[q] = pl.value();
-        break;
-      }
-      case FrameType::kSyncRequest: {
-        auto pl = SyncRequestPayload::decode(frame.payload);
-        if (!pl.is_ok()) {
-          fail_locked(pl.status());
-          break;
-        }
-        const unsigned q = pl.value().superstep & 1;
-        CoordSlot& slot = coord_[q];
-        if (slot.count > 0 && slot.superstep != pl.value().superstep) {
-          fail_locked(internal_error(
-              "barrier protocol violation: SyncRequest for superstep " +
-              std::to_string(pl.value().superstep) + " while aggregating " +
-              std::to_string(slot.superstep)));
-          break;
-        }
-        slot.superstep = pl.value().superstep;
-        slot.count += 1;
-        slot.agg.messages += pl.value().messages_sent;
-        slot.agg.updates += pl.value().updates;
-        slot.agg.wire_bytes += pl.value().wire_bytes;
-        slot.agg.wire_frames += pl.value().wire_frames;
-        break;
-      }
-      case FrameType::kSyncRelease: {
-        auto pl = SyncReleasePayload::decode(frame.payload);
-        if (!pl.is_ok()) {
-          fail_locked(pl.status());
-          break;
-        }
-        if (pl.value().superstep == kGoSentinel) {
-          go_ = true;
-          break;
-        }
-        const unsigned q = pl.value().superstep & 1;
-        released_[q] = true;
-        release_[q] = pl.value();
+        slot.eos_payload[q] = std::move(pl).value();
         break;
       }
       case FrameType::kValues: {
@@ -283,6 +249,7 @@ class ControlState {
           break;
         }
         apply_entries(pl.value().entries);
+        final_sync_.add(frame.payload.size());
         if (pl.value().final_sync != 0) {
           peers_[peer].final_values = true;
         }
@@ -304,23 +271,6 @@ class ControlState {
     cv_.notify_all();
   }
 
-  /// Waits for the rank-0 GO broadcast.
-  Status wait_go(int timeout_ms) GPSA_EXCLUDES(mutex_) {
-    Deadline deadline(timeout_ms);
-    MutexLock lock(mutex_);
-    for (;;) {
-      if (go_) {
-        return Status::ok();
-      }
-      GPSA_RETURN_IF_ERROR(wait_error(rank_zero));
-      const int remaining = deadline.remaining_ms();
-      if (remaining <= 0) {
-        return io_error("timed out waiting for the cluster GO broadcast");
-      }
-      cv_.wait_for_ms(lock, remaining);
-    }
-  }
-
   /// Moves the superstep-`superstep` batches that have arrived so far
   /// into `out` (which must be empty) without waiting.
   void take_inbound(std::uint64_t superstep, std::vector<Batch>& out)
@@ -332,12 +282,19 @@ class ControlState {
   /// Hands every superstep-`superstep` batch to `apply` as it arrives
   /// (outside the lock; `ready` is the caller's empty scratch queue) until
   /// every peer's traffic for it is complete — EOS received, frame and
-  /// message counts matching — then resets the parity slots.
+  /// message counts matching — then moves each peer's EOS to
+  /// `rows[peer]` and resets the parity slots. Only the loss of a peer
+  /// that still owes traffic fails the drain: one that has delivered may
+  /// halt and close its links before this rank is done.
   template <typename Apply>
   Status drain_inbound(std::uint64_t superstep, int timeout_ms,
-                       std::vector<Batch>& ready, Apply&& apply)
-      GPSA_EXCLUDES(mutex_) {
+                       std::vector<Batch>& ready,
+                       std::vector<EndOfSuperstepPayload>& rows,
+                       Apply&& apply) GPSA_EXCLUDES(mutex_) {
     const unsigned q = superstep & 1;
+    auto owing = [this, q](std::uint32_t, const PeerSlot& slot) {
+      return !delivered(slot, q);
+    };
     Deadline deadline(timeout_ms);
     for (;;) {
       bool complete = false;
@@ -348,7 +305,7 @@ class ControlState {
           if (complete || !inbound_[q].empty()) {
             break;
           }
-          GPSA_RETURN_IF_ERROR(wait_error(every_peer));
+          GPSA_RETURN_IF_ERROR(wait_error(owing));
           const int remaining = deadline.remaining_ms();
           if (remaining <= 0) {
             return io_error("timed out waiting for superstep " +
@@ -359,7 +316,11 @@ class ControlState {
         }
         ready.swap(inbound_[q]);
         if (complete) {
-          for (PeerSlot& slot : peers_) {
+          for (std::uint32_t p = 0; p < ranks_; ++p) {
+            PeerSlot& slot = peers_[p];
+            if (p != self_) {
+              rows[p] = std::move(slot.eos_payload[q]);
+            }
             slot.eos[q] = false;
             slot.batches[q] = 0;
             slot.messages[q] = 0;
@@ -376,65 +337,9 @@ class ControlState {
     }
   }
 
-  /// Coordinator: waits for every peer's barrier entry for `superstep`,
-  /// returns the aggregate, resets the parity slot.
-  Status wait_sync_requests(std::uint64_t superstep, int timeout_ms,
-                            SyncAggregate& out) GPSA_EXCLUDES(mutex_) {
-    const unsigned q = superstep & 1;
-    Deadline deadline(timeout_ms);
-    MutexLock lock(mutex_);
-    for (;;) {
-      if (coord_[q].count == ranks_ - 1) {
-        if (coord_[q].superstep != superstep) {
-          return internal_error("barrier protocol violation: aggregated "
-                                "superstep " +
-                                std::to_string(coord_[q].superstep) +
-                                " in the parity slot of " +
-                                std::to_string(superstep));
-        }
-        break;
-      }
-      GPSA_RETURN_IF_ERROR(wait_error(every_peer));
-      const int remaining = deadline.remaining_ms();
-      if (remaining <= 0) {
-        return io_error("timed out waiting for barrier entries of superstep " +
-                        std::to_string(superstep) +
-                        " (peer dead or stalled?)");
-      }
-      cv_.wait_for_ms(lock, remaining);
-    }
-    out = coord_[q].agg;
-    coord_[q] = CoordSlot{};
-    return Status::ok();
-  }
-
-  /// Non-coordinator: waits for the coordinator's release of `superstep`.
-  Status wait_release(std::uint64_t superstep, int timeout_ms,
-                      SyncReleasePayload& out) GPSA_EXCLUDES(mutex_) {
-    const unsigned q = superstep & 1;
-    Deadline deadline(timeout_ms);
-    MutexLock lock(mutex_);
-    for (;;) {
-      if (released_[q] && release_[q].superstep == superstep) {
-        break;
-      }
-      GPSA_RETURN_IF_ERROR(wait_error(rank_zero));
-      const int remaining = deadline.remaining_ms();
-      if (remaining <= 0) {
-        return io_error("timed out waiting for the barrier release of "
-                        "superstep " +
-                        std::to_string(superstep) + " (coordinator dead?)");
-      }
-      cv_.wait_for_ms(lock, remaining);
-    }
-    out = release_[q];
-    released_[q] = false;
-    return Status::ok();
-  }
-
-  /// Coordinator, final value sync: waits until every peer delivered its
-  /// final_sync-marked Values frame.
-  Status wait_final_values(int timeout_ms) GPSA_EXCLUDES(mutex_) {
+  /// Rank 0, final value sync: waits until every peer delivered its
+  /// final_sync-marked Values frame; returns the frames received.
+  Result<Traffic> wait_final_values(int timeout_ms) GPSA_EXCLUDES(mutex_) {
     Deadline deadline(timeout_ms);
     MutexLock lock(mutex_);
     // Peers still owing their final Values frame.
@@ -447,7 +352,7 @@ class ControlState {
         done = done && (p == self_ || peers_[p].final_values);
       }
       if (done) {
-        return Status::ok();
+        return final_sync_;
       }
       GPSA_RETURN_IF_ERROR(wait_error(owing));
       const int remaining = deadline.remaining_ms();
@@ -471,18 +376,17 @@ class ControlState {
     Status lost;
   };
 
-  // Peer selectors for wait_error.
-  static bool every_peer(std::uint32_t /*peer*/, const PeerSlot& /*slot*/) {
-    return true;
+  /// Whether `slot`'s peer has delivered all its traffic for parity `q`:
+  /// its EOS, and as many batches and messages as its row says it sent
+  /// this rank.
+  bool delivered(const PeerSlot& slot, unsigned q) const {
+    if (!slot.eos[q]) {
+      return false;
+    }
+    const EndOfSuperstepPayload::Cell& sent = slot.eos_payload[q].row[self_];
+    return slot.batches[q] == sent.batch_frames &&
+           slot.messages[q] == sent.messages;
   }
-  static bool rank_zero(std::uint32_t peer, const PeerSlot& /*slot*/) {
-    return peer == 0;
-  }
-  struct CoordSlot {
-    std::uint64_t superstep = 0;
-    std::uint32_t count = 0;
-    SyncAggregate agg;
-  };
 
   /// What a wait that still needs something from the peers `needs`
   /// selects fails with: the run-wide error, else the first such peer's
@@ -509,18 +413,14 @@ class ControlState {
         continue;
       }
       const PeerSlot& slot = peers_[p];
-      if (!slot.eos[q]) {
-        return false;
-      }
-      if (slot.eos_payload[q].superstep != superstep) {
+      if (slot.eos[q] && slot.eos_payload[q].superstep != superstep) {
         return internal_error(
             "superstep protocol violation: end-of-superstep " +
             std::to_string(slot.eos_payload[q].superstep) +
             " in the parity slot of " + std::to_string(superstep));
       }
-      if (slot.batches[q] != slot.eos_payload[q].batch_frames ||
-          slot.messages[q] != slot.eos_payload[q].messages) {
-        return false;  // frames still in flight on that link
+      if (!delivered(slot, q)) {
+        return false;  // EOS or frames still in flight on that link
       }
     }
     return true;
@@ -574,11 +474,9 @@ class ControlState {
   std::vector<PeerSlot> peers_ GPSA_GUARDED_BY(mutex_);  // [rank]; self unused
   /// Received batches not yet taken by the control thread, per parity.
   std::vector<Batch> inbound_[2] GPSA_GUARDED_BY(mutex_);
-  CoordSlot coord_[2] GPSA_GUARDED_BY(mutex_);
-  bool released_[2] GPSA_GUARDED_BY(mutex_) = {false, false};
-  SyncReleasePayload release_[2] GPSA_GUARDED_BY(mutex_);
-  bool go_ GPSA_GUARDED_BY(mutex_) = false;
   std::vector<Payload> mirror_ GPSA_GUARDED_BY(mutex_);
+  /// Values frames received (rank 0's share of the final value sync).
+  Traffic final_sync_ GPSA_GUARDED_BY(mutex_);
   Status error_ GPSA_GUARDED_BY(mutex_);
 };
 
@@ -709,8 +607,10 @@ void send_control(TransportActor* transport, FrameType type,
 
 /// The final value sync toward rank 0: Values frames chunked under the
 /// frame payload cap, the last one carrying the final_sync marker.
-void send_final_values(TransportActor* transport, std::uint64_t superstep,
-                       const ValueEntries& entries) {
+/// Returns the frames sent.
+Traffic send_final_values(TransportActor* transport, std::uint64_t superstep,
+                          const ValueEntries& entries) {
+  Traffic sent;
   constexpr std::size_t kMaxEntriesPerFrame = (kMaxFramePayload - 13) / 8;
   std::size_t i = 0;
   do {
@@ -723,8 +623,11 @@ void send_final_values(TransportActor* transport, std::uint64_t superstep,
                                static_cast<std::ptrdiff_t>(i + count));
     i += count;
     payload.final_sync = i >= entries.size() ? 1 : 0;
-    send_control(transport, FrameType::kValues, payload.encode());
+    std::vector<std::uint8_t> bytes = payload.encode();
+    sent.add(bytes.size());
+    send_control(transport, FrameType::kValues, std::move(bytes));
   } while (i < entries.size());
+  return sent;
 }
 
 /// Blocks until every frame queued on every transport has reached the
@@ -920,27 +823,26 @@ Result<ClusterRunResult> run_rank(
     std::vector<PeerLink> links, ClusterNodeState& state,
     const std::function<void(const Status&)>& on_abort) {
   const VertexId n = plan.csr.num_vertices();
+  const std::uint32_t ranks = net.ranks;
   MessageBatchPool pool(options.message_batch);
-  ControlState ctrl(net.ranks, net.rank, &pool);
+  ControlState ctrl(ranks, net.rank, &pool);
   if (net.rank == 0) {
     // The final value sync overwrites every entry.
     ctrl.init_mirror(std::vector<Payload>(n));
   }
 
-  WireMetrics metrics;
   // One scheduler worker runs every transport of the rank. A send blocked
   // on a full socket cannot deadlock: every peer's poller drains its end
   // on a thread of its own.
   ActorSystem system(1);
-  std::vector<TransportActor*> transports(net.ranks, nullptr);
-  for (std::uint32_t p = 0; p < net.ranks; ++p) {
+  std::vector<TransportActor*> transports(ranks, nullptr);
+  for (std::uint32_t p = 0; p < ranks; ++p) {
     if (p == net.rank) {
       continue;
     }
     transports[p] = system.spawn<TransportActor>(
         static_cast<std::uint16_t>(net.rank), links[p].version,
-        &links[p].socket, &pool, &metrics, net.timeout_ms,
-        [&ctrl, p](Status status) {
+        &links[p].socket, &pool, net.timeout_ms, [&ctrl, p](Status status) {
           ctrl.fail(failed_precondition(
               "send to peer rank " + std::to_string(p) + " failed: " +
               status.message()));
@@ -948,7 +850,7 @@ Result<ClusterRunResult> run_rank(
   }
 
   std::vector<InboundPoller::Peer> poll_peers;
-  for (std::uint32_t p = 0; p < net.ranks; ++p) {
+  for (std::uint32_t p = 0; p < ranks; ++p) {
     if (p == net.rank) {
       continue;
     }
@@ -993,65 +895,41 @@ Result<ClusterRunResult> run_rank(
     return abort_run(poller_started);
   }
 
-  // GO: rank 0's rendezvous finishing means every rank reached rank 0,
-  // and a rank only proceeds once its own links are also up.
-  if (net.rank == 0) {
-    SyncReleasePayload go;
-    go.superstep = kGoSentinel;
-    for (std::uint32_t p = 1; p < net.ranks; ++p) {
-      send_control(transports[p], FrameType::kSyncRelease, go.encode());
-    }
-  } else {
-    const Status go = ctrl.wait_go(net.timeout_ms);
-    if (!go.is_ok()) {
-      return abort_run(go);
-    }
-  }
-
-  NodeDispatchCore core(net.rank, state, plan.csr, program, plan.owners, pool,
+  NodeDispatchCore core(state, plan.csr, program, plan.owners, pool,
                         options.message_batch);
   SliceApply slice_apply(state.values, program, state.latest, state.worklist,
                          /*orig_ids=*/nullptr, /*base=*/state.begin,
                          state.begin, state.end - state.begin);
 
-  struct LoopOutcome {
-    std::uint64_t supersteps = 0;
-    std::uint64_t total_messages = 0;
-    bool converged = false;
-    std::uint64_t own_messages = 0;
-    std::uint64_t own_received = 0;
-    std::uint64_t remote_messages = 0;
-    std::uint64_t remote_batches = 0;
-    std::uint64_t bytes_on_wire = 0;
-    std::uint64_t frames_sent = 0;
-    std::vector<std::uint64_t> superstep_wire_bytes;
-  };
-  std::vector<std::uint64_t> batches_to(net.ranks, 0);
-  std::vector<std::uint64_t> messages_to(net.ranks, 0);
+  ClusterRunResult result;
+  result.node_messages_sent.assign(ranks, 0);
+  result.node_messages_received.assign(ranks, 0);
+  // The superstep's send matrix: rows[r] is rank r's EOS, this rank's own
+  // included.
+  std::vector<EndOfSuperstepPayload> rows(ranks);
   std::vector<Batch> ready;  // scratch queue of arrived remote batches
-  std::uint64_t prev_bytes = 0;
-  std::uint64_t prev_frames = 0;
 
-  auto run_loop = [&]() -> Result<LoopOutcome> {
-    LoopOutcome out;
+  auto run_loop = [&]() -> Status {
     if (plan.budget == 0) {
-      return out;  // every rank computes this identically — no barrier
+      return Status::ok();  // every rank computes this identically
     }
     for (std::uint64_t s = 0;; ++s) {
-      std::fill(batches_to.begin(), batches_to.end(), std::uint64_t{0});
-      std::fill(messages_to.begin(), messages_to.end(), std::uint64_t{0});
+      EndOfSuperstepPayload& own = rows[net.rank];
+      own.superstep = s;
+      own.row.assign(ranks, EndOfSuperstepPayload::Cell{});
+      Traffic framed;  // what this rank puts on the wire this superstep
       auto apply = [&](Batch& batch) {
-        out.own_received += batch.size();
         slice_apply.apply(batch, s);
         pool.recycle(std::move(batch));
       };
-      const NodeDispatchCore::IterationStats stats = core.run_iteration(
+      core.run_iteration(
           s, [&](unsigned dst, std::uint32_t seq, Batch&& batch) {
+            own.row[dst].batch_frames += 1;
+            own.row[dst].messages += batch.size();
             if (dst == net.rank) {
               apply(batch);
             } else {
-              batches_to[dst] += 1;
-              messages_to[dst] += batch.size();
+              framed.add(8 + batch.size() * sizeof(VertexMessage));
               TransportMsg msg;
               msg.kind = TransportMsg::Kind::kBatch;
               msg.superstep = s;
@@ -1070,85 +948,52 @@ Result<ClusterRunResult> run_rank(
           static_cast<std::uint64_t>(g_net_crash_at_superstep) == s) {
         ::_exit(3);  // crash injection: die mid-superstep, before EOS
       }
-      for (std::uint32_t p = 0; p < net.ranks; ++p) {
-        if (p == net.rank) {
-          continue;
+      // Every peer gets the same EOS, which counts its own frames too.
+      for (std::uint32_t p = 1; p < ranks; ++p) {
+        framed.add(EndOfSuperstepPayload::encoded_size(ranks));
+      }
+      own.wire_bytes = framed.bytes;
+      own.wire_frames = framed.frames;
+      const std::vector<std::uint8_t> eos = own.encode();
+      for (TransportActor* transport : transports) {
+        if (transport != nullptr) {
+          send_control(transport, FrameType::kEndOfSuperstep, eos);
         }
-        EndOfSuperstepPayload eos;
-        eos.superstep = s;
-        eos.batch_frames = batches_to[p];
-        eos.messages = messages_to[p];
-        send_control(transports[p], FrameType::kEndOfSuperstep, eos.encode());
       }
       GPSA_RETURN_IF_ERROR(
-          ctrl.drain_inbound(s, net.timeout_ms, ready, apply));
+          ctrl.drain_inbound(s, net.timeout_ms, ready, rows, apply));
       // Every message of the superstep is in: publish the exact sums.
-      const std::uint64_t updates = slice_apply.finish(s);
-      GPSA_RETURN_IF_ERROR(fence_transports(transports, net.timeout_ms));
-      const std::uint64_t cur_bytes = metrics.bytes.load();
-      const std::uint64_t cur_frames = metrics.frames.load();
-      const std::uint64_t delta_bytes = cur_bytes - prev_bytes;
-      const std::uint64_t delta_frames = cur_frames - prev_frames;
-      prev_bytes = cur_bytes;
-      prev_frames = cur_frames;
-      out.own_messages += stats.messages;
-      out.remote_messages += stats.remote_messages;
-      out.remote_batches += stats.remote_batches;
+      slice_apply.finish(s);
 
-      bool halt = false;
-      bool converged = false;
-      std::uint64_t total_messages = 0;
-      std::uint64_t superstep_wire = 0;
-      if (net.rank == 0) {
-        SyncAggregate agg;
-        if (net.ranks > 1) {
-          GPSA_RETURN_IF_ERROR(
-              ctrl.wait_sync_requests(s, net.timeout_ms, agg));
+      // Every rank tallies the same matrix, so every rank decides alike.
+      std::uint64_t messages = 0;
+      std::uint64_t wire_bytes = 0;
+      for (std::uint32_t from = 0; from < ranks; ++from) {
+        wire_bytes += rows[from].wire_bytes;
+        result.frames_sent += rows[from].wire_frames;
+        for (std::uint32_t to = 0; to < ranks; ++to) {
+          const EndOfSuperstepPayload::Cell& cell = rows[from].row[to];
+          messages += cell.messages;
+          result.node_messages_sent[from] += cell.messages;
+          result.node_messages_received[to] += cell.messages;
+          if (from != to) {
+            result.remote_messages += cell.messages;
+            result.remote_batches += cell.batch_frames;
+          }
         }
-        total_messages = agg.messages + stats.messages;
-        superstep_wire = agg.wire_bytes + delta_bytes;
-        out.frames_sent += agg.wire_frames + delta_frames;
-        converged = (total_messages == 0);
-        halt = converged || (s + 1 >= plan.budget);
-        SyncReleasePayload release;
-        release.superstep = s;
-        release.halt = halt ? 1 : 0;
-        release.converged = converged ? 1 : 0;
-        release.total_messages = total_messages;
-        for (std::uint32_t p = 1; p < net.ranks; ++p) {
-          send_control(transports[p], FrameType::kSyncRelease,
-                       release.encode());
-        }
-      } else {
-        SyncRequestPayload request;
-        request.superstep = s;
-        request.messages_sent = stats.messages;
-        request.updates = updates;
-        request.wire_bytes = delta_bytes;
-        request.wire_frames = delta_frames;
-        send_control(transports[0], FrameType::kSyncRequest,
-                     request.encode());
-        SyncReleasePayload release;
-        GPSA_RETURN_IF_ERROR(ctrl.wait_release(s, net.timeout_ms, release));
-        halt = release.halt != 0;
-        converged = release.converged != 0;
-        total_messages = release.total_messages;
-        superstep_wire = delta_bytes;
-        out.frames_sent += delta_frames;
       }
-      out.superstep_wire_bytes.push_back(superstep_wire);
-      out.bytes_on_wire += superstep_wire;
-      out.total_messages += total_messages;
-      out.supersteps = s + 1;
-      if (halt) {
-        out.converged = converged;
-        break;
+      result.superstep_wire_bytes.push_back(wire_bytes);
+      result.bytes_on_wire += wire_bytes;
+      result.total_messages += messages;
+      result.supersteps = s + 1;
+      result.converged = messages == 0;
+      if (result.converged || s + 1 >= plan.budget) {
+        return Status::ok();
       }
     }
-    return out;
   };
 
-  auto loop_result = [&]() -> Result<LoopOutcome> {
+  const Status looped = [&]() -> Status {
     try {
       return run_loop();
     } catch (const std::exception& e) {
@@ -1158,52 +1003,39 @@ Result<ClusterRunResult> run_rank(
                             ": " + e.what());
     }
   }();
-  if (!loop_result.is_ok()) {
-    return abort_run(loop_result.status());
+  if (!looped.is_ok()) {
+    return abort_run(looped);
   }
-  LoopOutcome outcome = std::move(loop_result).value();
 
-  // Final value sync: every rank's slice lands in rank 0's mirror.
+  // Final value sync: every rank's slice lands in rank 0's mirror. Its
+  // frames count toward the totals of the rank that sent or received them.
+  Traffic tail;
   if (net.rank == 0) {
     ctrl.apply_values_local(latest_entries(state));
-    if (net.ranks > 1) {
-      const Status synced = ctrl.wait_final_values(net.timeout_ms);
-      if (!synced.is_ok()) {
-        return abort_run(synced);
+    if (ranks > 1) {
+      auto received = ctrl.wait_final_values(net.timeout_ms);
+      if (!received.is_ok()) {
+        return abort_run(received.status());
       }
+      tail = received.value();
     }
   } else {
-    send_final_values(transports[0], outcome.supersteps,
-                      latest_entries(state));
+    tail = send_final_values(transports[0], result.supersteps,
+                             latest_entries(state));
   }
+  result.bytes_on_wire += tail.bytes;
+  result.frames_sent += tail.frames;
 
-  // Quiesce: flush every queued frame, then account the post-barrier tail
-  // (final values / last release) to the sender's own totals only.
+  // Quiesce: every queued frame reaches the kernel before the links close.
   const Status quiesced = fence_transports(transports, net.timeout_ms);
   if (!quiesced.is_ok()) {
     return abort_run(quiesced);
   }
-  outcome.bytes_on_wire += metrics.bytes.load() - prev_bytes;
-  outcome.frames_sent += metrics.frames.load() - prev_frames;
   poller.stop();
   system.shutdown();
-
-  ClusterRunResult result;
-  result.supersteps = outcome.supersteps;
-  result.total_messages = outcome.total_messages;
-  result.remote_messages = outcome.remote_messages;
-  result.remote_batches = outcome.remote_batches;
-  result.converged = outcome.converged;
-  result.bytes_on_wire = outcome.bytes_on_wire;
-  result.frames_sent = outcome.frames_sent;
-  result.superstep_wire_bytes = std::move(outcome.superstep_wire_bytes);
   if (net.rank == 0) {
     result.values = ctrl.take_mirror();
   }
-  result.node_messages_sent.assign(net.ranks, 0);
-  result.node_messages_received.assign(net.ranks, 0);
-  result.node_messages_sent[net.rank] = outcome.own_messages;
-  result.node_messages_received[net.rank] = outcome.own_received;
   return result;
 }
 

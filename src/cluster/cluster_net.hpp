@@ -5,13 +5,16 @@
 // partitions it identically, and runs run_rank (cluster_rank.hpp) — the
 // superstep loop ClusterEngine::run runs in one process over socketpairs
 // — on its own vertex slice: remote batches travel as wire frames through
-// one transport actor per peer, and supersteps close with a coordinator
-// barrier at rank 0. Each rank applies batches as they arrive — its own
-// flushes inline, remote ones between flushes and while it waits for the
-// peers' end-of-superstep markers — and publishes its exact sums at the
-// barrier. The apply's result does not depend on arrival order
-// (node_state.hpp), so the per-rank value stores and the wire traffic
-// come out identical to the in-process run's, byte for byte.
+// one transport actor per peer. A superstep closes on END_OF_SUPERSTEP
+// frames alone: each rank sends every peer the same EOS — its row of the
+// superstep's send matrix and the wire traffic it framed — and once it
+// holds every peer's row it decides halt and convergence by itself, as
+// every other rank does; no rank coordinates. Each rank applies batches
+// as they arrive — its own flushes inline, remote ones between flushes
+// and while it waits for the peers' EOS — and publishes its exact sums
+// once every peer's EOS is in. The apply's result does not depend on
+// arrival order (node_state.hpp), so the per-rank value stores and the
+// wire traffic come out identical to the in-process run's, byte for byte.
 //
 // Bootstrap is rendezvous by rank: rank k listens on base_port + k — bound
 // first thing, before the graph build, so early peers wait in the accept
@@ -20,8 +23,9 @@
 // the peer's listener does not exist yet). The
 // connector opens with a Hello carrying its version range, rank topology,
 // and a graph fingerprint; the acceptor validates, negotiates the highest
-// common version, and replies HelloAck. Rank 0 broadcasts a GO release
-// once all of its links are up.
+// common version, and replies HelloAck. A rank starts its first superstep
+// as soon as its own links are up; a peer still in rendezvous keeps the
+// early frames buffered in that link's decoder.
 //
 // Environment (mirrored by ClusterNetOptions::from_env):
 //   GPSA_CLUSTER_RANK        this process's rank            [required]
@@ -57,8 +61,8 @@ struct ClusterNetOptions {
   std::uint32_t ranks = 1;
   /// Rank k's listener binds 127.0.0.1:(base_port + k).
   std::uint16_t base_port = 29600;
-  /// Deadline on every network wait: rendezvous, barrier entry, peer
-  /// frames. A peer silent past this is declared dead and the run errors
+  /// Deadline on every network wait: rendezvous, a superstep's peer
+  /// frames, the final value sync. A peer silent past this is declared dead and the run errors
   /// out cleanly instead of hanging.
   int timeout_ms = 30000;
   /// Builds options from the GPSA_CLUSTER_* / GPSA_NET_* environment.
@@ -71,13 +75,16 @@ struct ClusterNetOptions {
 /// `options.num_nodes` is ignored — the partition count is net.ranks, one
 /// node per process. Returns once the cluster halts (converged or budget)
 /// with this rank's view of the result:
+///   - loop counters: every rank returns the same cluster-wide
+///     supersteps, total_messages, converged, remote_messages/batches,
+///     node_messages_sent/received and superstep_wire_bytes, all derived
+///     from the EOS rows.
 ///   - values: rank 0 holds the full, bit-exact value vector (its mirror,
 ///     fed by every rank's slice after halt); other ranks return none.
-///   - wire metrics: measured at the transports. Rank 0 reports
-///     cluster-wide totals and the per-superstep series
-///     aggregated through the barrier; other ranks report their own
-///     share. Bytes sent after the last barrier (the final value sync)
-///     are counted only in each sender's own totals.
+///   - bytes_on_wire / frames_sent: the superstep series' frames plus the
+///     final value sync as this rank saw it: rank 0 counts every Values
+///     frame it received, so its totals cover the whole run's traffic;
+///     any other rank counts the Values frames it sent.
 /// Any peer dying mid-run surfaces as a clean error within
 /// net.timeout_ms — never a hang.
 Result<ClusterRunResult> run_cluster_rank(const EdgeList& graph,

@@ -98,18 +98,10 @@ class NodeDispatchCore {
   using FlushFn =
       std::function<void(unsigned, std::uint32_t, std::vector<VertexMessage>&&)>;
 
-  struct IterationStats {
-    std::uint64_t messages = 0;        // all messages dispatched
-    std::uint64_t remote_messages = 0; // crossed a node boundary
-    std::uint64_t remote_batches = 0;
-  };
-
-  NodeDispatchCore(std::uint32_t node, ClusterNodeState& state,
-                   const Csr& graph, const Program& program,
-                   const OwnerMap& owners, MessageBatchPool& pool,
-                   std::size_t batch_size)
-      : node_(node),
-        state_(state),
+  NodeDispatchCore(ClusterNodeState& state, const Csr& graph,
+                   const Program& program, const OwnerMap& owners,
+                   MessageBatchPool& pool, std::size_t batch_size)
+      : state_(state),
         graph_(graph),
         program_(program),
         owners_(owners),
@@ -124,8 +116,7 @@ class NodeDispatchCore {
     }
   }
 
-  IterationStats run_iteration(std::uint64_t superstep, const FlushFn& flush) {
-    stats_ = IterationStats{};
+  void run_iteration(std::uint64_t superstep, const FlushFn& flush) {
     std::fill(seq_.begin(), seq_.end(), 0u);
     const unsigned dispatch_col = ValueFile::dispatch_column(superstep);
     // Only the set bits of the dispatch generation, O(active).
@@ -151,7 +142,6 @@ class NodeDispatchCore {
     for (std::size_t node = 0; node < staging_.size(); ++node) {
       flush_one(node, flush);
     }
-    return stats_;
   }
 
  private:
@@ -168,10 +158,6 @@ class NodeDispatchCore {
       const Payload message = program_.gen_msg(v, dst, value, degree);
       const unsigned owner = owners_.owner_of(dst);
       staging_[owner].push_back(VertexMessage{dst, message});
-      ++stats_.messages;
-      if (owner != node_) {
-        ++stats_.remote_messages;
-      }
       if (staging_[owner].size() >= batch_size_) {
         flush_one(owner, flush);
       }
@@ -183,16 +169,12 @@ class NodeDispatchCore {
     if (buffer.empty()) {
       return;
     }
-    if (node != node_) {
-      ++stats_.remote_batches;
-    }
     const std::uint32_t seq = seq_[node]++;
     std::vector<VertexMessage> out = std::move(buffer);
     buffer = pool_.lease();
     flush(static_cast<unsigned>(node), seq, std::move(out));
   }
 
-  const std::uint32_t node_;
   ClusterNodeState& state_;
   const Csr& graph_;
   const Program& program_;
@@ -201,7 +183,6 @@ class NodeDispatchCore {
   const std::size_t batch_size_;
   std::vector<std::vector<VertexMessage>> staging_;
   std::vector<std::uint32_t> seq_;  // per-destination, reset each superstep
-  IterationStats stats_;
 };
 
 }  // namespace gpsa

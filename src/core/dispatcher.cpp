@@ -91,20 +91,24 @@ void DispatcherActor::on_message(DispatcherMsg msg) {
 }
 
 void DispatcherActor::run_iteration(std::uint64_t superstep) {
-  const ScopedAccumulator busy(busy_seconds_);
-  messages_this_superstep_ = 0;
-  dispatched_this_superstep_ = 0;
-  entries_this_superstep_ = 0;
-  checks_this_superstep_ = 0;
-  const unsigned dispatch_col = ValueFile::dispatch_column(superstep);
+  {
+    // Booked before DISPATCH_OVER goes out: the last one can end the job,
+    // and run_job reads busy_seconds() then.
+    const ScopedAccumulator busy(busy_seconds_);
+    messages_this_superstep_ = 0;
+    dispatched_this_superstep_ = 0;
+    entries_this_superstep_ = 0;
+    checks_this_superstep_ = 0;
+    const unsigned dispatch_col = ValueFile::dispatch_column(superstep);
 
-  readahead_.begin_superstep();
+    readahead_.begin_superstep();
 
-  run_worklist(superstep, dispatch_col);
-  flush_all(superstep);
-  messages_sent_total_ += messages_this_superstep_;
-  vertex_checks_total_ += checks_this_superstep_;
-  entries_read_total_ += entries_this_superstep_;
+    run_worklist(superstep, dispatch_col);
+    flush_all(superstep);
+    messages_sent_total_ += messages_this_superstep_;
+    vertex_checks_total_ += checks_this_superstep_;
+    entries_read_total_ += entries_this_superstep_;
+  }
 
   ManagerMsg done;
   done.kind = ManagerMsg::Kind::kDispatchOver;

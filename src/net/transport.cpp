@@ -15,13 +15,12 @@ namespace gpsa {
 
 TransportActor::TransportActor(std::uint16_t src_rank, std::uint16_t version,
                                const Socket* socket, MessageBatchPool* pool,
-                               WireMetrics* metrics, int timeout_ms,
+                               int timeout_ms,
                                std::function<void(Status)> on_error)
     : src_rank_(src_rank),
       version_(version),
       socket_(socket),
       pool_(pool),
-      metrics_(metrics),
       timeout_ms_(timeout_ms),
       on_error_(std::move(on_error)) {}
 
@@ -78,13 +77,7 @@ Status TransportActor::write_batch(std::uint64_t superstep, std::uint32_t seq,
                       static_cast<std::uint32_t>(8 + msg_len), crc);
   iovec iov[2] = {{prefix, sizeof(prefix)},
                   {const_cast<std::uint8_t*>(msg_bytes), msg_len}};
-  const Status status =
-      send_all(*socket_, iov, msg_len > 0 ? 2 : 1, timeout_ms_);
-  if (status.is_ok()) {
-    metrics_->bytes += sizeof(prefix) + msg_len;
-    metrics_->frames += 1;
-  }
-  return status;
+  return send_all(*socket_, iov, msg_len > 0 ? 2 : 1, timeout_ms_);
 }
 
 Status TransportActor::write_control(FrameType type,
@@ -95,13 +88,7 @@ Status TransportActor::write_control(FrameType type,
                       crc32(payload.data(), payload.size()));
   iovec iov[2] = {{header, sizeof(header)},
                   {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
-  Status status =
-      send_all(*socket_, iov, payload.empty() ? 1 : 2, timeout_ms_);
-  if (status.is_ok()) {
-    metrics_->bytes += sizeof(header) + payload.size();
-    metrics_->frames += 1;
-  }
-  return status;
+  return send_all(*socket_, iov, payload.empty() ? 1 : 2, timeout_ms_);
 }
 
 InboundPoller::InboundPoller(std::vector<Peer> peers, FrameHandler on_frame,

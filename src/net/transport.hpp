@@ -21,7 +21,6 @@
 // in the same poll set, so stopping an idle poller costs no tick.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -38,14 +37,6 @@
 
 namespace gpsa {
 
-/// Bytes/frames a rank has put on the wire, summed across its transport
-/// actors. Plain seq_cst atomics: incremented once per frame, read at
-/// superstep barriers — nowhere near hot enough to justify weaker orders.
-struct WireMetrics {
-  std::atomic<std::uint64_t> bytes{0};
-  std::atomic<std::uint64_t> frames{0};
-};
-
 struct TransportMsg {
   enum class Kind : std::uint8_t { kBatch, kControl, kFence };
   Kind kind = Kind::kControl;
@@ -58,8 +49,8 @@ struct TransportMsg {
   FrameType type = FrameType::kHello;
   std::vector<std::uint8_t> payload;
   /// kFence: resolved (with the link's sticky status) once every frame
-  /// queued before it has reached the kernel — the barrier uses this to
-  /// snapshot wire metrics and to bound shutdown.
+  /// queued before it has reached the kernel — what bounds an abort's
+  /// last frames and the end-of-run quiesce.
   std::shared_ptr<std::promise<Status>> fence;
 };
 
@@ -69,8 +60,7 @@ class TransportActor final : public Actor<TransportMsg> {
   /// poller reads, nobody else touches the fd. `on_error` fires once on
   /// the first failed send (engine-side abort propagation).
   TransportActor(std::uint16_t src_rank, std::uint16_t version,
-                 const Socket* socket, MessageBatchPool* pool,
-                 WireMetrics* metrics, int timeout_ms,
+                 const Socket* socket, MessageBatchPool* pool, int timeout_ms,
                  std::function<void(Status)> on_error);
 
  protected:
@@ -86,7 +76,6 @@ class TransportActor final : public Actor<TransportMsg> {
   const std::uint16_t version_;
   const Socket* socket_;
   MessageBatchPool* pool_;
-  WireMetrics* metrics_;
   const int timeout_ms_;
   std::function<void(Status)> on_error_;
   std::uint32_t control_seq_ = 0;
@@ -101,8 +90,8 @@ class InboundPoller {
     const Socket* socket = nullptr;
     std::uint16_t accept_version = kWireVersionMax;
     /// Decoder carried over from the handshake. The rendezvous read may
-    /// slurp bytes past the Hello/HelloAck (an early GO broadcast, or
-    /// first batches from a fast peer); handing its decoder to the poller
+    /// slurp bytes past the Hello/HelloAck (first batches from a peer
+    /// whose own links came up first); handing its decoder to the poller
     /// keeps those bytes instead of dropping them with a fresh decoder.
     FrameDecoder decoder{};
   };

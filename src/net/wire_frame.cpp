@@ -28,8 +28,16 @@ Status payload_too_short(const char* what) {
 }  // namespace
 
 bool frame_type_known(std::uint16_t raw) {
-  return raw >= static_cast<std::uint16_t>(FrameType::kHello) &&
-         raw <= static_cast<std::uint16_t>(FrameType::kAbort);
+  switch (static_cast<FrameType>(raw)) {
+    case FrameType::kHello:
+    case FrameType::kHelloAck:
+    case FrameType::kBatch:
+    case FrameType::kEndOfSuperstep:
+    case FrameType::kValues:
+    case FrameType::kAbort:
+      return true;
+  }
+  return false;
 }
 
 const char* frame_type_name(FrameType type) {
@@ -42,10 +50,6 @@ const char* frame_type_name(FrameType type) {
       return "BATCH";
     case FrameType::kEndOfSuperstep:
       return "END_OF_SUPERSTEP";
-    case FrameType::kSyncRequest:
-      return "SYNC_REQUEST";
-    case FrameType::kSyncRelease:
-      return "SYNC_RELEASE";
     case FrameType::kValues:
       return "VALUES";
     case FrameType::kAbort:
@@ -131,12 +135,11 @@ void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
   if (poisoned_) {
     return;  // stream already condemned; don't buffer more
   }
-  // Compact the consumed prefix before growing (keeps the buffer bounded
-  // by one in-flight frame plus whatever the last read appended).
-  if (consumed_ > 0 && consumed_ == buffer_.size()) {
-    buffer_.clear();
-    consumed_ = 0;
-  } else if (consumed_ > kMaxFramePayload) {
+  // Compact the consumed prefix before growing, once it is at least as
+  // long as the unconsumed tail: the move costs no more than the bytes
+  // already handed out, and the buffer stays within twice one in-flight
+  // frame plus the last read, even on a link that never drains empty.
+  if (consumed_ > 0 && consumed_ >= buffer_.size() - consumed_) {
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
     consumed_ = 0;
@@ -269,74 +272,53 @@ Result<HelloAckPayload> HelloAckPayload::decode(
   return out;
 }
 
+// superstep, wire_bytes, wire_frames (u64 each), row length (u32), then
+// {batch_frames, messages} (u64 each) per destination rank.
+constexpr std::size_t kEosFixedBytes = 28;
+constexpr std::size_t kEosCellBytes = 16;
+
+std::size_t EndOfSuperstepPayload::encoded_size(std::uint32_t ranks) {
+  return kEosFixedBytes + kEosCellBytes * ranks;
+}
+
 std::vector<std::uint8_t> EndOfSuperstepPayload::encode() const {
   std::vector<std::uint8_t> out;
-  out.reserve(24);
+  out.reserve(encoded_size(static_cast<std::uint32_t>(row.size())));
   put_u64(out, superstep);
-  put_u64(out, batch_frames);
-  put_u64(out, messages);
+  put_u64(out, wire_bytes);
+  put_u64(out, wire_frames);
+  put_u32(out, static_cast<std::uint32_t>(row.size()));
+  for (const Cell& cell : row) {
+    put_u64(out, cell.batch_frames);
+    put_u64(out, cell.messages);
+  }
   return out;
 }
 
 Result<EndOfSuperstepPayload> EndOfSuperstepPayload::decode(
-    const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() != 24) {
+    const std::vector<std::uint8_t>& bytes, std::uint32_t ranks) {
+  if (bytes.size() < kEosFixedBytes) {
     return payload_too_short("END_OF_SUPERSTEP");
+  }
+  const std::uint32_t count = get_u32(bytes.data() + 24);
+  if (bytes.size() != kEosFixedBytes + kEosCellBytes * std::size_t{count}) {
+    return corrupt_data("wire frame: END_OF_SUPERSTEP row length disagrees "
+                        "with payload length");
+  }
+  if (count != ranks) {
+    return corrupt_data("wire frame: END_OF_SUPERSTEP row of " +
+                        std::to_string(count) + " ranks in a cluster of " +
+                        std::to_string(ranks));
   }
   EndOfSuperstepPayload out;
   out.superstep = get_u64(bytes.data());
-  out.batch_frames = get_u64(bytes.data() + 8);
-  out.messages = get_u64(bytes.data() + 16);
-  return out;
-}
-
-std::vector<std::uint8_t> SyncRequestPayload::encode() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(40);
-  put_u64(out, superstep);
-  put_u64(out, messages_sent);
-  put_u64(out, updates);
-  put_u64(out, wire_bytes);
-  put_u64(out, wire_frames);
-  return out;
-}
-
-Result<SyncRequestPayload> SyncRequestPayload::decode(
-    const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() != 40) {
-    return payload_too_short("SYNC_REQUEST");
-  }
-  SyncRequestPayload out;
-  out.superstep = get_u64(bytes.data());
-  out.messages_sent = get_u64(bytes.data() + 8);
-  out.updates = get_u64(bytes.data() + 16);
-  out.wire_bytes = get_u64(bytes.data() + 24);
-  out.wire_frames = get_u64(bytes.data() + 32);
-  return out;
-}
-
-std::vector<std::uint8_t> SyncReleasePayload::encode() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(18);
-  put_u64(out, superstep);
-  out.push_back(halt);
-  out.push_back(converged);
-  put_u64(out, total_messages);
-  return out;
-}
-
-Result<SyncReleasePayload> SyncReleasePayload::decode(
-    const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() != 18) {
-    return payload_too_short("SYNC_RELEASE");
-  }
-  SyncReleasePayload out;
-  out.superstep = get_u64(bytes.data());
-  out.halt = bytes[8];
-  out.converged = bytes[9];
-  out.total_messages = get_u64(bytes.data() + 10);
-  if (out.halt > 1 || out.converged > 1) {
-    return corrupt_data("wire frame: SYNC_RELEASE flags not boolean");
+  out.wire_bytes = get_u64(bytes.data() + 8);
+  out.wire_frames = get_u64(bytes.data() + 16);
+  out.row.resize(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint8_t* p = bytes.data() + kEosFixedBytes + kEosCellBytes * i;
+    out.row[i].batch_frames = get_u64(p);
+    out.row[i].messages = get_u64(p + 8);
   }
   return out;
 }

@@ -40,8 +40,10 @@ namespace gpsa {
 
 /// Protocol versions this build speaks. kHello advertises the closed
 /// range; the acceptor picks the highest version both sides share.
-inline constexpr std::uint16_t kWireVersionMin = 1;
-inline constexpr std::uint16_t kWireVersionMax = 1;
+/// Version 2 closes a superstep on END_OF_SUPERSTEP alone; a version-1
+/// rank (barrier through rank 0) aborts at HELLO.
+inline constexpr std::uint16_t kWireVersionMin = 2;
+inline constexpr std::uint16_t kWireVersionMax = 2;
 
 inline constexpr std::uint32_t kWireMagic = 0x4750'534e;  // "GPSN"
 
@@ -55,10 +57,9 @@ enum class FrameType : std::uint16_t {
   kHello = 1,           // version range + topology + graph fingerprint
   kHelloAck = 2,        // chosen version (or the rejection travels as kAbort)
   kBatch = 3,           // u64 superstep + raw VertexMessage array
-  kEndOfSuperstep = 4,  // u64 superstep + frames/messages sent to receiver
-  kSyncRequest = 5,     // rank -> coordinator barrier entry + superstep stats
-  kSyncRelease = 6,     // coordinator -> rank barrier exit + halt decision
-  kValues = 7,          // value-column delta sync: (vertex, payload) pairs
+  kEndOfSuperstep = 4,  // the superstep's barrier: sender's send row + wire
+  // 5 and 6 (version 1's rank-0 barrier) are retired, never reused.
+  kValues = 7,          // final value sync: (vertex, payload) pairs
   kAbort = 8,           // clean failure propagation, payload = reason text
 };
 
@@ -176,49 +177,36 @@ struct HelloAckPayload {
       const std::vector<std::uint8_t>& bytes);
 };
 
-/// kEndOfSuperstep: sent to each peer after the last BATCH of a
-/// superstep; carries what the receiver should have seen so it can tell
-/// "superstep complete" from "frames still in flight".
+/// kEndOfSuperstep: the superstep's barrier, one payload sent alike to
+/// every peer after the sender's last BATCH of the superstep. The row
+/// tells each receiver what it should have seen (its own cell), so it can
+/// tell "superstep complete" from "frames still in flight"; once a rank
+/// holds every peer's row it has the whole send matrix and decides halt,
+/// convergence and the cluster-wide counters by itself.
 struct EndOfSuperstepPayload {
+  struct Cell {
+    std::uint64_t batch_frames = 0;  // batches flushed to that rank
+    std::uint64_t messages = 0;      // VertexMessages inside them
+  };
   std::uint64_t superstep = 0;
-  std::uint64_t batch_frames = 0;  // kBatch frames sent to this receiver
-  std::uint64_t messages = 0;      // VertexMessages inside those frames
+  /// Bytes and frames the sender framed in this superstep, its
+  /// END_OF_SUPERSTEP frames included.
+  std::uint64_t wire_bytes = 0;
+  std::uint64_t wire_frames = 0;
+  std::vector<Cell> row;  // [destination rank], the sender's own included
 
+  /// Payload bytes of an END_OF_SUPERSTEP in a `ranks`-rank cluster.
+  static std::size_t encoded_size(std::uint32_t ranks);
   std::vector<std::uint8_t> encode() const;
+  /// Rejects a row whose length disagrees with the payload size or with
+  /// `ranks`.
   static Result<EndOfSuperstepPayload> decode(
-      const std::vector<std::uint8_t>& bytes);
+      const std::vector<std::uint8_t>& bytes, std::uint32_t ranks);
 };
 
-/// kSyncRequest: a rank entering the superstep barrier at the
-/// coordinator, with the stats the coordinator aggregates into the halt
-/// decision and the cluster-wide wire metrics.
-struct SyncRequestPayload {
-  std::uint64_t superstep = 0;
-  std::uint64_t messages_sent = 0;  // all messages this rank dispatched
-  std::uint64_t updates = 0;        // vertices this rank updated
-  std::uint64_t wire_bytes = 0;     // bytes this rank put on the wire
-  std::uint64_t wire_frames = 0;    // frames this rank put on the wire
-
-  std::vector<std::uint8_t> encode() const;
-  static Result<SyncRequestPayload> decode(
-      const std::vector<std::uint8_t>& bytes);
-};
-
-/// kSyncRelease: the coordinator's barrier exit broadcast.
-struct SyncReleasePayload {
-  std::uint64_t superstep = 0;
-  std::uint8_t halt = 0;       // stop after this superstep
-  std::uint8_t converged = 0;  // halt reason: zero messages in flight
-  std::uint64_t total_messages = 0;  // cluster-wide, this superstep
-
-  std::vector<std::uint8_t> encode() const;
-  static Result<SyncReleasePayload> decode(
-      const std::vector<std::uint8_t>& bytes);
-};
-
-/// kValues: delta-sync of value columns — the (vertex, payload) pairs a
-/// rank updated, pushed to the coordinator at superstep boundaries (or
-/// once at halt in final mode).
+/// kValues: the final value sync — a rank's whole slice as (vertex,
+/// payload) pairs, sent to rank 0 once after the last superstep, chunked
+/// under the payload cap; the last chunk carries final_sync.
 struct ValuesPayload {
   std::uint64_t superstep = 0;
   std::uint8_t final_sync = 0;

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/bfs.hpp"
 #include "apps/pagerank.hpp"
@@ -80,16 +81,24 @@ int main() {
     if (!out) {
       return fail(std::string("cannot write summary: ") + summary_path);
     }
+    auto write_series = [&out](const char* key,
+                               const std::vector<std::uint64_t>& series) {
+      out << key;
+      for (const std::uint64_t value : series) {
+        out << " " << value;
+      }
+      out << "\n";
+    };
     out << "supersteps " << r.supersteps << "\n";
     out << "total_messages " << r.total_messages << "\n";
     out << "converged " << (r.converged ? 1 : 0) << "\n";
+    out << "remote_messages " << r.remote_messages << "\n";
+    out << "remote_batches " << r.remote_batches << "\n";
     out << "bytes_on_wire " << r.bytes_on_wire << "\n";
     out << "frames_sent " << r.frames_sent << "\n";
-    out << "superstep_wire";
-    for (const std::uint64_t bytes : r.superstep_wire_bytes) {
-      out << " " << bytes;
-    }
-    out << "\n";
+    write_series("superstep_wire", r.superstep_wire_bytes);
+    write_series("node_messages_sent", r.node_messages_sent);
+    write_series("node_messages_received", r.node_messages_received);
     if (net.value().rank == 0) {
       out << "values";
       for (const Payload value : r.values) {

@@ -325,6 +325,24 @@ TEST(ClusterCrash, ValidateRejectsWrongAppTagAndMissingNodes) {
   EXPECT_EQ(missing.status().code(), StatusCode::kCorruptData);
 }
 
+TEST(Cluster, ARankThatFinishesFirstDoesNotFailASlowerOne) {
+  // A rank halts and closes its links once it has drained the last
+  // superstep, while a slower peer may still be draining it. That peer
+  // must fail only on losing a rank that still owes it traffic. Many
+  // short runs at 5 nodes make the close-while-draining window common.
+  const EdgeList graph = rmat(8, 2000, 91);
+  const PageRankProgram program(5);
+  for (int round = 0; round < 400; ++round) {
+    ClusterOptions co;
+    co.num_nodes = 5;
+    co.max_supersteps = 1 + round % 2;
+    const auto result = ClusterEngine::run(graph, program, co);
+    ASSERT_TRUE(result.is_ok())
+        << "round " << round << ": " << result.status().to_string();
+    EXPECT_EQ(result.value().supersteps, co.max_supersteps);
+  }
+}
+
 TEST(Cluster, ScratchValueFilesAreRemovedAfterTheRun) {
   // Without value_store_dir every node's value file lives in a scratch
   // directory under $TMPDIR, gone once the run returns — on success and

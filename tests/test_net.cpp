@@ -3,8 +3,8 @@
 // decoder poisoning), the socket layer over real loopback connections
 // (partial writes, short reads, EOF, the poller's prompt stop), and the
 // multi-process cluster run — fork+exec'd ranks whose per-node value
-// stores and wire traffic must equal the in-process run's (the same rank
-// loop over socketpairs) and whose values equal the single-thread
+// stores, wire traffic and per-rank counters must equal the in-process
+// run's (the same rank loop over socketpairs) and whose values equal the single-thread
 // reference, plus crash-injection runs proving a dead peer surfaces as a
 // clean error instead of a hang.
 #include <gtest/gtest.h>
@@ -99,7 +99,7 @@ TEST(WireFrame, BackToBackFramesDecodeInOrder) {
   std::vector<std::uint8_t> wire;
   for (std::uint32_t seq = 0; seq < 5; ++seq) {
     const std::vector<std::uint8_t> payload(seq, static_cast<std::uint8_t>(seq));
-    append_frame(wire, kWireVersionMax, FrameType::kSyncRequest, 0, seq,
+    append_frame(wire, kWireVersionMax, FrameType::kAbort, 0, seq,
                  payload.data(), payload.size());
   }
   FrameDecoder decoder;
@@ -140,41 +140,20 @@ TEST(WireFrame, ControlPayloadsRoundTrip) {
   {
     EndOfSuperstepPayload in;
     in.superstep = 17;
-    in.batch_frames = 1234;
-    in.messages = 567890;
-    const auto out = EndOfSuperstepPayload::decode(in.encode());
-    ASSERT_TRUE(out.is_ok());
+    in.wire_bytes = 4096;
+    in.wire_frames = 3;
+    in.row = {{1234, 567890}, {0, 0}, {2, 9}};
+    const auto out = EndOfSuperstepPayload::decode(in.encode(), 3);
+    ASSERT_TRUE(out.is_ok()) << out.status().to_string();
+    EXPECT_EQ(in.encode().size(), EndOfSuperstepPayload::encoded_size(3));
     EXPECT_EQ(out.value().superstep, in.superstep);
-    EXPECT_EQ(out.value().batch_frames, in.batch_frames);
-    EXPECT_EQ(out.value().messages, in.messages);
-  }
-  {
-    SyncRequestPayload in;
-    in.superstep = 9;
-    in.messages_sent = 1;
-    in.updates = 2;
-    in.wire_bytes = 3;
-    in.wire_frames = 4;
-    const auto out = SyncRequestPayload::decode(in.encode());
-    ASSERT_TRUE(out.is_ok());
-    EXPECT_EQ(out.value().superstep, in.superstep);
-    EXPECT_EQ(out.value().messages_sent, in.messages_sent);
-    EXPECT_EQ(out.value().updates, in.updates);
     EXPECT_EQ(out.value().wire_bytes, in.wire_bytes);
     EXPECT_EQ(out.value().wire_frames, in.wire_frames);
-  }
-  {
-    SyncReleasePayload in;
-    in.superstep = 11;
-    in.halt = 1;
-    in.converged = 1;
-    in.total_messages = 99;
-    const auto out = SyncReleasePayload::decode(in.encode());
-    ASSERT_TRUE(out.is_ok());
-    EXPECT_EQ(out.value().superstep, in.superstep);
-    EXPECT_EQ(out.value().halt, in.halt);
-    EXPECT_EQ(out.value().converged, in.converged);
-    EXPECT_EQ(out.value().total_messages, in.total_messages);
+    ASSERT_EQ(out.value().row.size(), in.row.size());
+    for (std::size_t i = 0; i < in.row.size(); ++i) {
+      EXPECT_EQ(out.value().row[i].batch_frames, in.row[i].batch_frames);
+      EXPECT_EQ(out.value().row[i].messages, in.row[i].messages);
+    }
   }
   {
     ValuesPayload in;
@@ -187,6 +166,38 @@ TEST(WireFrame, ControlPayloadsRoundTrip) {
     EXPECT_EQ(out.value().final_sync, in.final_sync);
     EXPECT_EQ(out.value().entries, in.entries);
   }
+}
+
+TEST(WireFrame, EndOfSuperstepRejectsAMisfitRow) {
+  EndOfSuperstepPayload in;
+  in.superstep = 5;
+  in.row.resize(4);
+  const std::vector<std::uint8_t> bytes = in.encode();
+  ASSERT_TRUE(EndOfSuperstepPayload::decode(bytes, 4).is_ok());
+  // A well-formed row of another cluster size.
+  auto out = EndOfSuperstepPayload::decode(bytes, 3);
+  ASSERT_FALSE(out.is_ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruptData);
+  out = EndOfSuperstepPayload::decode(bytes, 5);
+  ASSERT_FALSE(out.is_ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruptData);
+  // A row length that disagrees with the payload size, either way.
+  std::vector<std::uint8_t> cut(bytes.begin(), bytes.end() - 16);
+  out = EndOfSuperstepPayload::decode(cut, 4);
+  ASSERT_FALSE(out.is_ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruptData);
+  out = EndOfSuperstepPayload::decode(cut, 3);
+  ASSERT_FALSE(out.is_ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruptData);
+  std::vector<std::uint8_t> padded = bytes;
+  padded.push_back(0);
+  out = EndOfSuperstepPayload::decode(padded, 4);
+  ASSERT_FALSE(out.is_ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruptData);
+  // Shorter than the fixed fields.
+  out = EndOfSuperstepPayload::decode(std::vector<std::uint8_t>(27), 0);
+  ASSERT_FALSE(out.is_ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruptData);
 }
 
 // A valid frame with one mutation applied, for the rejection tests.
@@ -220,6 +231,9 @@ TEST(WireFrame, RejectsCorruptionAndStaysPoisoned) {
   expect_poisoned(mutated_frame(0, 0x00), "bad magic");
   expect_poisoned(mutated_frame(10, 0x01), "nonzero reserved");
   expect_poisoned(mutated_frame(6, 0xee), "unknown frame type");
+  // Version 1's barrier frames are retired, not reused.
+  expect_poisoned(mutated_frame(6, 5), "retired frame type 5");
+  expect_poisoned(mutated_frame(6, 6), "retired frame type 6");
   expect_poisoned(mutated_frame(20, 0x5a), "payload CRC mismatch");
   // Corrupt the payload itself rather than the stored CRC.
   expect_poisoned(mutated_frame(kFrameHeaderSize, 0xff), "payload bit flip");
@@ -656,21 +670,35 @@ TEST_P(ClusterNetProcessTest, BitIdenticalToInProcessRun) {
         << "node " << rank << " value store differs from the in-process run";
   }
 
-  // Rank 0's view matches the in-process run's, wire traffic included:
-  // both carry the same frames, over socketpairs or TCP.
+  // Every rank closes each superstep from the same send matrix, so every
+  // rank's loop counters equal the in-process run's. Rank 0 also holds
+  // the values and the whole run's wire traffic: both entry points carry
+  // the same frames, over socketpairs or TCP.
+  const ClusterRunResult& expected = in_process.value();
+  EXPECT_GT(expected.bytes_on_wire, 0U);
+  EXPECT_GT(expected.remote_messages, 0U);
+  for (std::uint32_t rank = 0; rank < kRanks; ++rank) {
+    SCOPED_TRACE("rank " + std::to_string(rank));
+    const auto summary = parse_summary(
+        dir.value().file("rank" + std::to_string(rank) + ".summary"));
+    ASSERT_EQ(summary.count("supersteps"), 1U);
+    EXPECT_EQ(summary.at("supersteps")[0], expected.supersteps);
+    EXPECT_EQ(summary.at("total_messages")[0], expected.total_messages);
+    EXPECT_EQ(summary.at("converged")[0], expected.converged ? 1U : 0U);
+    EXPECT_EQ(summary.at("remote_messages")[0], expected.remote_messages);
+    EXPECT_EQ(summary.at("remote_batches")[0], expected.remote_batches);
+    EXPECT_EQ(summary.at("node_messages_sent"), expected.node_messages_sent);
+    EXPECT_EQ(summary.at("node_messages_received"),
+              expected.node_messages_received);
+    EXPECT_EQ(summary.at("superstep_wire"), expected.superstep_wire_bytes);
+  }
   const auto summary = parse_summary(dir.value().file("rank0.summary"));
   ASSERT_EQ(summary.count("values"), 1U);
   const std::vector<Payload> rank0_values(summary.at("values").begin(),
                                           summary.at("values").end());
-  expect_payloads_equal(rank0_values, in_process.value().values);
-  EXPECT_EQ(summary.at("supersteps")[0], in_process.value().supersteps);
-  EXPECT_EQ(summary.at("total_messages")[0], in_process.value().total_messages);
-  EXPECT_EQ(summary.at("converged")[0], in_process.value().converged ? 1U : 0U);
-  EXPECT_GT(in_process.value().bytes_on_wire, 0U);
-  EXPECT_EQ(summary.at("bytes_on_wire")[0], in_process.value().bytes_on_wire);
-  EXPECT_EQ(summary.at("frames_sent")[0], in_process.value().frames_sent);
-  EXPECT_EQ(summary.at("superstep_wire"),
-            in_process.value().superstep_wire_bytes);
+  expect_payloads_equal(rank0_values, expected.values);
+  EXPECT_EQ(summary.at("bytes_on_wire")[0], expected.bytes_on_wire);
+  EXPECT_EQ(summary.at("frames_sent")[0], expected.frames_sent);
 
   // And an oracle that shares no cluster code: the single-thread
   // reference, exact for the sum-fold programs too.
