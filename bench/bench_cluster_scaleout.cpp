@@ -34,6 +34,9 @@ using namespace gpsa;
 
 constexpr unsigned kNetRanks = 3;
 constexpr std::uint64_t kNetSupersteps = 5;
+/// Scheduler workers per rank on both sides of the cross-check, so the
+/// gate compares multi-worker ranks frame for frame.
+constexpr unsigned kNetWorkers = 2;
 
 EdgeList bench_graph(const ExperimentOptions& exp) {
   return generate_paper_graph(PaperGraph::kPokec, exp.scale, exp.seed);
@@ -52,6 +55,7 @@ int run_child_rank() {
   const PageRankProgram program(kNetSupersteps);
   ClusterOptions options;
   options.max_supersteps = kNetSupersteps;
+  options.scheduler_workers = kNetWorkers;
   const auto result = run_cluster_rank(graph, program, options, net.value());
   if (!result.is_ok()) {
     std::fprintf(stderr, "rank %u: %s\n", net.value().rank,
@@ -129,13 +133,15 @@ bool parse_net_report(const std::string& path, NetReport& out) {
 /// Parent mode: spawn kNetRanks copies of this binary over localhost
 /// sockets and cross-check against the in-process run.
 bool run_net_section(const EdgeList& graph, JsonWriter& json) {
-  std::printf("== Real network data plane: %u localhost processes ==\n\n",
-              kNetRanks);
+  std::printf("== Real network data plane: %u localhost processes, %u "
+              "workers each ==\n\n",
+              kNetRanks, kNetWorkers);
 
   const PageRankProgram program(kNetSupersteps);
   ClusterOptions options;
   options.num_nodes = kNetRanks;
   options.max_supersteps = kNetSupersteps;
+  options.scheduler_workers = kNetWorkers;
   const auto in_process = ClusterEngine::run(graph, program, options);
   if (!in_process.is_ok()) {
     std::fprintf(stderr, "%s\n", in_process.status().to_string().c_str());
@@ -204,6 +210,7 @@ bool run_net_section(const EdgeList& graph, JsonWriter& json) {
 
   json.key("net").begin_object();
   json.key("ranks").value(kNetRanks);
+  json.key("workers_per_rank").value(kNetWorkers);
   json.key("children_ok").value(children_ok);
   json.key("bit_identity").value(bit_identity);
   json.key("supersteps").value(net.supersteps);

@@ -14,6 +14,8 @@
 // inactive (selective-scheduling semantics shared by all engines here).
 #pragma once
 
+#include <atomic>
+
 #include "core/program.hpp"
 
 namespace gpsa {
@@ -31,7 +33,11 @@ class PageRankProgram final : public Program {
   InitialState init(VertexId /*v*/, VertexId num_vertices) const override {
     // Every engine calls init() for all vertices before superstep 0, so
     // caching the teleport term here keeps the program self-configuring.
-    teleport_ = (1.0F - damping_) / static_cast<float>(num_vertices);
+    const float teleport =
+        (1.0F - damping_) / static_cast<float>(num_vertices);
+    if (teleport_.load() != teleport) {
+      teleport_.store(teleport);  // concurrent jobs may share the program
+    }
     return {float_to_payload(1.0F / static_cast<float>(num_vertices)), true};
   }
 
@@ -47,7 +53,7 @@ class PageRankProgram final : public Program {
 
   Payload first_update(VertexId /*v*/, Payload /*stored*/) const override {
     // Teleport term; the old rank does not carry over in push PageRank.
-    return float_to_payload(teleport_);
+    return float_to_payload(teleport_.load());
   }
 
   Payload compute(Payload accumulator, Payload message) const override {
@@ -66,7 +72,7 @@ class PageRankProgram final : public Program {
  private:
   std::uint64_t iterations_;
   float damping_;
-  mutable float teleport_ = 0.15F;
+  mutable std::atomic<float> teleport_{0.15F};
 };
 
 }  // namespace gpsa

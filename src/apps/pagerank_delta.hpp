@@ -21,6 +21,7 @@
 // gates re-activation on the epsilon (GPSA_DELTA_EPS).
 #pragma once
 
+#include <atomic>
 #include <optional>
 
 #include "core/program.hpp"
@@ -47,11 +48,15 @@ class PageRankDeltaProgram final : public Program {
   std::string name() const override { return "pagerank_delta"; }
 
   InitialState init(VertexId /*v*/, VertexId num_vertices) const override {
-    teleport_ = (1.0F - damping_) / static_cast<float>(num_vertices);
+    const float teleport =
+        (1.0F - damping_) / static_cast<float>(num_vertices);
+    if (teleport_.load() != teleport) {
+      teleport_.store(teleport);  // concurrent jobs may share the program
+    }
     // Rank starts at the teleport term (not 1/N): everything else arrives
     // as accumulated deltas. last_sent starts at 0, so the first dispatch
     // propagates exactly this seed.
-    return {float_to_payload(teleport_), true};
+    return {float_to_payload(teleport_.load()), true};
   }
 
   Payload gen_msg(VertexId /*src*/, VertexId /*dst*/, Payload value,
@@ -98,7 +103,7 @@ class PageRankDeltaProgram final : public Program {
   std::uint64_t max_iterations_;
   float damping_;
   float eps_;
-  mutable float teleport_ = 0.15F;
+  mutable std::atomic<float> teleport_{0.15F};
 };
 
 }  // namespace gpsa

@@ -1,17 +1,11 @@
 // Distributed GPSA in one process (paper §III.B, motivation c: "Actor-based
 // graph processing can ... be directly applicable to distributed
-// systems").
-//
-// ClusterEngine::run deploys N cluster ranks as threads of one process.
-// Each rank owns a contiguous vertex interval, the matching slice of the
-// CSR, and its own value file (storage/value_file.hpp), which the
-// engine's apply kernel (core/slice_apply.hpp) folds into. The
-// ranks run the same superstep loop as the rank processes of
-// run_cluster_rank (cluster_net.hpp), connected pairwise by socketpairs
-// instead of TCP, so every node-crossing batch is a real wire frame: the
-// result reports measured communication volume and per-node load balance
-// versus cluster size (the distributed-systems costs the paper's
-// introduction calls out).
+// systems"). ClusterEngine::run deploys N cluster ranks as threads of one
+// process, linked pairwise by socketpairs: each runs the engine's own
+// actors over its vertex slice of one CSR file, as the rank processes of
+// run_cluster_rank (cluster_net.hpp) do over TCP, so every node-crossing
+// batch is a real wire frame and the result reports measured
+// communication volume and per-node load balance versus cluster size.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +21,16 @@
 namespace gpsa {
 
 struct ClusterOptions {
+  /// Largest scheduler_workers either entry point accepts.
+  static constexpr unsigned kMaxSchedulerWorkers = 16;
+
   unsigned num_nodes = 4;
-  /// Vertex-interval assignment across nodes.
+  /// Vertex-interval assignment across nodes, and across each rank's
+  /// dispatchers and computers inside its slice.
   PartitionStrategy partition = PartitionStrategy::kBalancedEdges;
-  /// Read by nothing: a rank runs dispatch and apply on its control
-  /// thread, and all its transports on one worker. Kept only because
-  /// perfbench still sets it; drop it with the next benchmark change.
+  /// Scheduler workers per rank, 0 meaning 1: they run the rank's manager
+  /// and one dispatcher and one computer each. Both entry points reject
+  /// more than kMaxSchedulerWorkers before any thread or socket exists.
   unsigned scheduler_workers = 0;
   /// VertexMessages per inter-node batch (matches
   /// EngineOptions::message_batch; see the rationale there).
@@ -40,12 +38,10 @@ struct ClusterOptions {
   std::uint64_t max_supersteps = 0;  // 0 = program/quiescence only
   /// Where each node's value file goes. Non-empty: kept at
   /// "<value_store_dir>/node<k>.values" and checkpointed at the end of the
-  /// run — the per-node placement a distributed deployment would use.
-  /// Empty: in a scratch directory under $TMPDIR, never checkpointed and
-  /// removed after the run.
+  /// run. Empty: in a scratch directory under $TMPDIR, removed after the
+  /// run.
   std::string value_store_dir;
-  /// Storage I/O configuration: the backend that creates every node's
-  /// value file, kept or scratch (src/io/).
+  /// Storage I/O configuration (src/io/) every rank's job runs under.
   IoOptions io;
 };
 
@@ -60,10 +56,9 @@ struct ClusterRunResult {
   std::uint64_t remote_messages = 0;
   std::uint64_t remote_batches = 0;
   double elapsed_seconds = 0.0;
-  /// Wire traffic, control frames included, counted as frames are handed
-  /// to the transports (header plus payload): every rank's supersteps,
-  /// plus the final value sync's frames this rank sent or, on rank 0,
-  /// received.
+  /// Wire traffic, control frames included (header plus payload): every
+  /// rank's supersteps, plus the final value sync's frames this rank sent
+  /// or, on rank 0, received.
   std::uint64_t bytes_on_wire = 0;
   std::uint64_t frames_sent = 0;
   /// Wire bytes every rank framed in each superstep (index = superstep).
@@ -84,8 +79,10 @@ struct ClusterRunResult {
 
 class ClusterEngine {
  public:
-  /// Largest num_nodes run() accepts. Each rank thread brings a poller
-  /// and one transport worker, so a run starts 3N threads.
+  /// Largest num_nodes run() accepts. Besides its own thread, each rank
+  /// brings its scheduler workers (at least one), a transport worker, a
+  /// poller and a watchdog: N × (max(1, scheduler_workers) + 4) threads,
+  /// at most 16 × 20.
   static constexpr unsigned kMaxNodes = 16;
 
   /// Runs every rank as a thread of this process and returns rank 0's
@@ -106,11 +103,9 @@ class ClusterEngine {
       const std::string& expected_app_tag);
 };
 
-/// Test-only crash injection for the end-of-run per-node checkpoint sweep
-/// (the fork-based crash suite): after `flushes` successful node
-/// checkpoints the process _exit()s, leaving the remaining nodes' headers
-/// behind the finished ones. Negative disables (the default). Only ever
-/// set inside a forked child.
+/// Test-only crash injection for the end-of-run checkpoint sweep: after
+/// `flushes` node checkpoints the process _exit()s, leaving the remaining
+/// nodes' headers behind. Negative disables (the default).
 void set_cluster_checkpoint_crash_after_flushes(int flushes);
 
 }  // namespace gpsa

@@ -10,10 +10,11 @@ ComputerActor::ComputerActor(std::uint32_t id, ValueFile& values,
                              const Program& program,
                              std::vector<std::uint8_t>& latest_column,
                              MessageBatchPool& pool, const OwnerMap& owners,
-                             ActiveBitmap& worklist, const VertexId* orig_ids)
+                             ActiveBitmap& worklist, const VertexId* orig_ids,
+                             VertexId base)
     : id_(id),
       pool_(pool),
-      apply_(values, program, latest_column, worklist, orig_ids, /*base=*/0,
+      apply_(values, program, latest_column, worklist, orig_ids, base,
              owners.range_begin(id), owners.local_size(id)) {}
 
 void ComputerActor::connect(ManagerActor* manager) {

@@ -42,11 +42,13 @@ class ComputerActor final : public Actor<ComputerMsg> {
   /// `orig_ids` (non-null only for renumbered v2 files) translates the
   /// vertex id handed to Program::first_update back to the original id;
   /// storage indexing stays internal. `owners` gives this actor's slice
-  /// (owner `id`).
+  /// (owner `id`); `values`, `latest_column` and `worklist` hold vertex v
+  /// at index v - `base` (a cluster rank's storage covers its slice only).
   ComputerActor(std::uint32_t id, ValueFile& values, const Program& program,
                 std::vector<std::uint8_t>& latest_column,
                 MessageBatchPool& pool, const OwnerMap& owners,
-                ActiveBitmap& worklist, const VertexId* orig_ids = nullptr);
+                ActiveBitmap& worklist, const VertexId* orig_ids = nullptr,
+                VertexId base = 0);
 
   void connect(ManagerActor* manager);
 

@@ -5,13 +5,14 @@
 
 #include "core/computer.hpp"
 #include "core/manager.hpp"
+#include "core/peer_links.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
 namespace gpsa {
 
 DispatcherActor::DispatcherActor(std::uint32_t id, Interval interval,
-                                 const CsrFileReader& csr,
+                                 VertexId base, const CsrFileReader& csr,
                                  CsrEntryStream& stream,
                                  ReadaheadScheduler& readahead,
                                  ValueFile& values, const Program& program,
@@ -23,6 +24,7 @@ DispatcherActor::DispatcherActor(std::uint32_t id, Interval interval,
                                  const VertexId* orig_ids)
     : id_(id),
       interval_(interval),
+      base_(base),
       csr_(csr),
       stream_(stream),
       readahead_(readahead),
@@ -40,11 +42,12 @@ DispatcherActor::DispatcherActor(std::uint32_t id, Interval interval,
 }
 
 void DispatcherActor::connect(std::vector<ComputerActor*> computers,
-                              ManagerActor* manager) {
+                              ManagerActor* manager, PeerLinks* peers) {
   GPSA_CHECK(!computers.empty() && manager != nullptr);
   GPSA_CHECK(computers.size() == owners_.parts());
   computers_ = std::move(computers);
   manager_ = manager;
+  peers_ = peers;
   // One-time setup: the flat per-owner bin vectors. They grow to their
   // working set during warm-up and keep that capacity for the rest of the
   // run.
@@ -105,7 +108,6 @@ void DispatcherActor::run_iteration(std::uint64_t superstep) {
 
     run_worklist(superstep, dispatch_col);
     flush_all(superstep);
-    messages_sent_total_ += messages_this_superstep_;
     vertex_checks_total_ += checks_this_superstep_;
     entries_read_total_ += entries_this_superstep_;
   }
@@ -147,14 +149,14 @@ void DispatcherActor::run_worklist(std::uint64_t superstep,
       bits &= bits - 1;
       const auto v =
           static_cast<VertexId>(w * kBitmapWordBits + bit);
-      const std::uint64_t cursor = offsets[v];
+      const std::uint64_t cursor = offsets[base_ + v];
       readahead_.advance(cursor, v);
       const Slot slot = values_.load(v, dispatch_col);
       // Bitmap/stale-flag equivalence (DESIGN.md §12): a set bit means the
       // owning computer stored this column non-stale last superstep —
       // unless the ablation seeded it.
       GPSA_DCHECK(behavior_.dispatch_inactive || !slot_is_stale(slot));
-      dispatch_vertex(v, slot_payload(slot), cursor, offsets[v + 1],
+      dispatch_vertex(v, slot_payload(slot), cursor, offsets[base_ + v + 1],
                       superstep);
       values_.consume(v, dispatch_col);
     }
@@ -191,7 +193,8 @@ void DispatcherActor::dispatch_vertex(VertexId v, Payload value,
   }
   // Program hooks see *original* vertex ids (identity unless the file is
   // renumbered); everything downstream of gen_msg stays in internal ids.
-  const VertexId src_ext = orig_ids_ == nullptr ? v : orig_ids_[v];
+  const VertexId src = base_ + v;
+  const VertexId src_ext = orig_ids_ == nullptr ? src : orig_ids_[src];
   // Uniform-message programs (PageRank, BFS, CC) pay gen_msg's virtual
   // call and arithmetic once per vertex, not once per out-edge; the
   // first destination is passed only for interface symmetry.
@@ -239,6 +242,11 @@ void DispatcherActor::flush_batch(std::size_t computer_index,
   msg.batch = pool_.lease();
   gather_bins(computer_index, msg.batch);
   staged_count_[computer_index] = 0;
+  if (computers_[computer_index] == nullptr) {
+    peers_->send_batch(static_cast<unsigned>(computer_index), superstep,
+                       std::move(msg.batch));
+    return;
+  }
   computers_[computer_index]->send(std::move(msg));
 }
 

@@ -4,8 +4,10 @@
 // ITERATION_START it walks its interval's active vertices: each has one
 // message generated per out-edge via Program::gen_msg, routed to the
 // computing actor that owns the destination (OwnerMap: contiguous vertex
-// ranges) in batches, and is then consumed (flag re-set to 1). When the
-// interval is exhausted it reports DISPATCH_OVER with its
+// ranges) in batches, and is then consumed (flag re-set to 1). On a
+// cluster rank an owner may be a peer rank's whole slice instead; its
+// batches leave through the rank's peer links (core/peer_links.hpp).
+// When the interval is exhausted it reports DISPATCH_OVER with its
 // message/active/edge counts and waits for the next command.
 //
 // One dispatch loop finds the active vertices: it scans the interval's
@@ -46,6 +48,7 @@ namespace gpsa {
 
 class ComputerActor;
 class ManagerActor;
+class PeerLinks;
 
 class DispatcherActor final : public Actor<DispatcherMsg> {
  public:
@@ -57,6 +60,9 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
     bool dispatch_inactive = false;
   };
 
+  /// `interval` indexes the value file, `worklist` and `last_sent`; its
+  /// vertex v is graph vertex `base` + v (a cluster rank's storage covers
+  /// its slice only), and its entry offsets are the CSR file's.
   /// `stream` carries the interval's record bytes (the reader supplies
   /// only metadata: offsets, degree flag); `readahead` runs the window
   /// policy over it and the value file. `owners` routes destinations and
@@ -69,7 +75,7 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   /// boundary: gen_msg sees original src/dst, while routing, staging and
   /// value-file indexing stay in internal ids. All references must
   /// outlive the actor.
-  DispatcherActor(std::uint32_t id, Interval interval,
+  DispatcherActor(std::uint32_t id, Interval interval, VertexId base,
                   const CsrFileReader& csr, CsrEntryStream& stream,
                   ReadaheadScheduler& readahead, ValueFile& values,
                   const Program& program, const OwnerMap& owners,
@@ -80,10 +86,10 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
 
   /// Wiring is two-phase: computers and the manager are spawned after the
   /// dispatchers, then connected before the run starts. computers.size()
-  /// must equal owners.parts().
-  void connect(std::vector<ComputerActor*> computers, ManagerActor* manager);
-
-  std::uint64_t messages_sent_total() const { return messages_sent_total_; }
+  /// must equal owners.parts(); a null entry is a peer's slice, reached
+  /// through `peers`.
+  void connect(std::vector<ComputerActor*> computers, ManagerActor* manager,
+               PeerLinks* peers = nullptr);
 
   /// CSR entries belonging to dispatched records (degree + targets +
   /// sentinel) — the dispatcher's fundamental sequential-read volume.
@@ -109,7 +115,7 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   void run_iteration(std::uint64_t superstep);
   /// Iterates + clears the interval's slice of the dispatch generation.
   void run_worklist(std::uint64_t superstep, unsigned dispatch_col);
-  /// Streams one active vertex's record and stages its messages.
+  /// Streams active vertex base_ + `v`'s record and stages its messages.
   void dispatch_vertex(VertexId v, Payload value, std::uint64_t begin_entry,
                        std::uint64_t end_entry, std::uint64_t superstep);
   void flush_batch(std::size_t computer_index, std::uint64_t superstep);
@@ -120,6 +126,7 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
 
   const std::uint32_t id_;
   const Interval interval_;
+  const VertexId base_;
   const CsrFileReader& csr_;
   CsrEntryStream& stream_;
   ReadaheadScheduler& readahead_;
@@ -140,6 +147,7 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
 
   std::vector<ComputerActor*> computers_;
   ManagerActor* manager_ = nullptr;
+  PeerLinks* peers_ = nullptr;
 
   // Flat parts x kRadixBins bucketed staging. Pushes append to the
   // destination's bin; flushes gather the bins in ascending order with
@@ -155,7 +163,6 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   bool uniform_message_ = false;
   bool has_degree_ = false;
   std::uint64_t messages_this_superstep_ = 0;
-  std::uint64_t messages_sent_total_ = 0;
   std::uint64_t entries_read_total_ = 0;
   std::uint64_t vertex_checks_total_ = 0;
   // Per-superstep work-done counters reported in DISPATCH_OVER: vertices

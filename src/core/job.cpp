@@ -10,6 +10,7 @@
 #include "actor/actor_system.hpp"
 #include "core/computer.hpp"
 #include "core/dispatcher.hpp"
+#include "core/peer_links.hpp"
 #include "platform/file_util.hpp"
 #include "storage/active_bitmap.hpp"
 #include "storage/recovery.hpp"
@@ -73,6 +74,13 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   if (n == 0) {
     return invalid_argument("engine: graph has no vertices");
   }
+  // The vertices this run stores, a rank's slice or the whole graph:
+  // storage index i (slot, bitmap bit, latest, last sent) is base + i.
+  PeerLinks* const peers = ctx.peers;
+  const VertexId base =
+      peers == nullptr ? 0 : peers->slices().range_begin(peers->rank());
+  const VertexId size =
+      peers == nullptr ? n : peers->slices().local_size(peers->rank());
 
   // Renumbered v2 files: the engine works entirely in the file's internal
   // ids (intervals, routing, value slots, bitmap); `orig` translates at
@@ -90,20 +98,20 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   // Generation g of the bitmap mirrors value column g: a bit set in g is
   // exactly a clear stale flag in column g, so worklist dispatch touches
   // the vertex set the paper's stale-flag scan would (DESIGN.md §12).
-  ActiveBitmap worklist(n);
+  ActiveBitmap worklist(size);
   // Delta programs: per-vertex value as of its last dispatch. Written only
   // by the dispatcher owning the vertex's interval (single-writer).
   std::optional<std::vector<Payload>> last_sent;
   if (program.delta_messages()) {
-    last_sent.emplace(n, Payload{0});
+    last_sent.emplace(size, Payload{0});
   }
 
   // --- Value file: create + initialize, or resume after a crash. ---------
   ValueFile values;
-  std::vector<std::uint8_t> latest_column(n, 0);
+  std::vector<std::uint8_t> latest_column(size, 0);
   if (resume && file_exists(value_path)) {
     GPSA_ASSIGN_OR_RETURN(values, backend.open_value_file(value_path));
-    if (values.num_vertices() != n) {
+    if (values.num_vertices() != size) {
       return failed_precondition("engine: value file vertex count mismatch");
     }
     if (values.app_tag() != program.name()) {
@@ -119,9 +127,9 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
     // (recovery re-activates the frontier in the dispatch column; the
     // bitmap in the crashed process died with it).
     const unsigned dcol = ValueFile::dispatch_column(report.resume_superstep);
-    for (VertexId v = 0; v < n; ++v) {
-      if (!slot_is_stale(values.load(v, dcol))) {
-        worklist.set(v, dcol);
+    for (VertexId i = 0; i < size; ++i) {
+      if (!slot_is_stale(values.load(i, dcol))) {
+        worklist.set(i, dcol);
       }
     }
     // Values come from the file, but programs that cache per-graph
@@ -132,36 +140,61 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
                    << "' at superstep " << report.resume_superstep;
   } else {
     GPSA_ASSIGN_OR_RETURN(
-        values, backend.create_value_file(value_path, n, program.name()));
+        values, backend.create_value_file(value_path, size, program.name()));
     const unsigned d0 = ValueFile::dispatch_column(0);
     const unsigned u0 = 1 - d0;
-    for (VertexId v = 0; v < n; ++v) {
+    for (VertexId i = 0; i < size; ++i) {
+      const VertexId v = base + i;
       const Program::InitialState st =
           program.init(orig == nullptr ? v : orig[v], n);
-      values.store(v, d0, make_slot(st.value, /*stale=*/!st.active));
-      values.store(v, u0, make_slot(st.value, /*stale=*/true));
-      latest_column[v] = static_cast<std::uint8_t>(d0);
+      values.store(i, d0, make_slot(st.value, /*stale=*/!st.active));
+      values.store(i, u0, make_slot(st.value, /*stale=*/true));
+      latest_column[i] = static_cast<std::uint8_t>(d0);
       if (st.active) {
-        worklist.set(v, d0);
+        worklist.set(i, d0);
       }
     }
   }
 
-  // --- Partition intervals for the dispatchers (§V.A). -------------------
-  const std::vector<Interval> intervals =
-      make_intervals(csr, options.num_dispatchers, options.partition);
+  // --- Dispatcher intervals (§V.A), in storage indices. ------------------
+  std::vector<Interval> intervals = make_intervals(
+      csr, options.num_dispatchers, options.partition, base, base + size);
   GPSA_CHECK(!intervals.empty());
+  for (Interval& interval : intervals) {
+    interval.begin_vertex -= base;
+    interval.end_vertex -= base;
+  }
 
   // --- Message plane: destination ownership + batch-buffer pool. ---------
   // Contiguous per-computer slices come from the same interval machinery;
   // the partitioner may return fewer non-empty slices than requested on
-  // tiny graphs, and we spawn exactly that many computers.
-  const OwnerMap owners = OwnerMap::make_range_from_intervals(
-      make_intervals(csr, options.num_computers, options.partition));
+  // tiny graphs, and we spawn exactly that many computers. On a cluster
+  // rank every other rank's slice is one more owner, in rank order around
+  // the computers' (owner r < rank is rank r).
+  std::vector<VertexId> cuts{0};
+  const unsigned first_local = peers == nullptr ? 0 : peers->rank();
+  const unsigned ranks = peers == nullptr ? 1 : peers->slices().parts();
+  for (unsigned r = 0; r < ranks; ++r) {
+    if (r != first_local) {
+      cuts.push_back(peers->slices().range_end(r));
+      continue;
+    }
+    for (const Interval& slice : make_intervals(csr, options.num_computers,
+                                                options.partition, base,
+                                                base + size)) {
+      cuts.push_back(slice.end_vertex);
+    }
+  }
+  const OwnerMap owners = OwnerMap::make_range(std::move(cuts));
+  const unsigned local_owners = owners.parts() - (ranks - 1);
   // The pool outlives every actor of this job: despawn_job below destroys
-  // the job's actors (and thus any leased buffers still in mailboxes)
-  // before this frame unwinds (message_pool.hpp).
-  MessageBatchPool pool(options.message_batch);
+  // the job's actors (and any leased buffers still in mailboxes) before
+  // this frame unwinds. A rank's links own theirs: their transports
+  // recycle batches after the job.
+  std::optional<MessageBatchPool> own_pool;
+  MessageBatchPool& pool = peers != nullptr
+                               ? peers->pool()
+                               : own_pool.emplace(options.message_batch);
 
   // --- Cold-cache protocol (bench_ablation_io): everything written or
   // faulted in during setup — CSR validation touches every entry page —
@@ -194,13 +227,15 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   // --- Spawn and wire the actor ensemble under this job's namespace. -----
   std::vector<Payload>* const last_sent_plane =
       last_sent.has_value() ? &*last_sent : nullptr;
+  // Computers by owner; null where the owner is a peer's slice.
+  std::vector<ComputerActor*> by_owner(owners.parts(), nullptr);
   std::vector<ComputerActor*> computers;
-  computers.reserve(owners.parts());
-  for (std::uint32_t c = 0; c < owners.parts(); ++c) {
-    computers.push_back(system.spawn_in_job<ComputerActor>(
+  computers.reserve(local_owners);
+  for (std::uint32_t c = first_local; c < first_local + local_owners; ++c) {
+    by_owner[c] = computers.emplace_back(system.spawn_in_job<ComputerActor>(
         ctx.job_tag, c, std::ref(values), std::cref(program),
         std::ref(latest_column), std::ref(pool), std::cref(owners),
-        std::ref(worklist), orig));
+        std::ref(worklist), orig, base));
   }
   const std::uint64_t checkpoint_interval =
       options.checkpoint_each_superstep
@@ -209,7 +244,7 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   auto* manager = system.spawn_in_job<ManagerActor>(
       ctx.job_tag, std::ref(values), budget, checkpoint_interval,
       /*terminate_on_zero_updates=*/options.dispatch_inactive, &pool,
-      ctx.cancel, ctx.progress);
+      ctx.cancel, ctx.progress, peers);
   std::vector<DispatcherActor*> dispatchers;
   dispatchers.reserve(intervals.size());
   DispatcherActor::Behavior behavior;
@@ -217,13 +252,14 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   behavior.dispatch_inactive = options.dispatch_inactive;
   for (std::uint32_t d = 0; d < intervals.size(); ++d) {
     dispatchers.push_back(system.spawn_in_job<DispatcherActor>(
-        ctx.job_tag, d, intervals[d], std::cref(csr), std::ref(*streams[d]),
+        ctx.job_tag, d, intervals[d], base, std::cref(csr),
+        std::ref(*streams[d]),
         std::ref(*readaheads[d]), std::ref(values), std::cref(program),
         std::cref(owners), std::ref(pool), options.message_batch, behavior,
         std::ref(worklist), last_sent_plane, orig));
   }
   for (DispatcherActor* dispatcher : dispatchers) {
-    dispatcher->connect(computers, manager);
+    dispatcher->connect(by_owner, manager, peers);
   }
   for (ComputerActor* computer : computers) {
     computer->connect(manager);
@@ -232,12 +268,18 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
 
   // --- Run. ---------------------------------------------------------------
   auto future = manager->result_future();
+  if (peers != nullptr) {
+    peers->connect(owners, by_owner, manager);
+  }
   WallTimer timer;
   ManagerMsg start;
   start.kind = ManagerMsg::Kind::kStartRun;
   manager->send(start);
   const ManagerResult mres = future.get();
   const double elapsed = timer.elapsed_seconds();
+  if (peers != nullptr) {
+    peers->disconnect();
+  }
   if (mres.failed) {
     // On a worker failure the other dispatchers may still be mid-iteration
     // writing their counters; despawn first (it waits for the group to
@@ -262,12 +304,12 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   out.superstep_updates = mres.superstep_updates;
   out.superstep_active_vertices = mres.superstep_active;
   out.superstep_edges_touched = mres.superstep_edges;
-  out.values.resize(n);
-  // Inverse mapping on output: slot v holds internal vertex v's payload;
-  // the caller-visible array is keyed by original ids.
-  for (VertexId v = 0; v < n; ++v) {
-    out.values[orig == nullptr ? v : orig[v]] =
-        slot_payload(values.load(v, latest_column[v]));
+  out.values.resize(size);
+  // Inverse mapping on output: slot i holds internal vertex base + i's
+  // payload; a one-rank run's array is keyed by original ids.
+  for (VertexId i = 0; i < size; ++i) {
+    out.values[peers == nullptr && orig != nullptr ? orig[i] : i] =
+        slot_payload(values.load(i, latest_column[i]));
   }
   for (const DispatcherActor* dispatcher : dispatchers) {
     // Streamed-record volume is counted in the file's offset units (int32
@@ -293,7 +335,7 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   out.csr_file_bytes = csr.entry_file_bytes();
   out.value_flush_syscalls = values.flush_syscalls();
   out.working_set_bytes =
-      csr.entry_file_bytes() + ValueFile::file_size(n) +
+      csr.entry_file_bytes() + ValueFile::file_size(size) +
       (static_cast<std::uint64_t>(n) + 1) * sizeof(std::uint64_t);
   system.despawn_job(ctx.job_tag);
   return out;

@@ -1,8 +1,8 @@
 // One job run against borrowed, shared infrastructure.
 //
 // run_job() is the engine's superstep orchestration (value-file setup,
-// partitioning, actor spawn/wire, kStartRun -> result extraction) factored
-// out of Engine::run so it can execute in two hosting modes:
+// partitioning, actor spawn/wire, kStartRun -> result extraction) and the
+// only superstep driver there is. It runs in three hosting modes:
 //
 //   - Engine (engine.cpp): a private ActorSystem and IoBackend per run —
 //     the paper's one-job-owns-the-process shape.
@@ -10,6 +10,8 @@
 //     opened once and shared; many jobs run concurrently, each under its
 //     own actor namespace (JobContext::job_tag) so mailboxes, bitmaps, and
 //     pools never cross jobs, with its own two-column value file.
+//   - A cluster rank (src/cluster/): JobContext::peers links the run over
+//     its slice to the other ranks. The other two are one-rank runs.
 //
 // run_job spawns every actor via ActorSystem::spawn_in_job(job_tag) and
 // always retires the namespace with despawn_job(job_tag) before
@@ -28,6 +30,7 @@
 namespace gpsa {
 
 class ActorSystem;
+class PeerLinks;
 
 /// Everything a single run borrows from its host. All pointers must stay
 /// valid for the duration of the run_job call; `csr`, `backend`, and
@@ -45,6 +48,11 @@ struct JobContext {
   const std::atomic<bool>* cancel = nullptr;
   /// Optional live progress counter, bumped once per completed superstep.
   std::atomic<std::uint64_t>* progress = nullptr;
+  /// A cluster rank's links to its peers (core/peer_links.hpp); null for
+  /// a one-rank run. With links the value file, worklist and
+  /// RunResult::values cover the rank's slice only, values in the CSR
+  /// file's internal order; the links' pool serves the run's batches.
+  PeerLinks* peers = nullptr;
 };
 
 /// Validates the option combinations run_job enforces up front.

@@ -2,6 +2,7 @@
 
 #include "core/computer.hpp"
 #include "core/dispatcher.hpp"
+#include "core/peer_links.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
 
@@ -12,14 +13,16 @@ ManagerActor::ManagerActor(ValueFile& values, std::uint64_t max_supersteps,
                            bool terminate_on_zero_updates,
                            MessageBatchPool* pool,
                            const std::atomic<bool>* cancel,
-                           std::atomic<std::uint64_t>* progress)
+                           std::atomic<std::uint64_t>* progress,
+                           PeerLinks* peers)
     : values_(values),
       max_supersteps_(max_supersteps),
       checkpoint_interval_(checkpoint_interval),
       terminate_on_zero_updates_(terminate_on_zero_updates),
       pool_(pool),
       cancel_(cancel),
-      progress_(progress) {}
+      progress_(progress),
+      peers_(peers) {}
 
 void ManagerActor::connect(std::vector<DispatcherActor*> dispatchers,
                            std::vector<ComputerActor*> computers) {
@@ -48,15 +51,22 @@ void ManagerActor::on_message(ManagerMsg msg) {
       superstep_active_count_ += msg.active;
       superstep_edges_count_ += msg.edges;
       if (++dispatch_acks_ == dispatchers_.size()) {
-        // Every dispatcher's batches are already enqueued (they enqueue
-        // before reporting), so the COMPUTE_OVER token lands behind them.
-        for (ComputerActor* computer : computers_) {
-          ComputerMsg over;
-          over.kind = ComputerMsg::Kind::kComputeOver;
-          over.superstep = superstep_;
-          computer->send(std::move(over));
+        if (peers_ != nullptr) {
+          // Answered by kPeersOver once the peers' batches are in too.
+          peers_->end_dispatch(superstep_, superstep_message_count_);
+        } else {
+          send_compute_over();
         }
       }
+      break;
+
+    case ManagerMsg::Kind::kPeersOver:
+      GPSA_CHECK(peers_ != nullptr && msg.superstep == superstep_);
+      // Halt and convergence go by the whole cluster's messages.
+      superstep_message_count_ = msg.count;
+      send_compute_over();
+      // Only now may a faster peer's next-superstep batches follow.
+      peers_->open(superstep_ + 1);
       break;
 
     case ManagerMsg::Kind::kComputeOver:
@@ -93,6 +103,17 @@ void ManagerActor::start_superstep() {
   start.superstep = superstep_;
   for (DispatcherActor* dispatcher : dispatchers_) {
     dispatcher->send(start);
+  }
+}
+
+void ManagerActor::send_compute_over() {
+  // Every dispatcher's batches are enqueued (before it reported), and so
+  // are the peers' (kPeersOver): the COMPUTE_OVER token lands behind them.
+  for (ComputerActor* computer : computers_) {
+    ComputerMsg over;
+    over.kind = ComputerMsg::Kind::kComputeOver;
+    over.superstep = superstep_;
+    computer->send(std::move(over));
   }
 }
 

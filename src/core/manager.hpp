@@ -5,7 +5,9 @@
 //   start superstep s: ITERATION_START -> every dispatcher
 //   all DISPATCH_OVER received: COMPUTE_OVER -> every computer
 //     (mailbox enqueue order guarantees the token arrives after every
-//      batch the dispatchers enqueued during s)
+//      batch the dispatchers enqueued during s). A cluster rank's manager
+//     first tells its peer links (core/peer_links.hpp) and waits for their
+//     PEERS_OVER, and decides halt on the whole cluster's messages.
 //   all COMPUTE_OVER acks received: superstep s is complete ->
 //     optional checkpoint; decide: converged (zero messages dispatched),
 //     superstep budget exhausted, or start s+1.
@@ -31,6 +33,7 @@ namespace gpsa {
 
 class DispatcherActor;
 class ComputerActor;
+class PeerLinks;
 
 /// Outcome handed to the engine when the run finishes.
 struct ManagerResult {
@@ -68,12 +71,14 @@ class ManagerActor final : public Actor<ManagerMsg> {
   /// run winds down cleanly with `cancelled` set. `progress` (may be null)
   /// is bumped once per completed superstep so a service front-end can
   /// observe a resident job's liveness without waiting for the result.
+  /// `peers` (null in a one-rank run) are the cluster rank's links.
   ManagerActor(ValueFile& values, std::uint64_t max_supersteps,
                std::uint64_t checkpoint_interval,
                bool terminate_on_zero_updates = false,
                MessageBatchPool* pool = nullptr,
                const std::atomic<bool>* cancel = nullptr,
-               std::atomic<std::uint64_t>* progress = nullptr);
+               std::atomic<std::uint64_t>* progress = nullptr,
+               PeerLinks* peers = nullptr);
 
   void connect(std::vector<DispatcherActor*> dispatchers,
                std::vector<ComputerActor*> computers);
@@ -86,6 +91,7 @@ class ManagerActor final : public Actor<ManagerMsg> {
 
  private:
   void start_superstep();
+  void send_compute_over();
   void finish_superstep();
   void finish_run(bool converged);
 
@@ -96,6 +102,7 @@ class ManagerActor final : public Actor<ManagerMsg> {
   MessageBatchPool* const pool_;
   const std::atomic<bool>* const cancel_;
   std::atomic<std::uint64_t>* const progress_;
+  PeerLinks* const peers_;
 
   std::vector<DispatcherActor*> dispatchers_;
   std::vector<ComputerActor*> computers_;

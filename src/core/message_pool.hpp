@@ -32,7 +32,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -64,21 +63,6 @@ inline std::pair<const std::uint8_t*, std::size_t> batch_wire_view(
     const std::vector<VertexMessage>& batch) {
   return {reinterpret_cast<const std::uint8_t*>(batch.data()),
           batch.size() * sizeof(VertexMessage)};
-}
-
-/// Decodes a BATCH frame's message bytes into `out` (normally a freshly
-/// leased buffer). Rejects byte counts that are not whole messages.
-inline Status decode_batch_into(const std::uint8_t* data, std::size_t size,
-                                std::vector<VertexMessage>& out) {
-  if (size % sizeof(VertexMessage) != 0) {
-    return corrupt_data("BATCH payload of " + std::to_string(size) +
-                        " bytes is not a whole number of messages");
-  }
-  out.resize(size / sizeof(VertexMessage));
-  if (size > 0) {
-    std::memcpy(out.data(), data, size);
-  }
-  return Status::ok();
 }
 
 /// Pool activity surfaced in RunResult.

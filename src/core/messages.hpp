@@ -3,7 +3,8 @@
 // The paper's command set maps onto three mailbox message types:
 //   dispatcher <- ITERATION_START / SYSTEM_OVER         (DispatcherMsg)
 //   computer   <- message batches / COMPUTE_OVER / SYSTEM_OVER (ComputerMsg)
-//   manager    <- DISPATCH_OVER / COMPUTE_OVER acks     (ManagerMsg)
+//   manager    <- DISPATCH_OVER / COMPUTE_OVER acks, and on a cluster
+//                 rank its peer links' PEERS_OVER         (ManagerMsg)
 //
 // Vertex messages are batched: a dispatcher accumulates up to
 // EngineOptions::message_batch VertexMessages per computing actor before
@@ -58,6 +59,8 @@ struct ManagerMsg {
     kStartRun,      // from the engine front-end
     kDispatchOver,  // from a dispatcher; count = messages it sent
     kComputeOver,   // ack from a computer; count = vertices it updated
+    kPeersOver,     // from the peer links: every peer's traffic for the
+                    // superstep is in; count = the cluster's messages
     kWorkerFailed,  // a worker's user hook threw (§V.C: the manager
                     // "handles exceptions" and aborts the run cleanly)
   };

@@ -1,7 +1,7 @@
 // The apply kernel of the computing actors (paper §V.D, Algorithm 3): folds
-// message batches into one vertex slice of a value file. Every executor of
-// a Program runs it — ComputerActor over the engine's global value file,
-// and each cluster rank (cluster_rank.hpp) over its node-local one.
+// message batches into one vertex slice of a value file: a computer's
+// slice of the engine's global file, or of a cluster rank's slice-sized
+// one.
 //
 // The first message a vertex receives in a superstep seeds the accumulator
 // from the vertex's freshest stored payload (see the latest-column note in
@@ -20,14 +20,12 @@
 // copied value — storing the sum, clearing the flag, setting the worklist
 // bit and counting the update. It walks the slice in ascending order, so
 // its stores stream and its worklist bits go out one atomic OR per word.
-// Batches may arrive in any interleaving (several dispatchers at one
-// computer, several links at one rank); an exact sum erases it, and
-// deciding activation on the whole sum erases it from
-// PageRankDeltaProgram's epsilon gate too, so results are bit-identical
-// at any shape, worker count and rank count while every message is still
-// applied as it arrives. (Rounding after every message instead cost ~35%
-// more apply time: the conversion and slot store sit on each message's
-// path.)
+// Batches may arrive in any interleaving (several dispatchers and peer
+// ranks at one computer); an exact sum erases it, and deciding activation
+// on the whole sum erases it from PageRankDeltaProgram's epsilon gate
+// too, so results are bit-identical at any shape, worker count and rank
+// count. (Rounding after every message instead cost ~35% more apply
+// time.)
 //
 // Activation publishes to the worklist bitmap in lock-step with the stale
 // flag: the first-update branch of apply and finish() are the only stores

@@ -91,9 +91,11 @@ std::vector<Interval> make_intervals_from_degrees(
 }
 
 std::vector<Interval> make_intervals(const CsrFileReader& csr, unsigned parts,
-                                     PartitionStrategy strategy) {
-  const VertexId n = csr.num_vertices();
-  const auto offsets = csr.record_offsets();
+                                     PartitionStrategy strategy,
+                                     VertexId begin, VertexId end) {
+  end = std::min(end, csr.num_vertices());
+  const VertexId n = end - begin;
+  const auto offsets = csr.record_offsets().subspan(begin);
   const bool v2 = csr.format() == CsrFormat::kV2;
   // Balance weights: out-degrees for v1, where every edge costs the same
   // 4-byte entry, but *encoded record bytes* for v2 — varint compression
@@ -102,12 +104,14 @@ std::vector<Interval> make_intervals(const CsrFileReader& csr, unsigned parts,
   // streaming cost is proportional to the bytes it scans, not the edges.
   std::vector<EdgeCount> weights(n);
   for (VertexId v = 0; v < n; ++v) {
-    weights[v] = v2 ? offsets[v + 1] - offsets[v] : csr.out_degree(v);
+    weights[v] = v2 ? offsets[v + 1] - offsets[v] : csr.out_degree(begin + v);
   }
   auto intervals = make_intervals_from_degrees(weights, parts, strategy);
   for (Interval& iv : intervals) {
     iv.begin_entry = offsets[iv.begin_vertex];
     iv.end_entry = offsets[iv.end_vertex];
+    iv.begin_vertex += begin;
+    iv.end_vertex += begin;
     if (v2) {
       // build() summed byte weights into edge_count; restore true edges
       // (progress accounting and the stats line report edge counts).

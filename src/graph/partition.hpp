@@ -31,10 +31,13 @@ struct Interval {
 
 enum class PartitionStrategy { kUniformVertices, kBalancedEdges };
 
-/// Splits [0, |V|) into at most `parts` non-empty intervals. Every vertex is
-/// covered exactly once; intervals are in ascending id order.
+/// Splits [begin, end) — by default [0, |V|) — into at most `parts`
+/// non-empty intervals. Every vertex is covered exactly once; intervals
+/// are in ascending id order.
 std::vector<Interval> make_intervals(const CsrFileReader& csr, unsigned parts,
-                                     PartitionStrategy strategy);
+                                     PartitionStrategy strategy,
+                                     VertexId begin = 0,
+                                     VertexId end = kNoVertex);
 
 /// Same computation from in-memory degree data (used by tests and baselines).
 std::vector<Interval> make_intervals_from_degrees(

@@ -10,7 +10,7 @@
 // The fd is used full-duplex by two threads: the inbound poller thread
 // reads while a transport actor writes. The two directions share no
 // buffers, so no locking is needed — but only the owner (PeerLink in
-// cluster_rank.hpp) may close the fd, and only after both sides stopped.
+// rank_links.hpp) may close the fd, and only after both sides stopped.
 //
 // Writes use sendmsg(MSG_NOSIGNAL) so a dead peer surfaces as EPIPE, not
 // SIGPIPE.

@@ -25,41 +25,29 @@ TransportActor::TransportActor(std::uint16_t src_rank, std::uint16_t version,
       on_error_(std::move(on_error)) {}
 
 void TransportActor::on_message(TransportMsg msg) {
-  switch (msg.kind) {
-    case TransportMsg::Kind::kBatch: {
-      if (error_.is_ok()) {
-        Status status = write_batch(msg.superstep, msg.seq, msg.batch);
-        if (!status.is_ok()) {
-          error_ = status;
-          if (on_error_) {
-            on_error_(std::move(status));
-          }
-        }
-      }
-      pool_->recycle(std::move(msg.batch));
-      break;
+  if (msg.kind == TransportMsg::Kind::kFence) {
+    if (msg.fence) {
+      msg.fence->set_value(error_);
     }
-    case TransportMsg::Kind::kControl: {
-      if (error_.is_ok()) {
-        Status status = write_control(msg.type, msg.payload);
-        if (!status.is_ok()) {
-          error_ = status;
-          if (on_error_) {
-            on_error_(std::move(status));
-          }
-        }
+    return;
+  }
+  if (error_.is_ok()) {
+    Status status = msg.kind == TransportMsg::Kind::kBatch
+                        ? write_batch(msg.superstep, msg.batch)
+                        : write_control(msg.type, msg.payload);
+    if (!status.is_ok()) {
+      error_ = status;
+      if (on_error_) {
+        on_error_(std::move(status));
       }
-      break;
     }
-    case TransportMsg::Kind::kFence:
-      if (msg.fence) {
-        msg.fence->set_value(error_);
-      }
-      break;
+  }
+  if (msg.kind == TransportMsg::Kind::kBatch) {
+    pool_->recycle(std::move(msg.batch));
   }
 }
 
-Status TransportActor::write_batch(std::uint64_t superstep, std::uint32_t seq,
+Status TransportActor::write_batch(std::uint64_t superstep,
                                    const std::vector<VertexMessage>& batch) {
   // Frame prefix: 24-byte header + 8-byte superstep tag. The message
   // bytes go out straight from the leased buffer (batch_wire_view) — the
@@ -73,7 +61,8 @@ Status TransportActor::write_batch(std::uint64_t superstep, std::uint32_t seq,
   }
   std::uint32_t crc = crc32(superstep_bytes, 8);
   crc = crc32(msg_bytes, msg_len, crc);
-  encode_frame_header(prefix, version_, FrameType::kBatch, src_rank_, seq,
+  encode_frame_header(prefix, version_, FrameType::kBatch, src_rank_,
+                      batch_seq_++,
                       static_cast<std::uint32_t>(8 + msg_len), crc);
   iovec iov[2] = {{prefix, sizeof(prefix)},
                   {const_cast<std::uint8_t*>(msg_bytes), msg_len}};

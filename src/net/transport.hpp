@@ -1,24 +1,21 @@
 // Transport actors + inbound poller: the cluster data plane's two halves
-// (DESIGN.md §14).
+// (DESIGN.md §14), wired up by RankLinks (rank_links.hpp).
 //
-// Outbound: one TransportActor per peer. Sends are ordinary actor sends,
-// so the engine's control thread and dispatch path never block on the
-// network; the actor serializes frames onto its peer's socket with the
-// deadline-driven helpers in socket.hpp. A kBatch message carries a
-// leased MessageBatchPool buffer and goes to the wire as two iovecs —
-// the 32-byte frame prefix (header + superstep) and the buffer's raw
-// bytes — so the lease→wire path copies nothing. Blocking inside
-// on_message is safe here and only here: the peer's dedicated poller
-// thread drains its end regardless of that peer's actor scheduling, so
-// no send-send cycle exists for back-pressure to deadlock on.
+// Outbound: one TransportActor per peer serializes frames onto its
+// peer's socket with the deadline-driven helpers in socket.hpp, so no
+// dispatcher or manager blocks on the network. A kBatch message carries
+// a leased MessageBatchPool buffer and goes to the wire as two iovecs —
+// the 32-byte frame prefix and the buffer's raw bytes — so the lease→wire
+// path copies nothing. Blocking inside on_message is safe here and only
+// here: the peer's dedicated poller thread drains its end regardless of
+// that peer's actor scheduling, so no send-send cycle can deadlock.
 //
 // Inbound: one InboundPoller thread per rank polls every peer socket,
-// feeds the per-link FrameDecoder, and hands completed frames to the
-// engine's handler. EOF / ECONNRESET / decode poisoning surface through
-// the error handler exactly once per peer — the engine's peer-death
-// detection — after which the dead link is dropped from the poll set.
-// The poll waits without a timeout: stop() wakes it through an eventfd
-// in the same poll set, so stopping an idle poller costs no tick.
+// feeds the per-link FrameDecoder and hands completed frames to its
+// handler. EOF / ECONNRESET / decode poisoning surface through the error
+// handler exactly once per peer, after which the dead link leaves the
+// poll set. The poll waits without a timeout: stop() wakes it through an
+// eventfd in the same poll set, so stopping an idle poller costs no tick.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +37,8 @@ namespace gpsa {
 struct TransportMsg {
   enum class Kind : std::uint8_t { kBatch, kControl, kFence };
   Kind kind = Kind::kControl;
-  /// kBatch: superstep tag + the sender's per-destination batch sequence
-  /// (the frame header's seq) + leased buffer.
+  /// kBatch: superstep tag + leased buffer.
   std::uint64_t superstep = 0;
-  std::uint32_t seq = 0;
   std::vector<VertexMessage> batch;
   /// kControl: frame type + pre-encoded payload.
   FrameType type = FrameType::kHello;
@@ -67,7 +62,7 @@ class TransportActor final : public Actor<TransportMsg> {
   void on_message(TransportMsg msg) override;
 
  private:
-  Status write_batch(std::uint64_t superstep, std::uint32_t seq,
+  Status write_batch(std::uint64_t superstep,
                      const std::vector<VertexMessage>& batch);
   Status write_control(FrameType type,
                        const std::vector<std::uint8_t>& payload);
@@ -78,6 +73,8 @@ class TransportActor final : public Actor<TransportMsg> {
   MessageBatchPool* pool_;
   const int timeout_ms_;
   std::function<void(Status)> on_error_;
+  /// Frame header seq: numbered per frame type on this link.
+  std::uint32_t batch_seq_ = 0;
   std::uint32_t control_seq_ = 0;
   Status error_;  // sticky: once a send fails the link is dead
 };

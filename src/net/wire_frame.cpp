@@ -8,14 +8,24 @@ namespace gpsa {
 namespace {
 
 // Table-driven reflected CRC-32, generated once at startup.
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: table[0] is the classic byte table, and
+/// table[k][b] is byte b's CRC pushed through k more zero bytes, so one
+/// step folds eight bytes with independent lookups instead of a chain of
+/// eight dependent ones.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xedb8'8320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    table[0][i] = c;
+  }
+  for (std::uint32_t i = 0; i < 256 * 7; ++i) {
+    const std::uint32_t prev = table[i / 256][i % 256];
+    table[i / 256 + 1][i % 256] = (prev >> 8) ^ table[0][prev & 0xffu];
   }
   return table;
 }
@@ -60,10 +70,20 @@ const char* frame_type_name(FrameType type) {
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
                     std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  // Every frame's payload passes through here on both ends, so at a byte
+  // per dependent lookup it capped a link near 300 MB/s.
+  static const CrcTables table = make_crc_tables();
   std::uint32_t c = seed ^ 0xffff'ffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = get_u32(data) ^ c;
+    const std::uint32_t hi = get_u32(data + 4);
+    c = table[7][lo & 0xffu] ^ table[6][(lo >> 8) & 0xffu] ^
+        table[5][(lo >> 16) & 0xffu] ^ table[4][lo >> 24] ^
+        table[3][hi & 0xffu] ^ table[2][(hi >> 8) & 0xffu] ^
+        table[1][(hi >> 16) & 0xffu] ^ table[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    c = table[0][(c ^ *data) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffff'ffffu;
 }

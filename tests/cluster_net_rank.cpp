@@ -5,7 +5,8 @@
 // run_cluster_rank, and exits 0 on success / 1 on error. A text summary
 // of this rank's result (and, on rank 0, the full value vector) goes to
 // GPSA_NET_HELPER_SUMMARY when set, so the parent can diff the run
-// against its in-process oracle.
+// against its in-process oracle. An optional first argument sets
+// ClusterOptions::scheduler_workers.
 //
 // Helper-specific environment:
 //   GPSA_NET_HELPER_PROGRAM   pagerank | pagerank_delta | bfs [pagerank]
@@ -34,7 +35,7 @@ int fail(const std::string& message) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gpsa;
 
   auto net = ClusterNetOptions::from_env();
@@ -59,6 +60,10 @@ int main() {
   }
 
   ClusterOptions options;
+  if (argc > 1) {
+    options.scheduler_workers =
+        static_cast<unsigned>(std::strtoul(argv[1], nullptr, 10));
+  }
   if (const char* store = std::getenv("GPSA_NET_HELPER_STORE")) {
     options.value_store_dir = store;
   }

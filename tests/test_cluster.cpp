@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <tuple>
 
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
@@ -18,6 +19,7 @@
 #include "apps/pagerank_delta.hpp"
 #include "apps/reference.hpp"
 #include "cluster/cluster_engine.hpp"
+#include "cluster/cluster_net.hpp"
 #include "core/engine.hpp"
 #include "graph/csr.hpp"
 #include "graph/csr_file.hpp"
@@ -29,6 +31,16 @@ namespace gpsa {
 namespace {
 
 using testing::expect_payloads_equal;
+
+/// Threads of this process.
+std::size_t thread_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
 
 class ClusterNodeCountTest : public ::testing::TestWithParam<unsigned> {};
 
@@ -61,12 +73,14 @@ TEST_P(ClusterNodeCountTest, CcMatchesReferenceOnAnyClusterSize) {
 INSTANTIATE_TEST_SUITE_P(NodeCounts, ClusterNodeCountTest,
                          ::testing::Values(1U, 2U, 3U, 5U, 8U));
 
-class ClusterMatchesEngineTest : public ::testing::TestWithParam<unsigned> {};
+/// (nodes, scheduler workers per rank).
+class ClusterMatchesEngineTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>> {};
 
 TEST_P(ClusterMatchesEngineTest, BitIdenticalToTheSingleMachineEngine) {
   // Both fold sum programs exactly and min programs order-free, so the
-  // cluster equals the engine bit for bit, at any node count.
-  const unsigned nodes = GetParam();
+  // cluster equals the engine bit for bit, at any node and worker count.
+  const auto [nodes, workers] = GetParam();
   auto dir = ScratchDir::create("cluster_vs_engine");
   ASSERT_TRUE(dir.is_ok());
   const EdgeList graph = rmat(9, 4000, 103);
@@ -88,6 +102,7 @@ TEST_P(ClusterMatchesEngineTest, BitIdenticalToTheSingleMachineEngine) {
     ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
     ClusterOptions co;
     co.num_nodes = nodes;
+    co.scheduler_workers = workers;
     const auto cluster = ClusterEngine::run(graph, *program, co);
     ASSERT_TRUE(cluster.is_ok()) << cluster.status().to_string();
     expect_payloads_equal(cluster.value().values, engine.value().values);
@@ -98,7 +113,8 @@ TEST_P(ClusterMatchesEngineTest, BitIdenticalToTheSingleMachineEngine) {
 }
 
 INSTANTIATE_TEST_SUITE_P(NodeCounts, ClusterMatchesEngineTest,
-                         ::testing::Values(1U, 2U, 3U, 5U));
+                         ::testing::Combine(::testing::Values(1U, 2U, 3U, 5U),
+                                            ::testing::Values(1U, 2U)));
 
 TEST(Cluster, PageRankMatchesReference) {
   const EdgeList graph = rmat(8, 2500, 95);
@@ -394,6 +410,28 @@ TEST(Cluster, RejectsBadOptions) {
   EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument);
   const EdgeList empty;
   EXPECT_FALSE(ClusterEngine::run(empty, BfsProgram(0), {}).is_ok());
+
+  // Too many workers per rank: both entry points reject it before any
+  // thread, socket or file exists (the store directory is never made).
+  auto dir = ScratchDir::create("cluster_bad_workers");
+  ASSERT_TRUE(dir.is_ok());
+  co = ClusterOptions{};
+  co.num_nodes = 2;
+  co.scheduler_workers = ClusterOptions::kMaxSchedulerWorkers + 1;
+  co.value_store_dir = dir.value().file("stores");
+  ClusterNetOptions net;
+  net.rank = 0;
+  net.ranks = 2;
+  net.timeout_ms = 1000;
+  const std::size_t threads_before = thread_count();
+  const auto too_wide = ClusterEngine::run(graph, BfsProgram(0), co);
+  const auto too_wide_rank = run_cluster_rank(graph, BfsProgram(0), co, net);
+  EXPECT_EQ(thread_count(), threads_before);
+  ASSERT_FALSE(too_wide.is_ok());
+  EXPECT_EQ(too_wide.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_FALSE(too_wide_rank.is_ok());
+  EXPECT_EQ(too_wide_rank.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(co.value_store_dir));
 }
 
 }  // namespace

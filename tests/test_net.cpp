@@ -2,11 +2,12 @@
 // codec (round trips, fragmentation, corruption and version rejection,
 // decoder poisoning), the socket layer over real loopback connections
 // (partial writes, short reads, EOF, the poller's prompt stop), and the
-// multi-process cluster run — fork+exec'd ranks whose per-node value
-// stores, wire traffic and per-rank counters must equal the in-process
-// run's (the same rank loop over socketpairs) and whose values equal the single-thread
-// reference, plus crash-injection runs proving a dead peer surfaces as a
-// clean error instead of a hang.
+// multi-process cluster run — fork+exec'd ranks of 2 workers whose
+// per-node value stores, wire traffic and per-rank counters must equal
+// the in-process run's (the same rank body over socketpairs) and whose
+// values equal the single-thread reference, plus a hand-played peer
+// whose out-of-slice batch must fail the rank cleanly and crash-injection
+// runs proving a dead peer surfaces as a clean error instead of a hang.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -29,6 +30,7 @@
 #include "cluster/cluster_net.hpp"
 #include "core/messages.hpp"
 #include "graph/csr.hpp"
+#include "graph/csr_v2.hpp"
 #include "graph/generators.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
@@ -534,6 +536,55 @@ TEST(ClusterNet, SumFoldOverflowFailsEveryRank) {
                              << results[1].status().to_string();
 }
 
+TEST(ClusterNet, BatchOutsideTheSliceFailsCleanly) {
+  // A hand-played rank 1 passes the handshake (the fingerprint is public)
+  // and sends rank 0 one BATCH addressed to a vertex of rank 1's own
+  // slice. Rank 0 must reject it as corrupt data, not write the message
+  // into its slice's storage out of bounds.
+  const EdgeList graph = rmat(8, 2000, 91);
+  const BfsProgram program(0);
+  const std::uint16_t port = next_port();
+  ClusterNetOptions net;
+  net.rank = 0;
+  net.ranks = 2;
+  net.base_port = port;
+  net.timeout_ms = 5000;
+  Result<ClusterRunResult> result = internal_error("not run");
+  std::thread rank0([&] {
+    result = run_cluster_rank(graph, program, ClusterOptions{}, net);
+  });
+
+  auto socket = tcp_connect_retry(port, net.timeout_ms);
+  ASSERT_TRUE(socket.is_ok()) << socket.status().to_string();
+  HelloPayload hello;
+  hello.rank = 1;
+  hello.ranks = 2;
+  hello.graph_fingerprint = cluster_graph_fingerprint(
+      graph.num_vertices(), graph.num_edges(), 2, program.name(),
+      resolve_csr_format(std::nullopt), resolve_csr_order(std::nullopt));
+  const std::vector<std::uint8_t> hello_bytes = hello.encode();
+  std::vector<std::uint8_t> wire;
+  append_frame(wire, kWireVersionMax, FrameType::kHello, 1, 0,
+               hello_bytes.data(), hello_bytes.size());
+  // Superstep 0, one message to the last vertex: always rank 1's.
+  std::vector<std::uint8_t> batch;
+  put_u64(batch, 0);
+  put_u32(batch, graph.num_vertices() - 1);
+  put_u32(batch, 1);
+  append_frame(wire, kWireVersionMax, FrameType::kBatch, 1, 0, batch.data(),
+               batch.size());
+  ASSERT_TRUE(
+      send_all(socket.value(), wire.data(), wire.size(), net.timeout_ms)
+          .is_ok());
+  rank0.join();  // the socket stays open: rank 0 must fail on the batch
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruptData)
+      << result.status().to_string();
+  EXPECT_NE(result.status().message().find("outside this rank's slice"),
+            std::string::npos)
+      << result.status().to_string();
+}
+
 // ---------------------------------------------------------------------------
 // Multi-process runs (fork + exec of tests/cluster_net_rank.cpp)
 
@@ -557,6 +608,7 @@ struct RankSpec {
   std::string tmpdir;     // "" = inherited $TMPDIR
   int timeout_ms = 30000;
   int crash_at = -1;
+  unsigned workers = 0;   // ClusterOptions::scheduler_workers
 };
 
 pid_t spawn_rank(const RankSpec& spec) {
@@ -584,7 +636,9 @@ pid_t spawn_rank(const RankSpec& spec) {
     ::setenv("GPSA_NET_HELPER_CRASH_AT", std::to_string(spec.crash_at).c_str(),
              1);
   }
-  ::execl(helper.c_str(), helper.c_str(), static_cast<char*>(nullptr));
+  const std::string workers = std::to_string(spec.workers);
+  ::execl(helper.c_str(), helper.c_str(), workers.c_str(),
+          static_cast<char*>(nullptr));
   ::_exit(127);  // exec failed
 }
 
@@ -635,8 +689,12 @@ TEST_P(ClusterNetProcessTest, BitIdenticalToInProcessRun) {
   } else {
     program = std::make_unique<BfsProgram>(0);
   }
+  // Multi-worker ranks: frames and stores must still match frame for
+  // frame and byte for byte.
+  const unsigned kWorkers = 2;
   ClusterOptions run_options;
   run_options.num_nodes = kRanks;
+  run_options.scheduler_workers = kWorkers;
   run_options.value_store_dir = dir.value().file("in_process");
   const auto in_process = ClusterEngine::run(graph, *program, run_options);
   ASSERT_TRUE(in_process.is_ok()) << in_process.status().to_string();
@@ -653,6 +711,7 @@ TEST_P(ClusterNetProcessTest, BitIdenticalToInProcessRun) {
     spec.program = program_name;
     spec.store_dir = net_store;
     spec.summary = dir.value().file("rank" + std::to_string(rank) + ".summary");
+    spec.workers = kWorkers;
     pids.push_back(spawn_rank(spec));
   }
   for (std::uint32_t rank = 0; rank < kRanks; ++rank) {
