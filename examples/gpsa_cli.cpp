@@ -21,6 +21,9 @@
 //   --trace=PATH        write the per-superstep CSV trace
 //   --top=K             print the K best-valued vertices (default 5)
 //
+// An unknown --flag prints the usage and exits 2 instead of running with
+// defaults.
+//
 // Subcommand:
 //   gpsa_cli convert --in=BASE --out=BASE [--csr-format=v1|v2]
 //                    [--csr-order=none|degree|bfs] [--no-degree]
@@ -32,6 +35,8 @@
 #include <cstdio>
 #include <memory>
 #include <numeric>
+#include <span>
+#include <string_view>
 
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
@@ -56,6 +61,36 @@
 namespace {
 
 using namespace gpsa;
+
+constexpr std::string_view kRunFlags[] = {
+    "algo",       "engine",     "graph",      "format",      "generator",
+    "scale",      "edges",      "seed",       "symmetrize",  "root",
+    "iterations", "supersteps", "dispatchers", "computers",  "nodes",
+    "checkpoint", "trace",      "top"};
+constexpr std::string_view kConvertFlags[] = {"in", "out", "csr-format",
+                                              "csr-order", "no-degree"};
+
+constexpr const char* kRunUsage =
+    "usage: gpsa_cli --algo=pagerank|pagerank_delta|bfs|cc|sssp|multibfs|"
+    "indegree [options]\n(see the header of examples/gpsa_cli.cpp for the "
+    "full list)\n";
+constexpr const char* kConvertUsage =
+    "usage: gpsa_cli convert --in=BASE --out=BASE [--csr-format=v1|v2] "
+    "[--csr-order=none|degree|bfs] [--no-degree]\n";
+
+/// Prints `usage` after naming the first flag not in `known`; false if
+/// there is one.
+bool flags_known(const Config& config, std::span<const std::string_view> known,
+                 const char* usage) {
+  for (const auto& entry : config.entries()) {
+    if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+      std::fprintf(stderr, "unknown option --%s\n%s", entry.first.c_str(),
+                   usage);
+      return false;
+    }
+  }
+  return true;
+}
 
 Result<EdgeList> load_or_generate(const Config& config) {
   const std::string path = config.get_string("graph", "");
@@ -153,11 +188,11 @@ void print_top(const std::vector<Payload>& values, const std::string& algo,
 int run_convert(const Config& config) {
   const std::string in_base = config.get_string("in", "");
   const std::string out_base = config.get_string("out", "");
+  if (!flags_known(config, kConvertFlags, kConvertUsage)) {
+    return 2;
+  }
   if (in_base.empty() || out_base.empty()) {
-    std::fprintf(stderr,
-                 "usage: gpsa_cli convert --in=BASE --out=BASE "
-                 "[--csr-format=v1|v2] [--csr-order=none|degree|bfs] "
-                 "[--no-degree]\n");
+    std::fprintf(stderr, "%s", kConvertUsage);
     return 2;
   }
   auto format_or = parse_csr_format(config.get_string("csr-format", "v2"));
@@ -206,13 +241,13 @@ int main(int argc, char** argv) {
   if (!config.positional().empty() && config.positional()[0] == "convert") {
     return run_convert(config);
   }
+  if (!flags_known(config, kRunFlags, kRunUsage)) {
+    return 2;
+  }
   const std::string algo = config.get_string("algo", "");
   const auto program = make_program(config, algo);
   if (program == nullptr) {
-    std::fprintf(stderr,
-                 "usage: gpsa_cli --algo=pagerank|pagerank_delta|bfs|cc|"
-                 "sssp|multibfs|indegree [options]\n(see the header of "
-                 "examples/gpsa_cli.cpp for the full list)\n");
+    std::fprintf(stderr, "%s", kRunUsage);
     return 2;
   }
 

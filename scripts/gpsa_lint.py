@@ -37,6 +37,9 @@ express and clang-tidy does not know about:
                    wrapper, Status-carrying error paths, and the framing
                    codec live. Everything above the transport speaks
                    frames, not file descriptors.
+  raw-getenv       getenv() outside src/util/knobs.cpp. Every GPSA_*
+                   variable is a row of the knob table there, parsed and
+                   range-checked once; a raw read would bypass both.
   msg-buffer-alloc sized allocation (reserve/resize/sized construction)
                    of std::vector<VertexMessage> batch buffers outside
                    src/core/message_pool.*. Batch capacity must come from
@@ -105,6 +108,9 @@ RAW_IO_ALLOWED = (
 # The transport layer is the one sanctioned home for socket syscalls.
 RAW_SOCKET_ALLOWED = ("src/net/",)
 
+# The knob table is the one sanctioned environment reader.
+RAW_GETENV_ALLOWED = ("src/util/knobs.cpp",)
+
 # The pool is the one sanctioned VertexMessage buffer allocation site.
 MSG_BUFFER_ALLOC_ALLOWED = (
     "src/core/message_pool.hpp",
@@ -121,7 +127,7 @@ LOCKED_NOTIFY_OPT_IN = (
 
 RULES = ("memory-order", "slot-atomic-ref", "bitmap-atomic-ref",
          "locked-notify", "check-macro", "raw-io", "raw-socket",
-         "msg-buffer-alloc", "lease-escape")
+         "raw-getenv", "msg-buffer-alloc", "lease-escape")
 
 MARKER_RE = re.compile(r"//\s*gpsa-lint:\s*locked-notify\b")
 ALLOW_RE = re.compile(r"//\s*gpsa-lint:\s*allow\(([a-z-]+)\)")
@@ -140,6 +146,11 @@ RAW_SOCKET_RE = re.compile(
     r"(?<![\w>])::\s*(socket|connect|accept4?|bind|listen|setsockopt"
     r"|getsockopt|getsockname|send|recv|sendto|recvfrom|sendmsg|recvmsg"
     r"|shutdown)\s*\(")
+
+# getenv / secure_getenv, qualified or not; `obj.getenv(` and
+# `my_getenv(` do not match.
+RAW_GETENV_RE = re.compile(
+    r"(?<![\w.>])(?:std::|::)?(secure_getenv|getenv)\s*\(")
 
 # Declarations of VertexMessage batch buffers (plain, nested-in-vector,
 # reference, rvalue-reference, pointer): captures the declared name.
@@ -412,6 +423,14 @@ def lint_file(path: Path, rel: str):
                 "Socket wrapper and frame codec so descriptors are "
                 "RAII-owned, errors carry Status, and every byte on the "
                 "wire is a checksummed frame")
+
+    if not path_exempt(rel, RAW_GETENV_ALLOWED):
+        for m in RAW_GETENV_RE.finditer(stripped):
+            yield from emit(
+                "raw-getenv", line_of(stripped, m.start()),
+                f"raw {m.group(1)}() outside src/util/knobs.cpp; add a row "
+                "to the knob table and read it with knob<T>() so the value "
+                "is parsed and range-checked like every other GPSA_* knob")
 
     if not path_exempt(rel, MSG_BUFFER_ALLOC_ALLOWED):
         seen = set()

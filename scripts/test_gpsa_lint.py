@@ -28,6 +28,7 @@ EXPECTED = {
     "bad_assert.cpp": ("check-macro", 7),
     "bad_raw_io.cpp": ("raw-io", 6),
     "bad_raw_socket.cpp": ("raw-socket", 7),
+    "bad_raw_getenv.cpp": ("raw-getenv", 7),
     "bad_msg_buffer_alloc.cpp": ("msg-buffer-alloc", 11),
     "bad_lease_escape.cpp": ("lease-escape", 16),
 }

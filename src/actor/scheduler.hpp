@@ -139,13 +139,9 @@ class Scheduler {
   /// LIFO end — the 61-slice fairness tick generalized so a resident job
   /// cannot monopolize a worker between ticks. 0 (the default) disables
   /// the per-job trigger; single-job engine runs keep the plain fairness
-  /// tick. Settable at any time (GraphService sets it once at startup
-  /// from GPSA_SERVICE_FAIR_BUDGET).
+  /// tick. Settable at any time (GraphService sets 61 once at startup).
   void set_fair_share_budget(std::uint64_t slices) {
     fair_budget_.store(slices, std::memory_order_relaxed);
-  }
-  std::uint64_t fair_share_budget() const {
-    return fair_budget_.load(std::memory_order_relaxed);
   }
 
  private:

@@ -1,28 +1,14 @@
 #include "apps/pagerank_delta.hpp"
 
-#include <cstdlib>
-
-#include "util/logging.hpp"
+#include "util/knobs.hpp"
 
 namespace gpsa {
 
 float resolve_delta_eps(std::optional<float> requested) {
-  constexpr float kDefault = 1e-7F;
   if (requested.has_value()) {
     return *requested;
   }
-  const char* raw = std::getenv("GPSA_DELTA_EPS");
-  if (raw == nullptr || *raw == '\0') {
-    return kDefault;
-  }
-  char* end = nullptr;
-  const float parsed = std::strtof(raw, &end);
-  if (end == raw || *end != '\0' || !(parsed >= 0.0F)) {
-    GPSA_LOG(Warn) << "GPSA_DELTA_EPS: invalid value '" << raw
-                   << "' (expected a non-negative float); using " << kDefault;
-    return kDefault;
-  }
-  return parsed;
+  return static_cast<float>(knob_or_default<double>("GPSA_DELTA_EPS"));
 }
 
 }  // namespace gpsa

@@ -9,9 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <future>
@@ -20,7 +18,6 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,6 +36,7 @@
 #include "platform/file_util.hpp"
 #include "storage/value_file.hpp"
 #include "util/check.hpp"
+#include "util/knobs.hpp"
 #include "util/thread.hpp"
 #include "util/timer.hpp"
 
@@ -82,17 +80,6 @@ int g_net_crash_at_superstep = -1;
 int g_checkpoint_crash_after_flushes = -1;
 
 using ValueEntries = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
-
-Result<std::uint64_t> parse_env_u64(const char* name, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) {
-    return invalid_argument(std::string(name) + ": invalid number '" + text +
-                            "'");
-  }
-  return static_cast<std::uint64_t>(v);
-}
 
 /// Blocking read of one frame (rendezvous only — after bootstrap the
 /// poller owns all reads). Bytes read past the frame stay buffered in
@@ -502,45 +489,28 @@ Result<ClusterRunResult> run_rank(
 }  // namespace
 
 Result<ClusterNetOptions> ClusterNetOptions::from_env() {
-  const char* rank_env = std::getenv("GPSA_CLUSTER_RANK");
-  const char* ranks_env = std::getenv("GPSA_CLUSTER_RANKS");
-  if (rank_env == nullptr || ranks_env == nullptr) {
-    return invalid_argument(
-        "cluster mode needs both GPSA_CLUSTER_RANK and GPSA_CLUSTER_RANKS");
-  }
   ClusterNetOptions net;
   GPSA_ASSIGN_OR_RETURN(const std::uint64_t rank,
-                        parse_env_u64("GPSA_CLUSTER_RANK", rank_env));
+                        knob<std::uint64_t>("GPSA_CLUSTER_RANK"));
   GPSA_ASSIGN_OR_RETURN(const std::uint64_t ranks,
-                        parse_env_u64("GPSA_CLUSTER_RANKS", ranks_env));
-  if (ranks == 0 || rank >= ranks) {
+                        knob<std::uint64_t>("GPSA_CLUSTER_RANKS"));
+  if (rank >= ranks) {
     return invalid_argument("GPSA_CLUSTER_RANK " + std::to_string(rank) +
                             " out of range for GPSA_CLUSTER_RANKS " +
                             std::to_string(ranks));
   }
   net.rank = static_cast<std::uint32_t>(rank);
   net.ranks = static_cast<std::uint32_t>(ranks);
-  // An optional knob in [1, max], else the default already in `out`.
-  auto optional_knob = [](const char* name, std::uint64_t max,
-                          auto& out) -> Status {
-    if (const char* text = std::getenv(name)) {
-      GPSA_ASSIGN_OR_RETURN(const std::uint64_t value,
-                            parse_env_u64(name, text));
-      if (value == 0 || value > max) {
-        return invalid_argument(std::string(name) + " out of range: " +
-                                std::to_string(value));
-      }
-      out = static_cast<std::remove_reference_t<decltype(out)>>(value);
-    }
-    return Status::ok();
-  };
-  GPSA_RETURN_IF_ERROR(optional_knob("GPSA_CLUSTER_PORT", 65535, net.base_port));
-  if (net.base_port + static_cast<std::uint64_t>(net.ranks) > 65536) {
+  GPSA_ASSIGN_OR_RETURN(const std::uint64_t port,
+                        knob<std::uint64_t>("GPSA_CLUSTER_PORT"));
+  if (port + ranks > 65536) {
     return invalid_argument("GPSA_CLUSTER_PORT + GPSA_CLUSTER_RANKS exceeds "
                             "the port range");
   }
-  GPSA_RETURN_IF_ERROR(
-      optional_knob("GPSA_NET_TIMEOUT_MS", 3600 * 1000, net.timeout_ms));
+  net.base_port = static_cast<std::uint16_t>(port);
+  GPSA_ASSIGN_OR_RETURN(const std::uint64_t timeout_ms,
+                        knob<std::uint64_t>("GPSA_NET_TIMEOUT_MS"));
+  net.timeout_ms = static_cast<int>(timeout_ms);
   return net;
 }
 

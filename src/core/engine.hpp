@@ -50,8 +50,9 @@ struct EngineOptions {
   /// VertexMessages per mailbox batch. 4096 (64 KiB of messages, still
   /// L2-resident) amortizes flush/send overhead and gives range routing's
   /// ascending-dst batches enough density for near-sequential applies;
-  /// bench_ablation_message_plane measured it ~1.2x the throughput of
-  /// 1024 on the google stand-in.
+  /// the retired message-plane bench measured it ~1.2x the throughput of
+  /// 1024 on the google stand-in (its last numbers: EXPERIMENTS.md
+  /// "Retired modes").
   std::size_t message_batch = 4096;
   /// Caps supersteps in addition to Program::max_supersteps (the smaller
   /// wins). 0 means "no engine-side cap".

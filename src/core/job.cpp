@@ -1,7 +1,6 @@
 #include "core/job.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -16,36 +15,11 @@
 #include "storage/recovery.hpp"
 #include "storage/value_file.hpp"
 #include "util/check.hpp"
+#include "util/knobs.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
 namespace gpsa {
-
-namespace {
-
-/// Explicit option beats GPSA_CHECKPOINT_INTERVAL beats 1 (the historical
-/// checkpoint-every-superstep cadence). Malformed env warns and falls
-/// back, matching the other env knobs (csr_v2.cpp).
-std::uint64_t resolve_checkpoint_interval(
-    std::optional<std::uint64_t> requested) {
-  if (requested.has_value() && *requested != 0) {
-    return *requested;
-  }
-  const char* raw = std::getenv("GPSA_CHECKPOINT_INTERVAL");
-  if (raw == nullptr || *raw == '\0') {
-    return 1;
-  }
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || parsed == 0) {
-    GPSA_LOG(Warn) << "GPSA_CHECKPOINT_INTERVAL: invalid value '" << raw
-                   << "' (expected a positive integer); using 1";
-    return 1;
-  }
-  return parsed;
-}
-
-}  // namespace
 
 Status validate_engine_options(const EngineOptions& options) {
   if (options.num_dispatchers == 0) {
@@ -89,6 +63,15 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   const std::span<const VertexId> perm = csr.permutation();
   const VertexId* const orig = perm.empty() ? nullptr : perm.data();
 
+  // Explicit option beats GPSA_CHECKPOINT_INTERVAL beats 1 (the
+  // historical checkpoint-every-superstep cadence).
+  std::uint64_t checkpoint_interval = options.checkpoint_interval.value_or(0);
+  if (!options.checkpoint_each_superstep) {
+    checkpoint_interval = 0;
+  } else if (checkpoint_interval == 0) {
+    GPSA_ASSIGN_OR_RETURN(checkpoint_interval,
+                          knob<std::uint64_t>("GPSA_CHECKPOINT_INTERVAL"));
+  }
   if (resume && program.delta_messages()) {
     return failed_precondition(
         "engine: cannot resume a delta program ('" + program.name() +
@@ -237,10 +220,6 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
         std::ref(latest_column), std::ref(pool), std::cref(owners),
         std::ref(worklist), orig, base));
   }
-  const std::uint64_t checkpoint_interval =
-      options.checkpoint_each_superstep
-          ? resolve_checkpoint_interval(options.checkpoint_interval)
-          : 0;
   auto* manager = system.spawn_in_job<ManagerActor>(
       ctx.job_tag, std::ref(values), budget, checkpoint_interval,
       /*terminate_on_zero_updates=*/options.dispatch_inactive, &pool,

@@ -1,13 +1,12 @@
 #include "graph/csr_v2.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <numeric>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
+#include "util/knobs.hpp"
 
 namespace gpsa {
 
@@ -36,17 +35,8 @@ CsrFormat resolve_csr_format(std::optional<CsrFormat> requested) {
   if (requested.has_value()) {
     return *requested;
   }
-  const char* raw = std::getenv("GPSA_CSR_FORMAT");
-  if (raw == nullptr || *raw == '\0') {
-    return CsrFormat::kV1;
-  }
-  auto parsed = parse_csr_format(raw);
-  if (!parsed.is_ok()) {
-    GPSA_LOG(Warn) << "GPSA_CSR_FORMAT: " << parsed.status().to_string()
-                   << "; using v1";
-    return CsrFormat::kV1;
-  }
-  return parsed.value();
+  return parse_csr_format(knob_or_default<std::string>("GPSA_CSR_FORMAT"))
+      .value();
 }
 
 const char* csr_order_name(CsrOrder order) {
@@ -79,17 +69,8 @@ CsrOrder resolve_csr_order(std::optional<CsrOrder> requested) {
   if (requested.has_value()) {
     return *requested;
   }
-  const char* raw = std::getenv("GPSA_CSR_ORDER");
-  if (raw == nullptr || *raw == '\0') {
-    return CsrOrder::kNone;
-  }
-  auto parsed = parse_csr_order(raw);
-  if (!parsed.is_ok()) {
-    GPSA_LOG(Warn) << "GPSA_CSR_ORDER: " << parsed.status().to_string()
-                   << "; using none";
-    return CsrOrder::kNone;
-  }
-  return parsed.value();
+  return parse_csr_order(knob_or_default<std::string>("GPSA_CSR_ORDER"))
+      .value();
 }
 
 void append_varint(std::vector<std::uint8_t>& out, std::uint32_t value) {

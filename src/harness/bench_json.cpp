@@ -2,10 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
 #include "platform/file_util.hpp"
 #include "util/check.hpp"
+#include "util/knobs.hpp"
 
 namespace gpsa {
 
@@ -144,14 +145,14 @@ JsonWriter& JsonWriter::value(bool flag) {
 }
 
 Status write_bench_json(const JsonWriter& w) {
-  const char* path = std::getenv("GPSA_BENCH_JSON");
-  if (path == nullptr || *path == '\0') {
+  const std::string path = knob_or_default<std::string>("GPSA_BENCH_JSON");
+  if (path.empty()) {
     return Status::ok();
   }
   std::string doc = w.str();
   doc += '\n';
   GPSA_RETURN_IF_ERROR(write_file(path, doc.data(), doc.size()));
-  std::printf("\nwrote %s\n", path);
+  std::printf("\nwrote %s\n", path.c_str());
   return Status::ok();
 }
 

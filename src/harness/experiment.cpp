@@ -1,6 +1,5 @@
 #include "harness/experiment.hpp"
 
-#include <cstdlib>
 #include <memory>
 
 #include "apps/bfs.hpp"
@@ -11,6 +10,7 @@
 #include "core/engine.hpp"
 #include "metrics/cpu_monitor.hpp"
 #include "metrics/table.hpp"
+#include "util/knobs.hpp"
 #include "util/logging.hpp"
 #include "util/thread.hpp"
 
@@ -51,18 +51,9 @@ std::vector<AlgoKind> paper_algos() {
 
 ExperimentOptions ExperimentOptions::from_env() {
   ExperimentOptions out;
-  if (const char* env = std::getenv("GPSA_BENCH_SCALE")) {
-    const double parsed = std::strtod(env, nullptr);
-    if (parsed > 0.0) {
-      out.scale = parsed;
-    }
-  }
-  if (const char* env = std::getenv("GPSA_BENCH_RUNS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) {
-      out.runs = static_cast<unsigned>(parsed);
-    }
-  }
+  out.scale = knob_or_default<double>("GPSA_BENCH_SCALE");
+  out.runs =
+      static_cast<unsigned>(knob_or_default<std::uint64_t>("GPSA_BENCH_RUNS"));
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "io/io_backend.hpp"
 
-#include <cstdlib>
-
+#include "util/knobs.hpp"
 #include "util/logging.hpp"
 
 namespace gpsa {
@@ -24,82 +23,49 @@ const char* io_backend_name(IoBackendKind kind) {
   return "unknown";
 }
 
-Result<IoBackendKind> parse_io_backend(std::string_view name) {
-  if (name == "mmap") {
-    return IoBackendKind::kMmap;
-  }
-  if (name == "pread") {
-    return IoBackendKind::kPread;
-  }
-  if (name == "uring") {
-    return IoBackendKind::kUring;
-  }
-  return invalid_argument("unknown I/O backend '" + std::string(name) +
-                          "' (expected mmap|pread|uring)");
-}
-
-namespace {
-
-/// Positive integer from the environment, or `fallback` when unset/bad.
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') {
-    GPSA_LOG(Warn) << name << "='" << raw << "' is not a number; using "
-                   << fallback;
-    return fallback;
-  }
-  return parsed;
-}
-
-bool env_bool(const char* name, bool fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') {
-    return fallback;
-  }
-  const std::string_view v(raw);
-  if (v == "1" || v == "true" || v == "on" || v == "yes") {
-    return true;
-  }
-  if (v == "0" || v == "false" || v == "off" || v == "no") {
-    return false;
-  }
-  return fallback;
-}
-
-}  // namespace
-
 Result<IoConfig> IoOptions::resolve() const {
   IoConfig config;
 
+  // Explicit fields beat the environment, which beats the defaults.
   if (backend.has_value()) {
     config.backend = *backend;
-  } else if (const char* env = std::getenv("GPSA_IO_BACKEND");
-             env != nullptr && *env != '\0') {
-    GPSA_ASSIGN_OR_RETURN(config.backend, parse_io_backend(env));
+  } else {
+    GPSA_ASSIGN_OR_RETURN(const std::string name,
+                          knob<std::string>("GPSA_IO_BACKEND"));
+    for (const IoBackendKind kind : {IoBackendKind::kPread,
+                                     IoBackendKind::kUring}) {
+      if (name == io_backend_name(kind)) {
+        config.backend = kind;
+      }
+    }
   }
-
-  config.readahead_bytes =
-      readahead_bytes.has_value()
-          ? *readahead_bytes
-          : static_cast<std::size_t>(env_u64("GPSA_READAHEAD_MB", 8)) << 20;
-  config.drop_behind =
-      drop_behind.has_value() ? *drop_behind
-                              : env_bool("GPSA_IO_DROP_BEHIND", true);
-  config.block_bytes =
-      block_bytes.has_value()
-          ? *block_bytes
-          : static_cast<std::size_t>(env_u64("GPSA_IO_BLOCK_KB", 256)) << 10;
-  config.io_threads = io_threads.has_value()
-                          ? *io_threads
-                          : static_cast<unsigned>(env_u64("GPSA_IO_THREADS", 2));
-  config.readahead_auto = readahead_auto.has_value()
-                              ? *readahead_auto
-                              : env_bool("GPSA_READAHEAD_AUTO", false);
+  if (readahead_bytes.has_value()) {
+    config.readahead_bytes = *readahead_bytes;
+  } else {
+    GPSA_ASSIGN_OR_RETURN(const std::uint64_t mb,
+                          knob<std::uint64_t>("GPSA_READAHEAD_MB"));
+    config.readahead_bytes = static_cast<std::size_t>(mb) << 20;
+  }
+  if (drop_behind.has_value()) {
+    config.drop_behind = *drop_behind;
+  } else {
+    GPSA_ASSIGN_OR_RETURN(config.drop_behind,
+                          knob<bool>("GPSA_IO_DROP_BEHIND"));
+  }
+  if (block_bytes.has_value()) {
+    config.block_bytes = *block_bytes;
+  } else {
+    GPSA_ASSIGN_OR_RETURN(const std::uint64_t kb,
+                          knob<std::uint64_t>("GPSA_IO_BLOCK_KB"));
+    config.block_bytes = static_cast<std::size_t>(kb) << 10;
+  }
+  if (io_threads.has_value()) {
+    config.io_threads = *io_threads;
+  } else {
+    GPSA_ASSIGN_OR_RETURN(const std::uint64_t threads,
+                          knob<std::uint64_t>("GPSA_IO_THREADS"));
+    config.io_threads = static_cast<unsigned>(threads);
+  }
   config.cold_start = cold_start;
 
   if (config.block_bytes < (4u << 10)) {

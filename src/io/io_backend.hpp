@@ -33,7 +33,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "metrics/io_model.hpp"
 #include "storage/value_file.hpp"
@@ -44,7 +43,6 @@ namespace gpsa {
 enum class IoBackendKind { kMmap, kPread, kUring };
 
 const char* io_backend_name(IoBackendKind kind);
-Result<IoBackendKind> parse_io_backend(std::string_view name);
 
 /// Caller-facing knobs. Every field defaults to its environment variable
 /// (falling back to the built-in default) when left unset, so benches and
@@ -65,17 +63,13 @@ struct IoOptions {
   std::optional<std::size_t> block_bytes;
   /// GPSA_IO_THREADS (default 2): pread prefetch pool size.
   std::optional<unsigned> io_threads;
-  /// GPSA_READAHEAD_AUTO (default off): let each ReadaheadScheduler re-arm
-  /// its window from the measured per-superstep hit rate — grow (up to 4x
-  /// the configured window) while fetches miss the window, shrink (down to
-  /// 1/4) while every fetch hits.
-  std::optional<bool> readahead_auto;
   /// Evict the engine's working files from the page cache after setup and
   /// before the run starts (bench_ablation_io's cold-cache protocol).
   bool cold_start = false;
 
   /// Applies environment + defaults, validates, and resolves unsupported
-  /// backend requests to their fallback.
+  /// backend requests to their fallback. A malformed or out-of-range
+  /// environment value is an InvalidArgument (util/knobs.hpp).
   Result<struct IoConfig> resolve() const;
 };
 
@@ -86,7 +80,6 @@ struct IoConfig {
   bool drop_behind = true;
   std::size_t block_bytes = 256u << 10;
   unsigned io_threads = 2;
-  bool readahead_auto = false;
   bool cold_start = false;
 
   /// Block-cache capacity: the readahead window plus slack for the

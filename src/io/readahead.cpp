@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/logging.hpp"
+#include "util/check.hpp"
 
 namespace gpsa {
 
@@ -16,64 +16,21 @@ ReadaheadScheduler::ReadaheadScheduler(const IoConfig& config,
       // For v2 files one unit is one compressed byte, so the same byte
       // budget covers ~2-4x the edges — compression widens the effective
       // lookahead for free.
-      base_window_entries_(config.readahead_bytes / csr->unit_bytes()),
+      window_entries_(config.readahead_bytes / csr->unit_bytes()),
       // A vertex costs one interleaved slot pair on the value plane.
-      base_window_vertices_(config.readahead_bytes /
-                            (ValueFile::kColumns * sizeof(Slot))),
-      drop_behind_(config.drop_behind),
-      auto_tune_(config.readahead_auto),
-      window_entries_(base_window_entries_),
-      window_vertices_(base_window_vertices_) {
+      window_vertices_(config.readahead_bytes /
+                       (ValueFile::kColumns * sizeof(Slot))),
+      drop_behind_(config.drop_behind) {
   GPSA_CHECK(csr_ != nullptr && values_ != nullptr);
 }
 
 void ReadaheadScheduler::begin_superstep() {
-  if (base_window_entries_ == 0) {
+  if (window_entries_ == 0) {
     return;
-  }
-  if (auto_tune_) {
-    rearm_from_hit_rate();
   }
   csr_trigger_ = csr_prefetched_ = interval_.begin_entry;
   value_trigger_ = value_prefetched_ = interval_.begin_vertex;
   advance(interval_.begin_entry, interval_.begin_vertex);
-}
-
-void ReadaheadScheduler::rearm_from_hit_rate() {
-  const PrefetchCounters now = csr_->counters();
-  const std::uint64_t hits = now.window_hits - last_window_hits_;
-  const std::uint64_t misses = now.window_misses - last_window_misses_;
-  last_window_hits_ = now.window_hits;
-  last_window_misses_ = now.window_misses;
-  const std::uint64_t total = hits + misses;
-  if (total == 0) {
-    return;  // no fetch activity to learn from; keep the current window
-  }
-  const double hit_rate =
-      static_cast<double>(hits) / static_cast<double>(total);
-  std::uint64_t scaled = window_entries_;
-  if (hit_rate < kGrowBelowHitRate) {
-    // Fetches outran the window: double it, up to 4x the configured size.
-    scaled = std::min(window_entries_ * 2, base_window_entries_ * kMaxScale);
-  } else if (hit_rate > kShrinkAboveHitRate) {
-    // Everything hit: the window over-requests; halve it. The floor
-    // (base/4, never below one entry) keeps always-hit backends (mmap
-    // counts every fetch as a hit) from collapsing the window to nothing.
-    scaled = std::max<std::uint64_t>(
-        {window_entries_ / 2, base_window_entries_ / kMaxScale, 1});
-  }
-  if (scaled != window_entries_) {
-    GPSA_LOG(Debug) << "readahead: hit rate " << hit_rate << " re-arms window "
-                    << window_entries_ << " -> " << scaled << " entries";
-    // Keep the value-plane window proportional to the CSR one.
-    window_vertices_ = base_window_vertices_ == 0
-                           ? 0
-                           : std::max<std::uint64_t>(
-                                 base_window_vertices_ * scaled /
-                                     base_window_entries_,
-                                 1);
-    window_entries_ = scaled;
-  }
 }
 
 void ReadaheadScheduler::advance_csr(std::uint64_t entry_cursor) {

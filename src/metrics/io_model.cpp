@@ -1,34 +1,18 @@
 #include "metrics/io_model.hpp"
 
-#include <cstdlib>
+#include "util/knobs.hpp"
 
 namespace gpsa {
 
 double model_disk_bandwidth_bytes_per_sec() {
-  static const double bandwidth = [] {
-    double mbps = 120.0;
-    if (const char* env = std::getenv("GPSA_MODEL_DISK_MBPS")) {
-      mbps = std::strtod(env, nullptr);
-      if (mbps < 0.0) {
-        mbps = 0.0;
-      }
-    }
-    return mbps * 1024.0 * 1024.0;
-  }();
+  static const double bandwidth =
+      knob_or_default<double>("GPSA_MODEL_DISK_MBPS") * 1024.0 * 1024.0;
   return bandwidth;
 }
 
 std::uint64_t model_ram_bytes() {
-  static const std::uint64_t bytes = [] {
-    double mb = 0.5;
-    if (const char* env = std::getenv("GPSA_MODEL_RAM_MB")) {
-      mb = std::strtod(env, nullptr);
-      if (mb < 0.0) {
-        mb = 0.0;
-      }
-    }
-    return static_cast<std::uint64_t>(mb * 1024.0 * 1024.0);
-  }();
+  static const auto bytes = static_cast<std::uint64_t>(
+      knob_or_default<double>("GPSA_MODEL_RAM_MB") * 1024.0 * 1024.0);
   return bytes;
 }
 

@@ -14,7 +14,7 @@ namespace fs = std::filesystem;
 
 Result<ScratchDir> ScratchDir::create(const std::string& tag) {
   static std::atomic<std::uint64_t> counter{0};
-  const char* tmpdir = std::getenv("TMPDIR");
+  const char* tmpdir = std::getenv("TMPDIR");  // gpsa-lint: allow(raw-getenv)
   const std::string base = tmpdir != nullptr ? tmpdir : "/tmp";
   const std::uint64_t nonce = counter.fetch_add(1);
   std::string path = base + "/gpsa-" + tag + "-" +

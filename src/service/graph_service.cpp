@@ -1,30 +1,22 @@
 #include "service/graph_service.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <utility>
 
 #include "core/job.hpp"
 #include "util/check.hpp"
+#include "util/knobs.hpp"
 #include "util/logging.hpp"
 #include "util/thread.hpp"
 
 namespace gpsa {
 namespace {
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') {
-    return fallback;
-  }
-  return static_cast<std::size_t>(parsed);
-}
+/// Per-job fair-share slice budget (Scheduler::set_fair_share_budget):
+/// the scheduler's fairness-tick period, so a resident job yields to
+/// queries as often as the tick would.
+constexpr std::uint64_t kFairShareBudget = 61;
 
 double seconds_between(std::chrono::steady_clock::time_point from,
                        std::chrono::steady_clock::time_point to) {
@@ -53,16 +45,12 @@ Result<std::unique_ptr<GraphService>> GraphService::open(
     const std::string& csr_base_path, const ServiceOptions& options) {
   ServiceOptions resolved = options;
   if (resolved.max_concurrent_jobs == 0) {
-    resolved.max_concurrent_jobs = env_size("GPSA_SERVICE_MAX_JOBS", 4);
-  }
-  if (resolved.max_concurrent_jobs == 0) {
-    return invalid_argument("service: GPSA_SERVICE_MAX_JOBS must be >= 1");
+    GPSA_ASSIGN_OR_RETURN(resolved.max_concurrent_jobs,
+                          knob<std::uint64_t>("GPSA_SERVICE_MAX_JOBS"));
   }
   if (resolved.max_queued_jobs == 0) {
-    resolved.max_queued_jobs = env_size("GPSA_SERVICE_MAX_QUEUE", 256);
-  }
-  if (!resolved.fair_share_budget.has_value()) {
-    resolved.fair_share_budget = env_size("GPSA_SERVICE_FAIR_BUDGET", 61);
+    GPSA_ASSIGN_OR_RETURN(resolved.max_queued_jobs,
+                          knob<std::uint64_t>("GPSA_SERVICE_MAX_QUEUE"));
   }
   if (resolved.scheduler_workers == 0) {
     resolved.scheduler_workers = default_worker_count();
@@ -149,7 +137,7 @@ GraphService::GraphService(const ServiceOptions& resolved, IoConfig io_config,
       dir_(std::move(dir)),
       scratch_(std::move(scratch)),
       system_(std::make_unique<ActorSystem>(resolved.scheduler_workers)) {
-  system_->scheduler().set_fair_share_budget(*options_.fair_share_budget);
+  system_->scheduler().set_fair_share_budget(kFairShareBudget);
   runners_.reserve(options_.max_concurrent_jobs);
   for (std::size_t r = 0; r < options_.max_concurrent_jobs; ++r) {
     runners_.emplace_back(

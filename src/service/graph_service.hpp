@@ -19,10 +19,8 @@
 // from the scheduler's per-job budget (the 61-slice fairness tick
 // generalized; Scheduler::set_fair_share_budget).
 //
-// Env knobs (defaults in parentheses; explicit ServiceOptions fields win):
-//   GPSA_SERVICE_MAX_JOBS    (4)   concurrent jobs = runner threads
-//   GPSA_SERVICE_MAX_QUEUE   (256) queued jobs before admission rejects
-//   GPSA_SERVICE_FAIR_BUDGET (61)  per-job slice budget; 0 disables
+// Env knobs GPSA_SERVICE_MAX_JOBS and GPSA_SERVICE_MAX_QUEUE
+// (util/knobs.hpp); explicit ServiceOptions fields win.
 #pragma once
 
 #include <atomic>
@@ -61,10 +59,6 @@ struct ServiceOptions {
   /// Queued jobs beyond which submit() rejects; 0 = GPSA_SERVICE_MAX_QUEUE
   /// (256).
   std::size_t max_queued_jobs = 0;
-  /// Per-job fair-share slice budget (scheduler.hpp). Unset follows
-  /// GPSA_SERVICE_FAIR_BUDGET (default 61, the fairness-tick period);
-  /// 0 disables the per-job trigger.
-  std::optional<std::uint64_t> fair_share_budget;
   PartitionStrategy partition = PartitionStrategy::kBalancedEdges;
   std::size_t message_batch = 4096;
   /// Storage I/O for the shared CSR + per-job value files. cold_start must

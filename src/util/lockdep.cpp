@@ -9,14 +9,22 @@
 #include <unordered_set>
 #include <vector>
 
+#include "util/knobs.hpp"
+
 namespace gpsa::lockdep {
 
 namespace detail {
 std::atomic<int> g_state{0};
 
 int latch_from_env() {
-  const char* env = std::getenv("GPSA_LOCKDEP");
-  const int state = (env != nullptr && std::strcmp(env, "1") == 0) ? 2 : 1;
+  // A bad value warns through fprintf, never GPSA_LOG: the log sink takes
+  // a tracked Mutex, which would re-enter this latch.
+  const Result<bool> on = knob<bool>("GPSA_LOCKDEP");
+  if (!on.is_ok()) {
+    std::fprintf(stderr, "lockdep: %s; staying off\n",
+                 on.status().to_string().c_str());
+  }
+  const int state = on.is_ok() && on.value() ? 2 : 1;
   int expected = 0;
   // A racing first call latches the same value; keep whichever landed.
   g_state.compare_exchange_strong(expected, state);

@@ -2,7 +2,7 @@
 
 #include <pthread.h>
 
-#include <cstdlib>
+#include "util/knobs.hpp"
 
 namespace gpsa {
 
@@ -12,11 +12,9 @@ void set_current_thread_name(const std::string& name) {
 }
 
 unsigned default_worker_count() {
-  if (const char* env = std::getenv("GPSA_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) {
-      return static_cast<unsigned>(parsed);
-    }
+  const std::uint64_t threads = knob_or_default<std::uint64_t>("GPSA_THREADS");
+  if (threads > 0) {
+    return static_cast<unsigned>(threads);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

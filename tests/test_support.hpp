@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,33 @@
 #include "storage/slot.hpp"
 
 namespace gpsa::testing {
+
+/// Sets (or, given nullptr, unsets) one variable for a scope, restoring
+/// the previous setting after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) {
+      saved_ = old;
+    }
+    set(value);
+  }
+  ~ScopedEnv() { set(saved_.has_value() ? saved_->c_str() : nullptr); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  void set(const char* value) {
+    if (value == nullptr) {
+      ::unsetenv(name_);
+    } else {
+      ::setenv(name_, value, 1);
+    }
+  }
+
+  const char* name_;
+  std::optional<std::string> saved_;
+};
 
 /// Compares integer payload vectors exactly, reporting the first diff.
 inline void expect_payloads_equal(const std::vector<Payload>& actual,

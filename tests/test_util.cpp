@@ -1,18 +1,40 @@
 // Unit tests for the util substrate: status/result, config, stats, rng,
-// and the lock-free queues (including multi-producer stress).
+// the lock-free queues (including multi-producer stress), and the
+// environment knob table with every reader that goes through it.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <optional>
+#include <set>
+#include <string>
 #include <thread>
 
+#include "apps/pagerank.hpp"
+#include "apps/pagerank_delta.hpp"
+#include "cluster/cluster_net.hpp"
+#include "core/engine.hpp"
+#include "graph/csr_v2.hpp"
+#include "harness/experiment.hpp"
+#include "io/io_backend.hpp"
+#include "metrics/io_model.hpp"
+#include "platform/file_util.hpp"
+#include "service/graph_service.hpp"
+#include "test_support.hpp"
 #include "util/config.hpp"
+#include "util/knobs.hpp"
+#include "util/lockdep.hpp"
+#include "util/logging.hpp"
 #include "util/mpsc_queue.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/status.hpp"
+#include "util/thread.hpp"
 
 namespace gpsa {
 namespace {
+
+using testing::ScopedEnv;
 
 // --- Status / Result --------------------------------------------------------
 
@@ -230,6 +252,359 @@ TEST(MpscQueue, MoveOnlyPayloads) {
   auto v = q.try_pop();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(**v, 5);
+}
+
+// --- Knobs -------------------------------------------------------------------
+
+/// Expects an InvalidArgument naming the knob, the value and the range.
+template <typename T>
+void expect_rejected(const Result<T>& result, const std::string& name,
+                     const std::string& value, const std::string& range) {
+  ASSERT_FALSE(result.is_ok()) << name << "=" << value << " accepted";
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = result.status().message();
+  EXPECT_NE(message.find(name), std::string::npos) << message;
+  EXPECT_NE(message.find("'" + value + "'"), std::string::npos) << message;
+  EXPECT_NE(message.find(range), std::string::npos) << message;
+}
+
+TEST(Knobs, OneRowPerKnobAndEveryDefaultParsesOrIsRequired) {
+  EXPECT_EQ(std::size(kKnobTable), 22U);
+  std::set<std::string> names;
+  for (std::size_t row = 0; row < std::size(kKnobTable); ++row) {
+    const KnobSpec& spec = kKnobTable[row];
+    SCOPED_TRACE(spec.name);
+    EXPECT_EQ(std::string(spec.name).rfind("GPSA_", 0), 0U);
+    EXPECT_TRUE(names.insert(spec.name).second) << "duplicate row";
+    EXPECT_FALSE(spec.doc.empty());
+    ScopedEnv unset(spec.name, nullptr);
+    const KnobName which(row);
+    bool ok = false;
+    switch (spec.kind) {
+      case KnobKind::kUnsigned:
+        ok = knob<std::uint64_t>(which).is_ok();
+        break;
+      case KnobKind::kFloat:
+        ok = knob<double>(which).is_ok();
+        break;
+      case KnobKind::kBool:
+        ok = knob<bool>(which).is_ok();
+        break;
+      case KnobKind::kEnum:
+      case KnobKind::kText:
+        ok = knob<std::string>(which).is_ok();
+        break;
+    }
+    // Only the cluster rank rows have no default: a rank must be named.
+    const bool required =
+        spec.fallback.empty() && spec.kind != KnobKind::kText;
+    EXPECT_EQ(required,
+              std::string(spec.name).rfind("GPSA_CLUSTER_RANK", 0) == 0);
+    EXPECT_EQ(ok, !required) << "default '" << spec.fallback << "'";
+  }
+}
+
+TEST(Knobs, UnsignedKind) {
+  const char* kName = "GPSA_BENCH_RUNS";
+  const std::string kRange = "an integer in [1, 1000]";
+  auto runs = [] { return knob<std::uint64_t>("GPSA_BENCH_RUNS"); };
+  {
+    ScopedEnv env(kName, nullptr);
+    EXPECT_EQ(runs().value(), 3U);
+  }
+  {
+    ScopedEnv env(kName, "");
+    EXPECT_EQ(runs().value(), 3U);
+  }
+  for (const char* good : {"1", "7", "1000"}) {
+    ScopedEnv env(kName, good);
+    EXPECT_EQ(runs().value(), std::stoull(good));
+  }
+  for (const char* bad : {"4x", "x4", " 4", "+4", "-1", "4.0", "0x10"}) {
+    ScopedEnv env(kName, bad);
+    expect_rejected(runs(), kName, bad, kRange);
+  }
+  for (const char* out_of_range : {"0", "1001", "18446744073709551616"}) {
+    ScopedEnv env(kName, out_of_range);
+    expect_rejected(runs(), kName, out_of_range, kRange);
+  }
+}
+
+TEST(Knobs, FloatKind) {
+  // GPSA_MODEL_DISK_MBPS=abc used to parse to 0, which switches the
+  // modeled out-of-core column off.
+  const char* kName = "GPSA_MODEL_DISK_MBPS";
+  const std::string kRange = "a number in [0, 1000000]";
+  auto mbps = [] { return knob<double>("GPSA_MODEL_DISK_MBPS"); };
+  {
+    ScopedEnv env(kName, "");
+    EXPECT_EQ(mbps().value(), 120.0);
+  }
+  for (const char* good : {"0", "250.5", "1e3", "1000000"}) {
+    ScopedEnv env(kName, good);
+    EXPECT_EQ(mbps().value(), std::stod(good));
+  }
+  for (const char* bad : {"abc", "12MB", "1,5"}) {
+    ScopedEnv env(kName, bad);
+    expect_rejected(mbps(), kName, bad, kRange);
+  }
+  for (const char* out_of_range : {"-1", "1e7", "nan", "inf"}) {
+    ScopedEnv env(kName, out_of_range);
+    expect_rejected(mbps(), kName, out_of_range, kRange);
+  }
+}
+
+TEST(Knobs, ModelBandwidthWarnsAndKeepsTheModelOn) {
+  // The bandwidth is latched on first use; nothing else in this binary
+  // reads it, so this test's setting is the one latched.
+  ScopedEnv env("GPSA_MODEL_DISK_MBPS", "abc");
+  EXPECT_EQ(model_disk_bandwidth_bytes_per_sec(), 120.0 * 1024.0 * 1024.0);
+}
+
+TEST(Knobs, BoolKindAcceptsOneSpellingSetEverywhere) {
+  const char* kName = "GPSA_IO_DROP_BEHIND";
+  auto drop = [] { return knob<bool>("GPSA_IO_DROP_BEHIND"); };
+  {
+    ScopedEnv env(kName, nullptr);
+    EXPECT_TRUE(drop().value());
+  }
+  for (const char* on : {"1", "true", "on", "yes"}) {
+    ScopedEnv env(kName, on);
+    EXPECT_TRUE(drop().value()) << on;
+  }
+  for (const char* off : {"0", "false", "off", "no"}) {
+    ScopedEnv env(kName, off);
+    EXPECT_FALSE(drop().value()) << off;
+  }
+  for (const char* bad : {"maybe", "TRUE", "2"}) {
+    ScopedEnv env(kName, bad);
+    expect_rejected(drop(), kName, bad, "1|0|true|false|on|off|yes|no");
+  }
+}
+
+TEST(Knobs, LockdepLatchTakesEveryBoolSpelling) {
+  // GPSA_LOCKDEP=true used to leave lockdep off. The latch is re-armed by
+  // hand and restored; nothing locks between the two.
+  const int saved = lockdep::detail::g_state.load();
+  for (const auto& [value, state] :
+       {std::pair{"true", 2}, {"yes", 2}, {"1", 2}, {"off", 1},
+        {"maybe", 1}}) {
+    ScopedEnv env("GPSA_LOCKDEP", value);
+    lockdep::detail::g_state.store(0);
+    EXPECT_EQ(lockdep::detail::latch_from_env(), state) << value;
+  }
+  lockdep::detail::g_state.store(saved);
+}
+
+TEST(Knobs, EnumKind) {
+  const char* kName = "GPSA_CSR_ORDER";
+  {
+    ScopedEnv env(kName, nullptr);
+    EXPECT_EQ(knob<std::string>("GPSA_CSR_ORDER").value(), "none");
+  }
+  {
+    ScopedEnv env(kName, "degree");
+    EXPECT_EQ(knob<std::string>("GPSA_CSR_ORDER").value(), "degree");
+    EXPECT_EQ(resolve_csr_order(std::nullopt), CsrOrder::kDegree);
+    EXPECT_EQ(resolve_csr_order(CsrOrder::kBfs), CsrOrder::kBfs);
+  }
+  for (const char* bad : {"sideways", "Degree", "degree|bfs", "|"}) {
+    ScopedEnv env(kName, bad);
+    expect_rejected(knob<std::string>("GPSA_CSR_ORDER"), kName, bad,
+                    "none|degree|bfs");
+    // resolve_csr_order cannot carry a Status: it warns and uses none.
+    EXPECT_EQ(resolve_csr_order(std::nullopt), CsrOrder::kNone);
+  }
+  ScopedEnv env("GPSA_CSR_FORMAT", "v3");
+  EXPECT_EQ(resolve_csr_format(std::nullopt), CsrFormat::kV1);
+  EXPECT_EQ(resolve_csr_format(CsrFormat::kV2), CsrFormat::kV2);
+}
+
+TEST(Knobs, TextKind) {
+  {
+    ScopedEnv env("GPSA_BENCH_JSON", nullptr);
+    EXPECT_EQ(knob<std::string>("GPSA_BENCH_JSON").value(), "");
+  }
+  ScopedEnv env("GPSA_BENCH_JSON", "out dir/result.json");
+  EXPECT_EQ(knob<std::string>("GPSA_BENCH_JSON").value(),
+            "out dir/result.json");
+}
+
+TEST(Knobs, KnobOrDefaultWarnsOnceAndUsesTheDefault) {
+  std::vector<std::string> warnings;
+  set_log_sink([&](LogLevel level, std::string_view line) {
+    if (level == LogLevel::kWarn) {
+      warnings.emplace_back(line);
+    }
+  });
+  {
+    ScopedEnv scale("GPSA_BENCH_SCALE", "huge");
+    ScopedEnv runs("GPSA_BENCH_RUNS", "2");
+    const ExperimentOptions options = ExperimentOptions::from_env();
+    EXPECT_EQ(options.scale, 0.25);
+    EXPECT_EQ(options.runs, 2U);
+  }
+  set_log_sink(nullptr);
+  ASSERT_EQ(warnings.size(), 1U);
+  EXPECT_NE(warnings[0].find("GPSA_BENCH_SCALE='huge'"), std::string::npos)
+      << warnings[0];
+}
+
+TEST(Knobs, DeltaEpsWarnsAndDefaults) {
+  {
+    ScopedEnv env("GPSA_DELTA_EPS", nullptr);
+    EXPECT_FLOAT_EQ(resolve_delta_eps(std::nullopt), 1e-7F);
+    EXPECT_FLOAT_EQ(resolve_delta_eps(0.5F), 0.5F);
+  }
+  {
+    ScopedEnv env("GPSA_DELTA_EPS", "1e-3");
+    EXPECT_FLOAT_EQ(resolve_delta_eps(std::nullopt), 1e-3F);
+    EXPECT_FLOAT_EQ(resolve_delta_eps(0.25F), 0.25F);  // option beats env
+  }
+  for (const char* bad : {"not-a-number", "-1e-3", "2"}) {
+    ScopedEnv env("GPSA_DELTA_EPS", bad);
+    EXPECT_FLOAT_EQ(resolve_delta_eps(std::nullopt), 1e-7F) << bad;
+  }
+}
+
+TEST(Knobs, ThreadsTakeNoPrefixAndAreBounded) {
+  // Only the knob and default_worker_count are exercised: no scheduler
+  // starts at any of these values.
+  ScopedEnv unset("GPSA_THREADS", nullptr);
+  const unsigned hardware = default_worker_count();
+  // GPSA_THREADS=4x used to run 4 workers. Pick a prefix that is not the
+  // hardware default, so taking it shows.
+  const std::string prefixed = std::to_string(hardware + 1) + "x";
+  for (const std::string& bad : {prefixed, std::string("1025")}) {
+    ScopedEnv env("GPSA_THREADS", bad.c_str());
+    expect_rejected(knob<std::uint64_t>("GPSA_THREADS"), "GPSA_THREADS", bad,
+                    "[0, 1024]");
+    EXPECT_EQ(default_worker_count(), hardware);
+  }
+  ScopedEnv env("GPSA_THREADS", "1024");
+  EXPECT_EQ(knob<std::uint64_t>("GPSA_THREADS").value(), 1024U);
+}
+
+TEST(Knobs, ServiceLimitsAreBoundedAndStrict) {
+  for (const char* bad : {"0", "1025", "abc", "8 jobs"}) {
+    ScopedEnv env("GPSA_SERVICE_MAX_JOBS", bad);
+    expect_rejected(knob<std::uint64_t>("GPSA_SERVICE_MAX_JOBS"),
+                    "GPSA_SERVICE_MAX_JOBS", bad, "[1, 1024]");
+  }
+  for (const char* bad : {"0", "1048577", "lots"}) {
+    ScopedEnv env("GPSA_SERVICE_MAX_QUEUE", bad);
+    expect_rejected(knob<std::uint64_t>("GPSA_SERVICE_MAX_QUEUE"),
+                    "GPSA_SERVICE_MAX_QUEUE", bad, "[1, 1048576]");
+  }
+}
+
+TEST(Knobs, ServiceOpenRejectsMalformedLimits) {
+  // A malformed limit used to fall back to the default silently. These
+  // values have no thread count to start, so open() is safe to call.
+  const EdgeList graph = testing::diamond_graph();
+  for (const char* name : {"GPSA_SERVICE_MAX_JOBS", "GPSA_SERVICE_MAX_QUEUE"}) {
+    ScopedEnv env(name, "abc");
+    const auto service = GraphService::open_from_edges(graph, ServiceOptions{});
+    ASSERT_FALSE(service.is_ok()) << name;
+    EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Explicit options beat the environment.
+  ScopedEnv env("GPSA_SERVICE_MAX_JOBS", "abc");
+  ServiceOptions options;
+  options.max_concurrent_jobs = 1;
+  options.max_queued_jobs = 4;
+  options.scheduler_workers = 1;
+  EXPECT_TRUE(GraphService::open_from_edges(graph, options).is_ok());
+}
+
+TEST(Knobs, IoOptionsRejectBadEnvironmentAndPreferExplicitFields) {
+  // GPSA_READAHEAD_MB and GPSA_IO_BLOCK_KB used to be shifted into bytes
+  // unchecked: these values wrapped to 8 MiB and 256 KiB.
+  const struct {
+    const char* name;
+    const char* value;
+    const char* range;
+  } bad[] = {
+      {"GPSA_READAHEAD_MB", "17592186044424", "[0, 65536]"},
+      {"GPSA_IO_BLOCK_KB", "18014398509482240", "[4, 65536]"},
+      {"GPSA_IO_BLOCK_KB", "2", "[4, 65536]"},
+      {"GPSA_IO_THREADS", "0", "[1, 64]"},
+      {"GPSA_IO_DROP_BEHIND", "maybe", "1|0|true|false|on|off|yes|no"},
+      {"GPSA_IO_BACKEND", "floppy", "mmap|pread|uring"},
+  };
+  for (const auto& knob_case : bad) {
+    ScopedEnv env(knob_case.name, knob_case.value);
+    expect_rejected(IoOptions{}.resolve(), knob_case.name, knob_case.value,
+                    knob_case.range);
+  }
+
+  // Every field set explicitly: the environment is not even parsed.
+  ScopedEnv backend("GPSA_IO_BACKEND", "floppy");
+  ScopedEnv readahead("GPSA_READAHEAD_MB", "-1");
+  ScopedEnv drop("GPSA_IO_DROP_BEHIND", "maybe");
+  ScopedEnv block("GPSA_IO_BLOCK_KB", "big");
+  ScopedEnv threads("GPSA_IO_THREADS", "many");
+  IoOptions options;
+  options.backend = IoBackendKind::kPread;
+  options.readahead_bytes = 1U << 20;
+  options.drop_behind = false;
+  options.block_bytes = 64U << 10;
+  options.io_threads = 3;
+  const auto config = options.resolve();
+  ASSERT_TRUE(config.is_ok()) << config.status().to_string();
+  EXPECT_EQ(config.value().backend, IoBackendKind::kPread);
+  EXPECT_EQ(config.value().readahead_bytes, std::size_t{1} << 20);
+  EXPECT_FALSE(config.value().drop_behind);
+  EXPECT_EQ(config.value().block_bytes, std::size_t{64} << 10);
+  EXPECT_EQ(config.value().io_threads, 3U);
+}
+
+TEST(Knobs, CheckpointIntervalRejectsBadEnvironment) {
+  // run_job returns the knob's error; an explicit interval beats it.
+  const EdgeList graph = testing::diamond_graph();
+  const PageRankProgram program(3);
+  EngineOptions options;
+  options.checkpoint_each_superstep = true;
+  for (const char* bad : {"0", "every", "1000000001"}) {
+    ScopedEnv env("GPSA_CHECKPOINT_INTERVAL", bad);
+    const auto result = Engine::run(graph, program, options);
+    ASSERT_FALSE(result.is_ok()) << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("GPSA_CHECKPOINT_INTERVAL"),
+              std::string::npos);
+  }
+  ScopedEnv env("GPSA_CHECKPOINT_INTERVAL", "every");
+  options.checkpoint_interval = 2;
+  EXPECT_TRUE(Engine::run(graph, program, options).is_ok());
+}
+
+TEST(Knobs, ClusterNetOptionsFromEnvironment) {
+  ScopedEnv rank("GPSA_CLUSTER_RANK", "1");
+  ScopedEnv ranks("GPSA_CLUSTER_RANKS", "2");
+  ScopedEnv port("GPSA_CLUSTER_PORT", nullptr);
+  ScopedEnv timeout("GPSA_NET_TIMEOUT_MS", "5000");
+  const auto net = ClusterNetOptions::from_env();
+  ASSERT_TRUE(net.is_ok()) << net.status().to_string();
+  EXPECT_EQ(net.value().rank, 1U);
+  EXPECT_EQ(net.value().ranks, 2U);
+  EXPECT_EQ(net.value().base_port, 29600);
+  EXPECT_EQ(net.value().timeout_ms, 5000);
+  {
+    ScopedEnv bad("GPSA_NET_TIMEOUT_MS", "0");
+    expect_rejected(ClusterNetOptions::from_env(), "GPSA_NET_TIMEOUT_MS", "0",
+                    "[1, 3600000]");
+  }
+  {
+    ScopedEnv bad("GPSA_CLUSTER_RANKS", "1025");
+    expect_rejected(ClusterNetOptions::from_env(), "GPSA_CLUSTER_RANKS",
+                    "1025", "[1, 1024]");
+  }
+  {
+    ScopedEnv bad("GPSA_CLUSTER_PORT", "65535");  // rank 1 would be 65536
+    EXPECT_FALSE(ClusterNetOptions::from_env().is_ok());
+  }
+  ScopedEnv unset("GPSA_CLUSTER_RANKS", nullptr);
+  EXPECT_FALSE(ClusterNetOptions::from_env().is_ok()) << "ranks required";
 }
 
 }  // namespace
