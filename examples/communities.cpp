@@ -20,12 +20,20 @@ int main(int argc, char** argv) {
     return 1;
   }
   const gpsa::Config& config = config_or.value();
-  const auto members =
-      static_cast<gpsa::VertexId>(config.get_int("members", 50'000));
+  const auto members_or = config.get_uint("members", 50'000);
+  const auto friendships_or = config.get_uint("friendships", 200'000);
+  const auto seed_or = config.get_uint("seed", 5);
+  for (const gpsa::Status& st :
+       {members_or.status(), friendships_or.status(), seed_or.status()}) {
+    if (!st.is_ok()) {
+      std::fprintf(stderr, "%s\n", st.to_string().c_str());
+      return 2;
+    }
+  }
+  const auto members = static_cast<gpsa::VertexId>(members_or.value());
   const auto friendships =
-      static_cast<gpsa::EdgeCount>(config.get_int("friendships", 200'000));
-  const auto seed =
-      static_cast<std::uint64_t>(config.get_int("seed", 5));
+      static_cast<gpsa::EdgeCount>(friendships_or.value());
+  const std::uint64_t seed = seed_or.value();
 
   // Sparse random friendships leave many singletons and a giant component —
   // the classic Erdős–Rényi structure.

@@ -57,12 +57,19 @@ int main(int argc, char** argv) {
     return 1;
   }
   const gpsa::Config& config = config_or.value();
-  const auto scale =
-      static_cast<unsigned>(config.get_int("pages-scale", 14));
-  const auto links =
-      static_cast<gpsa::EdgeCount>(config.get_int("links", 200'000));
-  const auto crash_after =
-      static_cast<std::uint64_t>(config.get_int("crash-after", 3));
+  const auto scale_or = config.get_uint("pages-scale", 14);
+  const auto links_or = config.get_uint("links", 200'000);
+  const auto crash_after_or = config.get_uint("crash-after", 3);
+  for (const gpsa::Status& st :
+       {scale_or.status(), links_or.status(), crash_after_or.status()}) {
+    if (!st.is_ok()) {
+      std::fprintf(stderr, "%s\n", st.to_string().c_str());
+      return 2;
+    }
+  }
+  const auto scale = static_cast<unsigned>(scale_or.value());
+  const auto links = static_cast<gpsa::EdgeCount>(links_or.value());
+  const std::uint64_t crash_after = crash_after_or.value();
 
   const gpsa::EdgeList graph = gpsa::rmat(scale, links, /*seed=*/123);
   const gpsa::BfsProgram bfs(0);

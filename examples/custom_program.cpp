@@ -69,12 +69,19 @@ int main(int argc, char** argv) {
     return 1;
   }
   const gpsa::Config& config = config_or.value();
-  const auto scale =
-      static_cast<unsigned>(config.get_int("routers-scale", 12));
-  const auto cables =
-      static_cast<gpsa::EdgeCount>(config.get_int("cables", 60'000));
-  const auto source =
-      static_cast<gpsa::VertexId>(config.get_int("source", 0));
+  const auto scale_or = config.get_uint("routers-scale", 12);
+  const auto cables_or = config.get_uint("cables", 60'000);
+  const auto source_or = config.get_uint("source", 0);
+  for (const gpsa::Status& st :
+       {scale_or.status(), cables_or.status(), source_or.status()}) {
+    if (!st.is_ok()) {
+      std::fprintf(stderr, "%s\n", st.to_string().c_str());
+      return 2;
+    }
+  }
+  const auto scale = static_cast<unsigned>(scale_or.value());
+  const auto cables = static_cast<gpsa::EdgeCount>(cables_or.value());
+  const auto source = static_cast<gpsa::VertexId>(source_or.value());
 
   const gpsa::EdgeList network = gpsa::rmat(scale, cables, /*seed=*/31);
   std::printf("network: %u routers, %llu cables (bandwidths 1-16)\n",

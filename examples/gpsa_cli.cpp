@@ -22,7 +22,7 @@
 //   --top=K             print the K best-valued vertices (default 5)
 //
 // An unknown --flag prints the usage and exits 2 instead of running with
-// defaults.
+// defaults, and so does a malformed value of a known one (--top=3x).
 //
 // Subcommand:
 //   gpsa_cli convert --in=BASE --out=BASE [--csr-format=v1|v2]
@@ -92,7 +92,43 @@ bool flags_known(const Config& config, std::span<const std::string_view> known,
   return true;
 }
 
-Result<EdgeList> load_or_generate(const Config& config) {
+/// The run flags' typed values, all read before anything runs, so a
+/// malformed one fails up front.
+struct RunFlags {
+  std::uint64_t scale = 0;
+  std::uint64_t edges = 0;
+  std::uint64_t seed = 0;
+  std::uint64_t root = 0;
+  std::uint64_t iterations = 0;
+  std::uint64_t supersteps = 0;
+  std::uint64_t top = 0;
+  std::uint64_t dispatchers = 0;
+  std::uint64_t computers = 0;
+  std::uint64_t nodes = 0;
+  bool symmetrize = false;
+  bool checkpoint = false;
+};
+
+Result<RunFlags> read_run_flags(const Config& config, const std::string& algo) {
+  RunFlags f;
+  GPSA_ASSIGN_OR_RETURN(f.scale, config.get_uint("scale", 14));
+  GPSA_ASSIGN_OR_RETURN(f.edges, config.get_uint("edges", 300'000));
+  GPSA_ASSIGN_OR_RETURN(f.seed, config.get_uint("seed", 1));
+  GPSA_ASSIGN_OR_RETURN(f.root, config.get_uint("root", 0));
+  GPSA_ASSIGN_OR_RETURN(
+      f.iterations,
+      config.get_uint("iterations", algo == "pagerank_delta" ? 100 : 20));
+  GPSA_ASSIGN_OR_RETURN(f.supersteps, config.get_uint("supersteps", 0));
+  GPSA_ASSIGN_OR_RETURN(f.top, config.get_uint("top", 5));
+  GPSA_ASSIGN_OR_RETURN(f.dispatchers, config.get_uint("dispatchers", 2));
+  GPSA_ASSIGN_OR_RETURN(f.computers, config.get_uint("computers", 2));
+  GPSA_ASSIGN_OR_RETURN(f.nodes, config.get_uint("nodes", 4));
+  GPSA_ASSIGN_OR_RETURN(f.symmetrize, config.get_bool("symmetrize", false));
+  GPSA_ASSIGN_OR_RETURN(f.checkpoint, config.get_bool("checkpoint", false));
+  return f;
+}
+
+Result<EdgeList> load_or_generate(const Config& config, const RunFlags& f) {
   const std::string path = config.get_string("graph", "");
   if (!path.empty()) {
     const std::string format = config.get_string("format", "edges");
@@ -108,15 +144,13 @@ Result<EdgeList> load_or_generate(const Config& config) {
     return invalid_argument("unknown --format=" + format);
   }
   const std::string generator = config.get_string("generator", "rmat");
-  const auto scale = static_cast<unsigned>(config.get_int("scale", 14));
-  const auto edges =
-      static_cast<EdgeCount>(config.get_int("edges", 300'000));
-  const auto seed = static_cast<std::uint64_t>(config.get_int("seed", 1));
+  const auto scale = static_cast<unsigned>(f.scale);
+  const auto edges = static_cast<EdgeCount>(f.edges);
   if (generator == "rmat") {
-    return rmat(scale, edges, seed);
+    return rmat(scale, edges, f.seed);
   }
   if (generator == "er") {
-    return erdos_renyi(static_cast<VertexId>(1U << scale), edges, seed);
+    return erdos_renyi(static_cast<VertexId>(1U << scale), edges, f.seed);
   }
   if (generator == "grid") {
     const auto side = static_cast<VertexId>(1U << (scale / 2));
@@ -128,16 +162,14 @@ Result<EdgeList> load_or_generate(const Config& config) {
   return invalid_argument("unknown --generator=" + generator);
 }
 
-std::unique_ptr<Program> make_program(const Config& config,
+std::unique_ptr<Program> make_program(const RunFlags& f,
                                       const std::string& algo) {
-  const auto root = static_cast<VertexId>(config.get_int("root", 0));
+  const auto root = static_cast<VertexId>(f.root);
   if (algo == "pagerank") {
-    return std::make_unique<PageRankProgram>(
-        static_cast<std::uint64_t>(config.get_int("iterations", 20)));
+    return std::make_unique<PageRankProgram>(f.iterations);
   }
   if (algo == "pagerank_delta") {
-    return std::make_unique<PageRankDeltaProgram>(
-        static_cast<std::uint64_t>(config.get_int("iterations", 100)));
+    return std::make_unique<PageRankDeltaProgram>(f.iterations);
   }
   if (algo == "bfs") {
     return std::make_unique<BfsProgram>(root);
@@ -205,9 +237,13 @@ int run_convert(const Config& config) {
     std::fprintf(stderr, "%s\n", order_or.status().to_string().c_str());
     return 2;
   }
-  const bool with_degree = !config.get_bool("no-degree", false);
+  auto no_degree_or = config.get_bool("no-degree", false);
+  if (!no_degree_or.is_ok()) {
+    std::fprintf(stderr, "%s\n", no_degree_or.status().to_string().c_str());
+    return 2;
+  }
   const Status st = convert_csr_file(in_base, out_base, format_or.value(),
-                                     order_or.value(), with_degree);
+                                     order_or.value(), !no_degree_or.value());
   if (!st.is_ok()) {
     std::fprintf(stderr, "convert: %s\n", st.to_string().c_str());
     return 1;
@@ -245,20 +281,26 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string algo = config.get_string("algo", "");
-  const auto program = make_program(config, algo);
+  auto flags_or = read_run_flags(config, algo);
+  if (!flags_or.is_ok()) {
+    std::fprintf(stderr, "%s\n", flags_or.status().to_string().c_str());
+    return 2;
+  }
+  const RunFlags& flags = flags_or.value();
+  const auto program = make_program(flags, algo);
   if (program == nullptr) {
     std::fprintf(stderr, "%s", kRunUsage);
     return 2;
   }
 
-  auto graph_or = load_or_generate(config);
+  auto graph_or = load_or_generate(config, flags);
   if (!graph_or.is_ok()) {
     std::fprintf(stderr, "graph: %s\n",
                  graph_or.status().to_string().c_str());
     return 1;
   }
   EdgeList graph = std::move(graph_or).value();
-  if (config.get_bool("symmetrize", false)) {
+  if (flags.symmetrize) {
     EdgeList sym;
     sym.ensure_vertices(graph.num_vertices());
     for (const Edge& e : graph.edges()) {
@@ -272,19 +314,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(graph.num_edges()));
 
   const std::string engine = config.get_string("engine", "gpsa");
-  const auto supersteps =
-      static_cast<std::uint64_t>(config.get_int("supersteps", 0));
-  const int top = static_cast<int>(config.get_int("top", 5));
+  const int top = static_cast<int>(flags.top);
 
   std::vector<Payload> values;
   if (engine == "gpsa") {
     EngineOptions eo;
-    eo.num_dispatchers =
-        static_cast<unsigned>(config.get_int("dispatchers", 2));
-    eo.num_computers =
-        static_cast<unsigned>(config.get_int("computers", 2));
-    eo.max_supersteps = supersteps;
-    eo.checkpoint_each_superstep = config.get_bool("checkpoint", false);
+    eo.num_dispatchers = static_cast<unsigned>(flags.dispatchers);
+    eo.num_computers = static_cast<unsigned>(flags.computers);
+    eo.max_supersteps = flags.supersteps;
+    eo.checkpoint_each_superstep = flags.checkpoint;
     auto result = Engine::run(graph, *program, eo);
     if (!result.is_ok()) {
       std::fprintf(stderr, "engine: %s\n",
@@ -308,7 +346,7 @@ int main(int argc, char** argv) {
     values = r.values;
   } else if (engine == "graphchi" || engine == "xstream") {
     BaselineOptions bo;
-    bo.max_supersteps = supersteps;
+    bo.max_supersteps = flags.supersteps;
     auto result = engine == "graphchi"
                       ? PswEngine::run(graph, *program, bo)
                       : XStreamEngine::run(graph, *program, bo);
@@ -326,8 +364,8 @@ int main(int argc, char** argv) {
     values = std::move(result.value().values);
   } else if (engine == "cluster") {
     ClusterOptions co;
-    co.num_nodes = static_cast<unsigned>(config.get_int("nodes", 4));
-    co.max_supersteps = supersteps;
+    co.num_nodes = static_cast<unsigned>(flags.nodes);
+    co.max_supersteps = flags.supersteps;
     auto result = ClusterEngine::run(graph, *program, co);
     if (!result.is_ok()) {
       std::fprintf(stderr, "engine: %s\n",
@@ -348,7 +386,7 @@ int main(int argc, char** argv) {
     values = r.values;
   } else if (engine == "reference") {
     const ReferenceResult r =
-        reference_run(Csr::from_edges(graph), *program, supersteps);
+        reference_run(Csr::from_edges(graph), *program, flags.supersteps);
     std::printf("reference: %llu supersteps, %llu messages\n",
                 static_cast<unsigned long long>(r.supersteps),
                 static_cast<unsigned long long>(r.total_messages));

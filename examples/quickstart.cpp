@@ -23,12 +23,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", config.status().to_string().c_str());
     return 1;
   }
-  const auto scale =
-      static_cast<unsigned>(config.value().get_int("vertices-scale", 10));
-  const auto edges =
-      static_cast<gpsa::EdgeCount>(config.value().get_int("edges", 20'000));
-  const auto iterations =
-      static_cast<std::uint64_t>(config.value().get_int("iterations", 10));
+  const auto scale_or = config.value().get_uint("vertices-scale", 10);
+  const auto edges_or = config.value().get_uint("edges", 20'000);
+  const auto iterations_or = config.value().get_uint("iterations", 10);
+  for (const gpsa::Status& st :
+       {scale_or.status(), edges_or.status(), iterations_or.status()}) {
+    if (!st.is_ok()) {
+      std::fprintf(stderr, "%s\n", st.to_string().c_str());
+      return 2;
+    }
+  }
+  const auto scale = static_cast<unsigned>(scale_or.value());
+  const auto edges = static_cast<gpsa::EdgeCount>(edges_or.value());
+  const std::uint64_t iterations = iterations_or.value();
 
   // 1. A scale-free "social network" with 2^scale members.
   const gpsa::EdgeList graph = gpsa::rmat(scale, edges, /*seed=*/1);

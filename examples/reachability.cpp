@@ -22,6 +22,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   const gpsa::Config& config = config_or.value();
+  const auto scale_or = config.get_uint("pages-scale", 16);
+  const auto links_or = config.get_uint("links", 500'000);
+  const auto root_or = config.get_uint("root", 0);
+  for (const gpsa::Status& st :
+       {scale_or.status(), links_or.status(), root_or.status()}) {
+    if (!st.is_ok()) {
+      std::fprintf(stderr, "%s\n", st.to_string().c_str());
+      return 2;
+    }
+  }
 
   gpsa::EdgeList graph;
   const std::string path = config.get_string("graph", "");
@@ -35,18 +45,15 @@ int main(int argc, char** argv) {
     graph = std::move(loaded).value();
     std::printf("loaded %s\n", path.c_str());
   } else {
-    const auto scale =
-        static_cast<unsigned>(config.get_int("pages-scale", 16));
-    const auto links =
-        static_cast<gpsa::EdgeCount>(config.get_int("links", 500'000));
-    graph = gpsa::rmat(scale, links, /*seed=*/77);
+    graph = gpsa::rmat(static_cast<unsigned>(scale_or.value()),
+                       static_cast<gpsa::EdgeCount>(links_or.value()),
+                       /*seed=*/77);
     std::printf("generated web-like graph\n");
   }
   std::printf("pages: %u, links: %llu\n", graph.num_vertices(),
               static_cast<unsigned long long>(graph.num_edges()));
 
-  const auto root =
-      static_cast<gpsa::VertexId>(config.get_int("root", 0));
+  const auto root = static_cast<gpsa::VertexId>(root_or.value());
   if (root >= graph.num_vertices()) {
     std::fprintf(stderr, "root %u out of range\n", root);
     return 1;

@@ -26,12 +26,22 @@ int main(int argc, char** argv) {
     return 1;
   }
   const gpsa::Config& config = config_or.value();
-  const auto members =
-      static_cast<std::uint64_t>(config.get_int("members", 100'000));
-  const auto follows =
-      static_cast<std::uint64_t>(config.get_int("follows-per-member", 15));
-  const auto iterations =
-      static_cast<std::uint64_t>(config.get_int("iterations", 15));
+  const auto members_or = config.get_uint("members", 100'000);
+  const auto follows_or = config.get_uint("follows-per-member", 15);
+  const auto iterations_or = config.get_uint("iterations", 15);
+  const auto dispatchers_or = config.get_uint("dispatchers", 4);
+  const auto computers_or = config.get_uint("computers", 4);
+  for (const gpsa::Status& st :
+       {members_or.status(), follows_or.status(), iterations_or.status(),
+        dispatchers_or.status(), computers_or.status()}) {
+    if (!st.is_ok()) {
+      std::fprintf(stderr, "%s\n", st.to_string().c_str());
+      return 2;
+    }
+  }
+  const std::uint64_t members = members_or.value();
+  const std::uint64_t follows = follows_or.value();
+  const std::uint64_t iterations = iterations_or.value();
 
   unsigned scale = 1;
   while ((1ULL << scale) < members) {
@@ -44,10 +54,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(graph.num_edges()));
 
   gpsa::EngineOptions options;
-  options.num_dispatchers =
-      static_cast<unsigned>(config.get_int("dispatchers", 4));
-  options.num_computers =
-      static_cast<unsigned>(config.get_int("computers", 4));
+  options.num_dispatchers = static_cast<unsigned>(dispatchers_or.value());
+  options.num_computers = static_cast<unsigned>(computers_or.value());
 
   const gpsa::PageRankProgram pagerank(iterations);
   auto result = gpsa::Engine::run(graph, pagerank, options);

@@ -14,7 +14,6 @@
 
 #include "core/program.hpp"
 #include "graph/edge_list.hpp"
-#include "graph/partition.hpp"
 #include "io/io_backend.hpp"
 #include "util/status.hpp"
 
@@ -25,9 +24,6 @@ struct ClusterOptions {
   static constexpr unsigned kMaxSchedulerWorkers = 16;
 
   unsigned num_nodes = 4;
-  /// Vertex-interval assignment across nodes, and across each rank's
-  /// dispatchers and computers inside its slice.
-  PartitionStrategy partition = PartitionStrategy::kBalancedEdges;
   /// Scheduler workers per rank, 0 meaning 1: they run the rank's manager
   /// and one dispatcher and one computer each. Both entry points reject
   /// more than kMaxSchedulerWorkers before any thread or socket exists.

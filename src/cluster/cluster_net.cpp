@@ -29,6 +29,7 @@
 #include "core/job.hpp"
 #include "core/ownership.hpp"
 #include "graph/csr_file.hpp"
+#include "graph/partition.hpp"
 #include "io/io_backend.hpp"
 #include "net/rank_links.hpp"
 #include "net/socket.hpp"
@@ -328,7 +329,7 @@ Result<ClusterPlan> make_cluster_plan(const EdgeList& graph,
   malloc_trim(0);
 #endif
   GPSA_ASSIGN_OR_RETURN(CsrFileReader csr, CsrFileReader::open(csr_path));
-  const auto intervals = make_intervals(csr, parts, options.partition);
+  const auto intervals = make_intervals(csr, parts);
   GPSA_CHECK(!intervals.empty());
 
   GPSA_ASSIGN_OR_RETURN(const IoConfig io_config, options.io.resolve());
@@ -386,7 +387,6 @@ Result<ClusterRunResult> run_rank(
   EngineOptions job_options;
   job_options.num_dispatchers = workers;
   job_options.num_computers = workers;
-  job_options.partition = options.partition;
   job_options.message_batch = options.message_batch;
   job_options.max_supersteps = options.max_supersteps;
   std::atomic<std::uint64_t> progress{0};

@@ -30,7 +30,6 @@
 #include "core/ownership.hpp"
 #include "core/program.hpp"
 #include "graph/edge_list.hpp"
-#include "graph/partition.hpp"
 #include "io/io_backend.hpp"
 #include "metrics/io_model.hpp"
 #include "storage/slot.hpp"
@@ -46,7 +45,6 @@ struct EngineOptions {
   unsigned num_computers = 2;
   /// Scheduler worker threads; 0 means default_worker_count().
   unsigned scheduler_workers = 0;
-  PartitionStrategy partition = PartitionStrategy::kBalancedEdges;
   /// VertexMessages per mailbox batch. 4096 (64 KiB of messages, still
   /// L2-resident) amortizes flush/send overhead and gives range routing's
   /// ascending-dst batches enough density for near-sequential applies;
@@ -93,7 +91,7 @@ struct EngineOptions {
   /// scratch directory removed at teardown.
   std::string work_dir;
   /// Storage I/O subsystem configuration (src/io/): backend selection,
-  /// readahead window, drop-behind, cold-start. Unset fields follow
+  /// readahead window, drop-behind. Unset fields follow
   /// GPSA_IO_BACKEND / GPSA_READAHEAD_MB / etc.
   IoOptions io;
 };

@@ -140,8 +140,8 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   }
 
   // --- Dispatcher intervals (§V.A), in storage indices. ------------------
-  std::vector<Interval> intervals = make_intervals(
-      csr, options.num_dispatchers, options.partition, base, base + size);
+  std::vector<Interval> intervals =
+      make_intervals(csr, options.num_dispatchers, base, base + size);
   GPSA_CHECK(!intervals.empty());
   for (Interval& interval : intervals) {
     interval.begin_vertex -= base;
@@ -162,9 +162,8 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
       cuts.push_back(peers->slices().range_end(r));
       continue;
     }
-    for (const Interval& slice : make_intervals(csr, options.num_computers,
-                                                options.partition, base,
-                                                base + size)) {
+    for (const Interval& slice :
+         make_intervals(csr, options.num_computers, base, base + size)) {
       cuts.push_back(slice.end_vertex);
     }
   }
@@ -178,14 +177,6 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   MessageBatchPool& pool = peers != nullptr
                                ? peers->pool()
                                : own_pool.emplace(options.message_batch);
-
-  // --- Cold-cache protocol (bench_ablation_io): everything written or
-  // faulted in during setup — CSR validation touches every entry page —
-  // is evicted so the run starts against the bare disk. ------------------
-  if (io_config.cold_start) {
-    GPSA_RETURN_IF_ERROR(values.drop_cache());
-    GPSA_RETURN_IF_ERROR(csr.drop_cache());
-  }
 
   // --- One record stream + readahead scheduler per dispatcher. -----------
   std::vector<std::unique_ptr<CsrEntryStream>> streams;

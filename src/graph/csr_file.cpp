@@ -8,8 +8,6 @@
 #include <limits>
 #include <vector>
 
-#include "platform/file_util.hpp"
-
 namespace gpsa {
 
 namespace {
@@ -438,15 +436,6 @@ Result<CsrFileReader> CsrFileReader::open(const std::string& base_path) {
     }
   }
   return reader;
-}
-
-Status CsrFileReader::drop_cache() {
-  GPSA_RETURN_IF_ERROR(
-      entry_map_.advise_range(0, entry_map_.size(), MmapFile::Advice::kDontNeed));
-  GPSA_RETURN_IF_ERROR(
-      index_map_.advise_range(0, index_map_.size(), MmapFile::Advice::kDontNeed));
-  GPSA_RETURN_IF_ERROR(evict_from_page_cache(entry_map_.path()));
-  return evict_from_page_cache(index_map_.path());
 }
 
 CsrFileReader::VertexRecord CsrFileReader::record(VertexId v) const {

@@ -210,12 +210,6 @@ class CsrFileReader {
   /// open their record streams against it.
   const std::string& entry_path() const { return entry_map_.path(); }
 
-  /// Cold-cache protocol (bench_ablation_io): release this reader's pages
-  /// from its mappings (madvise DONTNEED) and from the kernel page cache
-  /// (fadvise), so the next scan refaults from disk. Open-time validation
-  /// touches every page, which would otherwise leave a warm cache.
-  Status drop_cache();
-
  private:
   CsrFileHeader header_{};
   MmapFile entry_map_;

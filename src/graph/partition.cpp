@@ -36,62 +36,50 @@ std::vector<Interval> build(const std::vector<EdgeCount>& degrees,
 }  // namespace
 
 std::vector<Interval> make_intervals_from_degrees(
-    const std::vector<EdgeCount>& out_degrees, unsigned parts,
-    PartitionStrategy strategy) {
+    const std::vector<EdgeCount>& out_degrees, unsigned parts) {
   GPSA_CHECK(parts >= 1);
   const VertexId n = static_cast<VertexId>(out_degrees.size());
   if (n == 0) {
     return {};
   }
 
-  std::vector<Interval> intervals;
-  if (strategy == PartitionStrategy::kUniformVertices) {
-    intervals = build(out_degrees, parts, [n, parts](unsigned p) {
-      return static_cast<VertexId>(
-          (static_cast<std::uint64_t>(n) * p) / parts);
-    });
-  } else {
-    // Greedy prefix cut. Each part's target is recomputed from the edges
-    // and parts *remaining*, so a huge-degree vertex that overshoots its
-    // cut rebalances over the rest instead of starving later parts: with
-    // fixed prefix targets total*p/parts, one hub vertex can exceed several
-    // cumulative targets at once, collapsing those cuts onto the same
-    // vertex and leaving their dispatchers with empty intervals.
-    EdgeCount remaining = 0;
-    for (EdgeCount d : out_degrees) {
-      remaining += d;
-    }
-    std::vector<VertexId> cuts(parts + 1, n);
-    cuts[0] = 0;
-    VertexId v = 0;
-    for (unsigned p = 1; p < parts; ++p) {
-      const unsigned parts_left = parts - p + 1;
-      const EdgeCount target = remaining / parts_left;  // ideal for part p-1
-      // Keep at least one vertex available for each later part.
-      const VertexId later_parts = static_cast<VertexId>(parts - p);
-      const VertexId max_end = n > later_parts ? n - later_parts : v;
-      EdgeCount part_edges = 0;
-      while (v < max_end && part_edges < target) {
-        part_edges += out_degrees[v];
-        ++v;
-      }
-      if (v == cuts[p - 1] && v < max_end) {
-        // Zero target (edge-starved tail): still take one vertex so every
-        // part is non-empty whenever parts <= |V|.
-        part_edges += out_degrees[v];
-        ++v;
-      }
-      cuts[p] = v;
-      remaining -= part_edges;
-    }
-    intervals = build(out_degrees, parts,
-                      [&cuts](unsigned p) { return cuts[p]; });
+  // Greedy prefix cut. Each part's target is recomputed from the edges
+  // and parts *remaining*, so a huge-degree vertex that overshoots its
+  // cut rebalances over the rest instead of starving later parts: with
+  // fixed prefix targets total*p/parts, one hub vertex can exceed several
+  // cumulative targets at once, collapsing those cuts onto the same
+  // vertex and leaving their dispatchers with empty intervals.
+  EdgeCount remaining = 0;
+  for (EdgeCount d : out_degrees) {
+    remaining += d;
   }
-  return intervals;
+  std::vector<VertexId> cuts(parts + 1, n);
+  cuts[0] = 0;
+  VertexId v = 0;
+  for (unsigned p = 1; p < parts; ++p) {
+    const unsigned parts_left = parts - p + 1;
+    const EdgeCount target = remaining / parts_left;  // ideal for part p-1
+    // Keep at least one vertex available for each later part.
+    const VertexId later_parts = static_cast<VertexId>(parts - p);
+    const VertexId max_end = n > later_parts ? n - later_parts : v;
+    EdgeCount part_edges = 0;
+    while (v < max_end && part_edges < target) {
+      part_edges += out_degrees[v];
+      ++v;
+    }
+    if (v == cuts[p - 1] && v < max_end) {
+      // Zero target (edge-starved tail): still take one vertex so every
+      // part is non-empty whenever parts <= |V|.
+      part_edges += out_degrees[v];
+      ++v;
+    }
+    cuts[p] = v;
+    remaining -= part_edges;
+  }
+  return build(out_degrees, parts, [&cuts](unsigned p) { return cuts[p]; });
 }
 
 std::vector<Interval> make_intervals(const CsrFileReader& csr, unsigned parts,
-                                     PartitionStrategy strategy,
                                      VertexId begin, VertexId end) {
   end = std::min(end, csr.num_vertices());
   const VertexId n = end - begin;
@@ -106,7 +94,7 @@ std::vector<Interval> make_intervals(const CsrFileReader& csr, unsigned parts,
   for (VertexId v = 0; v < n; ++v) {
     weights[v] = v2 ? offsets[v + 1] - offsets[v] : csr.out_degree(begin + v);
   }
-  auto intervals = make_intervals_from_degrees(weights, parts, strategy);
+  auto intervals = make_intervals_from_degrees(weights, parts);
   for (Interval& iv : intervals) {
     iv.begin_entry = offsets[iv.begin_vertex];
     iv.end_entry = offsets[iv.end_vertex];

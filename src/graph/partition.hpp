@@ -1,14 +1,12 @@
 // Vertex-interval assignment for dispatchers (paper §V.A).
 //
 // Each dispatcher owns a contiguous vertex-id interval plus the matching
-// [start, end) offsets into the on-disk CSR entry array. Two strategies,
-// both from the paper:
-//   kUniformVertices  -- "a simple mod algorithm": equal vertex counts;
-//   kBalancedEdges    -- "assign vertices ... by the average edges to
-//                         ensure that every dispatcher sends exactly the
-//                         same number of messages": equal edge counts.
-// The ablation bench (bench_ablation_partition) compares the two on skewed
-// graphs.
+// [start, end) offsets into the on-disk CSR entry array. Cuts are
+// edge-balanced, the paper's "assign vertices ... by the average edges to
+// ensure that every dispatcher sends exactly the same number of
+// messages". The paper's other strategy, equal vertex counts, gave one
+// of four dispatchers 57.8% of the edges on a skewed graph (EXPERIMENTS.md
+// "Retired benches").
 #pragma once
 
 #include <cstdint>
@@ -29,19 +27,15 @@ struct Interval {
   VertexId vertex_count() const { return end_vertex - begin_vertex; }
 };
 
-enum class PartitionStrategy { kUniformVertices, kBalancedEdges };
-
 /// Splits [begin, end) — by default [0, |V|) — into at most `parts`
-/// non-empty intervals. Every vertex is covered exactly once; intervals
-/// are in ascending id order.
+/// non-empty, edge-balanced intervals. Every vertex is covered exactly
+/// once; intervals are in ascending id order.
 std::vector<Interval> make_intervals(const CsrFileReader& csr, unsigned parts,
-                                     PartitionStrategy strategy,
                                      VertexId begin = 0,
                                      VertexId end = kNoVertex);
 
 /// Same computation from in-memory degree data (used by tests and baselines).
 std::vector<Interval> make_intervals_from_degrees(
-    const std::vector<EdgeCount>& out_degrees, unsigned parts,
-    PartitionStrategy strategy);
+    const std::vector<EdgeCount>& out_degrees, unsigned parts);
 
 }  // namespace gpsa

@@ -1,17 +1,18 @@
 // Minimal JSON emitter for the bench binaries.
 //
-// Every ablation bench honours GPSA_BENCH_JSON=<path> by dumping its
-// result cells for the CI gate scripts (scripts/check_*.py). The format
-// those scripts need is flat — an object of scalars and arrays of
-// flat objects — so this is an append-only writer with comma/indent
-// bookkeeping, not a DOM: values are emitted in call order and the
-// output is deterministic, which keeps bench JSON diffable across runs.
+// The overlap ablation honours GPSA_BENCH_JSON=<path> by dumping its
+// result cells (CI keeps them as an artifact), and perfbench writes its
+// result line with the same writer. Both are flat — an object of
+// scalars and arrays of flat objects — so this is an append-only writer
+// with comma/indent bookkeeping, not a DOM: values are emitted in call
+// order and the output is deterministic, which keeps bench JSON diffable
+// across runs.
 //
 // Usage:
 //
 //   JsonWriter w;
 //   w.begin_object();
-//   w.key("bench").value("ablation_io");
+//   w.key("bench").value("ablation_overlap");
 //   w.key("cells").begin_array();
 //   for (...) {
 //     w.begin_object();

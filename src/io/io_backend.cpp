@@ -66,7 +66,6 @@ Result<IoConfig> IoOptions::resolve() const {
                           knob<std::uint64_t>("GPSA_IO_THREADS"));
     config.io_threads = static_cast<unsigned>(threads);
   }
-  config.cold_start = cold_start;
 
   if (config.block_bytes < (4u << 10)) {
     return invalid_argument("IoOptions: block_bytes must be >= 4 KiB");

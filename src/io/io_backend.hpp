@@ -63,9 +63,6 @@ struct IoOptions {
   std::optional<std::size_t> block_bytes;
   /// GPSA_IO_THREADS (default 2): pread prefetch pool size.
   std::optional<unsigned> io_threads;
-  /// Evict the engine's working files from the page cache after setup and
-  /// before the run starts (bench_ablation_io's cold-cache protocol).
-  bool cold_start = false;
 
   /// Applies environment + defaults, validates, and resolves unsupported
   /// backend requests to their fallback. A malformed or out-of-range
@@ -80,7 +77,6 @@ struct IoConfig {
   bool drop_behind = true;
   std::size_t block_bytes = 256u << 10;
   unsigned io_threads = 2;
-  bool cold_start = false;
 
   /// Block-cache capacity: the readahead window plus slack for the
   /// pinned fetch range.

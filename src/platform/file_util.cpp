@@ -1,6 +1,5 @@
 #include "platform/file_util.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -111,25 +110,6 @@ Status remove_tree(const std::string& path) {
   fs::remove_all(path, ec);
   if (ec) {
     return io_error("remove_all " + path + ": " + ec.message());
-  }
-  return Status::ok();
-}
-
-Status evict_from_page_cache(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return io_error_errno("evict_from_page_cache: open " + path);
-  }
-  // Flush any dirty pages first — fadvise silently skips them.
-  (void)::fdatasync(fd);
-  int rc = 0;
-#if defined(POSIX_FADV_DONTNEED)
-  rc = ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
-#endif
-  ::close(fd);
-  if (rc != 0) {
-    errno = rc;
-    return io_error_errno("evict_from_page_cache: fadvise " + path);
   }
   return Status::ok();
 }

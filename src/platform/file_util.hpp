@@ -45,11 +45,4 @@ Status remove_file(const std::string& path);
 /// Recursively removes a directory tree. Refuses to act on "/" or "".
 Status remove_tree(const std::string& path);
 
-/// Asks the kernel to drop the file's clean page-cache pages
-/// (posix_fadvise DONTNEED — unprivileged, best-effort). Dirty pages and
-/// pages still mapped by a live mapping are skipped, so callers must sync
-/// and madvise(DONTNEED) their mappings first. Cold-cache benchmark
-/// protocol (bench_ablation_io).
-Status evict_from_page_cache(const std::string& path);
-
 }  // namespace gpsa

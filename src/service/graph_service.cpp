@@ -68,11 +68,6 @@ Result<std::unique_ptr<GraphService>> GraphService::open(
     resolved.io.drop_behind = false;
   }
   GPSA_ASSIGN_OR_RETURN(const IoConfig io_config, resolved.io.resolve());
-  if (io_config.cold_start) {
-    return invalid_argument(
-        "service: cold_start is a single-run bench protocol; dropping the "
-        "shared CSR cache under concurrent jobs is not supported");
-  }
   GPSA_ASSIGN_OR_RETURN(std::unique_ptr<IoBackend> backend,
                         IoBackend::create(io_config));
 
@@ -319,7 +314,6 @@ void GraphService::run_one(const std::shared_ptr<Job>& job) {
   EngineOptions eo;
   eo.num_dispatchers = options_.num_dispatchers;
   eo.num_computers = options_.num_computers;
-  eo.partition = options_.partition;
   eo.message_batch = options_.message_batch;
   eo.max_supersteps = job->options.max_supersteps;
 

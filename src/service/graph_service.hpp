@@ -59,13 +59,11 @@ struct ServiceOptions {
   /// Queued jobs beyond which submit() rejects; 0 = GPSA_SERVICE_MAX_QUEUE
   /// (256).
   std::size_t max_queued_jobs = 0;
-  PartitionStrategy partition = PartitionStrategy::kBalancedEdges;
   std::size_t message_batch = 4096;
-  /// Storage I/O for the shared CSR + per-job value files. cold_start must
-  /// stay off (evicting shared pages would be cross-job sabotage), and
-  /// drop_behind defaults to *off* for the same reason: a resident service
-  /// wants the shared CSR pages cached, not dropped behind one job's
-  /// cursor. An explicit field still wins.
+  /// Storage I/O for the shared CSR + per-job value files. drop_behind
+  /// defaults to *off*: a resident service wants the shared CSR pages
+  /// cached, not dropped behind one job's cursor. An explicit field still
+  /// wins.
   IoOptions io;
   /// Directory for the CSR and per-job value files; empty = private
   /// scratch removed when the service is destroyed.
@@ -162,7 +160,7 @@ class GraphService {
   ServiceStats stats() const GPSA_EXCLUDES(mutex_);
 
   VertexId num_vertices() const { return csr_.num_vertices(); }
-  /// The shared CSR's base path (benches run sequential Engine baselines
+  /// The shared CSR's base path (tests run sequential Engine baselines
   /// against the same file pair).
   const std::string& csr_path() const { return csr_path_; }
   const std::string& work_dir() const { return dir_; }

@@ -5,8 +5,6 @@
 
 #include <cstring>
 
-#include "platform/file_util.hpp"
-
 namespace gpsa {
 
 std::size_t ValueFile::file_size(VertexId num_vertices) {
@@ -61,14 +59,6 @@ std::string ValueFile::app_tag() const {
   const ValueFileHeader& h = header();
   return std::string(h.app_tag,
                      ::strnlen(h.app_tag, sizeof(h.app_tag)));
-}
-
-Status ValueFile::drop_cache() {
-  ++flush_syscalls_;
-  GPSA_RETURN_IF_ERROR(map_.sync());
-  GPSA_RETURN_IF_ERROR(
-      map_.advise_range(0, map_.size(), MmapFile::Advice::kDontNeed));
-  return evict_from_page_cache(map_.path());
 }
 
 Status ValueFile::advise_vertex_range(VertexId begin, VertexId end,

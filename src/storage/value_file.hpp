@@ -99,14 +99,10 @@ class ValueFile {
     return map_.sync();
   }
 
-  /// msync calls issued against this file (sync/checkpoint/drop_cache).
+  /// msync calls issued against this file (sync/checkpoint).
   /// The write-back-batching bench reports this so GPSA_CHECKPOINT_INTERVAL
   /// has a measurable effect (DESIGN.md §16: O_DIRECT feasibility note).
   std::uint64_t flush_syscalls() const { return flush_syscalls_; }
-
-  /// Cold-cache protocol (bench_ablation_io): flush dirty slots, then
-  /// release the mapping's pages and the kernel page-cache copies.
-  Status drop_cache();
 
   /// Residency hint over the slot pairs of vertices [begin, end) — the
   /// readahead scheduler keeps upcoming column pages resident with

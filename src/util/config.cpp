@@ -1,6 +1,6 @@
 #include "util/config.hpp"
 
-#include <charconv>
+#include <limits>
 
 namespace gpsa {
 
@@ -48,48 +48,38 @@ std::string Config::get_string(std::string_view key,
   return it == entries_.end() ? std::move(default_value) : it->second;
 }
 
-std::int64_t Config::get_int(std::string_view key,
-                             std::int64_t default_value) const {
+template <typename T>
+Result<T> Config::get_parsed(std::string_view key, T default_value,
+                             KnobSpec rule) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     return default_value;
   }
-  std::int64_t out = 0;
-  const auto& s = it->second;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  if (ec != std::errc() || ptr != s.data() + s.size()) {
-    return default_value;
-  }
-  return out;
+  const std::string flag = "--" + it->first;
+  rule.name = flag.c_str();
+  return parse_knob<T>(rule, it->second);
 }
 
-double Config::get_double(std::string_view key, double default_value) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return default_value;
-  }
-  try {
-    std::size_t consumed = 0;
-    const double out = std::stod(it->second, &consumed);
-    return consumed == it->second.size() ? out : default_value;
-  } catch (...) {
-    return default_value;
-  }
+Result<std::uint64_t> Config::get_uint(std::string_view key,
+                                       std::uint64_t default_value) const {
+  return get_parsed(key, default_value,
+                    {"", KnobKind::kUnsigned, "", 0,
+                     static_cast<double>(
+                         std::numeric_limits<std::uint64_t>::max()),
+                     "", ""});
 }
 
-bool Config::get_bool(std::string_view key, bool default_value) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return default_value;
-  }
-  const auto& s = it->second;
-  if (s == "true" || s == "1" || s == "yes" || s == "on") {
-    return true;
-  }
-  if (s == "false" || s == "0" || s == "no" || s == "off") {
-    return false;
-  }
-  return default_value;
+Result<double> Config::get_double(std::string_view key,
+                                   double default_value) const {
+  return get_parsed(key, default_value,
+                    {"", KnobKind::kFloat, "",
+                     std::numeric_limits<double>::lowest(),
+                     std::numeric_limits<double>::max(), "", ""});
+}
+
+Result<bool> Config::get_bool(std::string_view key, bool default_value) const {
+  return get_parsed(key, default_value,
+                    {"", KnobKind::kBool, "", 0, 0, kKnobBool, ""});
 }
 
 }  // namespace gpsa

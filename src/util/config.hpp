@@ -1,8 +1,11 @@
 // Flat key=value configuration used by example and benchmark binaries.
 //
 // Accepts `--key=value` / `--flag` command-line tokens and `key=value`
-// strings. Typed getters fall back to supplied defaults; unknown keys are
-// preserved so callers can validate or forward them.
+// strings. Typed getters return the supplied default when the key is
+// absent and read a present value by the environment knobs' rule
+// (util/knobs.hpp, parse_knob): the whole text must spell the type, or
+// the getter returns an InvalidArgument naming the flag and the value.
+// Unknown keys are preserved so callers can validate or forward them.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/knobs.hpp"
 #include "util/status.hpp"
 
 namespace gpsa {
@@ -32,9 +36,11 @@ class Config {
   bool contains(std::string_view key) const;
 
   std::string get_string(std::string_view key, std::string default_value) const;
-  std::int64_t get_int(std::string_view key, std::int64_t default_value) const;
-  double get_double(std::string_view key, double default_value) const;
-  bool get_bool(std::string_view key, bool default_value) const;
+  Result<std::uint64_t> get_uint(std::string_view key,
+                                 std::uint64_t default_value) const;
+  Result<double> get_double(std::string_view key, double default_value) const;
+  /// 1/0, true/false, on/off, yes/no; a bare `--flag` reads as true.
+  Result<bool> get_bool(std::string_view key, bool default_value) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::map<std::string, std::string, std::less<>>& entries() const {
@@ -42,6 +48,10 @@ class Config {
   }
 
  private:
+  template <typename T>
+  Result<T> get_parsed(std::string_view key, T default_value,
+                       KnobSpec rule) const;
+
   std::map<std::string, std::string, std::less<>> entries_;
   std::vector<std::string> positional_;
 };

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
@@ -23,6 +24,14 @@ std::string range_of(const KnobSpec& spec) {
   if (!spec.choices.empty()) {
     return std::string(spec.choices);
   }
+  // Config's flag rules (util/config.cpp) span the whole type.
+  if (spec.kind == KnobKind::kUnsigned && spec.max >= 0x1p64) {
+    return "a non-negative integer";
+  }
+  if (spec.kind == KnobKind::kFloat &&
+      spec.max >= std::numeric_limits<double>::max()) {
+    return "a number";
+  }
   return (spec.kind == KnobKind::kFloat ? "a number in [" : "an integer in [") +
          number(spec.min) + ", " + number(spec.max) + "]";
 }
@@ -38,8 +47,10 @@ bool is_choice(std::string_view choices, std::string_view text) {
   return false;
 }
 
+}  // namespace
+
 template <typename T>
-Result<T> parse(const KnobSpec& spec, std::string_view text) {
+Result<T> parse_knob(const KnobSpec& spec, std::string_view text) {
   const char* const end = text.data() + text.size();
   T value{};
   bool ok = false;
@@ -69,6 +80,8 @@ Result<T> parse(const KnobSpec& spec, std::string_view text) {
   return value;
 }
 
+namespace {
+
 /// The variable's value, or nullptr when unset or empty.
 const char* env_text(KnobName which) {
   GPSA_CHECK(which.row < std::size(kKnobTable));
@@ -82,7 +95,7 @@ template <typename T>
 Result<T> knob(KnobName which) {
   const char* raw = env_text(which);
   const KnobSpec& spec = kKnobTable[which.row];
-  return parse<T>(spec, raw == nullptr ? spec.fallback : raw);
+  return parse_knob<T>(spec, raw == nullptr ? spec.fallback : raw);
 }
 
 template <typename T>
@@ -94,9 +107,15 @@ T knob_or_default(KnobName which) {
   const KnobSpec& spec = kKnobTable[which.row];
   GPSA_LOG(Warn) << value.status().to_string() << "; using the default '"
                  << spec.fallback << "'";
-  return parse<T>(spec, spec.fallback).value();
+  return parse_knob<T>(spec, spec.fallback).value();
 }
 
+template Result<std::uint64_t> parse_knob<std::uint64_t>(const KnobSpec&,
+                                                         std::string_view);
+template Result<double> parse_knob<double>(const KnobSpec&, std::string_view);
+template Result<bool> parse_knob<bool>(const KnobSpec&, std::string_view);
+template Result<std::string> parse_knob<std::string>(const KnobSpec&,
+                                                     std::string_view);
 template Result<std::uint64_t> knob<std::uint64_t>(KnobName);
 template Result<double> knob<double>(KnobName);
 template Result<bool> knob<bool>(KnobName);

@@ -106,6 +106,14 @@ struct KnobName {
   std::size_t row;
 };
 
+/// `text` read by `spec`'s rule: the whole text must spell a T inside the
+/// row's range, or the result is an InvalidArgument naming spec.name, the
+/// text and the range. knob<T> applies it to the environment and Config
+/// (util/config.hpp) to command-line flags. T is std::uint64_t, double,
+/// bool or std::string, matching spec.kind.
+template <typename T>
+Result<T> parse_knob(const KnobSpec& spec, std::string_view text);
+
 /// The knob's environment setting, or its default when unset or empty.
 /// T must match the row's kind (instantiated in knobs.cpp for the four).
 template <typename T>

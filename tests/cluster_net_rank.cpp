@@ -1,5 +1,5 @@
 // One rank of a multi-process cluster run — the fork+exec target of
-// tests/test_net.cpp and the bench self-spawn. Every instance builds the
+// tests/test_net.cpp. Every instance builds the
 // same deterministic graph, reads its cluster coordinates from the
 // GPSA_CLUSTER_* environment (ClusterNetOptions::from_env), runs
 // run_cluster_rank, and exits 0 on success / 1 on error. A text summary

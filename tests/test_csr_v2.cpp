@@ -526,8 +526,7 @@ TEST(CsrV2Partition, BalancedEdgesWeighsEncodedBytesNotDegrees) {
   for (VertexId v = 0; v < n; ++v) {
     max_record = std::max(max_record, offsets[v + 1] - offsets[v]);
   }
-  const auto intervals =
-      make_intervals(reader, parts, PartitionStrategy::kBalancedEdges);
+  const auto intervals = make_intervals(reader, parts);
   ASSERT_EQ(intervals.size(), parts);
   std::uint64_t total_edges = 0;
   for (const Interval& iv : intervals) {

@@ -212,18 +212,6 @@ TEST(Engine, ManyActorsOnTinyGraph) {
                         oracle_bfs_levels(Csr::from_edges(graph), 0));
 }
 
-TEST(Engine, UniformPartitionStrategy) {
-  const EdgeList graph = rmat(8, 2000, /*seed=*/21);
-  const ConnectedComponentsProgram program;
-  EngineOptions eo = small_options();
-  eo.partition = PartitionStrategy::kUniformVertices;
-  const auto result = Engine::run(graph, program, eo);
-  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-  const ReferenceResult ref =
-      reference_run(Csr::from_edges(graph), program);
-  expect_payloads_equal(result.value().values, ref.values);
-}
-
 TEST(Engine, RejectsZeroWorkerOptions) {
   const EdgeList graph = diamond_graph();
   const BfsProgram program(0);

@@ -181,15 +181,14 @@ struct ConfigCase {
   unsigned computers;
   unsigned workers;
   std::size_t batch;
-  PartitionStrategy partition;
 };
 
 const ConfigCase kConfigCases[] = {
-    {"Minimal", 1, 1, 1, 1, PartitionStrategy::kUniformVertices},
-    {"Tiny batches", 2, 3, 2, 2, PartitionStrategy::kBalancedEdges},
-    {"Wide", 8, 8, 4, 64, PartitionStrategy::kBalancedEdges},
-    {"ManyDispatchers", 6, 1, 3, 32, PartitionStrategy::kUniformVertices},
-    {"ManyComputers", 1, 6, 3, 256, PartitionStrategy::kBalancedEdges},
+    {"Minimal", 1, 1, 1, 1},
+    {"Tiny batches", 2, 3, 2, 2},
+    {"Wide", 8, 8, 4, 64},
+    {"ManyDispatchers", 6, 1, 3, 32},
+    {"ManyComputers", 1, 6, 3, 256},
 };
 
 class ConfigSweepTest : public ::testing::TestWithParam<ConfigCase> {};
@@ -202,7 +201,6 @@ TEST_P(ConfigSweepTest, BfsAndCcInvariantUnderConfig) {
   eo.num_computers = cfg.computers;
   eo.scheduler_workers = cfg.workers;
   eo.message_batch = cfg.batch;
-  eo.partition = cfg.partition;
 
   const Csr csr = Csr::from_edges(graph);
   {

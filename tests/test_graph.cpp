@@ -318,10 +318,9 @@ TEST(Generators, PaperStandInScales) {
 
 // --- Partitioning ------------------------------------------------------------
 
-TEST(Partition, UniformCoversAllVertices) {
+TEST(Partition, CoversAllVertices) {
   const std::vector<EdgeCount> degrees(100, 3);
-  const auto intervals = make_intervals_from_degrees(
-      degrees, 7, PartitionStrategy::kUniformVertices);
+  const auto intervals = make_intervals_from_degrees(degrees, 7);
   ASSERT_FALSE(intervals.empty());
   VertexId expected_begin = 0;
   for (const Interval& iv : intervals) {
@@ -333,27 +332,20 @@ TEST(Partition, UniformCoversAllVertices) {
 
 TEST(Partition, BalancedEdgesEqualizesSkew) {
   // Vertex 0 has 1000 edges, the rest have 1 each: balanced-edge cuts must
-  // isolate the hub, uniform cuts must not.
+  // isolate the hub.
   std::vector<EdgeCount> degrees(101, 1);
   degrees[0] = 1000;
-  const auto balanced = make_intervals_from_degrees(
-      degrees, 4, PartitionStrategy::kBalancedEdges);
-  EXPECT_EQ(balanced.front().vertex_count(), 1U);  // hub alone
-  const auto uniform = make_intervals_from_degrees(
-      degrees, 4, PartitionStrategy::kUniformVertices);
-  EXPECT_GT(uniform.front().vertex_count(), 1U);
-  // Coverage invariant for both.
-  for (const auto& intervals : {balanced, uniform}) {
-    VertexId covered = 0;
-    EdgeCount edges = 0;
-    for (const Interval& iv : intervals) {
-      EXPECT_EQ(iv.begin_vertex, covered);
-      covered = iv.end_vertex;
-      edges += iv.edge_count;
-    }
-    EXPECT_EQ(covered, 101U);
-    EXPECT_EQ(edges, 1100U);
+  const auto intervals = make_intervals_from_degrees(degrees, 4);
+  EXPECT_EQ(intervals.front().vertex_count(), 1U);  // hub alone
+  VertexId covered = 0;
+  EdgeCount edges = 0;
+  for (const Interval& iv : intervals) {
+    EXPECT_EQ(iv.begin_vertex, covered);
+    covered = iv.end_vertex;
+    edges += iv.edge_count;
   }
+  EXPECT_EQ(covered, 101U);
+  EXPECT_EQ(edges, 1100U);
 }
 
 TEST(Partition, BalancedEdgesStarGraphLeavesNoDispatcherIdle) {
@@ -369,8 +361,7 @@ TEST(Partition, BalancedEdgesStarGraphLeavesNoDispatcherIdle) {
     degrees[v] = csr.out_degree(v);
   }
   for (const unsigned parts : {2U, 3U, 4U, 8U, 16U, 64U}) {
-    const auto intervals = make_intervals_from_degrees(
-        degrees, parts, PartitionStrategy::kBalancedEdges);
+    const auto intervals = make_intervals_from_degrees(degrees, parts);
     ASSERT_EQ(intervals.size(), parts) << "parts=" << parts;
     VertexId covered = 0;
     EdgeCount edges = 0;
@@ -395,8 +386,7 @@ TEST(Partition, BalancedEdgesSkewedRmatHasNoEmptyIntervals) {
     degrees[v] = csr.out_degree(v);
   }
   for (unsigned parts = 1; parts <= 32; ++parts) {
-    const auto intervals = make_intervals_from_degrees(
-        degrees, parts, PartitionStrategy::kBalancedEdges);
+    const auto intervals = make_intervals_from_degrees(degrees, parts);
     ASSERT_EQ(intervals.size(), parts) << "parts=" << parts;
     for (const Interval& iv : intervals) {
       EXPECT_GT(iv.vertex_count(), 0U) << "parts=" << parts;
@@ -406,8 +396,7 @@ TEST(Partition, BalancedEdgesSkewedRmatHasNoEmptyIntervals) {
 
 TEST(Partition, MoreBucketsThanVerticesShrinks) {
   const std::vector<EdgeCount> degrees(3, 2);
-  const auto intervals = make_intervals_from_degrees(
-      degrees, 10, PartitionStrategy::kUniformVertices);
+  const auto intervals = make_intervals_from_degrees(degrees, 10);
   EXPECT_LE(intervals.size(), 3U);
   VertexId covered = 0;
   for (const Interval& iv : intervals) {
@@ -424,8 +413,7 @@ TEST(Partition, IntervalEntryOffsetsMatchCsrFile) {
   ASSERT_TRUE(write_csr_file(Csr::from_edges(g), base, true).is_ok());
   const auto reader = CsrFileReader::open(base);
   ASSERT_TRUE(reader.is_ok());
-  const auto intervals =
-      make_intervals(reader.value(), 4, PartitionStrategy::kBalancedEdges);
+  const auto intervals = make_intervals(reader.value(), 4);
   const auto offsets = reader.value().record_offsets();
   for (const Interval& iv : intervals) {
     EXPECT_EQ(iv.begin_entry, offsets[iv.begin_vertex]);

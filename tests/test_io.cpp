@@ -329,22 +329,6 @@ TEST_F(IoEngineEquality, PrefetchCountersReflectReadahead) {
   }
 }
 
-TEST_F(IoEngineEquality, ColdStartStillProducesIdenticalResults) {
-  const EdgeList graph = test_graph();
-  const PageRankProgram program(3);
-  const auto warm =
-      Engine::run(graph, program, engine_options(IoBackendKind::kMmap, 0));
-  ASSERT_TRUE(warm.is_ok());
-  for (const IoBackendKind kind : supported_backends()) {
-    SCOPED_TRACE(io_backend_name(kind));
-    EngineOptions eo = engine_options(kind, 2u << 20);
-    eo.io.cold_start = true;
-    const auto cold = Engine::run(graph, program, eo);
-    ASSERT_TRUE(cold.is_ok());
-    expect_payloads_equal(cold.value().values, warm.value().values);
-  }
-}
-
 // --- Cluster per-node value stores -------------------------------------------
 
 TEST(IoCluster, FileBackedValueStoresMatchInMemory) {

@@ -47,7 +47,6 @@ EngineOptions matching_engine_options(const ServiceOptions& so) {
   eo.num_computers = so.num_computers;
   eo.scheduler_workers = 1;
   eo.message_batch = so.message_batch;
-  eo.partition = so.partition;
   return eo;
 }
 
@@ -388,15 +387,8 @@ TEST(GraphService, ForgetDropsTerminalJobsAndValueFilesAreCleaned) {
   EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
 }
 
-TEST(GraphService, RejectsColdStartAndNullProgram) {
+TEST(GraphService, RejectsNullProgram) {
   const EdgeList graph = rmat(8, 1500, /*seed=*/3);
-
-  ServiceOptions cold = small_service_options();
-  cold.io.cold_start = true;
-  auto rejected = GraphService::open_from_edges(graph, cold);
-  ASSERT_FALSE(rejected.is_ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-
   auto service = open_service(graph, small_service_options());
   auto null_submit = service->submit(nullptr);
   ASSERT_FALSE(null_submit.is_ok());

@@ -82,21 +82,43 @@ TEST(Config, ParsesArgs) {
   const auto r = Config::from_args(5, argv);
   ASSERT_TRUE(r.is_ok());
   const Config& c = r.value();
-  EXPECT_EQ(c.get_int("alpha", 0), 3);
-  EXPECT_TRUE(c.get_bool("flag", false));
+  EXPECT_EQ(c.get_uint("alpha", 0).value(), 3U);
+  EXPECT_TRUE(c.get_bool("flag", false).value());
   EXPECT_EQ(c.get_string("name", ""), "x y");
   ASSERT_EQ(c.positional().size(), 1U);
   EXPECT_EQ(c.positional()[0], "pos1");
 }
 
-TEST(Config, DefaultsWhenMissingOrMalformed) {
+TEST(Config, TypedGettersDefaultWhenUnsetAndRejectMalformedValues) {
   Config c;
-  c.set("bad_int", "12x");
-  c.set("bad_bool", "maybe");
-  EXPECT_EQ(c.get_int("bad_int", -1), -1);
-  EXPECT_TRUE(c.get_bool("bad_bool", true));
-  EXPECT_EQ(c.get_int("missing", 7), 7);
-  EXPECT_DOUBLE_EQ(c.get_double("missing", 2.5), 2.5);
+  c.set("top", "12");
+  c.set("ratio", "0.75");
+  c.set("symmetrize", "off");
+  c.set("bad_top", "3x");
+  c.set("bad_ratio", "0.5.1");
+  c.set("bad_symmetrize", "maybe");
+
+  EXPECT_EQ(c.get_uint("missing", 7).value(), 7U);
+  EXPECT_DOUBLE_EQ(c.get_double("missing", 2.5).value(), 2.5);
+  EXPECT_TRUE(c.get_bool("missing", true).value());
+
+  EXPECT_EQ(c.get_uint("top", 7).value(), 12U);
+  EXPECT_DOUBLE_EQ(c.get_double("ratio", 2.5).value(), 0.75);
+  EXPECT_FALSE(c.get_bool("symmetrize", true).value());
+
+  // The knob table's rule: the whole text must spell the type.
+  const Status bad[] = {c.get_uint("bad_top", 7).status(),
+                        c.get_uint("ratio", 7).status(),
+                        c.get_double("bad_ratio", 2.5).status(),
+                        c.get_bool("bad_symmetrize", true).status()};
+  const char* const names[] = {"--bad_top='3x'", "--ratio='0.75'",
+                               "--bad_ratio='0.5.1'",
+                               "--bad_symmetrize='maybe'"};
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
+    EXPECT_EQ(bad[i].code(), StatusCode::kInvalidArgument) << names[i];
+    EXPECT_NE(bad[i].to_string().find(names[i]), std::string::npos)
+        << bad[i].to_string();
+  }
 }
 
 TEST(Config, RejectsEmptyKey) {
