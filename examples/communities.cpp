@@ -5,6 +5,7 @@
 //   ./communities [--members=50000] [--friendships=200000] [--seed=5]
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -20,7 +21,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const gpsa::Config& config = config_or.value();
-  const auto members_or = config.get_uint("members", 50'000);
+  const auto members_or = config.get_uint(
+      "members", 50'000, std::numeric_limits<gpsa::VertexId>::max());
   const auto friendships_or = config.get_uint("friendships", 200'000);
   const auto seed_or = config.get_uint("seed", 5);
   for (const gpsa::Status& st :

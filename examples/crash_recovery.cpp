@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const gpsa::Config& config = config_or.value();
-  const auto scale_or = config.get_uint("pages-scale", 14);
+  // 2^scale vertices must fit a VertexId.
+  const auto scale_or = config.get_uint("pages-scale", 14, 31);
   const auto links_or = config.get_uint("links", 200'000);
   const auto crash_after_or = config.get_uint("crash-after", 3);
   for (const gpsa::Status& st :

@@ -9,6 +9,7 @@
 //   ./custom_program [--routers-scale=12] [--cables=60000] [--source=0]
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "apps/weights.hpp"
 #include "core/engine.hpp"
@@ -69,9 +70,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   const gpsa::Config& config = config_or.value();
-  const auto scale_or = config.get_uint("routers-scale", 12);
+  // 2^scale vertices must fit a VertexId.
+  const auto scale_or = config.get_uint("routers-scale", 12, 31);
   const auto cables_or = config.get_uint("cables", 60'000);
-  const auto source_or = config.get_uint("source", 0);
+  const auto source_or = config.get_uint(
+      "source", 0, std::numeric_limits<gpsa::VertexId>::max());
   for (const gpsa::Status& st :
        {scale_or.status(), cables_or.status(), source_or.status()}) {
     if (!st.is_ok()) {

@@ -22,7 +22,8 @@
 //   --top=K             print the K best-valued vertices (default 5)
 //
 // An unknown --flag prints the usage and exits 2 instead of running with
-// defaults, and so does a malformed value of a known one (--top=3x).
+// defaults, and so does a malformed value of a known one (--top=3x) or one
+// its type cannot hold (--top=4294967297, --scale=32).
 //
 // Subcommand:
 //   gpsa_cli convert --in=BASE --out=BASE [--csr-format=v1|v2]
@@ -33,6 +34,7 @@
 //     requested format/order (default v2/none).
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -110,19 +112,27 @@ struct RunFlags {
 };
 
 Result<RunFlags> read_run_flags(const Config& config, const std::string& algo) {
+  // Each flag narrowed below is bounded by its type: 2^scale vertices
+  // must fit a VertexId.
+  constexpr std::uint64_t kMaxScale = 31;
+  constexpr std::uint64_t kMaxVertex = std::numeric_limits<VertexId>::max();
+  constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+  constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
   RunFlags f;
-  GPSA_ASSIGN_OR_RETURN(f.scale, config.get_uint("scale", 14));
+  GPSA_ASSIGN_OR_RETURN(f.scale, config.get_uint("scale", 14, kMaxScale));
   GPSA_ASSIGN_OR_RETURN(f.edges, config.get_uint("edges", 300'000));
   GPSA_ASSIGN_OR_RETURN(f.seed, config.get_uint("seed", 1));
-  GPSA_ASSIGN_OR_RETURN(f.root, config.get_uint("root", 0));
+  GPSA_ASSIGN_OR_RETURN(f.root, config.get_uint("root", 0, kMaxVertex));
   GPSA_ASSIGN_OR_RETURN(
       f.iterations,
       config.get_uint("iterations", algo == "pagerank_delta" ? 100 : 20));
   GPSA_ASSIGN_OR_RETURN(f.supersteps, config.get_uint("supersteps", 0));
-  GPSA_ASSIGN_OR_RETURN(f.top, config.get_uint("top", 5));
-  GPSA_ASSIGN_OR_RETURN(f.dispatchers, config.get_uint("dispatchers", 2));
-  GPSA_ASSIGN_OR_RETURN(f.computers, config.get_uint("computers", 2));
-  GPSA_ASSIGN_OR_RETURN(f.nodes, config.get_uint("nodes", 4));
+  GPSA_ASSIGN_OR_RETURN(f.top, config.get_uint("top", 5, kMaxInt));
+  GPSA_ASSIGN_OR_RETURN(f.dispatchers,
+                        config.get_uint("dispatchers", 2, kMaxUnsigned));
+  GPSA_ASSIGN_OR_RETURN(f.computers,
+                        config.get_uint("computers", 2, kMaxUnsigned));
+  GPSA_ASSIGN_OR_RETURN(f.nodes, config.get_uint("nodes", 4, kMaxUnsigned));
   GPSA_ASSIGN_OR_RETURN(f.symmetrize, config.get_bool("symmetrize", false));
   GPSA_ASSIGN_OR_RETURN(f.checkpoint, config.get_bool("checkpoint", false));
   return f;

@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", config.status().to_string().c_str());
     return 1;
   }
-  const auto scale_or = config.value().get_uint("vertices-scale", 10);
+  // 2^scale vertices must fit a VertexId.
+  const auto scale_or = config.value().get_uint("vertices-scale", 10, 31);
   const auto edges_or = config.value().get_uint("edges", 20'000);
   const auto iterations_or = config.value().get_uint("iterations", 10);
   for (const gpsa::Status& st :

@@ -8,6 +8,7 @@
 // Reports the reachable fraction from the root and the frontier profile
 // per hop (which is also the per-superstep message trace of the engine).
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "apps/bfs.hpp"
@@ -22,9 +23,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   const gpsa::Config& config = config_or.value();
-  const auto scale_or = config.get_uint("pages-scale", 16);
+  // 2^scale vertices must fit a VertexId.
+  const auto scale_or = config.get_uint("pages-scale", 16, 31);
   const auto links_or = config.get_uint("links", 500'000);
-  const auto root_or = config.get_uint("root", 0);
+  const auto root_or = config.get_uint(
+      "root", 0, std::numeric_limits<gpsa::VertexId>::max());
   for (const gpsa::Status& st :
        {scale_or.status(), links_or.status(), root_or.status()}) {
     if (!st.is_ok()) {

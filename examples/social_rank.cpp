@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -26,11 +27,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   const gpsa::Config& config = config_or.value();
-  const auto members_or = config.get_uint("members", 100'000);
-  const auto follows_or = config.get_uint("follows-per-member", 15);
+  // The graph's 2^scale >= members vertices must fit a VertexId, and
+  // members * follows an EdgeCount.
+  constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+  const auto members_or = config.get_uint("members", 100'000, 1ULL << 31);
+  const auto follows_or =
+      config.get_uint("follows-per-member", 15, kMaxUnsigned);
   const auto iterations_or = config.get_uint("iterations", 15);
-  const auto dispatchers_or = config.get_uint("dispatchers", 4);
-  const auto computers_or = config.get_uint("computers", 4);
+  const auto dispatchers_or = config.get_uint("dispatchers", 4, kMaxUnsigned);
+  const auto computers_or = config.get_uint("computers", 4, kMaxUnsigned);
   for (const gpsa::Status& st :
        {members_or.status(), follows_or.status(), iterations_or.status(),
         dispatchers_or.status(), computers_or.status()}) {

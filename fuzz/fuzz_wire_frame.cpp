@@ -13,7 +13,8 @@
 //     type, version skew, seq, and payload; append_frame serializes it
 //     and the decoder must reproduce header and payload *exactly* (or,
 //     when the version was skewed away from the negotiated one, reject).
-//     Typed control payloads that parse are re-encoded and parsed again:
+//     Typed payloads that parse (HELLO, END_OF_SUPERSTEP, VALUES,
+//     SUM_BATCH) are re-encoded and parsed again:
 //     decode(encode(decode(x))) must be the identity.
 #include <algorithm>
 #include <cstddef>
@@ -111,6 +112,28 @@ void roundtrip_control_payload(const Frame& frame) {
       }
       break;
     }
+    case FrameType::kSumBatch: {
+      auto pl = gpsa::SumBatchPayload::decode(frame.payload);
+      if (pl.is_ok()) {
+        std::vector<std::uint8_t> bytes;
+        pl.value().encode(bytes);
+        GPSA_CHECK(bytes == frame.payload);
+        auto again = gpsa::SumBatchPayload::decode(bytes);
+        GPSA_CHECK(again.is_ok());
+        GPSA_CHECK(again.value().superstep == pl.value().superstep);
+        GPSA_CHECK(again.value().messages == pl.value().messages);
+        GPSA_CHECK(again.value().messages >= again.value().partials.size());
+        GPSA_CHECK(again.value().partials.size() ==
+                   pl.value().partials.size());
+        for (std::size_t i = 0; i < again.value().partials.size(); ++i) {
+          const gpsa::SumPartial& p = again.value().partials[i];
+          GPSA_CHECK(p.dst == pl.value().partials[i].dst);
+          GPSA_CHECK(p.sum == pl.value().partials[i].sum);
+          GPSA_CHECK((p.sum >> 63) == 0);  // inside the exact fold's range
+        }
+      }
+      break;
+    }
     default:
       break;
   }
@@ -123,6 +146,7 @@ void fuzz_encode_decode(const std::uint8_t* data, std::size_t size) {
   static constexpr FrameType kTypes[] = {
       FrameType::kHello,          FrameType::kHelloAck, FrameType::kBatch,
       FrameType::kEndOfSuperstep, FrameType::kValues,   FrameType::kAbort,
+      FrameType::kSumBatch,
   };
   const FrameType type = kTypes[data[0] % (sizeof(kTypes) / sizeof(kTypes[0]))];
   const bool skew_version = (data[1] & 1) != 0;

@@ -273,6 +273,37 @@ Traffic send_final_values(RankLinks& peers, std::uint64_t superstep,
 }
 
 
+/// Rank 0's end of the final value sync: every rank's entries, its own
+/// included, into `values`, which must end up with exactly one entry per
+/// vertex of the `n`-vertex graph.
+Status merge_values(const std::vector<ValuesPayload>& slices, VertexId n,
+                    std::vector<Payload>& values) {
+  values.assign(n, 0);
+  std::vector<bool> seen(n, false);
+  std::uint64_t count = 0;
+  for (const ValuesPayload& slice : slices) {
+    for (const auto& [vertex, payload] : slice.entries) {
+      if (vertex >= n) {
+        return corrupt_data("VALUES entry for vertex " +
+                            std::to_string(vertex) + " outside the graph");
+      }
+      if (seen[vertex]) {
+        return corrupt_data("VALUES entry for vertex " +
+                            std::to_string(vertex) + " repeated");
+      }
+      seen[vertex] = true;
+      values[vertex] = payload;
+      ++count;
+    }
+  }
+  if (count != n) {
+    return corrupt_data("the final value sync covered " +
+                        std::to_string(count) + " of " + std::to_string(n) +
+                        " vertices");
+  }
+  return Status::ok();
+}
+
 /// What every rank derives identically from the graph: the CSR file,
 /// written once per plan the way Engine::run writes one (format and order
 /// from GPSA_CSR_FORMAT / GPSA_CSR_ORDER); its partition into rank slices;
@@ -459,17 +490,9 @@ Result<ClusterRunResult> run_rank(
   if (net.rank == 0) {
     std::vector<ValuesPayload> slices;
     synced = peers.wait_values(slices, tail);
-    slices.emplace_back().entries = std::move(entries);
-    result.values.assign(plan.csr.num_vertices(), 0);  // all overwritten
-    for (const ValuesPayload& slice : slices) {
-      for (const auto& [vertex, payload] : slice.entries) {
-        if (vertex >= result.values.size()) {
-          synced = corrupt_data("VALUES entry for vertex " +
-                                std::to_string(vertex) + " outside the graph");
-          break;
-        }
-        result.values[vertex] = payload;
-      }
+    if (synced.is_ok()) {
+      slices.emplace_back().entries = std::move(entries);
+      synced = merge_values(slices, plan.csr.num_vertices(), result.values);
     }
   } else {
     tail = send_final_values(peers, result.supersteps, entries);

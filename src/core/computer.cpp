@@ -38,6 +38,14 @@ void ComputerActor::on_message(ComputerMsg msg) {
         report_failure(msg.superstep, e);
       }
       break;
+    case ComputerMsg::Kind::kSums:
+      try {
+        const ScopedAccumulator busy(busy_seconds_);
+        apply_.apply_sums(msg.sums, msg.superstep);
+      } catch (const std::exception& e) {
+        report_failure(msg.superstep, e);
+      }
+      break;
     case ComputerMsg::Kind::kComputeOver: {
       ManagerMsg ack;
       try {

@@ -1,9 +1,10 @@
 // Computing actor (paper §V.D, Algorithm 3).
 //
-// Message-driven: each VertexMessage batch is folded into the update
-// column of the value file by the actor's SliceApply (core/slice_apply.hpp,
-// the one apply kernel every executor shares); this actor adds only the
-// mailbox, the failure report and the COMPUTE_OVER ack.
+// Message-driven: each VertexMessage batch, and on a cluster rank each
+// piece of a peer's partial sums, is folded into the update column of the
+// value file by the actor's SliceApply (core/slice_apply.hpp, the one
+// apply kernel every executor shares); this actor adds only the mailbox,
+// the failure report and the COMPUTE_OVER ack.
 //
 // Message-plane contract (DESIGN.md §11): this actor owns one contiguous
 // vertex slice, so its value-file and latest-column writes never share a

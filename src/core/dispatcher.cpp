@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "core/computer.hpp"
 #include "core/manager.hpp"
@@ -55,6 +56,9 @@ void DispatcherActor::connect(std::vector<ComputerActor*> computers,
       computers_.size() * kRadixBins);
   staged_count_.assign(computers_.size(), 0);
   radix_shift_.assign(computers_.size(), 0);
+  flush_at_.assign(computers_.size(), 0);
+  combined_.assign(computers_.size(), false);
+  std::size_t widest = 0;  // of a combined owner's bins
   for (std::size_t owner = 0; owner < computers_.size(); ++owner) {
     const VertexId local =
         owners_.local_size(static_cast<unsigned>(owner));
@@ -64,6 +68,19 @@ void DispatcherActor::connect(std::vector<ComputerActor*> computers,
       ++shift;
     }
     radix_shift_[owner] = shift;
+    combined_[owner] = computers_[owner] == nullptr && program_.sum_fold();
+    flush_at_[owner] = behavior_.overlap && !combined_[owner]
+                           ? batch_size_
+                           : std::numeric_limits<std::size_t>::max();
+    if (combined_[owner]) {
+      widest = std::max(widest, std::size_t{1} << shift);
+    }
+  }
+  partial_.assign(widest, 0);
+  partial_count_.assign(widest, 0);
+  partial_set_.assign((widest + 63) / 64, 0);
+  if (widest > 0) {
+    sums_per_send_ = peers_->max_sums();
   }
   uniform_message_ = program_.uniform_gen_msg();
 }
@@ -74,12 +91,10 @@ void DispatcherActor::on_message(DispatcherMsg msg) {
       try {
         run_iteration(msg.superstep);
       } catch (const std::exception& e) {
-        // A user gen_msg hook threw: report instead of wedging the
+        // A user gen_msg hook threw, or a combined sum left the exact
+        // fold's range: report instead of wedging the
         // superstep barrier (§V.C exception handling).
-        for (auto& bin : bins_) {
-          bin.clear();
-        }
-        std::fill(staged_count_.begin(), staged_count_.end(), 0);
+        clear_staging();
         ManagerMsg failed;
         failed.kind = ManagerMsg::Kind::kWorkerFailed;
         failed.superstep = msg.superstep;
@@ -223,7 +238,7 @@ void DispatcherActor::dispatch_vertex(VertexId v, Payload value,
         VertexMessage{dst, message});
     ++staged_count_[owner];
     ++messages_this_superstep_;
-    if (behavior_.overlap && staged_count_[owner] >= batch_size_) {
+    if (staged_count_[owner] >= flush_at_[owner]) {
       flush_batch(owner, superstep);
     }
   }
@@ -250,10 +265,76 @@ void DispatcherActor::flush_batch(std::size_t computer_index,
   computers_[computer_index]->send(std::move(msg));
 }
 
+void DispatcherActor::flush_sums(std::size_t owner,
+                                 std::uint64_t superstep) {
+  if (staged_count_[owner] == 0) {
+    return;
+  }
+  staged_count_[owner] = 0;
+  const unsigned shift = radix_shift_[owner];
+  const std::size_t words = ((std::size_t{1} << shift) + 63) / 64;
+  std::vector<SumPartial> sums;
+  sums.reserve(sums_per_send_);
+  std::uint64_t messages = 0;  // that `sums` combine
+  for (std::size_t b = 0; b < kRadixBins; ++b) {
+    std::vector<VertexMessage>& bin = bins_[owner * kRadixBins + b];
+    if (bin.empty()) {
+      continue;
+    }
+    // The bin holds destinations [first, first + 2^shift).
+    const VertexId first = owners_.range_begin(static_cast<unsigned>(owner)) +
+                           (static_cast<VertexId>(b) << shift);
+    for (const VertexMessage& m : bin) {
+      const VertexId i = m.dst - first;
+      partial_[i] = fixed_add(partial_[i], payload_to_fixed(m.value));
+      ++partial_count_[i];
+      partial_set_[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+    bin.clear();
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = partial_set_[w]; bits != 0;
+           bits &= bits - 1) {
+        const std::size_t i = w * 64 + std::countr_zero(bits);
+        sums.push_back(SumPartial{first + static_cast<VertexId>(i),
+                                  partial_[i]});
+        messages += partial_count_[i];
+        partial_[i] = 0;
+        partial_count_[i] = 0;
+        if (sums.size() == sums_per_send_) {
+          peers_->send_sums(static_cast<unsigned>(owner), superstep,
+                            messages, std::move(sums));
+          sums = {};
+          sums.reserve(sums_per_send_);
+          messages = 0;
+        }
+      }
+      partial_set_[w] = 0;
+    }
+  }
+  if (!sums.empty()) {
+    peers_->send_sums(static_cast<unsigned>(owner), superstep, messages,
+                      std::move(sums));
+  }
+}
+
 void DispatcherActor::flush_all(std::uint64_t superstep) {
   for (std::size_t i = 0; i < computers_.size(); ++i) {
-    flush_batch(i, superstep);
+    if (combined_[i]) {
+      flush_sums(i, superstep);
+    } else {
+      flush_batch(i, superstep);
+    }
   }
+}
+
+void DispatcherActor::clear_staging() {
+  for (auto& bin : bins_) {
+    bin.clear();
+  }
+  std::fill(staged_count_.begin(), staged_count_.end(), 0);
+  std::fill(partial_.begin(), partial_.end(), 0);
+  std::fill(partial_count_.begin(), partial_count_.end(), 0);
+  std::fill(partial_set_.begin(), partial_set_.end(), 0);
 }
 
 void DispatcherActor::gather_bins(std::size_t owner,

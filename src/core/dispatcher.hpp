@@ -27,6 +27,17 @@
 // each batch in ascending-dst order — near-sequential value-column writes
 // — and recycles the buffer; the dispatcher never re-scans a batch to
 // sort it.
+//
+// On a cluster rank a sum-fold program's messages to a peer's slice stay
+// in their bins for the whole interval (that owner's flush threshold is
+// never reached, so the edge loop's threshold test stays as predictable
+// as on a one-node run), and the interval-end flush combines them: each
+// bin's 2^shift consecutive destinations fold through a small
+// accumulator into one exact partial sum per destination (fixed_add of
+// payload_to_fixed, what the receiver's fold adds), emitted in ascending
+// order in frames of at most one pool batch's bytes. A term or sum out of the
+// fold's range throws here, on the sender, as it would have on the
+// receiver. Local owners never combine (program.hpp).
 #pragma once
 
 #include <cstdint>
@@ -119,7 +130,12 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   void dispatch_vertex(VertexId v, Payload value, std::uint64_t begin_entry,
                        std::uint64_t end_entry, std::uint64_t superstep);
   void flush_batch(std::size_t computer_index, std::uint64_t superstep);
+  /// Combines `owner`'s staged bins (a peer's slice) into partial sums and
+  /// sends them through the peer links.
+  void flush_sums(std::size_t owner, std::uint64_t superstep);
   void flush_all(std::uint64_t superstep);
+  /// Drops every staged message and partial (a failed superstep).
+  void clear_staging();
   /// Concatenates `owner`'s staged bins (ascending, arrival order within
   /// a bin) into `out` and clears them (the ordered flush).
   void gather_bins(std::size_t owner, std::vector<VertexMessage>& out);
@@ -160,6 +176,18 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   std::vector<std::size_t> staged_count_;
   // Per-owner radix shift: (local_size - 1) >> shift < kRadixBins.
   std::vector<unsigned> radix_shift_;
+  // Per-owner staged count at which dispatch flushes: message_batch, or
+  // never (SIZE_MAX) for combined owners and the non-overlap ablation.
+  std::vector<std::size_t> flush_at_;
+  // Per owner: its messages leave combined (a peer's slice, sum fold).
+  std::vector<bool> combined_;
+  // flush_sums' accumulator over one bin's destinations: exact partial,
+  // message count, and one bit per destination holding a partial.
+  std::vector<FixedSum> partial_;
+  std::vector<std::uint32_t> partial_count_;
+  std::vector<std::uint64_t> partial_set_;
+  // Partials per send_sums (PeerLinks::max_sums).
+  std::size_t sums_per_send_ = 1;
   bool uniform_message_ = false;
   bool has_degree_ = false;
   std::uint64_t messages_this_superstep_ = 0;

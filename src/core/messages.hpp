@@ -9,7 +9,10 @@
 // Vertex messages are batched: a dispatcher accumulates up to
 // EngineOptions::message_batch VertexMessages per computing actor before
 // enqueueing the vector as one mailbox message, so mailbox traffic is
-// proportional to batches, not edges.
+// proportional to batches, not edges. On a cluster rank a sum-fold
+// program's messages to a peer's slice cross the wire combined, one
+// SumPartial per destination (DESIGN.md §14); the peer's links hand them
+// to its computers as kSums pieces.
 //
 // Buffer ownership: ComputerMsg::batch usually carries a buffer *leased*
 // from the engine's MessageBatchPool (core/message_pool.hpp). The
@@ -41,6 +44,14 @@ struct VertexMessage {
   Payload value;
 };
 
+/// A dispatcher's exact partial sum of the sum-fold messages it generated
+/// for one remote destination in one superstep: fixed_add over their
+/// payload_to_fixed terms (core/program.hpp), so it is below 2^63.
+struct SumPartial {
+  VertexId dst = 0;
+  std::uint64_t sum = 0;
+};
+
 struct DispatcherMsg {
   enum class Kind : std::uint8_t { kIterationStart, kSystemOver };
   Kind kind = Kind::kIterationStart;
@@ -48,10 +59,11 @@ struct DispatcherMsg {
 };
 
 struct ComputerMsg {
-  enum class Kind : std::uint8_t { kBatch, kComputeOver, kSystemOver };
+  enum class Kind : std::uint8_t { kBatch, kSums, kComputeOver, kSystemOver };
   Kind kind = Kind::kBatch;
   std::uint64_t superstep = 0;
   std::vector<VertexMessage> batch;  // kBatch only
+  std::vector<SumPartial> sums;      // kSums only: a peer's partials
 };
 
 struct ManagerMsg {

@@ -3,7 +3,8 @@
 // one-rank run (Engine, GraphService) has none. With links, run_job
 // stores only the rank's slice, its computers own sub-slices of it, and
 // every other rank's slice is one more owner in the dispatchers' routing
-// map, whose flushes leave through send_batch.
+// map, whose flushes leave through send_batch, or for a sum-fold program
+// through send_sums, combined to one exact partial per destination.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +40,14 @@ class PeerLinks {
   /// A dispatcher's flush to owner `owner` of the routing map, a peer's.
   virtual void send_batch(unsigned owner, std::uint64_t superstep,
                           std::vector<VertexMessage>&& batch) = 0;
+  /// Partials per send_sums at most: one frame of them stays within one
+  /// pool batch's bytes.
+  virtual std::size_t max_sums() const = 0;
+  /// A dispatcher's combined flush to owner `owner`, a peer's (sum-fold
+  /// programs): ascending partials summing `messages` of its messages.
+  virtual void send_sums(unsigned owner, std::uint64_t superstep,
+                         std::uint64_t messages,
+                         std::vector<SumPartial>&& sums) = 0;
   /// The manager: every local dispatcher has reported `superstep`, with
   /// `messages` sent in all. The links answer with kPeersOver (count =
   /// the cluster's messages) once every peer's traffic for it is in.

@@ -19,10 +19,14 @@
 //                        (Algorithm 3 line 10). Sum folds (PageRank)
 //                        declare sum_fold() and are folded exactly.
 //
-// Messages are not combined: every out-edge of an active vertex carries
-// its own message to the destination's fold, as in the paper's protocol
-// (§V). Dispatcher-side combining cost more than the in-memory sends it
-// saved (EXPERIMENTS.md).
+// Within one node messages are not combined: every out-edge of an active
+// vertex carries its own message to the destination's fold, as in the
+// paper's protocol (§V); dispatcher-side combining cost more than the
+// in-memory sends it saved (EXPERIMENTS.md). Across a cluster rank's
+// links a sum-fold program's messages are combined: a dispatcher sends
+// each peer one exact partial sum per destination (SliceSumFold::
+// add_partial, DESIGN.md §14), since the wire costs far more per message
+// than a mailbox does.
 //
 // All engines in this repository (GPSA, the GraphChi-style PSW baseline,
 // the X-Stream-style baseline, and the sequential reference) execute the
@@ -174,7 +178,10 @@ inline Payload fixed_to_payload(FixedSum sum) {
 /// one implementation every executor of sum_fold() programs shares
 /// (SliceApply, which the computers and the cluster ranks run, the
 /// reference and the PSW/X-Stream baselines). add() takes each message as
-/// it arrives, in any order; finish() hands every vertex that received
+/// it arrives, in any order, and add_partial() a peer rank's pre-summed
+/// messages (integer addition is associative and every term is
+/// non-negative, so both reach the same sum and the same overflow
+/// verdict); finish() hands every vertex that received
 /// messages the correctly rounded float of its exact sum once, at the end
 /// of the superstep and in ascending vertex order, and resets it. The
 /// caller decides activation there with Program::changed, so the decision
@@ -194,14 +201,22 @@ class SliceSumFold {
   /// v, returning the program's first_update seed.
   template <typename Seed>
   void add(VertexId v, Payload message, Seed&& seed) {
+    add_partial(v, payload_to_fixed(message), seed);
+  }
+
+  /// Adds `partial`, the fixed_add of payload_to_fixed over some of v's
+  /// messages (a sender's combined term, < 2^63), to v's sum; the first
+  /// touch is add()'s.
+  template <typename Seed>
+  void add_partial(VertexId v, FixedSum partial, Seed&& seed) {
     const VertexId i = v - begin_;
     FixedSum& sum = sums_[i];
     if (sum == kNoSum) {
-      sum = fixed_add(payload_to_fixed(seed()), payload_to_fixed(message));
+      sum = fixed_add(payload_to_fixed(seed()), partial);
       summed_[i / 64] |= std::uint64_t{1} << (i % 64);
       return;
     }
-    sum = fixed_add(sum, payload_to_fixed(message));
+    sum = fixed_add(sum, partial);
   }
 
   /// Calls publish(v, value) with the correctly rounded sum of every

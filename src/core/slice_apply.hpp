@@ -20,6 +20,8 @@
 // copied value — storing the sum, clearing the flag, setting the worklist
 // bit and counting the update. It walks the slice in ascending order, so
 // its stores stream and its worklist bits go out one atomic OR per word.
+// On a cluster rank a peer's messages arrive combined, one exact partial
+// per destination (apply_sums, SliceSumFold::add_partial): the same sum.
 // Batches may arrive in any interleaving (several dispatchers and peer
 // ranks at one computer); an exact sum erases it, and deciding activation
 // on the whole sum erases it from PageRankDeltaProgram's epsilon gate
@@ -42,6 +44,7 @@
 #include "core/program.hpp"
 #include "storage/active_bitmap.hpp"
 #include "storage/value_file.hpp"
+#include "util/check.hpp"
 
 namespace gpsa {
 
@@ -83,6 +86,19 @@ class SliceApply {
     }
     for (const VertexMessage& m : batch) {
       apply_one(m.dst, m.value, update_col);
+    }
+  }
+
+  /// Folds a peer rank's partial sums of `superstep`'s messages (sum-fold
+  /// programs only), all addressed to the slice. Throws
+  /// std::overflow_error when a sum leaves the exact fold's range.
+  void apply_sums(const std::vector<SumPartial>& sums,
+                  std::uint64_t superstep) {
+    GPSA_CHECK(sums_.has_value());
+    const unsigned update_col = ValueFile::update_column(superstep);
+    for (const SumPartial& p : sums) {
+      sums_->add_partial(p.dst, p.sum,
+                         [&] { return first_sum_touch(p.dst, update_col); });
     }
   }
 

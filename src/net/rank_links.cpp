@@ -17,6 +17,19 @@
 #include "util/check.hpp"
 
 namespace gpsa {
+namespace {
+
+/// Partials in a SUM_BATCH of at most one pool batch's bytes (one at
+/// least), so the receiver gets a superstep's sums in pipelined chunks.
+std::size_t sums_per_frame(std::size_t message_batch) {
+  const std::size_t bytes = message_batch * sizeof(VertexMessage);
+  return bytes >= SumBatchPayload::kFixedBytes + SumBatchPayload::kPartialBytes
+             ? (bytes - SumBatchPayload::kFixedBytes) /
+                   SumBatchPayload::kPartialBytes
+             : 1;
+}
+
+}  // namespace
 
 RankLinks::RankLinks(std::uint32_t rank, const OwnerMap& slices,
                      std::vector<PeerLink> links, unsigned workers,
@@ -25,6 +38,7 @@ RankLinks::RankLinks(std::uint32_t rank, const OwnerMap& slices,
       ranks_(slices.parts()),
       slices_(slices),
       timeout_ms_(timeout_ms),
+      max_sums_(sums_per_frame(message_batch)),
       links_(std::move(links)),
       pool_(message_batch),
       peers_(ranks_),
@@ -104,6 +118,29 @@ void RankLinks::send_batch(unsigned owner, std::uint64_t superstep,
     own_.row[peer].batch_frames += 1;
     own_.row[peer].messages += msg.batch.size();
     framed_.add(8 + msg.batch.size() * sizeof(VertexMessage));
+  }
+  transports_[peer]->send(std::move(msg));
+}
+
+void RankLinks::send_sums(unsigned owner, std::uint64_t superstep,
+                          std::uint64_t messages,
+                          std::vector<SumPartial>&& sums) {
+  TransportMsg msg;
+  msg.kind = TransportMsg::Kind::kSums;
+  msg.sums.superstep = superstep;
+  msg.sums.messages = messages;
+  msg.sums.partials = std::move(sums);
+  std::uint32_t peer = 0;
+  {
+    MutexLock lock(mutex_);
+    if (routing_ == nullptr) {  // a failed job's dispatcher, still running
+      return;
+    }
+    peer = slices_.owner_of(routing_->range_begin(owner));
+    own_.row[peer].batch_frames += 1;
+    own_.row[peer].messages += messages;
+    framed_.add(SumBatchPayload::kFixedBytes +
+                SumBatchPayload::kPartialBytes * msg.sums.partials.size());
   }
   transports_[peer]->send(std::move(msg));
 }
@@ -229,8 +266,13 @@ void RankLinks::abort(const Status& status) {
 }
 
 void RankLinks::on_frame(std::uint32_t peer, Frame&& frame) {
-  MutexLock lock(mutex_);
   const FrameType type = frame.header.type;
+  if (type == FrameType::kSumBatch) {
+    // Decoded before taking the lock, which the dispatchers' sends share.
+    on_sum_batch(peer, SumBatchPayload::decode(frame.payload));
+    return;
+  }
+  MutexLock lock(mutex_);
   if (type == FrameType::kBatch) {
     on_batch(peer, std::move(frame.payload));
   } else if (type == FrameType::kEndOfSuperstep) {
@@ -283,26 +325,57 @@ void RankLinks::on_batch(std::uint32_t peer,
                              " bytes is not a superstep and whole messages"));
     return;
   }
-  const std::uint64_t superstep = get_u64(payload.data());
+  Inbound in;
+  in.superstep = get_u64(payload.data());
+  const std::uint64_t messages = (payload.size() - 8) / sizeof(VertexMessage);
+  in.batch = std::move(payload);
+  accept(peer, FrameType::kBatch, std::move(in), messages);
+}
+
+void RankLinks::on_sum_batch(std::uint32_t peer,
+                             Result<SumBatchPayload>&& decoded) {
+  MutexLock lock(mutex_);
+  if (!decoded.is_ok()) {
+    fail_locked(decoded.status());
+  } else {
+    SumBatchPayload sums = std::move(decoded).value();
+    Inbound in;
+    in.superstep = sums.superstep;
+    in.sums = std::move(sums.partials);
+    accept(peer, FrameType::kSumBatch, std::move(in), sums.messages);
+  }
+  cv_.notify_all();
+}
+
+void RankLinks::accept(std::uint32_t peer, FrameType type, Inbound&& in,
+                       std::uint64_t messages) {
+  const std::uint64_t superstep = in.superstep;
   if (superstep != open_ && superstep != open_ + 1) {
     fail_locked(corrupt_data(
-        "BATCH for superstep " + std::to_string(superstep) + " from rank " +
-        std::to_string(peer) + " while " + std::to_string(open_) +
-        " is open"));
+        std::string(frame_type_name(type)) + " for superstep " +
+        std::to_string(superstep) + " from rank " + std::to_string(peer) +
+        " while " + std::to_string(open_) + " is open"));
     return;
   }
   peers_[peer].batches[superstep & 1] += 1;
-  peers_[peer].messages[superstep & 1] +=
-      (payload.size() - 8) / sizeof(VertexMessage);
+  peers_[peer].messages[superstep & 1] += messages;
   if (manager_ != nullptr && superstep == open_) {
-    deliver(superstep, payload);
+    deliver(std::move(in));
   } else {
-    held_.emplace_back(superstep, std::move(payload));
+    held_.push_back(std::move(in));
   }
 }
 
-void RankLinks::deliver(std::uint64_t superstep,
-                        const std::vector<std::uint8_t>& payload) {
+void RankLinks::deliver(Inbound&& in) {
+  if (in.batch.empty()) {  // a BATCH payload holds its superstep at least
+    deliver_sums(in.superstep, std::move(in.sums));
+  } else {
+    deliver_batch(in.superstep, in.batch);
+  }
+}
+
+void RankLinks::deliver_batch(std::uint64_t superstep,
+                              const std::vector<std::uint8_t>& payload) {
   const VertexId begin = slices_.range_begin(rank_);
   const VertexId end = slices_.range_end(rank_);
   for (std::size_t at = 8; at < payload.size(); at += sizeof(VertexMessage)) {
@@ -327,6 +400,41 @@ void RankLinks::deliver(std::uint64_t superstep,
   }
 }
 
+void RankLinks::deliver_sums(std::uint64_t superstep,
+                             std::vector<SumPartial>&& sums) {
+  const VertexId begin = slices_.range_begin(rank_);
+  const VertexId end = slices_.range_end(rank_);
+  for (const SumPartial& p : sums) {
+    if (p.dst < begin || p.dst >= end) {
+      fail_locked(corrupt_data(
+          "SUM_BATCH partial for vertex " + std::to_string(p.dst) +
+          " outside this rank's slice [" + std::to_string(begin) + ", " +
+          std::to_string(end) + ")"));
+      return;
+    }
+  }
+  // Ascending partials fall into one run per computer: a frame inside one
+  // computer's slice goes whole, others are split at the computers' cuts.
+  for (std::size_t at = 0; at < sums.size();) {
+    const unsigned owner = routing_->owner_of(sums[at].dst);
+    std::size_t stop = at + 1;
+    while (stop < sums.size() && routing_->owner_of(sums[stop].dst) == owner) {
+      ++stop;
+    }
+    ComputerMsg msg;
+    msg.kind = ComputerMsg::Kind::kSums;
+    msg.superstep = superstep;
+    if (at == 0 && stop == sums.size()) {
+      msg.sums = std::move(sums);
+    } else {
+      msg.sums.assign(sums.begin() + static_cast<std::ptrdiff_t>(at),
+                      sums.begin() + static_cast<std::ptrdiff_t>(stop));
+    }
+    computers_[owner]->send(std::move(msg));
+    at = stop;
+  }
+}
+
 void RankLinks::send_piece(unsigned owner, std::uint64_t superstep) {
   ComputerMsg msg;
   msg.kind = ComputerMsg::Kind::kBatch;
@@ -339,10 +447,10 @@ void RankLinks::release_held() {
   if (manager_ == nullptr) {
     return;
   }
-  for (const auto& [superstep, payload] : held_) {
+  for (Inbound& in : held_) {
     // A peer runs at most one superstep ahead: only open_'s are left.
-    GPSA_CHECK(superstep == open_);
-    deliver(superstep, payload);
+    GPSA_CHECK(in.superstep == open_);
+    deliver(std::move(in));
   }
   held_.clear();
 }
@@ -365,13 +473,24 @@ void RankLinks::close_superstep() {
           std::to_string(superstep)));
       return;
     }
-    if (!peer.has_eos[q] ||
-        peer.batches[q] != peer.eos[q].row[rank_].batch_frames ||
-        peer.messages[q] != peer.eos[q].row[rank_].messages) {
+    if (!peer.has_eos[q]) {
       if (!peer.lost.is_ok()) {
         fail_locked(peer.lost);  // it will never deliver
       }
-      return;  // EOS or frames still in flight on that link
+      return;  // EOS still in flight on that link
+    }
+    const EndOfSuperstepPayload::Cell& promised = peer.eos[q].row[rank_];
+    if (peer.batches[q] != promised.batch_frames ||
+        peer.messages[q] != promised.messages) {
+      // The EOS follows its frames on the link: they are all in.
+      fail_locked(corrupt_data(
+          "rank " + std::to_string(p) + " sent " +
+          std::to_string(peer.batches[q]) + " data frames of " +
+          std::to_string(peer.messages[q]) + " messages in superstep " +
+          std::to_string(superstep) + " but its END_OF_SUPERSTEP row says " +
+          std::to_string(promised.batch_frames) + " frames of " +
+          std::to_string(promised.messages)));
+      return;
     }
   }
   // Every batch of the superstep is in: the partial pieces go too, ahead

@@ -1,13 +1,19 @@
 // One cluster rank's links to its peers (DESIGN.md §14): the PeerLinks of
 // core/peer_links.hpp over sockets. One TransportActor per peer frames
-// the rank's flushes as BATCH frames and its end of a superstep as an
+// the rank's flushes as BATCH frames, or SUM_BATCH frames for a sum-fold
+// program's combined flushes, and its end of a superstep as an
 // END_OF_SUPERSTEP (EOS): its row of the superstep's send matrix
-// ({batch frames, messages} per destination) and the traffic it framed.
+// ({data frames, messages} per destination) and the traffic it framed.
+// Messages are logical: a SUM_BATCH counts the messages its partials
+// combine, so the matrix, and every counter summed from it, is the same
+// as if each message had crossed the wire alone.
 // One InboundPoller thread hands every inbound frame to on_frame, which
-// splits a BATCH among the local computers and files an EOS by parity.
-// Once the manager has ended this rank's dispatch of s and every peer's
-// EOS(s) is in, with the batches and messages its row promises, the links
-// sum the whole matrix and send the manager kPeersOver.
+// splits a BATCH or SUM_BATCH among the local computers and files an EOS
+// by parity. Once the manager has ended this rank's dispatch of s and
+// every peer's EOS(s) is in, with the frames and messages its row
+// promises, the links sum the whole matrix and send the manager
+// kPeersOver. A link delivers in order, so an EOS arrives after every
+// frame it counts: a row its frames then disagree with is corrupt.
 //
 // The hold: a peer that has closed s may send s+1 batches before this
 // rank has enqueued COMPUTE_OVER(s); they wait here until open(s+1). A
@@ -88,6 +94,11 @@ class RankLinks final : public PeerLinks {
   void send_batch(unsigned owner, std::uint64_t superstep,
                   std::vector<VertexMessage>&& batch) override
       GPSA_EXCLUDES(mutex_);
+  std::size_t max_sums() const override { return max_sums_; }
+  void send_sums(unsigned owner, std::uint64_t superstep,
+                 std::uint64_t messages,
+                 std::vector<SumPartial>&& sums) override
+      GPSA_EXCLUDES(mutex_);
   void end_dispatch(std::uint64_t superstep, std::uint64_t messages) override
       GPSA_EXCLUDES(mutex_);
   void open(std::uint64_t superstep) override GPSA_EXCLUDES(mutex_);
@@ -120,7 +131,7 @@ class RankLinks final : public PeerLinks {
   struct Peer {
     bool has_eos[2] = {false, false};  // by superstep parity
     EndOfSuperstepPayload eos[2];
-    std::uint64_t batches[2] = {0, 0};  // received
+    std::uint64_t batches[2] = {0, 0};  // data frames received
     std::uint64_t messages[2] = {0, 0};
     bool final_values = false;  // its final VALUES frame is in (rank 0)
     Status lost;                // set once its link is gone
@@ -128,11 +139,28 @@ class RankLinks final : public PeerLinks {
 
   void on_frame(std::uint32_t peer, Frame&& frame) GPSA_EXCLUDES(mutex_);
   void on_lost(std::uint32_t peer, Status status) GPSA_EXCLUDES(mutex_);
+  /// A validated inbound data frame: a BATCH's raw payload or a
+  /// SUM_BATCH's partials.
+  struct Inbound {
+    std::uint64_t superstep = 0;
+    std::vector<std::uint8_t> batch;
+    std::vector<SumPartial> sums;
+  };
   void on_batch(std::uint32_t peer, std::vector<std::uint8_t>&& payload)
       GPSA_REQUIRES(mutex_);
+  void on_sum_batch(std::uint32_t peer, Result<SumBatchPayload>&& decoded)
+      GPSA_EXCLUDES(mutex_);
+  /// Counts `peer`'s `type` frame of `messages` messages toward its EOS
+  /// row, then delivers it, or holds it while its superstep is the next.
+  void accept(std::uint32_t peer, FrameType type, Inbound&& in,
+              std::uint64_t messages) GPSA_REQUIRES(mutex_);
+  void deliver(Inbound&& in) GPSA_REQUIRES(mutex_);
   /// Splits a BATCH payload among the computers' pieces.
-  void deliver(std::uint64_t superstep,
-               const std::vector<std::uint8_t>& payload)
+  void deliver_batch(std::uint64_t superstep,
+                     const std::vector<std::uint8_t>& payload)
+      GPSA_REQUIRES(mutex_);
+  /// Sends each computer its run of a SUM_BATCH's partials.
+  void deliver_sums(std::uint64_t superstep, std::vector<SumPartial>&& sums)
       GPSA_REQUIRES(mutex_);
   void send_piece(unsigned owner, std::uint64_t superstep)
       GPSA_REQUIRES(mutex_);
@@ -147,6 +175,7 @@ class RankLinks final : public PeerLinks {
   const std::uint32_t ranks_;
   const OwnerMap& slices_;
   const int timeout_ms_;
+  const std::size_t max_sums_;
   std::vector<PeerLink> links_;
   MessageBatchPool pool_;
 
@@ -166,8 +195,7 @@ class RankLinks final : public PeerLinks {
   bool awaiting_ GPSA_GUARDED_BY(mutex_) = false;
   /// Superstep open_'s batches go to the computers; open_ + 1's wait.
   std::uint64_t open_ GPSA_GUARDED_BY(mutex_) = 0;
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> held_
-      GPSA_GUARDED_BY(mutex_);
+  std::vector<Inbound> held_ GPSA_GUARDED_BY(mutex_);
   MatrixTotals totals_ GPSA_GUARDED_BY(mutex_);
   std::vector<ValuesPayload> values_ GPSA_GUARDED_BY(mutex_);
   Traffic values_received_ GPSA_GUARDED_BY(mutex_);

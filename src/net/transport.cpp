@@ -32,9 +32,15 @@ void TransportActor::on_message(TransportMsg msg) {
     return;
   }
   if (error_.is_ok()) {
-    Status status = msg.kind == TransportMsg::Kind::kBatch
-                        ? write_batch(msg.superstep, msg.batch)
-                        : write_control(msg.type, msg.payload);
+    Status status;
+    if (msg.kind == TransportMsg::Kind::kBatch) {
+      status = write_batch(msg.superstep, msg.batch);
+    } else if (msg.kind == TransportMsg::Kind::kSums) {
+      msg.sums.encode(sum_bytes_);
+      status = write_frame(FrameType::kSumBatch, batch_seq_++, sum_bytes_);
+    } else {
+      status = write_frame(msg.type, control_seq_++, msg.payload);
+    }
     if (!status.is_ok()) {
       error_ = status;
       if (on_error_) {
@@ -69,10 +75,10 @@ Status TransportActor::write_batch(std::uint64_t superstep,
   return send_all(*socket_, iov, msg_len > 0 ? 2 : 1, timeout_ms_);
 }
 
-Status TransportActor::write_control(FrameType type,
-                                     const std::vector<std::uint8_t>& payload) {
+Status TransportActor::write_frame(FrameType type, std::uint32_t seq,
+                                   const std::vector<std::uint8_t>& payload) {
   std::uint8_t header[kFrameHeaderSize];
-  encode_frame_header(header, version_, type, src_rank_, control_seq_++,
+  encode_frame_header(header, version_, type, src_rank_, seq,
                       static_cast<std::uint32_t>(payload.size()),
                       crc32(payload.data(), payload.size()));
   iovec iov[2] = {{header, sizeof(header)},

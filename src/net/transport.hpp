@@ -6,7 +6,8 @@
 // dispatcher or manager blocks on the network. A kBatch message carries
 // a leased MessageBatchPool buffer and goes to the wire as two iovecs —
 // the 32-byte frame prefix and the buffer's raw bytes — so the lease→wire
-// path copies nothing. Blocking inside on_message is safe here and only
+// path copies nothing. A kSums message is encoded as one SUM_BATCH into a
+// buffer the actor reuses. Blocking inside on_message is safe here and only
 // here: the peer's dedicated poller thread drains its end regardless of
 // that peer's actor scheduling, so no send-send cycle can deadlock.
 //
@@ -35,11 +36,13 @@
 namespace gpsa {
 
 struct TransportMsg {
-  enum class Kind : std::uint8_t { kBatch, kControl, kFence };
+  enum class Kind : std::uint8_t { kBatch, kSums, kControl, kFence };
   Kind kind = Kind::kControl;
   /// kBatch: superstep tag + leased buffer.
   std::uint64_t superstep = 0;
   std::vector<VertexMessage> batch;
+  /// kSums: a dispatcher's combined flush.
+  SumBatchPayload sums;
   /// kControl: frame type + pre-encoded payload.
   FrameType type = FrameType::kHello;
   std::vector<std::uint8_t> payload;
@@ -64,8 +67,8 @@ class TransportActor final : public Actor<TransportMsg> {
  private:
   Status write_batch(std::uint64_t superstep,
                      const std::vector<VertexMessage>& batch);
-  Status write_control(FrameType type,
-                       const std::vector<std::uint8_t>& payload);
+  Status write_frame(FrameType type, std::uint32_t seq,
+                     const std::vector<std::uint8_t>& payload);
 
   const std::uint16_t src_rank_;
   const std::uint16_t version_;
@@ -73,9 +76,12 @@ class TransportActor final : public Actor<TransportMsg> {
   MessageBatchPool* pool_;
   const int timeout_ms_;
   std::function<void(Status)> on_error_;
-  /// Frame header seq: numbered per frame type on this link.
+  /// Frame header seq: data frames (BATCH, SUM_BATCH) and control frames
+  /// are numbered apart on this link.
   std::uint32_t batch_seq_ = 0;
   std::uint32_t control_seq_ = 0;
+  /// The last SUM_BATCH's encoding; keeps its capacity.
+  std::vector<std::uint8_t> sum_bytes_;
   Status error_;  // sticky: once a send fails the link is dead
 };
 

@@ -30,6 +30,14 @@ CrcTables make_crc_tables() {
   return table;
 }
 
+/// Stores v's low `bytes` bytes little-endian at p (one store once
+/// compiled: a SUM_BATCH is encoded on every link's hot path).
+void store_le(std::uint8_t* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu);
+  }
+}
+
 Status payload_too_short(const char* what) {
   return corrupt_data(std::string("wire frame: ") + what +
                       " payload truncated");
@@ -45,6 +53,7 @@ bool frame_type_known(std::uint16_t raw) {
     case FrameType::kEndOfSuperstep:
     case FrameType::kValues:
     case FrameType::kAbort:
+    case FrameType::kSumBatch:
       return true;
   }
   return false;
@@ -64,6 +73,8 @@ const char* frame_type_name(FrameType type) {
       return "VALUES";
     case FrameType::kAbort:
       return "ABORT";
+    case FrameType::kSumBatch:
+      return "SUM_BATCH";
   }
   return "UNKNOWN";
 }
@@ -376,6 +387,50 @@ Result<ValuesPayload> ValuesPayload::decode(
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint8_t* p = bytes.data() + 13 + static_cast<std::size_t>(i) * 8;
     out.entries.emplace_back(get_u32(p), get_u32(p + 4));
+  }
+  return out;
+}
+
+void SumBatchPayload::encode(std::vector<std::uint8_t>& out) const {
+  out.resize(kFixedBytes + kPartialBytes * partials.size());
+  std::uint8_t* at = out.data();
+  store_le(at, superstep, 8);
+  store_le(at + 8, messages, 8);
+  at += kFixedBytes;
+  for (const SumPartial& p : partials) {
+    store_le(at, p.dst, 4);
+    store_le(at + 4, p.sum, 8);
+    at += kPartialBytes;
+  }
+}
+
+Result<SumBatchPayload> SumBatchPayload::decode(
+    const std::vector<std::uint8_t>& bytes) {
+  if (bytes.size() < kFixedBytes ||
+      (bytes.size() - kFixedBytes) % kPartialBytes != 0) {
+    return corrupt_data("wire frame: SUM_BATCH of " +
+                        std::to_string(bytes.size()) +
+                        " bytes is not a header and whole partials");
+  }
+  SumBatchPayload out;
+  out.superstep = get_u64(bytes.data());
+  out.messages = get_u64(bytes.data() + 8);
+  const std::size_t count = (bytes.size() - kFixedBytes) / kPartialBytes;
+  if (out.messages < count) {
+    return corrupt_data("wire frame: SUM_BATCH of " + std::to_string(count) +
+                        " partials combines only " +
+                        std::to_string(out.messages) + " messages");
+  }
+  out.partials.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint8_t* p = bytes.data() + kFixedBytes + kPartialBytes * i;
+    out.partials[i].dst = get_u32(p);
+    out.partials[i].sum = get_u64(p + 4);
+    if ((out.partials[i].sum >> 63) != 0) {
+      return corrupt_data("wire frame: SUM_BATCH partial for vertex " +
+                          std::to_string(out.partials[i].dst) +
+                          " outside the exact fold's range");
+    }
   }
   return out;
 }

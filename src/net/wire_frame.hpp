@@ -20,7 +20,21 @@
 // raw bytes of a leased MessageBatchPool buffer — contiguous
 // {dst u32, value u32} pairs, ascending dst, no padding
 // (static_asserted in core/message_pool.hpp) — which is what makes the
-// lease→wire path copy-free on the send side.
+// lease→wire path copy-free on the send side. A sum-fold program's
+// messages travel as SUM_BATCH instead: one exact 64-bit partial sum per
+// destination (SumBatchPayload), counted as the messages it combines.
+//
+// Frame types:
+//
+//   type  name              payload
+//   1     HELLO             version range, rank, ranks, graph fingerprint
+//   2     HELLO_ACK         chosen version
+//   3     BATCH             u64 superstep, {dst u32, value u32} messages
+//   4     END_OF_SUPERSTEP  superstep, sender's wire totals, send row
+//   5, 6  (retired: version 1's rank-0 barrier, never reused)
+//   7     VALUES            final value sync: (vertex, payload) pairs
+//   8     ABORT             reason text
+//   9     SUM_BATCH         u64 superstep, u64 messages, {dst u32, sum u64}
 //
 // The decoder is incremental (feed bytes as they arrive off a nonblocking
 // socket; frames pop out as they complete) and total: arbitrary byte
@@ -34,16 +48,19 @@
 #include <string>
 #include <vector>
 
+#include "core/messages.hpp"
 #include "util/status.hpp"
 
 namespace gpsa {
 
 /// Protocol versions this build speaks. kHello advertises the closed
 /// range; the acceptor picks the highest version both sides share.
-/// Version 2 closes a superstep on END_OF_SUPERSTEP alone; a version-1
-/// rank (barrier through rank 0) aborts at HELLO.
-inline constexpr std::uint16_t kWireVersionMin = 2;
-inline constexpr std::uint16_t kWireVersionMax = 2;
+/// Version 2 closed a superstep on END_OF_SUPERSTEP alone; version 3 adds
+/// SUM_BATCH, which a sum-fold program's ranks must both speak, so a
+/// version-2 rank aborts at HELLO rather than mid-run (and a version-1
+/// rank, barrier through rank 0, as before).
+inline constexpr std::uint16_t kWireVersionMin = 3;
+inline constexpr std::uint16_t kWireVersionMax = 3;
 
 inline constexpr std::uint32_t kWireMagic = 0x4750'534e;  // "GPSN"
 
@@ -61,6 +78,7 @@ enum class FrameType : std::uint16_t {
   // 5 and 6 (version 1's rank-0 barrier) are retired, never reused.
   kValues = 7,          // final value sync: (vertex, payload) pairs
   kAbort = 8,           // clean failure propagation, payload = reason text
+  kSumBatch = 9,        // u64 superstep + u64 messages + exact partial sums
 };
 
 /// True for the types the decoder admits (anything else is CorruptData).
@@ -214,6 +232,28 @@ struct ValuesPayload {
 
   std::vector<std::uint8_t> encode() const;
   static Result<ValuesPayload> decode(const std::vector<std::uint8_t>& bytes);
+};
+
+/// kSumBatch: a dispatcher's combined messages to one peer rank in one
+/// superstep: u64 superstep, u64 messages (the logical messages the
+/// partials sum, what the sender's END_OF_SUPERSTEP row counts), then
+/// {dst u32, sum u64} partials in ascending dst. Each sum is below 2^63,
+/// the exact fold's range (core/program.hpp).
+struct SumBatchPayload {
+  std::uint64_t superstep = 0;
+  std::uint64_t messages = 0;
+  std::vector<SumPartial> partials;
+
+  static constexpr std::size_t kFixedBytes = 16;
+  static constexpr std::size_t kPartialBytes = 12;
+
+  /// Replaces `out` with the encoded payload (the transport reuses one
+  /// buffer).
+  void encode(std::vector<std::uint8_t>& out) const;
+  /// Rejects a payload that is not 16 + 12k bytes, a sum outside the
+  /// fold's range, or fewer messages than partials.
+  static Result<SumBatchPayload> decode(
+      const std::vector<std::uint8_t>& bytes);
 };
 
 /// Highest version both ranges share, or InvalidArgument when the ranges

@@ -61,11 +61,12 @@ Result<T> Config::get_parsed(std::string_view key, T default_value,
 }
 
 Result<std::uint64_t> Config::get_uint(std::string_view key,
-                                       std::uint64_t default_value) const {
+                                       std::uint64_t default_value,
+                                       std::uint64_t max) const {
+  // A maximum below 2^53 converts exactly; the whole-type one reads as
+  // "a non-negative integer".
   return get_parsed(key, default_value,
-                    {"", KnobKind::kUnsigned, "", 0,
-                     static_cast<double>(
-                         std::numeric_limits<std::uint64_t>::max()),
+                    {"", KnobKind::kUnsigned, "", 0, static_cast<double>(max),
                      "", ""});
 }
 

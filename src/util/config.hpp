@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -36,8 +37,11 @@ class Config {
   bool contains(std::string_view key) const;
 
   std::string get_string(std::string_view key, std::string default_value) const;
-  Result<std::uint64_t> get_uint(std::string_view key,
-                                 std::uint64_t default_value) const;
+  /// A present value above `max` (inclusive) is an InvalidArgument, so a
+  /// caller narrowing to a smaller type passes that type's maximum.
+  Result<std::uint64_t> get_uint(
+      std::string_view key, std::uint64_t default_value,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   Result<double> get_double(std::string_view key, double default_value) const;
   /// 1/0, true/false, on/off, yes/no; a bare `--flag` reads as true.
   Result<bool> get_bool(std::string_view key, bool default_value) const;

@@ -219,6 +219,22 @@ TEST(Cluster, RemoteTrafficGrowsWithNodeCount) {
   }
 }
 
+TEST(Cluster, SumFoldMessagesCrossTheWireCombined) {
+  // PageRank's remote messages leave as exact partial sums, at most 12
+  // bytes per destination: the whole wire, headers, barrier and final
+  // value sync included, stays below the 8 bytes per message that
+  // per-message BATCH frames spend on payload alone.
+  const EdgeList graph = rmat(10, 30000, 103);
+  const PageRankProgram program(5);
+  ClusterOptions co;
+  co.num_nodes = 2;
+  const auto result = ClusterEngine::run(graph, program, co);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const ClusterRunResult& r = result.value();
+  ASSERT_GT(r.remote_messages, 0U);
+  EXPECT_LT(r.bytes_on_wire, 8 * r.remote_messages);
+}
+
 TEST(Cluster, AccountingSumsAreConsistent) {
   const EdgeList graph = rmat(8, 1500, 101);
   ClusterOptions co;

@@ -6,6 +6,9 @@
 //     steady_misses counter, recycled-byte and free-buffer tracking.
 //   - OwnerMap unit contract: range owner/local-index/local-size
 //     arithmetic, interval-derived boundaries, the routing name.
+//   - Combined sums: a peer's exact partials fold to the same sums,
+//     activation and updates as the messages they combine, and overflow
+//     the same way.
 //   - Engine runs: monotone apps match the reference executor with small
 //     batches; PageRank with one dispatcher is bit-identical run to run
 //     (the radix staging is stable, so the per-vertex fold order is the
@@ -14,19 +17,27 @@
 //     count), the routing, per-computer busy seconds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
 #include "apps/pagerank.hpp"
+#include "apps/pagerank_delta.hpp"
 #include "apps/reference.hpp"
 #include "apps/sssp.hpp"
 #include "core/engine.hpp"
 #include "core/message_pool.hpp"
 #include "core/ownership.hpp"
+#include "core/slice_apply.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
+#include "platform/file_util.hpp"
+#include "storage/value_file.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace gpsa {
 namespace {
@@ -125,6 +136,130 @@ TEST(OwnerMap, RangeFromIntervalsUsesIntervalBoundaries) {
 
 TEST(OwnerMap, RoutingNameIsRange) {
   EXPECT_STREQ(message_routing_name(MessageRouting::kRange), "range");
+}
+
+// --- Combined sums (a cluster rank's SUM_BATCH path, DESIGN.md §14) ---------
+
+/// One slice's apply state over a value file of its own, stored at
+/// v - kBegin as on a cluster rank; superstep 0 dispatches column 0 and
+/// updates column 1.
+struct SliceUnderTest {
+  static constexpr VertexId kBegin = 1000;
+  static constexpr VertexId kSize = 300;
+
+  SliceUnderTest(const std::string& path, const Program& program)
+      : values(std::move(ValueFile::create(path, kSize, program.name()))
+                   .value()),
+        latest(kSize, 0),
+        worklist(kSize),
+        apply(values, program, latest, worklist, nullptr, kBegin, kBegin,
+              kSize) {
+    for (VertexId i = 0; i < kSize; ++i) {
+      const Payload stored = float_to_payload(0.001F * static_cast<float>(i));
+      values.store(i, 0, make_slot(stored, /*stale=*/false));
+      values.store(i, 1, make_slot(stored, /*stale=*/true));
+    }
+  }
+
+  ValueFile values;
+  std::vector<std::uint8_t> latest;
+  ActiveBitmap worklist;
+  SliceApply apply;
+};
+
+TEST(CombinedSums, SenderPartialsFoldLikeTheirMessages) {
+  // The same messages, folded one by one or combined by "senders" split
+  // at random points into partials that arrive in pieces in any order,
+  // must leave identical sums, activation and update counts. The delta
+  // program's epsilon gate makes activation depend on the exact sum.
+  auto dir = ScratchDir::create("combined_sums");
+  ASSERT_TRUE(dir.is_ok());
+  // About 25 messages of mean 3e-5 reach each touched vertex: an epsilon
+  // near their mean mass activates about half of them.
+  const PageRankDeltaProgram program(10, 0.85F, /*eps=*/6.5e-4F);
+  SliceUnderTest one_by_one(dir.value().file("a.values"), program);
+  SliceUnderTest combined(dir.value().file("b.values"), program);
+
+  Rng rng(7);
+  std::vector<VertexMessage> messages;
+  for (int k = 0; k < 5000; ++k) {
+    // The slice's last third receives nothing; every tenth term is below
+    // 2^-32, where the conversion truncates.
+    const auto dst = static_cast<VertexId>(
+        SliceUnderTest::kBegin + rng.next_below(SliceUnderTest::kSize * 2 / 3));
+    const float value = static_cast<float>(rng.next_double()) *
+                        (k % 10 == 0 ? 1e-10F : 6e-5F);
+    messages.emplace_back(dst, float_to_payload(value));
+  }
+
+  for (std::size_t at = 0; at < messages.size();) {
+    const std::size_t n = std::min<std::size_t>(1 + rng.next_below(600),
+                                                messages.size() - at);
+    one_by_one.apply.apply(
+        std::vector<VertexMessage>(messages.begin() + at,
+                                   messages.begin() + at + n),
+        0);
+    at += n;
+  }
+
+  std::vector<std::vector<SumPartial>> pieces;
+  for (std::size_t at = 0; at < messages.size();) {
+    const std::size_t n = std::min<std::size_t>(1 + rng.next_below(1500),
+                                                messages.size() - at);
+    std::map<VertexId, FixedSum> sums;  // one sender's, ascending
+    for (std::size_t k = at; k < at + n; ++k) {
+      sums[messages[k].dst] =
+          fixed_add(sums[messages[k].dst], payload_to_fixed(messages[k].value));
+    }
+    at += n;
+    std::vector<SumPartial> partials;
+    for (const auto& [dst, sum] : sums) {
+      partials.push_back(SumPartial{dst, sum});
+      if (rng.next_below(40) == 0) {
+        pieces.push_back(std::move(partials));
+        partials.clear();
+      }
+    }
+    pieces.push_back(std::move(partials));
+  }
+  std::shuffle(pieces.begin(), pieces.end(), rng);
+  for (const std::vector<SumPartial>& piece : pieces) {
+    combined.apply.apply_sums(piece, 0);
+  }
+
+  const std::uint64_t updates = one_by_one.apply.finish(0);
+  EXPECT_EQ(combined.apply.finish(0), updates);
+  EXPECT_GT(updates, 0U);
+  EXPECT_LT(updates, SliceUnderTest::kSize * 2 / 3);  // the gate held some
+  for (VertexId i = 0; i < SliceUnderTest::kSize; ++i) {
+    EXPECT_EQ(combined.values.load(i, 1), one_by_one.values.load(i, 1)) << i;
+    EXPECT_EQ(combined.latest[i], one_by_one.latest[i]) << i;
+    EXPECT_EQ(combined.worklist.test(i, 1), one_by_one.worklist.test(i, 1))
+        << i;
+  }
+}
+
+TEST(CombinedSums, OutOfRangeTermOrSumThrowsOnBothPaths) {
+  auto seed = [] { return Payload{0}; };
+  const Payload huge = float_to_payload(128.0F);  // a term >= 2^7
+  const Payload big = float_to_payload(100.0F);   // two make a sum >= 2^7
+
+  SliceSumFold one_by_one;
+  one_by_one.init(0, 4);
+  EXPECT_THROW(one_by_one.add(1, huge, seed), std::overflow_error);
+  one_by_one.add(2, big, seed);
+  EXPECT_THROW(one_by_one.add(2, big, seed), std::overflow_error);
+
+  // A sender converts and sums the same terms, and throws the same way.
+  EXPECT_THROW((void)payload_to_fixed(huge), std::overflow_error);
+  EXPECT_THROW((void)fixed_add(payload_to_fixed(big), payload_to_fixed(big)),
+               std::overflow_error);
+  // Two senders' in-range partials overflow where the receiver adds them.
+  SliceSumFold combined;
+  combined.init(0, 4);
+  combined.add_partial(2, payload_to_fixed(big), seed);
+  EXPECT_THROW(combined.add_partial(2, payload_to_fixed(big), seed),
+               std::overflow_error);
 }
 
 // --- Engine runs --------------------------------------------------------------

@@ -5,9 +5,10 @@
 // multi-process cluster run — fork+exec'd ranks of 2 workers whose
 // per-node value stores, wire traffic and per-rank counters must equal
 // the in-process run's (the same rank body over socketpairs) and whose
-// values equal the single-thread reference, plus a hand-played peer
-// whose out-of-slice batch must fail the rank cleanly and crash-injection
-// runs proving a dead peer surfaces as a clean error instead of a hang.
+// values equal the single-thread reference, plus hand-played peers whose
+// malformed batches, combined sums and final values must fail the rank
+// cleanly, and crash-injection runs proving a dead peer surfaces as a
+// clean error instead of a hang.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -29,9 +31,12 @@
 #include "cluster/cluster_engine.hpp"
 #include "cluster/cluster_net.hpp"
 #include "core/messages.hpp"
+#include "core/program.hpp"
 #include "graph/csr.hpp"
+#include "graph/csr_file.hpp"
 #include "graph/csr_v2.hpp"
 #include "graph/generators.hpp"
+#include "graph/partition.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
 #include "net/wire_frame.hpp"
@@ -200,6 +205,48 @@ TEST(WireFrame, EndOfSuperstepRejectsAMisfitRow) {
   out = EndOfSuperstepPayload::decode(std::vector<std::uint8_t>(27), 0);
   ASSERT_FALSE(out.is_ok());
   EXPECT_EQ(out.status().code(), StatusCode::kCorruptData);
+}
+
+TEST(WireFrame, SumBatchRoundTripsAndRejectsMisfits) {
+  SumBatchPayload in;
+  in.superstep = 9;
+  in.messages = 40;
+  in.partials = {{3, 1},
+                 {70, FixedSum{1} << 56},
+                 {0xfffffff0U, (FixedSum{1} << 63) - 1}};
+  std::vector<std::uint8_t> bytes;
+  in.encode(bytes);
+  ASSERT_EQ(bytes.size(), SumBatchPayload::kFixedBytes +
+                              3 * SumBatchPayload::kPartialBytes);
+  const auto out = SumBatchPayload::decode(bytes);
+  ASSERT_TRUE(out.is_ok()) << out.status().to_string();
+  EXPECT_EQ(out.value().superstep, in.superstep);
+  EXPECT_EQ(out.value().messages, in.messages);
+  ASSERT_EQ(out.value().partials.size(), in.partials.size());
+  for (std::size_t i = 0; i < in.partials.size(); ++i) {
+    EXPECT_EQ(out.value().partials[i].dst, in.partials[i].dst);
+    EXPECT_EQ(out.value().partials[i].sum, in.partials[i].sum);
+  }
+  auto rejects = [](const SumBatchPayload& payload,
+                    std::size_t extra_bytes) {
+    std::vector<std::uint8_t> wire;
+    payload.encode(wire);
+    wire.resize(wire.size() + extra_bytes, 0);
+    const auto decoded = SumBatchPayload::decode(wire);
+    return !decoded.is_ok() &&
+           decoded.status().code() == StatusCode::kCorruptData;
+  };
+  EXPECT_TRUE(rejects(in, 5)) << "not 16 + 12k bytes";
+  const auto short_payload =
+      SumBatchPayload::decode(std::vector<std::uint8_t>(15));
+  ASSERT_FALSE(short_payload.is_ok());
+  EXPECT_EQ(short_payload.status().code(), StatusCode::kCorruptData);
+  SumBatchPayload few = in;
+  few.messages = 2;  // three partials cannot combine two messages
+  EXPECT_TRUE(rejects(few, 0));
+  SumBatchPayload wide = in;
+  wide.partials[1].sum = FixedSum{1} << 63;  // outside the fold's range
+  EXPECT_TRUE(rejects(wide, 0));
 }
 
 // A valid frame with one mutation applied, for the rejection tests.
@@ -536,13 +583,14 @@ TEST(ClusterNet, SumFoldOverflowFailsEveryRank) {
                              << results[1].status().to_string();
 }
 
-TEST(ClusterNet, BatchOutsideTheSliceFailsCleanly) {
-  // A hand-played rank 1 passes the handshake (the fingerprint is public)
-  // and sends rank 0 one BATCH addressed to a vertex of rank 1's own
-  // slice. Rank 0 must reject it as corrupt data, not write the message
-  // into its slice's storage out of bounds.
-  const EdgeList graph = rmat(8, 2000, 91);
-  const BfsProgram program(0);
+/// Runs rank 0 of a two-rank cluster of `program` on `graph` against a
+/// hand-played rank 1, which passes the handshake (the fingerprint is
+/// public) and then sends the frames `play` appends to the wire. The
+/// socket stays open until rank 0 returns, so rank 0 must end on what it
+/// received, not on a lost peer. Returns rank 0's result.
+Result<ClusterRunResult> against_played_rank1(
+    const EdgeList& graph, const Program& program,
+    const std::function<void(std::vector<std::uint8_t>&)>& play) {
   const std::uint16_t port = next_port();
   ClusterNetOptions net;
   net.rank = 0;
@@ -553,36 +601,166 @@ TEST(ClusterNet, BatchOutsideTheSliceFailsCleanly) {
   std::thread rank0([&] {
     result = run_cluster_rank(graph, program, ClusterOptions{}, net);
   });
-
   auto socket = tcp_connect_retry(port, net.timeout_ms);
-  ASSERT_TRUE(socket.is_ok()) << socket.status().to_string();
-  HelloPayload hello;
-  hello.rank = 1;
-  hello.ranks = 2;
-  hello.graph_fingerprint = cluster_graph_fingerprint(
-      graph.num_vertices(), graph.num_edges(), 2, program.name(),
-      resolve_csr_format(std::nullopt), resolve_csr_order(std::nullopt));
-  const std::vector<std::uint8_t> hello_bytes = hello.encode();
-  std::vector<std::uint8_t> wire;
-  append_frame(wire, kWireVersionMax, FrameType::kHello, 1, 0,
-               hello_bytes.data(), hello_bytes.size());
-  // Superstep 0, one message to the last vertex: always rank 1's.
-  std::vector<std::uint8_t> batch;
-  put_u64(batch, 0);
-  put_u32(batch, graph.num_vertices() - 1);
-  put_u32(batch, 1);
-  append_frame(wire, kWireVersionMax, FrameType::kBatch, 1, 0, batch.data(),
-               batch.size());
-  ASSERT_TRUE(
-      send_all(socket.value(), wire.data(), wire.size(), net.timeout_ms)
-          .is_ok());
-  rank0.join();  // the socket stays open: rank 0 must fail on the batch
+  EXPECT_TRUE(socket.is_ok()) << socket.status().to_string();
+  if (socket.is_ok()) {
+    HelloPayload hello;
+    hello.rank = 1;
+    hello.ranks = 2;
+    hello.graph_fingerprint = cluster_graph_fingerprint(
+        graph.num_vertices(), graph.num_edges(), 2, program.name(),
+        resolve_csr_format(std::nullopt), resolve_csr_order(std::nullopt));
+    const std::vector<std::uint8_t> hello_bytes = hello.encode();
+    std::vector<std::uint8_t> wire;
+    append_frame(wire, kWireVersionMax, FrameType::kHello, 1, 0,
+                 hello_bytes.data(), hello_bytes.size());
+    play(wire);
+    EXPECT_TRUE(
+        send_all(socket.value(), wire.data(), wire.size(), net.timeout_ms)
+            .is_ok());
+  }
+  rank0.join();
+  return result;
+}
+
+void append_payload(std::vector<std::uint8_t>& wire, FrameType type,
+                    const std::vector<std::uint8_t>& payload) {
+  append_frame(wire, kWireVersionMax, type, 1, 0, payload.data(),
+               payload.size());
+}
+
+/// One exact partial for `dst`, in a SUM_BATCH of superstep 0 that claims
+/// `messages` messages.
+std::vector<std::uint8_t> sum_batch(VertexId dst, std::uint64_t messages) {
+  SumBatchPayload sums;
+  sums.messages = messages;
+  sums.partials.push_back(
+      SumPartial{dst, payload_to_fixed(float_to_payload(0.001F))});
+  std::vector<std::uint8_t> bytes;
+  sums.encode(bytes);
+  return bytes;
+}
+
+void expect_corrupt(const Result<ClusterRunResult>& result,
+                    const char* reason) {
   ASSERT_FALSE(result.is_ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCorruptData)
       << result.status().to_string();
-  EXPECT_NE(result.status().message().find("outside this rank's slice"),
-            std::string::npos)
+  EXPECT_NE(result.status().message().find(reason), std::string::npos)
       << result.status().to_string();
+}
+
+TEST(ClusterNet, BatchOutsideTheSliceFailsCleanly) {
+  // The hand-played rank 1 sends rank 0 one BATCH addressed to a vertex
+  // of rank 1's own slice. Rank 0 must reject it as corrupt data, not
+  // write the message into its slice's storage out of bounds.
+  const EdgeList graph = rmat(8, 2000, 91);
+  const auto result = against_played_rank1(
+      graph, BfsProgram(0), [&](std::vector<std::uint8_t>& wire) {
+        // Superstep 0, one message to the last vertex: always rank 1's.
+        std::vector<std::uint8_t> batch;
+        put_u64(batch, 0);
+        put_u32(batch, graph.num_vertices() - 1);
+        put_u32(batch, 1);
+        append_payload(wire, FrameType::kBatch, batch);
+      });
+  expect_corrupt(result, "outside this rank's slice");
+}
+
+TEST(ClusterNet, SumBatchOutsideTheSliceFailsCleanly) {
+  const EdgeList graph = rmat(8, 2000, 91);
+  const auto result = against_played_rank1(
+      graph, PageRankProgram(5), [&](std::vector<std::uint8_t>& wire) {
+        append_payload(wire, FrameType::kSumBatch,
+                       sum_batch(graph.num_vertices() - 1, 1));
+      });
+  expect_corrupt(result, "outside this rank's slice");
+}
+
+TEST(ClusterNet, SumBatchOfTornSizeFailsCleanly) {
+  // A payload that is not 16 + 12k bytes: one partial and five bytes.
+  const EdgeList graph = rmat(8, 2000, 91);
+  const auto result = against_played_rank1(
+      graph, PageRankProgram(5), [&](std::vector<std::uint8_t>& wire) {
+        std::vector<std::uint8_t> torn = sum_batch(0, 1);
+        torn.resize(torn.size() + 5, 0);
+        append_payload(wire, FrameType::kSumBatch, torn);
+      });
+  expect_corrupt(result, "whole partials");
+}
+
+TEST(ClusterNet, SumBatchCountDisagreeingWithItsRowFailsCleanly) {
+  // The SUM_BATCH claims two messages, its sender's END_OF_SUPERSTEP row
+  // one: rank 0 must not wait for a message that will never come.
+  const EdgeList graph = rmat(8, 2000, 91);
+  const auto result = against_played_rank1(
+      graph, PageRankProgram(5), [&](std::vector<std::uint8_t>& wire) {
+        append_payload(wire, FrameType::kSumBatch, sum_batch(0, 2));
+        EndOfSuperstepPayload eos;
+        eos.row.resize(2);
+        eos.row[0].batch_frames = 1;
+        eos.row[0].messages = 1;
+        append_payload(wire, FrameType::kEndOfSuperstep, eos.encode());
+      });
+  expect_corrupt(result, "END_OF_SUPERSTEP row");
+}
+
+/// Rank 1's vertices in a two-rank cluster of `graph`, in original ids,
+/// cut as the rank's plan cuts them.
+std::vector<VertexId> rank1_vertices(const EdgeList& graph) {
+  auto dir = ScratchDir::create("rank1_slice");
+  GPSA_CHECK(dir.is_ok());
+  const std::string path = dir.value().file("graph.csr");
+  GPSA_CHECK(preprocess_edges_to_csr(graph, path, /*with_degree=*/true,
+                                     resolve_csr_format(std::nullopt),
+                                     resolve_csr_order(std::nullopt))
+                 .is_ok());
+  auto csr = CsrFileReader::open(path);
+  GPSA_CHECK(csr.is_ok());
+  const auto slices = make_intervals(csr.value(), 2);
+  GPSA_CHECK(slices.size() == 2);
+  const auto perm = csr.value().permutation();
+  std::vector<VertexId> out;
+  for (VertexId v = slices[1].begin_vertex; v < slices[1].end_vertex; ++v) {
+    out.push_back(perm.empty() ? v : perm[v]);
+  }
+  return out;
+}
+
+/// Rank 1's end of a 0-superstep job's final value sync: one VALUES
+/// frame with `vertices`.
+void append_final_values(std::vector<std::uint8_t>& wire,
+                         const std::vector<VertexId>& vertices) {
+  ValuesPayload values;
+  values.final_sync = 1;
+  for (const VertexId v : vertices) {
+    values.entries.emplace_back(v, float_to_payload(0.5F));
+  }
+  append_payload(wire, FrameType::kValues, values.encode());
+}
+
+TEST(ClusterNet, FinalValuesMissingAVertexFailCleanly) {
+  // Rank 0 fills the result from every rank's VALUES; a vertex nobody
+  // sent must not read as a silent zero.
+  const EdgeList graph = rmat(8, 2000, 91);
+  std::vector<VertexId> mine = rank1_vertices(graph);
+  mine.pop_back();
+  const auto result = against_played_rank1(
+      graph, PageRankProgram(0), [&](std::vector<std::uint8_t>& wire) {
+        append_final_values(wire, mine);
+      });
+  expect_corrupt(result, "covered");
+}
+
+TEST(ClusterNet, FinalValuesRepeatingAVertexFailCleanly) {
+  const EdgeList graph = rmat(8, 2000, 91);
+  std::vector<VertexId> mine = rank1_vertices(graph);
+  mine.push_back(mine.front());
+  const auto result = against_played_rank1(
+      graph, PageRankProgram(0), [&](std::vector<std::uint8_t>& wire) {
+        append_final_values(wire, mine);
+      });
+  expect_corrupt(result, "repeated");
 }
 
 // ---------------------------------------------------------------------------

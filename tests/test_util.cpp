@@ -121,6 +121,23 @@ TEST(Config, TypedGettersDefaultWhenUnsetAndRejectMalformedValues) {
   }
 }
 
+TEST(Config, GetUintRejectsAValueAboveItsMaximum) {
+  // A caller narrowing to a smaller type passes that type's maximum, so
+  // 2^32 + 1 is an error instead of a silent 1.
+  Config c;
+  c.set("top", "4294967297");
+  c.set("scale", "31");
+  EXPECT_EQ(c.get_uint("top", 5).value(), 4294967297ULL);
+  const Status narrowed = c.get_uint("top", 5, 0xffffffffU).status();
+  EXPECT_EQ(narrowed.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(narrowed.message().find("--top='4294967297'"), std::string::npos)
+      << narrowed.to_string();
+  EXPECT_NE(narrowed.message().find("[0, 4294967295]"), std::string::npos)
+      << narrowed.to_string();
+  EXPECT_EQ(c.get_uint("scale", 14, 31).value(), 31U);  // inclusive
+  EXPECT_FALSE(c.get_uint("scale", 14, 30).is_ok());
+}
+
 TEST(Config, RejectsEmptyKey) {
   Config c;
   EXPECT_FALSE(c.set_entry("=v").is_ok());
