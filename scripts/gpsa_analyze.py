@@ -32,20 +32,18 @@ unit checkers over it:
                    its function, either be recycle()d, be std::move()d
                    onward (ownership transfer: into a mailbox message, an
                    inbound queue, the wire), or carry an explicit
-                   `// gpsa-analyze: transfer(<why>)` note. A leased
-                   buffer that silently dies is not a leak (the pool
-                   tolerates drops) but it is a steady-state pool miss in
-                   disguise, and the message-plane bench gates on zero.
+                   `// gpsa-analyze: transfer(<why>)` note. A store into
+                   a member is neither: it moves the recycle obligation
+                   out of the function, so it too needs the note naming
+                   who recycles the batch. A leased buffer that silently
+                   dies is not a leak (the pool tolerates drops) but it is
+                   a steady-state pool miss in disguise.
 
-Frontends: a libclang frontend is attempted first when the python
-bindings are importable (`import clang.cindex`), refining call-edge
-resolution with real AST types; otherwise the structural frontend — a
-comment/string-aware project-idiom parser — builds the whole model on its
-own. The structural frontend is the one CI gates on (ubuntu runners have
-no python3-clang) and the fixture self-test pins its behavior; the
-`-Xclang -ast-dump=json` route was rejected as a fallback because its
-output shape is clang-version-dependent, which would make the gate
-flaky across toolchains.
+The model is built from the token stream of scripts/cpp_source.py, the
+source frontend this tool shares with gpsa_lint.py: comment- and
+string-blind code text, brace-matched class and function spans, member-type
+receiver resolution with base-class/virtual fan-out, and lambdas handed to
+deferral sinks split off into functions of their own.
 
 Suppression: append `// gpsa-analyze: allow(<rule>)` to the offending
 line (the acquisition site, the blocking primitive, or the lease).
@@ -55,10 +53,9 @@ Usage:
                   [--report FILE] [--require-covered PATH ...] [files...]
 
 With no file arguments the analyzer scans <root>/src/**/*.{hpp,cpp}.
---compile-commands both widens the scan set and backs --require-covered,
-which fails (rule `coverage`) when a named source file or directory has
-no entry in the compilation database — the guard that keeps new
-subsystems from silently regressing out of the clang-tidy/TSA gate.
+--require-covered fails (rule `coverage`) when a named source file or
+directory has no entry in the --compile-commands database: the guard that
+keeps new subsystems from silently falling out of the clang-tidy/TSA gate.
 Exit status is 1 when findings remain after suppression, 0 otherwise.
 """
 
@@ -67,9 +64,12 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import string
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from cpp_source import SourceFile, collect_files, print_findings
 
 # --- Policy: designed blocking points -----------------------------------
 #
@@ -89,103 +89,9 @@ BLOCKING_ALLOWLIST = {
         "syscall-level checker — §15 documents that asymmetry)",
 }
 
-# Lease sites allowed to hand the buffer to an owner the analyzer cannot
-# see lexically (member stores shipped by a later flush, for example)
-# get an inline `// gpsa-analyze: transfer(...)` note instead; this table
-# exists for call-shaped transfers where the note would be misplaced.
-LEASE_TRANSFER_ALLOWLIST: dict[str, str] = {}
-
 RULES = ("lock-order", "actor-blocking", "lease-balance", "coverage")
 
-ALLOW_RE = re.compile(r"//\s*gpsa-analyze:\s*allow\(([a-z-]+)\)")
-TRANSFER_RE = re.compile(r"//\s*gpsa-analyze:\s*transfer\(([^)]*)\)")
-
-# --- Lexical layer (shared idiom with gpsa_lint.py) ---------------------
-
-
-def strip_comments_and_strings(text: str) -> str:
-    """Blanks comments and string/char literals, preserving newlines and
-    column positions so line/offset arithmetic matches the original."""
-    out = []
-    i = 0
-    n = len(text)
-    NORMAL, LINE, BLOCK, STR, CHAR = range(5)
-    state = NORMAL
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == NORMAL:
-            if c == "/" and nxt == "/":
-                state = LINE
-                out.append("  ")
-                i += 2
-            elif c == "/" and nxt == "*":
-                state = BLOCK
-                out.append("  ")
-                i += 2
-            elif c == '"':
-                state = STR
-                out.append(" ")
-                i += 1
-            elif c == "'":
-                state = CHAR
-                out.append(" ")
-                i += 1
-            else:
-                out.append(c)
-                i += 1
-        elif state == LINE:
-            if c == "\n":
-                state = NORMAL
-                out.append("\n")
-            else:
-                out.append(" ")
-            i += 1
-        elif state == BLOCK:
-            if c == "*" and nxt == "/":
-                state = NORMAL
-                out.append("  ")
-                i += 2
-            else:
-                out.append("\n" if c == "\n" else " ")
-                i += 1
-        else:  # STR or CHAR
-            quote = '"' if state == STR else "'"
-            if c == "\\" and nxt:
-                out.append("  ")
-                i += 2
-            elif c == quote:
-                state = NORMAL
-                out.append(" ")
-                i += 1
-            elif c == "\n":
-                state = NORMAL
-                out.append("\n")
-                i += 1
-            else:
-                out.append(" ")
-                i += 1
-    return "".join(out)
-
-
-def line_of(text: str, pos: int) -> int:
-    return text.count("\n", 0, pos) + 1
-
-
-def match_brace(text: str, open_pos: int) -> int:
-    """Offset of the `}` closing the `{` at open_pos (len(text) if
-    unbalanced)."""
-    depth = 0
-    for i in range(open_pos, len(text)):
-        c = text[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return len(text)
-
+TOOL = "gpsa-analyze"  # the suppression-comment prefix
 
 # --- Model --------------------------------------------------------------
 
@@ -264,25 +170,24 @@ class Model:
     mutex_owners: dict[str, list[str]] = field(default_factory=dict)
 
 
-# --- Structural frontend ------------------------------------------------
+# --- Model builder ------------------------------------------------------
 
 CLASS_RE = re.compile(
     r"\b(?:class|struct)\s+(?:GPSA_\w+\([^)]*\)\s+)?(\w+)\s*"
     r"(?:final\s*)?(?::\s*([^{;]*))?\{")
 MUTEX_MEMBER_RE = re.compile(
     r"\b(?:mutable\s+)?Mutex\s+(\w+)\s*[;{]")
-# `Type Class::name(args)` or in-class `name(args)` followed by optional
-# qualifiers/annotations, then `{`. The name token is the identifier
-# immediately before the parameter list.
-FUNC_DEF_RE = re.compile(
-    r"(?:^|[;{}()]|\n)\s*"               # definition boundary
-    r"(?:template\s*<[^<>]*>\s*)?"
-    r"(?:[\w:<>,*&~\[\]\s]+?\s)??"       # return type (optional for ctors)
-    r"((?:\w+::)*[~\w]+)\s*"             # qualified name
-    r"\(([^;{}]*)\)\s*"                  # parameter list
-    r"((?:const|noexcept|override|final|->\s*[\w:<>&*]+|&&?|"
-    r"GPSA_\w+\([^()]*\)|\s)*)"          # trailer (annotations etc.)
-    r"\{", re.DOTALL)
+# A function definition head, found by the token walk in function_heads:
+# a name (`f`, `A::b`, `A::~A`) at a definition boundary (`;{}()`, a line
+# start or the file start), after at most a return type of
+# RETURN_TYPE_CHARS that ends in whitespace; then `(`, a parameter list
+# with no `;{}`, and the last `)` before the `{` whose tail is a trailer
+# of qualifiers and annotations.
+RETURN_TYPE_CHARS = frozenset(string.ascii_letters + string.digits +
+                              "_:<>,*&~[]")
+TRAILER_RE = re.compile(
+    r"(?:const|noexcept|override|final|->\s*[\w:<>&*]+|&&?|"
+    r"GPSA_\w+\([^()]*\)|\s)*")
 REQUIRES_IN_TRAILER_RE = re.compile(r"GPSA_REQUIRES\(([^)]*)\)")
 REQUIRES_DECL_RE = re.compile(
     r"(\w+)\s*\([^;{})]*\)\s*(?:const\s*)?"
@@ -292,7 +197,6 @@ MANUAL_LOCK_RE = re.compile(r"\b([\w.\->\[\]]+?)(?:\.|->)lock\s*\(\s*\)")
 MANUAL_UNLOCK_RE = re.compile(r"\b([\w.\->\[\]]+?)(?:\.|->)unlock\s*\(\s*\)")
 CALL_RE = re.compile(
     r"([A-Za-z_][\w.\[\]>-]*(?:\.|->))?((?:\w+::)*\w+)\s*\(")
-BRACE_RE = re.compile(r"[{}]")
 
 BLOCKING_RES = (
     (re.compile(r"(?:\.|->)wait\s*\("), "condition-variable/atomic wait"),
@@ -368,19 +272,95 @@ def innermost_class(classes: list[ClassInfo], pos: int) -> ClassInfo | None:
     return best
 
 
-def parse_classes(stripped: str, rel: str) -> list[ClassInfo]:
+def parse_classes(src: SourceFile) -> list[ClassInfo]:
     out = []
-    for m in CLASS_RE.finditer(stripped):
+    for m in CLASS_RE.finditer(src.code):
         open_pos = m.end() - 1
-        end = match_brace(stripped, open_pos)
         bases = ()
         if m.group(2):
             bases = tuple(
                 re.sub(r"<.*", "", b.strip().split()[-1])
                 for b in m.group(2).split(",") if b.strip())
-        out.append(ClassInfo(name=m.group(1), file=rel, start=open_pos,
-                             end=end, bases=bases))
+        out.append(ClassInfo(name=m.group(1), file=src.rel, start=open_pos,
+                             end=src.match_brace(open_pos), bases=bases))
     return out
+
+
+def function_heads(src: SourceFile):
+    """Yields (name, name offset, params, trailer, `{` offset) for each
+    function definition head, keywords (`if (x) {`) included, in file
+    order. The walk resumes inside each body, so nested heads (a lambda
+    bound by a constructor call, say) are found too."""
+    toks = src.tokens
+    code = src.code
+    # stop[k]: index of the first `;`, `{` or `}` token at or after k.
+    stop = [len(toks)] * (len(toks) + 1)
+    for k in range(len(toks) - 1, -1, -1):
+        stop[k] = k if toks[k][1] in (";", "{", "}") else stop[k + 1]
+    resume = 0
+    for i, (paren, tok) in enumerate(toks):
+        if tok != "(" or i == 0 or paren < resume:
+            continue
+        e = stop[i]
+        if e == len(toks) or toks[e][1] != "{":
+            continue
+        open_pos = toks[e][0]
+        close = next((toks[k][0] for k in range(e - 1, i, -1)
+                      if toks[k][1] == ")" and
+                      TRAILER_RE.fullmatch(code, toks[k][0] + 1, open_pos)),
+                     None)
+        j = _name_start(toks, i)
+        if close is None or j is None or \
+                not _at_boundary(toks, j, code, resume):
+            continue
+        name_pos = toks[j][0]
+        yield (code[name_pos:toks[i - 1][0] + len(toks[i - 1][1])],
+               name_pos, code[paren + 1:close], code[close + 1:open_pos],
+               open_pos)
+        resume = open_pos + 1
+
+
+def _name_start(toks: list[tuple[int, str]], i: int) -> int | None:
+    """Index of the first token of the (qualified) name ending just
+    before the `(` at toks[i], or None."""
+    def word(k: int) -> bool:
+        return toks[k][1][0].isalpha() or toks[k][1][0] == "_"
+
+    def touches(k: int) -> bool:  # no space between toks[k] and toks[k+1]
+        return toks[k][0] + len(toks[k][1]) == toks[k + 1][0]
+
+    j = i - 1
+    if not word(j):
+        return None
+    if j >= 1 and toks[j - 1][1] == "~" and touches(j - 1):
+        j -= 1
+    while j >= 2 and toks[j - 1][1] == "::" and touches(j - 1) \
+            and word(j - 2) and touches(j - 2):
+        j -= 2
+    return j
+
+
+def _at_boundary(toks: list[tuple[int, str]], j: int, code: str,
+                 resume: int) -> bool:
+    """True when the name at toks[j] starts a definition: walking back
+    over a return type that ends in whitespace reaches a boundary at or
+    after `resume`."""
+    end = toks[j][0]
+    for k in range(j - 1, -2, -1):
+        prev_end = toks[k][0] + len(toks[k][1]) if k >= 0 else 0
+        newline = code.rfind("\n", prev_end, end)
+        if newline >= 0:
+            return newline >= resume
+        if k < 0:
+            return resume == 0
+        tok = toks[k][1]
+        if tok in (";", "{", "}", "(", ")"):
+            return toks[k][0] >= resume
+        if not RETURN_TYPE_CHARS.issuperset(tok) or \
+                (k == j - 1 and prev_end == end):
+            return False
+        end = toks[k][0]
+    return False
 
 
 def root_identifier(expr: str) -> str:
@@ -397,40 +377,32 @@ def trailing_identifier(expr: str) -> str:
     return parts[-1].strip("[]() ")
 
 
-class StructuralFrontend:
-    """Builds the Model from raw project sources."""
+class ModelBuilder:
+    """Builds the Model from the project's sources."""
 
-    def __init__(self, root: Path):
-        self.root = root
+    def __init__(self):
         self.model = Model()
-        self._raw_lines: dict[str, list[str]] = {}
-
-    def raw_line(self, rel: str, line: int) -> str:
-        lines = self._raw_lines.get(rel, [])
-        return lines[line - 1] if 1 <= line <= len(lines) else ""
 
     def load(self, files: list[tuple[Path, str]]):
-        texts = {}
+        sources = []
         for path, rel in files:
             try:
-                text = path.read_text(encoding="utf-8", errors="replace")
+                sources.append(SourceFile.read(path, rel))
             except OSError:
                 continue
-            self._raw_lines[rel] = text.splitlines()
-            texts[rel] = strip_comments_and_strings(text)
         # Pass 1: classes + mutex members + REQUIRES declarations.
         spans = {}
-        for rel, stripped in texts.items():
-            classes = parse_classes(stripped, rel)
-            spans[rel] = classes
+        for src in sources:
+            classes = parse_classes(src)
+            spans[src.rel] = classes
             for cls in classes:
-                body = stripped[cls.start:cls.end]
+                body = src.code[cls.start:cls.end]
                 for m in MUTEX_MEMBER_RE.finditer(body):
                     member = m.group(1)
                     lock_id = f"{cls.name}::{member}"
                     cls.mutexes[member] = lock_id
                     self.model.lock_decls[lock_id] = (
-                        f"{rel}:{line_of(stripped, cls.start + m.start())}")
+                        f"{src.rel}:{src.line(cls.start + m.start())}")
                     self.model.mutex_owners.setdefault(member, []).append(
                         cls.name)
                 for m in REQUIRES_DECL_RE.finditer(body):
@@ -456,34 +428,24 @@ class StructuralFrontend:
                     if not existing.bases:
                         existing.bases = cls.bases
             # File-scope mutexes (e.g. logging's g_sink_mutex).
-            file_level = stripped
-            for m in MUTEX_MEMBER_RE.finditer(file_level):
+            for m in MUTEX_MEMBER_RE.finditer(src.code):
                 if innermost_class(classes, m.start()) is None:
-                    lock_id = m.group(1)
                     self.model.lock_decls.setdefault(
-                        lock_id, f"{rel}:{line_of(stripped, m.start())}")
+                        m.group(1), f"{src.rel}:{src.line(m.start())}")
         # Pass 2: function definitions with bodies.
-        for rel, stripped in texts.items():
-            self._parse_functions(rel, stripped, spans[rel])
+        for src in sources:
+            self._parse_functions(src, spans[src.rel])
 
     # -- function parsing -------------------------------------------------
 
-    def _parse_functions(self, rel: str, stripped: str,
-                         classes: list[ClassInfo]):
-        pos = 0
-        while True:
-            m = FUNC_DEF_RE.search(stripped, pos)
-            if m is None:
-                break
-            name = m.group(1)
-            open_pos = m.end() - 1
+    def _parse_functions(self, src: SourceFile, classes: list[ClassInfo]):
+        for name, name_pos, params, trailer, open_pos in function_heads(src):
             unqualified = name.split("::")[-1]
             if (unqualified in KEYWORDS or name.startswith("operator")
                     or "::operator" in name):
-                pos = m.end()
                 continue
-            end = match_brace(stripped, open_pos)
-            cls_info = innermost_class(classes, m.start(1))
+            end = src.match_brace(open_pos)
+            cls_info = innermost_class(classes, name_pos)
             if "::" in name:
                 qname = name
                 cls_name = name.rsplit("::", 1)[0].split("::")[-1]
@@ -493,18 +455,17 @@ class StructuralFrontend:
             else:
                 qname = name
                 cls_name = None
-            fn = Function(qname=qname, cls=cls_name, file=rel,
-                          line=line_of(stripped, m.start(1)),
-                          params=m.group(2) or "",
-                          body=stripped[open_pos:end])
+            fn = Function(qname=qname, cls=cls_name, file=src.rel,
+                          line=src.line(name_pos), params=params,
+                          body=src.code[open_pos:end])
             requires = []
-            for rm in REQUIRES_IN_TRAILER_RE.finditer(m.group(3) or ""):
+            for rm in REQUIRES_IN_TRAILER_RE.finditer(trailer):
                 for arg in rm.group(1).split(","):
                     requires.append(self._resolve_lock(
                         arg.strip(), cls_name, None))
             hdr_req = self.model.requires.get(qname, ())
             fn.requires = tuple(dict.fromkeys([*requires, *hdr_req]))
-            self._parse_body(fn, stripped, open_pos, end, rel, cls_name)
+            self._parse_body(fn, src, open_pos, end, cls_name)
             if cls_name is not None and cls_name in self.model.classes:
                 self.model.classes[cls_name].methods.add(unqualified)
             # Keep the richer definition when a name collides (e.g. a
@@ -515,7 +476,6 @@ class StructuralFrontend:
                 if prior is None:
                     self.model.by_name.setdefault(
                         unqualified, []).append(qname)
-            pos = open_pos + 1  # allow nested lambdas to be re-scanned
 
     def _resolve_lock(self, expr: str, cls_name: str | None,
                       local_locks: dict[str, str] | None) -> str:
@@ -536,9 +496,9 @@ class StructuralFrontend:
             return f"{cls_name}::{member}"  # best effort
         return member
 
-    def _parse_body(self, fn: Function, stripped: str, start: int, end: int,
-                    rel: str, cls_name: str | None):
-        body = stripped[start:end]
+    def _parse_body(self, fn: Function, src: SourceFile, start: int,
+                    end: int, cls_name: str | None):
+        body = src.code[start:end]
 
         # Lambdas passed to deferred-execution sinks (IoThreadPool::submit,
         # std::thread, ...) run on another thread: split each off into a
@@ -554,15 +514,15 @@ class StructuralFrontend:
             mpre = re.search(r"(\w+)\s*\(\s*(?:[^()]*,)?\s*$", pre)
             if not (mpre and mpre.group(1) in DEFER_SINKS):
                 continue
-            close_b = match_brace(body, open_b)
+            close_b = src.match_brace(start + open_b) - start
             deferred.append((open_b, close_b))
-            lam_line = line_of(stripped, start + open_b)
+            lam_line = src.line(start + open_b)
             synth = Function(
                 qname=f"{fn.qname}::{{lambda:{lam_line}}}", cls=cls_name,
-                file=rel, line=lam_line, params=fn.params,
+                file=src.rel, line=lam_line, params=fn.params,
                 body=body[open_b:close_b + 1])
-            self._parse_body(synth, stripped, start + open_b,
-                             start + close_b + 1, rel, cls_name)
+            self._parse_body(synth, src, start + open_b,
+                             start + close_b + 1, cls_name)
             self.model.functions[synth.qname] = synth
         if deferred:
             chars = list(body)
@@ -574,13 +534,12 @@ class StructuralFrontend:
             fn.body = body
 
         def allowed(line: int, rule: str) -> bool:
-            m = ALLOW_RE.search(self.raw_line(rel, line))
-            return bool(m and m.group(1) == rule)
+            return src.allowed(TOOL, line, rule)
 
         # Scope-tracked held set: events in offset order.
-        events = []
-        for m in BRACE_RE.finditer(body):
-            events.append((m.start(), "brace", m.group(), None))
+        events = [(pos - start, "brace", tok, None)
+                  for pos, tok in src.braces(start, end)
+                  if not any(ob <= pos - start <= cb for ob, cb in deferred)]
         lock_vars: dict[str, str] = {}
         for m in MUTEXLOCK_RE.finditer(body):
             lock_id = self._resolve_lock(m.group(2), cls_name, None)
@@ -626,7 +585,7 @@ class StructuralFrontend:
         stream = sorted(events + marks, key=lambda e: e[0])
 
         for pos, kind, a, b in stream:
-            line = line_of(stripped, start + pos)
+            line = src.line(start + pos)
             if kind == "brace":
                 if a == "{":
                     frames.append({})
@@ -650,17 +609,15 @@ class StructuralFrontend:
                     what=a, line=line,
                     allowed=allowed(line, "actor-blocking")))
             elif kind == "lease":
-                raw = self.raw_line(rel, line)
-                note = TRANSFER_RE.search(raw)
                 fn.leases.append(LeaseSite(
                     target=a, line=line,
                     allowed=allowed(line, "lease-balance"),
-                    transfer_note=note.group(1) if note else ""))
+                    transfer_note=src.note(TOOL, "transfer", line) or ""))
         # GPSA_LOG acquires the logging sink mutex behind the macro; model
         # it so "holding X while logging" edges exist in the graph.
         if "g_sink_mutex" in self.model.lock_decls:
             for m in re.finditer(r"\bGPSA_LOG\s*\(", body):
-                line = line_of(stripped, start + m.start())
+                line = src.line(start + m.start())
                 fn.acquisitions.append(Acquisition(
                     lock="g_sink_mutex", line=line, held=(),
                     allowed=allowed(line, "lock-order")))
@@ -668,72 +625,6 @@ class StructuralFrontend:
     def _is_known_lock(self, lock_id: str) -> bool:
         return (lock_id in self.model.lock_decls
                 or lock_id.split("::")[-1] in self.model.mutex_owners)
-
-
-def try_libclang_refinement(model: Model, files: list[tuple[Path, str]],
-                            compile_commands: Path | None) -> str:
-    """When python-clang is importable, re-derives call edges from the
-    real AST (exact overload/receiver resolution) and merges them into
-    the structural model. Returns the frontend tag actually in effect."""
-    try:
-        import clang.cindex  # type: ignore[import-not-found]
-    except ImportError:
-        return "structural"
-    try:
-        index = clang.cindex.Index.create()
-    except Exception:  # missing libclang.so despite bindings
-        return "structural"
-    if compile_commands is None:
-        return "structural"
-    try:
-        db = clang.cindex.CompilationDatabase.fromDirectory(
-            str(compile_commands.parent))
-    except Exception:
-        return "structural"
-    kinds = clang.cindex.CursorKind
-    for path, rel in files:
-        if path.suffix != ".cpp":
-            continue
-        commands = db.getCompileCommands(str(path))
-        if not commands:
-            continue
-        args = [a for a in list(commands[0].arguments)[1:]
-                if a not in ("-c", "-o", str(path))]
-        try:
-            tu = index.parse(str(path), args=args)
-        except Exception:
-            continue
-
-        def walk(cursor, current):
-            if cursor.kind in (kinds.CXX_METHOD, kinds.FUNCTION_DECL,
-                               kinds.CONSTRUCTOR, kinds.DESTRUCTOR):
-                if cursor.is_definition():
-                    parent = cursor.semantic_parent
-                    qname = cursor.spelling
-                    if parent is not None and parent.kind in (
-                            kinds.CLASS_DECL, kinds.STRUCT_DECL,
-                            kinds.CLASS_TEMPLATE):
-                        qname = f"{parent.spelling}::{cursor.spelling}"
-                    current = model.functions.get(qname)
-            elif cursor.kind == kinds.CALL_EXPR and current is not None:
-                ref = cursor.referenced
-                if ref is not None:
-                    parent = ref.semantic_parent
-                    callee = ref.spelling
-                    if parent is not None and parent.kind in (
-                            kinds.CLASS_DECL, kinds.STRUCT_DECL,
-                            kinds.CLASS_TEMPLATE):
-                        callee = f"{parent.spelling}::{ref.spelling}"
-                    if callee in model.functions:
-                        loc = cursor.location
-                        current.calls.append(CallSite(
-                            name=callee, receiver="", line=loc.line,
-                            held=()))
-            for child in cursor.get_children():
-                walk(child, current)
-
-        walk(tu.cursor, None)
-    return "libclang+structural"
 
 
 # --- Call resolution ----------------------------------------------------
@@ -797,9 +688,6 @@ def scoped_candidates(model: Model, cls: str, name: str) -> list[str]:
         out.extend(f"{c}::{name}" for c in derived
                    if f"{c}::{name}" not in out)
     return out
-
-
-VEC_ELEM_RE = re.compile(r"std::vector<\s*(\w+)\s*\*?\s*>")
 
 
 def infer_receiver_class(model: Model, fn: Function,
@@ -1046,36 +934,26 @@ def check_lease_balance(model: Model) -> list[dict]:
         for lease in fn.leases:
             if lease.allowed or lease.transfer_note:
                 continue
-            if qname in LEASE_TRANSFER_ALLOWLIST:
-                continue
+            # Balanced when the buffer is std::move()d in this function:
+            # back to the pool (`recycle(std::move(b))`) or to a new owner.
+            # Another buffer's recycle() does not balance this lease.
             root = root_identifier(lease.target) if lease.target else ""
-            balanced = False
-            if root:
-                if re.search(r"recycle\s*\(\s*std::move\s*\(\s*" +
-                             re.escape(root), fn.body):
-                    balanced = True
-                elif re.search(r"\bstd::move\s*\(\s*" + re.escape(root) +
-                               r"\b", fn.body):
-                    balanced = True  # ownership transfer
-            if not balanced and "recycle" in fn.body:
-                # recycle of some buffer in the same function: accept only
-                # exact-root matches above; a generic recycle() elsewhere
-                # does not balance THIS lease.
-                balanced = False
-            if not balanced:
-                what = (f"leased buffer `{lease.target}`" if lease.target
-                        else "discarded lease() result")
-                findings.append({
-                    "rule": "lease-balance",
-                    "file": fn.file,
-                    "line": lease.line,
-                    "message": (f"{what} in {qname} neither reaches "
-                                "recycle() nor is std::move()d to a new "
-                                "owner; recycle it, transfer it, or "
-                                "document with // gpsa-analyze: "
-                                "transfer(<why>)"),
-                    "path": [f"{fn.file}:{lease.line}: lease in {qname}"],
-                })
+            if root and re.search(r"\bstd::move\s*\(\s*" +
+                                  re.escape(root) + r"\b", fn.body):
+                continue
+            what = (f"leased buffer `{lease.target}`" if lease.target
+                    else "discarded lease() result")
+            findings.append({
+                "rule": "lease-balance",
+                "file": fn.file,
+                "line": lease.line,
+                "message": (f"{what} in {qname} neither reaches "
+                            "recycle() nor is std::move()d to a new "
+                            "owner; recycle it, transfer it, or "
+                            "document with // gpsa-analyze: "
+                            "transfer(<why>)"),
+                "path": [f"{fn.file}:{lease.line}: lease in {qname}"],
+            })
     return findings
 
 
@@ -1125,45 +1003,13 @@ def check_coverage(compile_commands: Path | None, root: Path,
 # --- Driver -------------------------------------------------------------
 
 
-def collect_files(root: Path, compile_commands: Path | None,
-                  explicit: list[str]) -> list[tuple[Path, str]]:
-    pairs: dict[str, Path] = {}
-
-    def add(p: Path):
-        p = p.resolve()
-        try:
-            rel = p.relative_to(root).as_posix()
-        except ValueError:
-            rel = p.as_posix()
-        pairs.setdefault(rel, p)
-
-    if explicit:
-        for name in explicit:
-            add(Path(name))
-        return sorted((p, rel) for rel, p in pairs.items())
-    for pattern in ("src/**/*.hpp", "src/**/*.cpp"):
-        for p in sorted(root.glob(pattern)):
-            add(p)
-    if compile_commands is not None:
-        try:
-            db = json.loads(compile_commands.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as err:
-            print(f"gpsa_analyze: cannot read {compile_commands}: {err}",
-                  file=sys.stderr)
-            sys.exit(2)
-        for entry in db:
-            p = (Path(entry["directory"]) / entry["file"]).resolve()
-            if p.suffix in (".cpp", ".hpp") and \
-                    p.is_relative_to(root / "src"):
-                add(p)
-    return sorted((p, rel) for rel, p in pairs.items())
-
-
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--compile-commands", type=Path, default=None)
+    parser.add_argument("--compile-commands", type=Path, default=None,
+                        help="compilation database --require-covered "
+                             "checks")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON on stdout")
     parser.add_argument("--report", type=Path, default=None,
@@ -1177,25 +1023,23 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
-    files = collect_files(root, args.compile_commands, args.files)
-    frontend = StructuralFrontend(root)
-    frontend.load(files)
-    tag = try_libclang_refinement(frontend.model, files,
-                                  args.compile_commands)
+    files = collect_files(root, args.files)
+    builder = ModelBuilder()
+    builder.load(files)
+    model = builder.model
 
     findings = []
-    findings.extend(check_lock_order(frontend.model))
-    findings.extend(check_actor_blocking(frontend.model))
-    findings.extend(check_lease_balance(frontend.model))
+    findings.extend(check_lock_order(model))
+    findings.extend(check_actor_blocking(model))
+    findings.extend(check_lease_balance(model))
     findings.extend(check_coverage(args.compile_commands, root,
                                    args.require_covered))
     findings.sort(key=lambda f: (f["file"], f["line"], f["rule"]))
 
     report = {
-        "frontend": tag,
         "files_analyzed": len(files),
-        "functions": len(frontend.model.functions),
-        "locks": sorted(frontend.model.lock_decls),
+        "functions": len(model.functions),
+        "locks": sorted(model.lock_decls),
         "blocking_allowlist": sorted(BLOCKING_ALLOWLIST),
         "findings": findings,
     }
@@ -1206,13 +1050,10 @@ def main(argv: list[str]) -> int:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        for f in findings:
-            print(f"{f['file']}:{f['line']}: [{f['rule']}] {f['message']}")
-            for step in f.get("path", []):
-                print(f"    {step}")
-        print(f"gpsa_analyze[{tag}]: {len(files)} files, "
-              f"{len(frontend.model.functions)} functions, "
-              f"{len(frontend.model.lock_decls)} locks, "
+        print_findings(findings)
+        print(f"gpsa_analyze: {len(files)} files, "
+              f"{len(model.functions)} functions, "
+              f"{len(model.lock_decls)} locks, "
               f"{len(findings)} finding(s)",
               file=sys.stderr)
     return 1 if findings else 0

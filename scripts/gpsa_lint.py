@@ -47,34 +47,31 @@ express and clang-tidy does not know about:
                    supersteps stay zero-allocation (DESIGN.md §11).
                    Declared buffer names are collected from the file and,
                    for a .cpp, its same-stem .hpp.
-  lease-escape     a MessageBatchPool::lease() result stored straight into
-                   a member (`foo_ = ....lease()`). Parking a leased batch
-                   in a member moves its recycle obligation out of the
-                   leasing function, where the per-function balance check
-                   (gpsa_analyze lease-balance) can no longer see it.
-                   Every such escape needs an ownership note:
-                   `// gpsa-lint: allow(lease-escape)` plus a comment
-                   naming who recycles the batch.
+
+Leases, member stores included, are gpsa_analyze.py's lease-balance rule.
 
 Suppression: append `// gpsa-lint: allow(<rule>)` to the offending line.
 
 Usage:
-  gpsa_lint.py [--root DIR] [--compile-commands JSON] [--json] [files...]
+  gpsa_lint.py [--root DIR] [--json] [files...]
 
 With no file arguments the linter scans <root>/src/**/*.{hpp,cpp} (tests
-and benches may legitimately poke at internals). --compile-commands adds
-that database's source files (when under <root>) to the scan set, so
-generated or out-of-tree sources get linted too. Exit status is 1 when
-findings remain after suppression, 0 otherwise.
+and benches may legitimately poke at internals). It reads the tree
+through scripts/cpp_source.py, the source frontend it shares with
+gpsa_analyze.py. Exit status is 1 when findings remain after
+suppression, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from pathlib import Path
+
+from cpp_source import SourceFile, collect_files, print_findings
 
 # --- Per-rule path exemptions (relative to <root>, '/'-separated). ------
 # A trailing '/' exempts the whole directory. These are the audited
@@ -127,10 +124,10 @@ LOCKED_NOTIFY_OPT_IN = (
 
 RULES = ("memory-order", "slot-atomic-ref", "bitmap-atomic-ref",
          "locked-notify", "check-macro", "raw-io", "raw-socket",
-         "raw-getenv", "msg-buffer-alloc", "lease-escape")
+         "raw-getenv", "msg-buffer-alloc")
 
+TOOL = "gpsa-lint"  # the suppression-comment prefix
 MARKER_RE = re.compile(r"//\s*gpsa-lint:\s*locked-notify\b")
-ALLOW_RE = re.compile(r"//\s*gpsa-lint:\s*allow\(([a-z-]+)\)")
 
 MEMORY_ORDER_RE = re.compile(r"\bstd::memory_order_\w+")
 SLOT_ATOMIC_REF_RE = re.compile(r"\bstd::atomic_ref<[^<>;(){}]*\bSlot\b")
@@ -163,12 +160,6 @@ MSG_VEC_NAME_RE = re.compile(
 MSG_VEC_SIZED_CTOR_RE = re.compile(
     r"vector<\s*(?:gpsa::)?VertexMessage\s*>\s*(?:\w+\s*)?[({]\s*[^)}\s]")
 
-# Member-variable LHS (trailing-underscore convention, optionally
-# indexed) assigned from a lease() call. `(?!=)` keeps `==` comparisons
-# out; the character class spans newlines so wrapped assignments match.
-LEASE_ESCAPE_RE = re.compile(
-    r"\b(\w+_)(?:\[[^\]]*\])?\s*=(?!=)[^;=]*?\blease\s*\(")
-
 LOCK_DECL_RE = re.compile(
     r"\b(?:gpsa::)?(?:MutexLock|std::lock_guard<[^;{}]*?>"
     r"|std::unique_lock<[^;{}]*?>|std::scoped_lock(?:<[^;{}]*?>)?)"
@@ -176,73 +167,6 @@ LOCK_DECL_RE = re.compile(
 UNLOCK_RE = re.compile(r"\b(\w+)\.unlock\s*\(")
 RELOCK_RE = re.compile(r"\b(\w+)\.lock\s*\(")
 NOTIFY_RE = re.compile(r"\b\w+(?:\.|->)notify_(?:one|all)\s*\(")
-BRACE_RE = re.compile(r"[{}]")
-
-
-def strip_comments_and_strings(text: str) -> str:
-    """Blanks comments and string/char literals, preserving newlines and
-    column positions so line/offset arithmetic on the result matches the
-    original file."""
-    out = []
-    i = 0
-    n = len(text)
-    NORMAL, LINE, BLOCK, STR, CHAR = range(5)
-    state = NORMAL
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == NORMAL:
-            if c == "/" and nxt == "/":
-                state = LINE
-                out.append("  ")
-                i += 2
-            elif c == "/" and nxt == "*":
-                state = BLOCK
-                out.append("  ")
-                i += 2
-            elif c == '"':
-                state = STR
-                out.append(" ")
-                i += 1
-            elif c == "'":
-                state = CHAR
-                out.append(" ")
-                i += 1
-            else:
-                out.append(c)
-                i += 1
-        elif state == LINE:
-            if c == "\n":
-                state = NORMAL
-                out.append("\n")
-            else:
-                out.append(" ")
-            i += 1
-        elif state == BLOCK:
-            if c == "*" and nxt == "/":
-                state = NORMAL
-                out.append("  ")
-                i += 2
-            else:
-                out.append("\n" if c == "\n" else " ")
-                i += 1
-        else:  # STR or CHAR
-            quote = '"' if state == STR else "'"
-            if c == "\\" and nxt:
-                out.append("  ")
-                i += 2
-            elif c == quote:
-                state = NORMAL
-                out.append(" ")
-                i += 1
-            elif c == "\n":  # unterminated literal; keep line counts sane
-                state = NORMAL
-                out.append("\n")
-                i += 1
-            else:
-                out.append(" ")
-                i += 1
-    return "".join(out)
 
 
 def path_exempt(rel: str, allowed: tuple[str, ...]) -> bool:
@@ -255,38 +179,75 @@ def path_exempt(rel: str, allowed: tuple[str, ...]) -> bool:
     return False
 
 
-def line_of(text: str, pos: int) -> int:
-    return text.count("\n", 0, pos) + 1
+# The one-regex rules: (rule, exempt paths, pattern, message). `{0}` in
+# the message is the pattern's first group, or the whole match.
+PATTERN_RULES = (
+    ("memory-order", MEMORY_ORDER_ALLOWED, MEMORY_ORDER_RE,
+     "naked {0} outside the lock-free substrate; use the annotated "
+     "Mutex/MutexLock wrappers or default-order atomics, or move the code "
+     "into an allowlisted file"),
+    ("slot-atomic-ref", SLOT_ATOMIC_REF_ALLOWED, SLOT_ATOMIC_REF_RE,
+     "direct atomic_ref over Slot storage; use the slot_load/store/consume "
+     "helpers in src/storage/slot.hpp"),
+    ("bitmap-atomic-ref", BITMAP_ATOMIC_REF_ALLOWED, BITMAP_ATOMIC_REF_RE,
+     "direct atomic_ref over active-bitmap words; use the "
+     "bitmap_word_load/set/clear helpers in src/storage/slot.hpp"),
+    ("check-macro", (), ASSERT_RE,
+     "assert() is compiled out under NDEBUG; use GPSA_CHECK (always on) "
+     "or GPSA_DCHECK (debug-only, self-documenting)"),
+    ("raw-io", RAW_IO_ALLOWED, RAW_IO_RE,
+     "raw {0}() outside src/platform/ and src/io/; go through MmapFile / "
+     "the io backends so errors carry Status and mappings are RAII-owned"),
+    ("raw-socket", RAW_SOCKET_ALLOWED, RAW_SOCKET_RE,
+     "raw ::{0}() outside src/net/; go through the Socket wrapper and "
+     "frame codec so descriptors are RAII-owned, errors carry Status, and "
+     "every byte on the wire is a checksummed frame"),
+    ("raw-getenv", RAW_GETENV_ALLOWED, RAW_GETENV_RE,
+     "raw {0}() outside src/util/knobs.cpp; add a row to the knob table "
+     "and read it with knob<T>() so the value is parsed and range-checked "
+     "like every other GPSA_* knob"),
+)
+
+LOCKED_NOTIFY_MESSAGE = (
+    "notify outside the guarding lock in a locked-notify file; the waiter "
+    "may destroy the condition variable between your unlock and this "
+    "notify")
+
+MSG_BUFFER_ALLOC_MESSAGE = (
+    "sized allocation of a VertexMessage batch buffer outside "
+    "MessageBatchPool; lease()/recycle() through the pool "
+    "(src/core/message_pool.hpp) so steady-state supersteps stay "
+    "zero-allocation")
 
 
-def check_locked_notify(stripped: str):
-    """Yields (line, message) for notify calls made with no lock held.
+@functools.lru_cache(maxsize=None)
+def read_source(path: Path, rel: str) -> SourceFile:
+    """Each file is lexed once, though a header is also read for its
+    same-stem .cpp (msg_buffer_names)."""
+    return SourceFile.read(path, rel)
+
+
+def check_locked_notify(src: SourceFile):
+    """Yields the offset of each notify call made with no lock held.
 
     Tracks brace scopes and the RAII lock objects declared in each; a
     notify is fine when any scope in the stack holds a live lock. This is
     lexical, not a dataflow analysis — conditionally released locks should
     restructure or use `// gpsa-lint: allow(locked-notify)`.
     """
-    events = []
-    for m in BRACE_RE.finditer(stripped):
-        events.append((m.start(), "open" if m.group() == "{" else "close",
-                       None))
-    for m in LOCK_DECL_RE.finditer(stripped):
-        events.append((m.start(), "decl", m.group(1)))
-    for m in UNLOCK_RE.finditer(stripped):
-        events.append((m.start(), "unlock", m.group(1)))
-    for m in RELOCK_RE.finditer(stripped):
-        events.append((m.start(), "relock", m.group(1)))
-    for m in NOTIFY_RE.finditer(stripped):
-        events.append((m.start(), "notify", None))
+    events = [(pos, tok, None) for pos, tok in src.brace_list]
+    for kind, regex in (("decl", LOCK_DECL_RE), ("unlock", UNLOCK_RE),
+                        ("relock", RELOCK_RE), ("notify", NOTIFY_RE)):
+        events.extend((m.start(), kind, m.group(m.lastindex or 0))
+                      for m in regex.finditer(src.code))
     events.sort(key=lambda e: e[0])
 
     frames: list[set] = [set()]
     declared: set = set()
     for pos, kind, name in events:
-        if kind == "open":
+        if kind == "{":
             frames.append(set())
-        elif kind == "close":
+        elif kind == "}":
             if len(frames) > 1:
                 frames.pop()
         elif kind == "decl":
@@ -298,183 +259,69 @@ def check_locked_notify(stripped: str):
         elif kind == "relock":
             if name in declared:  # ignore foo.lock() on non-RAII objects
                 frames[-1].add(name)
-        elif kind == "notify":
-            if not any(frames):
-                yield (line_of(stripped, pos),
-                       "notify outside the guarding lock in a locked-notify "
-                       "file; the waiter may destroy the condition variable "
-                       "between your unlock and this notify")
+        elif not any(frames):  # notify
+            yield pos
 
 
-def msg_buffer_names(path: Path, stripped: str) -> set[str]:
+def msg_buffer_names(path: Path, src: SourceFile) -> set[str]:
     """Names declared as std::vector<VertexMessage> (or a vector of them)
     in this file and, for a .cpp, in its same-stem .hpp — so member
     buffers declared in the header are recognized in the implementation
     file."""
-    names = {m.group(1) for m in MSG_VEC_NAME_RE.finditer(stripped)}
-    if path.suffix == ".cpp":
-        header = path.with_suffix(".hpp")
-        if header.is_file():
-            try:
-                header_text = header.read_text(encoding="utf-8",
-                                               errors="replace")
-            except OSError:
-                return names
-            header_stripped = strip_comments_and_strings(header_text)
-            names |= {m.group(1)
-                      for m in MSG_VEC_NAME_RE.finditer(header_stripped)}
+    names = {m.group(1) for m in MSG_VEC_NAME_RE.finditer(src.code)}
+    header = path.with_suffix(".hpp")
+    if path.suffix == ".cpp" and header.is_file():
+        try:
+            header_src = read_source(header, src.rel[:-4] + ".hpp")
+        except OSError:
+            return names
+        names |= {m.group(1)
+                  for m in MSG_VEC_NAME_RE.finditer(header_src.code)}
     return names
 
 
-def check_msg_buffer_alloc(path: Path, stripped: str):
-    """Yields (line, message) for sized VertexMessage-buffer allocation."""
-    message = ("sized allocation of a VertexMessage batch buffer outside "
-               "MessageBatchPool; lease()/recycle() through the pool "
-               "(src/core/message_pool.hpp) so steady-state supersteps "
-               "stay zero-allocation")
-    names = msg_buffer_names(path, stripped)
+def check_msg_buffer_alloc(path: Path, src: SourceFile):
+    """Yields the offset of each sized VertexMessage-buffer allocation."""
+    names = msg_buffer_names(path, src)
     if names:
         use_re = re.compile(
             r"\b(?:" + "|".join(sorted(re.escape(n) for n in names)) +
             r")\.(?:reserve|resize)\s*\(")
-        for m in use_re.finditer(stripped):
-            yield line_of(stripped, m.start()), message
-    for m in MSG_VEC_SIZED_CTOR_RE.finditer(stripped):
-        yield line_of(stripped, m.start()), message
+        yield from (m.start() for m in use_re.finditer(src.code))
+    yield from (m.start() for m in MSG_VEC_SIZED_CTOR_RE.finditer(src.code))
 
 
 def lint_file(path: Path, rel: str):
     """Yields finding dicts for one file."""
     try:
-        text = path.read_text(encoding="utf-8", errors="replace")
+        src = read_source(path, rel)
     except OSError as err:
         yield {"rule": "io-error", "file": rel, "line": 0,
                "message": f"unreadable: {err}"}
         return
 
-    raw_lines = text.splitlines()
-    stripped = strip_comments_and_strings(text)
+    found = []  # (rule, line, message)
+    for rule, exempt, pattern, message in PATTERN_RULES:
+        if not path_exempt(rel, exempt):
+            found.extend((rule, src.line(m.start()),
+                          message.format(m.group(m.lastindex or 0)))
+                         for m in pattern.finditer(src.code))
 
-    def allowed_on_line(line: int, rule: str) -> bool:
-        if 1 <= line <= len(raw_lines):
-            m = ALLOW_RE.search(raw_lines[line - 1])
-            return bool(m and m.group(1) == rule)
-        return False
-
-    def emit(rule: str, line: int, message: str):
-        if not allowed_on_line(line, rule):
-            yield {"rule": rule, "file": rel, "line": line,
-                   "message": message}
-
-    if not path_exempt(rel, MEMORY_ORDER_ALLOWED):
-        for m in MEMORY_ORDER_RE.finditer(stripped):
-            yield from emit(
-                "memory-order", line_of(stripped, m.start()),
-                f"naked {m.group()} outside the lock-free substrate; use "
-                "the annotated Mutex/MutexLock wrappers or default-order "
-                "atomics, or move the code into an allowlisted file")
-
-    if not path_exempt(rel, SLOT_ATOMIC_REF_ALLOWED):
-        for m in SLOT_ATOMIC_REF_RE.finditer(stripped):
-            yield from emit(
-                "slot-atomic-ref", line_of(stripped, m.start()),
-                "direct atomic_ref over Slot storage; use the "
-                "slot_load/store/consume helpers in src/storage/slot.hpp")
-
-    if not path_exempt(rel, BITMAP_ATOMIC_REF_ALLOWED):
-        for m in BITMAP_ATOMIC_REF_RE.finditer(stripped):
-            yield from emit(
-                "bitmap-atomic-ref", line_of(stripped, m.start()),
-                "direct atomic_ref over active-bitmap words; use the "
-                "bitmap_word_load/set/clear helpers in "
-                "src/storage/slot.hpp")
-
-    if MARKER_RE.search(text) or path_exempt(rel, LOCKED_NOTIFY_OPT_IN):
-        for line, message in check_locked_notify(stripped):
-            yield from emit("locked-notify", line, message)
-
-    for m in LEASE_ESCAPE_RE.finditer(stripped):
-        yield from emit(
-            "lease-escape", line_of(stripped, m.start()),
-            f"lease() result parked in member `{m.group(1)}`; the recycle "
-            "obligation escapes the leasing function and the per-function "
-            "lease-balance check. Add // gpsa-lint: allow(lease-escape) "
-            "with a comment naming who recycles this batch")
-
-    for m in ASSERT_RE.finditer(stripped):
-        yield from emit(
-            "check-macro", line_of(stripped, m.start()),
-            "assert() is compiled out under NDEBUG; use GPSA_CHECK "
-            "(always on) or GPSA_DCHECK (debug-only, self-documenting)")
-
-    if not path_exempt(rel, RAW_IO_ALLOWED):
-        for m in RAW_IO_RE.finditer(stripped):
-            yield from emit(
-                "raw-io", line_of(stripped, m.start()),
-                f"raw {m.group(1)}() outside src/platform/ and src/io/; "
-                "go through MmapFile / the io backends so errors carry "
-                "Status and mappings are RAII-owned")
-
-    if not path_exempt(rel, RAW_SOCKET_ALLOWED):
-        for m in RAW_SOCKET_RE.finditer(stripped):
-            yield from emit(
-                "raw-socket", line_of(stripped, m.start()),
-                f"raw ::{m.group(1)}() outside src/net/; go through the "
-                "Socket wrapper and frame codec so descriptors are "
-                "RAII-owned, errors carry Status, and every byte on the "
-                "wire is a checksummed frame")
-
-    if not path_exempt(rel, RAW_GETENV_ALLOWED):
-        for m in RAW_GETENV_RE.finditer(stripped):
-            yield from emit(
-                "raw-getenv", line_of(stripped, m.start()),
-                f"raw {m.group(1)}() outside src/util/knobs.cpp; add a row "
-                "to the knob table and read it with knob<T>() so the value "
-                "is parsed and range-checked like every other GPSA_* knob")
+    if any(MARKER_RE.search(note) for note in src.notes.values()) or \
+            path_exempt(rel, LOCKED_NOTIFY_OPT_IN):
+        found.extend(("locked-notify", src.line(pos), LOCKED_NOTIFY_MESSAGE)
+                     for pos in check_locked_notify(src))
 
     if not path_exempt(rel, MSG_BUFFER_ALLOC_ALLOWED):
-        seen = set()
-        for line, message in check_msg_buffer_alloc(path, stripped):
-            if line not in seen:  # name + ctor rules can overlap on a line
-                seen.add(line)
-                yield from emit("msg-buffer-alloc", line, message)
+        # The name and ctor patterns can both match on one line.
+        lines = {src.line(pos) for pos in check_msg_buffer_alloc(path, src)}
+        found.extend(("msg-buffer-alloc", line, MSG_BUFFER_ALLOC_MESSAGE)
+                     for line in lines)
 
-
-def collect_files(root: Path, compile_commands: Path | None,
-                  explicit: list[str]) -> list[tuple[Path, str]]:
-    """Returns (absolute path, root-relative display path) pairs."""
-    pairs: dict[str, Path] = {}
-
-    def add(p: Path):
-        p = p.resolve()
-        try:
-            rel = p.relative_to(root).as_posix()
-        except ValueError:
-            rel = p.as_posix()  # outside root (fixtures under odd cwd)
-        pairs.setdefault(rel, p)
-
-    if explicit:
-        for name in explicit:
-            add(Path(name))
-        return sorted((p, rel) for rel, p in pairs.items())
-
-    for pattern in ("src/**/*.hpp", "src/**/*.cpp"):
-        for p in sorted(root.glob(pattern)):
-            add(p)
-    if compile_commands is not None:
-        try:
-            db = json.loads(compile_commands.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as err:
-            print(f"gpsa_lint: cannot read {compile_commands}: {err}",
-                  file=sys.stderr)
-            sys.exit(2)
-        for entry in db:
-            p = Path(entry["directory"]) / entry["file"]
-            p = p.resolve()
-            if p.suffix in (".cpp", ".hpp") and \
-                    p.is_relative_to(root / "src"):
-                add(p)
-    return sorted((p, rel) for rel, p in pairs.items())
+    for rule, line, message in found:
+        if not src.allowed(TOOL, line, rule):
+            yield {"rule": rule, "file": rel, "line": line,
+                   "message": message}
 
 
 def main(argv: list[str]) -> int:
@@ -482,8 +329,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent,
                         help="repository root (default: scripts/..)")
-    parser.add_argument("--compile-commands", type=Path, default=None,
-                        help="compile_commands.json to widen the scan set")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON on stdout")
     parser.add_argument("files", nargs="*",
@@ -492,7 +337,7 @@ def main(argv: list[str]) -> int:
 
     root = args.root.resolve()
     findings = []
-    for path, rel in collect_files(root, args.compile_commands, args.files):
+    for path, rel in collect_files(root, args.files):
         findings.extend(lint_file(path, rel))
     findings.sort(key=lambda f: (f["file"], f["line"], f["rule"]))
 
@@ -500,8 +345,7 @@ def main(argv: list[str]) -> int:
         json.dump({"findings": findings}, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        for f in findings:
-            print(f"{f['file']}:{f['line']}: [{f['rule']}] {f['message']}")
+        print_findings(findings)
         if findings:
             print(f"gpsa_lint: {len(findings)} finding(s)", file=sys.stderr)
     return 1 if findings else 0

@@ -32,7 +32,8 @@ EXPECTED = {
     "bad_actor_blocking.cpp": [("actor-blocking", 14),
                                ("actor-blocking", 22)],
     "good_actor_blocking.cpp": [],
-    "bad_lease.cpp": [("lease-balance", 10), ("lease-balance", 14)],
+    "bad_lease.cpp": [("lease-balance", 10), ("lease-balance", 14),
+                      ("lease-balance", 20)],
     "good_lease.cpp": [],
 }
 

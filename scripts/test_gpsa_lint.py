@@ -25,12 +25,12 @@ EXPECTED = {
     "bad_slot_atomic_ref.cpp": ("slot-atomic-ref", 9),
     "bad_bitmap_atomic_ref.cpp": ("bitmap-atomic-ref", 9),
     "bad_locked_notify.cpp": ("locked-notify", 22),
+    "bad_locked_notify_separator.cpp": ("locked-notify", 16),
     "bad_assert.cpp": ("check-macro", 7),
     "bad_raw_io.cpp": ("raw-io", 6),
     "bad_raw_socket.cpp": ("raw-socket", 7),
     "bad_raw_getenv.cpp": ("raw-getenv", 7),
     "bad_msg_buffer_alloc.cpp": ("msg-buffer-alloc", 11),
-    "bad_lease_escape.cpp": ("lease-escape", 16),
 }
 
 failures = []

@@ -35,20 +35,6 @@ void suppressed_buffer_alloc() {
   buffer.reserve(1024);  // gpsa-lint: allow(msg-buffer-alloc)
 }
 
-struct Pool {
-  std::vector<VertexMessage> lease();
-};
-
-struct Stager {
-  Pool pool_;
-  std::vector<VertexMessage> staging_;
-
-  void prime() {
-    // Recycled by flush(), which moves the batch back to the pool.
-    staging_ = pool_.lease();  // gpsa-lint: allow(lease-escape)
-  }
-};
-
 struct Waitable {
   std::mutex mutex_;
   std::condition_variable cv_;
