@@ -14,8 +14,11 @@
 //     and the decoder must reproduce header and payload *exactly* (or,
 //     when the version was skewed away from the negotiated one, reject).
 //     Typed payloads that parse (HELLO, END_OF_SUPERSTEP, VALUES,
-//     SUM_BATCH) are re-encoded and parsed again:
-//     decode(encode(decode(x))) must be the identity.
+//     PARTIALS) are re-encoded and parsed again:
+//     decode(encode(decode(x))) must be the identity. A PARTIALS frame is
+//     round-tripped with both kinds of value its partials carry: as
+//     decoded (a sum-fold program's sum, below 2^63) and narrowed to a
+//     payload (any other program's fold).
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "net/wire_frame.hpp"
+#include "storage/slot.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -74,6 +78,24 @@ void fuzz_raw_decode(const std::uint8_t* data, std::size_t size) {
   }
 }
 
+/// encode then decode must reproduce `pl` exactly.
+void roundtrip_partials(const gpsa::PartialsPayload& pl) {
+  std::vector<std::uint8_t> bytes;
+  pl.encode(bytes);
+  auto again = gpsa::PartialsPayload::decode(bytes);
+  GPSA_CHECK(again.is_ok());
+  GPSA_CHECK(again.value().superstep == pl.superstep);
+  GPSA_CHECK(again.value().messages == pl.messages);
+  GPSA_CHECK(again.value().messages >= again.value().partials.size());
+  GPSA_CHECK(again.value().partials.size() == pl.partials.size());
+  for (std::size_t i = 0; i < pl.partials.size(); ++i) {
+    const gpsa::Partial& p = again.value().partials[i];
+    GPSA_CHECK(p.dst == pl.partials[i].dst);
+    GPSA_CHECK(p.value == pl.partials[i].value);
+    GPSA_CHECK((p.value >> 63) == 0);  // a sum or a payload
+  }
+}
+
 void roundtrip_control_payload(const Frame& frame) {
   switch (frame.header.type) {
     case FrameType::kHello: {
@@ -112,25 +134,18 @@ void roundtrip_control_payload(const Frame& frame) {
       }
       break;
     }
-    case FrameType::kSumBatch: {
-      auto pl = gpsa::SumBatchPayload::decode(frame.payload);
+    case FrameType::kPartials: {
+      auto pl = gpsa::PartialsPayload::decode(frame.payload);
       if (pl.is_ok()) {
         std::vector<std::uint8_t> bytes;
         pl.value().encode(bytes);
         GPSA_CHECK(bytes == frame.payload);
-        auto again = gpsa::SumBatchPayload::decode(bytes);
-        GPSA_CHECK(again.is_ok());
-        GPSA_CHECK(again.value().superstep == pl.value().superstep);
-        GPSA_CHECK(again.value().messages == pl.value().messages);
-        GPSA_CHECK(again.value().messages >= again.value().partials.size());
-        GPSA_CHECK(again.value().partials.size() ==
-                   pl.value().partials.size());
-        for (std::size_t i = 0; i < again.value().partials.size(); ++i) {
-          const gpsa::SumPartial& p = again.value().partials[i];
-          GPSA_CHECK(p.dst == pl.value().partials[i].dst);
-          GPSA_CHECK(p.sum == pl.value().partials[i].sum);
-          GPSA_CHECK((p.sum >> 63) == 0);  // inside the exact fold's range
+        roundtrip_partials(pl.value());
+        gpsa::PartialsPayload payloads = pl.value();
+        for (gpsa::Partial& p : payloads.partials) {
+          p.value &= gpsa::kPayloadMask;
         }
+        roundtrip_partials(payloads);
       }
       break;
     }
@@ -144,9 +159,8 @@ void fuzz_encode_decode(const std::uint8_t* data, std::size_t size) {
     return;
   }
   static constexpr FrameType kTypes[] = {
-      FrameType::kHello,          FrameType::kHelloAck, FrameType::kBatch,
-      FrameType::kEndOfSuperstep, FrameType::kValues,   FrameType::kAbort,
-      FrameType::kSumBatch,
+      FrameType::kHello,  FrameType::kHelloAck, FrameType::kEndOfSuperstep,
+      FrameType::kValues, FrameType::kAbort,    FrameType::kPartials,
   };
   const FrameType type = kTypes[data[0] % (sizeof(kTypes) / sizeof(kTypes[0]))];
   const bool skew_version = (data[1] & 1) != 0;

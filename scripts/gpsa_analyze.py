@@ -159,8 +159,14 @@ class Function:
 @dataclass
 class Model:
     classes: dict[str, ClassInfo] = field(default_factory=dict)
+    # key -> definition. Every definition is an entry of its own: the key
+    # is its qualified name, or `qname@file:line` for a later definition
+    # of the same name (an overload, or a file-local function another file
+    # also defines), so same-named definitions never collapse.
     functions: dict[str, Function] = field(default_factory=dict)
-    # unqualified name -> qnames defining it
+    # qualified name -> keys of its definitions
+    by_qname: dict[str, list[str]] = field(default_factory=dict)
+    # unqualified name -> keys of its definitions
     by_name: dict[str, list[str]] = field(default_factory=dict)
     # lock id -> declaration "file:line"
     lock_decls: dict[str, str] = field(default_factory=dict)
@@ -172,19 +178,31 @@ class Model:
 
 # --- Model builder ------------------------------------------------------
 
+# A class head; an annotation (`GPSA_CAPABILITY("mutex")`,
+# `GPSA_SCOPED_CAPABILITY`) or an attribute (`[[nodiscard]]`) may stand
+# before the name.
 CLASS_RE = re.compile(
-    r"\b(?:class|struct)\s+(?:GPSA_\w+\([^)]*\)\s+)?(\w+)\s*"
-    r"(?:final\s*)?(?::\s*([^{;]*))?\{")
+    r"\b(?:class|struct)\s+(?:GPSA_\w+(?:\([^)]*\))?\s+|\[\[\w+\]\]\s*)?"
+    r"(\w+)\s*(?:final\s*)?(?::\s*([^{;]*))?\{")
 MUTEX_MEMBER_RE = re.compile(
     r"\b(?:mutable\s+)?Mutex\s+(\w+)\s*[;{]")
 # A function definition head, found by the token walk in function_heads:
 # a name (`f`, `A::b`, `A::~A`) at a definition boundary (`;{}()`, a line
 # start or the file start), after at most a return type of
-# RETURN_TYPE_CHARS that ends in whitespace; then `(`, a parameter list
-# with no `;{}`, and the last `)` before the `{` whose tail is a trailer
-# of qualifiers and annotations.
+# RETURN_TYPE_CHARS that ends in whitespace and holds none of
+# NOT_RETURN_TYPE; then `(`, a parameter list with no `;{}` whose parens
+# all close before the `{` (so a call passing a trailing lambda,
+# `f(n, [&](int i) {`, is no head), and the last `)` before the `{` whose
+# tail is a trailer of qualifiers and annotations.
 RETURN_TYPE_CHARS = frozenset(string.ascii_letters + string.digits +
                               "_:<>,*&~[]")
+# Words that end a return type's walk: a control-flow head (`if constexpr
+# (x) {`) or a conversion operator (`operator bool() const {`) is no
+# definition of a function named `constexpr` or `bool`.
+NOT_RETURN_TYPE = frozenset((
+    "if", "else", "for", "while", "switch", "do", "return", "case", "throw",
+    "new", "delete", "operator", "co_return", "co_yield",
+))
 TRAILER_RE = re.compile(
     r"(?:const|noexcept|override|final|->\s*[\w:<>&*]+|&&?|"
     r"GPSA_\w+\([^()]*\)|\s)*")
@@ -302,7 +320,8 @@ def function_heads(src: SourceFile):
         if tok != "(" or i == 0 or paren < resume:
             continue
         e = stop[i]
-        if e == len(toks) or toks[e][1] != "{":
+        if e == len(toks) or toks[e][1] != "{" or \
+                _paren_depth(toks, i, e) != 0:
             continue
         open_pos = toks[e][0]
         close = next((toks[k][0] for k in range(e - 1, i, -1)
@@ -318,6 +337,17 @@ def function_heads(src: SourceFile):
                name_pos, code[paren + 1:close], code[close + 1:open_pos],
                open_pos)
         resume = open_pos + 1
+
+
+def _paren_depth(toks: list[tuple[int, str]], i: int, e: int) -> int:
+    """Parens the tokens [i, e) leave open."""
+    depth = 0
+    for _, tok in toks[i:e]:
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            depth -= 1
+    return depth
 
 
 def _name_start(toks: list[tuple[int, str]], i: int) -> int | None:
@@ -356,7 +386,8 @@ def _at_boundary(toks: list[tuple[int, str]], j: int, code: str,
         tok = toks[k][1]
         if tok in (";", "{", "}", "(", ")"):
             return toks[k][0] >= resume
-        if not RETURN_TYPE_CHARS.issuperset(tok) or \
+        if tok in NOT_RETURN_TYPE or \
+                not RETURN_TYPE_CHARS.issuperset(tok) or \
                 (k == j - 1 and prev_end == end):
             return False
         end = toks[k][0]
@@ -468,14 +499,17 @@ class ModelBuilder:
             self._parse_body(fn, src, open_pos, end, cls_name)
             if cls_name is not None and cls_name in self.model.classes:
                 self.model.classes[cls_name].methods.add(unqualified)
-            # Keep the richer definition when a name collides (e.g. a
-            # declaration-only match parsed earlier).
-            prior = self.model.functions.get(qname)
-            if prior is None or len(fn.body) > len(prior.body):
-                self.model.functions[qname] = fn
-                if prior is None:
-                    self.model.by_name.setdefault(
-                        unqualified, []).append(qname)
+            key = self._add_function(fn)
+            self.model.by_name.setdefault(unqualified, []).append(key)
+
+    def _add_function(self, fn: Function) -> str:
+        """Enters `fn` under a key of its own and returns the key."""
+        key = fn.qname
+        if key in self.model.functions:
+            key = f"{fn.qname}@{fn.file}:{fn.line}"
+        self.model.functions[key] = fn
+        self.model.by_qname.setdefault(fn.qname, []).append(key)
+        return key
 
     def _resolve_lock(self, expr: str, cls_name: str | None,
                       local_locks: dict[str, str] | None) -> str:
@@ -523,7 +557,7 @@ class ModelBuilder:
                 body=body[open_b:close_b + 1])
             self._parse_body(synth, src, start + open_b,
                              start + close_b + 1, cls_name)
-            self.model.functions[synth.qname] = synth
+            self._add_function(synth)
         if deferred:
             chars = list(body)
             for ob, cb in deferred:
@@ -631,23 +665,24 @@ class ModelBuilder:
 
 
 def resolve_call(model: Model, fn: Function, call: CallSite) -> list[str]:
-    """Qualified-name targets for a call site."""
+    """Function keys a call site may reach: every definition of the
+    name it resolves to (overloads and same-named file-local functions
+    together)."""
     if "::" in call.name:
-        return [call.name] if call.name in model.functions else []
+        return list(model.by_qname.get(call.name, []))
     candidates = model.by_name.get(call.name, [])
-    if not candidates:
-        return []
-    if len(candidates) == 1:
+    if len({model.functions[k].qname for k in candidates}) <= 1:
         return list(candidates)
     # Same-class method beats everything for unreceivered calls, and for
     # `this`-implied receivers.
     if fn.cls is not None and not call.receiver:
-        same = [q for q in candidates if q.startswith(f"{fn.cls}::")]
+        same = [k for k in candidates
+                if model.functions[k].qname.startswith(f"{fn.cls}::")]
         if same:
             return same
         # No receiver and no same-class match: a free function if one
         # exists, else conservatively all.
-        free = [q for q in candidates if "::" not in q]
+        free = [k for k in candidates if "::" not in model.functions[k].qname]
         if free:
             return free
         return list(candidates)
@@ -673,20 +708,17 @@ def scoped_candidates(model: Model, cls: str, name: str) -> list[str]:
         if cur in seen:
             continue
         seen.add(cur)
-        qname = f"{cur}::{name}"
-        if qname in model.functions:
-            out.append(qname)
+        out.extend(model.by_qname.get(f"{cur}::{name}", []))
         info = model.classes.get(cur)
         if info is not None:
             frontier.extend(info.bases)
     if out:
         # If the receiver class sits atop a virtual hierarchy, include the
         # overrides in derived classes too (call through base pointer).
-        derived = [c for c, info in model.classes.items()
-                   if any(b in seen for b in info.bases)
-                   and f"{c}::{name}" in model.functions]
-        out.extend(f"{c}::{name}" for c in derived
-                   if f"{c}::{name}" not in out)
+        for c, info in model.classes.items():
+            if any(b in seen for b in info.bases):
+                out.extend(k for k in model.by_qname.get(f"{c}::{name}", [])
+                           if k not in out)
     return out
 
 
@@ -871,11 +903,14 @@ ENTRY_NAMES = ("execute_batch", "on_message")
 
 def check_actor_blocking(model: Model) -> list[dict]:
     findings = []
+    def allowlisted(key: str) -> bool:
+        return model.functions[key].qname in BLOCKING_ALLOWLIST
+
     entries = sorted(
         q for name in ENTRY_NAMES for q in model.by_name.get(name, []))
     reported: set[tuple[str, str, int]] = set()
     for entry in entries:
-        if entry in BLOCKING_ALLOWLIST:
+        if allowlisted(entry):
             continue
         # BFS over call edges, skipping allowlisted functions entirely.
         parent: dict[str, tuple[str, int] | None] = {entry: None}
@@ -916,7 +951,7 @@ def check_actor_blocking(model: Model) -> list[dict]:
                 })
             for call in fn.calls:
                 for target in resolve_call(model, fn, call):
-                    if target in parent or target in BLOCKING_ALLOWLIST:
+                    if target in parent or allowlisted(target):
                         continue
                     parent[target] = (qname, call.line)
                     queue.append(target)
@@ -929,7 +964,7 @@ def check_actor_blocking(model: Model) -> list[dict]:
 def check_lease_balance(model: Model) -> list[dict]:
     findings = []
     for qname, fn in sorted(model.functions.items()):
-        if qname.endswith("::lease") or qname == "lease":
+        if fn.qname.endswith("::lease") or fn.qname == "lease":
             continue  # the pool's own implementation
         for lease in fn.leases:
             if lease.allowed or lease.transfer_note:

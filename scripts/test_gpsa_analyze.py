@@ -35,6 +35,13 @@ EXPECTED = {
     "bad_lease.cpp": [("lease-balance", 10), ("lease-balance", 14),
                       ("lease-balance", 20)],
     "good_lease.cpp": [],
+    # The function model: a call passing a trailing lambda is no
+    # definition of its callee, same-named definitions stay apart, and
+    # control-flow and conversion heads define nothing.
+    "bad_shadowed_callee.cpp": [("actor-blocking", 11)],
+    "bad_same_name.cpp": [("actor-blocking", 9)],
+    "good_function_heads.cpp": [],
+    "bad_lock_order_attributed.cpp": [("lock-order", 35)],
 }
 
 failures: list[str] = []
@@ -45,18 +52,24 @@ def expect(condition: bool, message: str):
         failures.append(message)
 
 
-def run_analyze(*args: str) -> tuple[int, list[dict]]:
+def run_report(*args: str) -> tuple[int, dict]:
     proc = subprocess.run(
         [sys.executable, str(ANALYZER), "--json", "--root", str(ROOT),
          *args],
         capture_output=True, text=True)
     try:
-        findings = json.loads(proc.stdout)["findings"]
+        report = json.loads(proc.stdout)
+        report["findings"]
     except (ValueError, KeyError):
         failures.append(f"unparseable analyzer output: {proc.stdout!r} "
                         f"stderr: {proc.stderr!r}")
-        return proc.returncode, []
-    return proc.returncode, findings
+        return proc.returncode, {"findings": []}
+    return proc.returncode, report
+
+
+def run_analyze(*args: str) -> tuple[int, list[dict]]:
+    code, report = run_report(*args)
+    return code, report["findings"]
 
 
 def main() -> int:
@@ -91,6 +104,24 @@ def main() -> int:
         joined = "\n".join(findings[0]["path"])
         expect("Registry::rebuild" in joined and "Shard::evict" in joined,
                f"interprocedural witness must name both holders: {joined}")
+    checks += 1
+
+    # Only real definitions enter the model: good_function_heads.cpp
+    # defines four functions, not `constexpr` or `bool` besides.
+    _, report = run_report(str(FIXTURES / "good_function_heads.cpp"))
+    expect(report.get("functions") == 4,
+           f"good_function_heads.cpp: {report.get('functions')} functions, "
+           "want 4")
+    checks += 1
+
+    # Two files' file-local read_fully stay two entries: the call in
+    # pair_file_local_a.cpp reaches its own, blocking one.
+    code, findings = run_analyze(str(FIXTURES / "pair_file_local_a.cpp"),
+                                 str(FIXTURES / "pair_file_local_b.cpp"))
+    got = [(f["rule"], Path(f["file"]).name, f["line"]) for f in findings]
+    want = [("actor-blocking", "pair_file_local_a.cpp", 12)]
+    expect(code == 1 and got == want,
+           f"pair_file_local: exit {code}, findings {got}, want {want}")
     checks += 1
 
     # The coverage rule: a database covering only a.cpp satisfies

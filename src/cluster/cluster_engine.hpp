@@ -4,7 +4,7 @@
 // process, linked pairwise by socketpairs: each runs the engine's own
 // actors over its vertex slice of one CSR file, as the rank processes of
 // run_cluster_rank (cluster_net.hpp) do over TCP, so every node-crossing
-// batch is a real wire frame and the result reports measured
+// partial travels in a real wire frame and the result reports measured
 // communication volume and per-node load balance versus cluster size.
 #pragma once
 
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/program.hpp"
 #include "graph/edge_list.hpp"
 #include "io/io_backend.hpp"
@@ -28,8 +29,9 @@ struct ClusterOptions {
   /// and one dispatcher and one computer each. Both entry points reject
   /// more than kMaxSchedulerWorkers before any thread or socket exists.
   unsigned scheduler_workers = 0;
-  /// VertexMessages per inter-node batch (matches
-  /// EngineOptions::message_batch; see the rationale there).
+  /// VertexMessages per local batch (EngineOptions::message_batch; see
+  /// the rationale there). A PARTIALS frame to a peer holds at most this
+  /// many messages' bytes of partials.
   std::size_t message_batch = 4096;
   std::uint64_t max_supersteps = 0;  // 0 = program/quiescence only
   /// Where each node's value file goes. Non-empty: kept at
@@ -41,17 +43,19 @@ struct ClusterOptions {
   IoOptions io;
 };
 
-/// A cluster run's result. Every rank derives the loop counters from the
-/// same end-of-superstep rows, so every rank reports the same cluster-wide
-/// values; only `values` and the final value sync's share of the wire
-/// totals differ by rank (run_cluster_rank's contract).
-struct ClusterRunResult {
-  std::uint64_t supersteps = 0;
-  std::uint64_t total_messages = 0;
+/// A cluster run's result: the rank's own job's RunResult plus what its
+/// links measured. Every rank derives the loop counters (supersteps,
+/// total_messages, converged) and the cluster fields below from the same
+/// end-of-superstep rows, so every rank reports the same values for them,
+/// but for the final value sync's share of the wire totals. The rest of
+/// the RunResult (per-superstep times, pool, I/O and busy-time stats) is
+/// the rank's own. `values` is the full value vector on rank 0 (and from
+/// ClusterEngine::run) and empty on any other rank; `elapsed_seconds`
+/// times the whole call, set-up included (run_cluster_rank's contract).
+struct ClusterRunResult : RunResult {
   /// Messages and batches that crossed a node boundary, all nodes.
   std::uint64_t remote_messages = 0;
   std::uint64_t remote_batches = 0;
-  double elapsed_seconds = 0.0;
   /// Wire traffic, control frames included (header plus payload): every
   /// rank's supersteps, plus the final value sync's frames this rank sent
   /// or, on rank 0, received.
@@ -59,10 +63,6 @@ struct ClusterRunResult {
   std::uint64_t frames_sent = 0;
   /// Wire bytes every rank framed in each superstep (index = superstep).
   std::vector<std::uint64_t> superstep_wire_bytes;
-  bool converged = false;
-  /// The full value vector on rank 0 (and from ClusterEngine::run); empty
-  /// on any other rank.
-  std::vector<Payload> values;
   /// Messages *sent* by each node (dispatch-side load).
   std::vector<std::uint64_t> node_messages_sent;
   /// Messages *received* by each node (compute-side load).

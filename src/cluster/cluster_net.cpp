@@ -2,7 +2,7 @@
 // ClusterEngine::run (a thread per rank, over socketpairs) run one rank
 // body, run_rank. Its own jobs are the rendezvous, the final value sync,
 // abort and the peer-death deadline; the supersteps are run_job's, with
-// the rank's peer links (net/rank_links.hpp) carrying batches and barrier.
+// the rank's peer links (net/rank_links.hpp) carrying partials and barrier.
 #include "cluster/cluster_net.hpp"
 
 #include <unistd.h>
@@ -387,11 +387,11 @@ Result<ClusterPlan> make_cluster_plan(const EdgeList& graph,
 
 /// Runs rank `net.rank` until the cluster halts, over `links` (indexed by
 /// peer rank, the self slot empty): the engine's own job over the rank's
-/// slice, its peer links carrying the batches and the barrier. Returns
-/// this rank's view (run_cluster_rank's contract) without elapsed time and
-/// without checkpointing the store. On a failure, `on_abort` (when set)
-/// hears the status before any peer is told: the first status it hears in
-/// a process is where the failure started.
+/// slice, its peer links carrying the partials and the barrier. Returns
+/// this rank's view (run_cluster_rank's contract), its elapsed time the
+/// job's alone, without checkpointing the store. On a failure, `on_abort`
+/// (when set) hears the status before any peer is told: the first status
+/// it hears in a process is where the failure started.
 Result<ClusterRunResult> run_rank(
     ClusterPlan& plan, const Program& program, const ClusterOptions& options,
     const ClusterNetOptions& net, std::vector<PeerLink> links,
@@ -460,11 +460,11 @@ Result<ClusterRunResult> run_rank(
     return abort_run(first.is_ok() ? ran.status() : first);
   }
 
-  // Every rank closed every superstep from the same send matrix.
+  // Every rank closed every superstep from the same send matrix. The
+  // job's values are the rank's slice: they leave through the value sync.
   ClusterRunResult result;
-  result.supersteps = ran.value().supersteps;
-  result.total_messages = ran.value().total_messages;
-  result.converged = ran.value().converged;
+  static_cast<RunResult&>(result) = std::move(ran).value();
+  const std::vector<Payload> slice = std::exchange(result.values, {});
   MatrixTotals totals = peers.totals();
   result.remote_messages = totals.remote_messages;
   result.remote_batches = totals.remote_batches;
@@ -480,10 +480,10 @@ Result<ClusterRunResult> run_rank(
   const VertexId begin = plan.slices.range_begin(net.rank);
   const std::span<const VertexId> perm = plan.csr.permutation();
   ValueEntries entries;
-  entries.reserve(ran.value().values.size());
-  for (VertexId i = 0; i < ran.value().values.size(); ++i) {
+  entries.reserve(slice.size());
+  for (VertexId i = 0; i < slice.size(); ++i) {
     entries.emplace_back(perm.empty() ? begin + i : perm[begin + i],
-                         ran.value().values[i]);
+                         slice[i]);
   }
   Traffic tail;
   Status synced;

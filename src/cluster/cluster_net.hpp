@@ -4,7 +4,7 @@
 // pairwise over localhost TCP, each running run_rank (cluster_net.cpp),
 // as the rank threads of ClusterEngine::run do over socketpairs: the
 // engine's own actors over the rank's slice, its peer links carrying the
-// batches and the END_OF_SUPERSTEP barrier (net/rank_links.hpp). The
+// partials and the END_OF_SUPERSTEP barrier (net/rank_links.hpp). The
 // apply's result does not depend on arrival order (core/slice_apply.hpp),
 // so the node value stores and the wire traffic come out identical to
 // the in-process run's, byte for byte.
@@ -66,8 +66,9 @@ struct ClusterNetOptions {
 /// `options.num_nodes` is ignored — the partition count is net.ranks, one
 /// node per process. Returns once the cluster halts (converged or budget)
 /// with this rank's view of the result: every rank the same cluster-wide
-/// loop counters, from the EOS rows; rank 0 alone the full value vector,
-/// fed by every rank's slice after halt; and bytes_on_wire / frames_sent
+/// loop counters, from the EOS rows; its own job's per-superstep, pool,
+/// I/O and busy-time stats; rank 0 alone the full value vector, fed by
+/// every rank's slice after halt; and bytes_on_wire / frames_sent
 /// counting the final value sync as this rank saw it (rank 0 every VALUES
 /// frame it received, so its totals cover the whole run). Any peer dying
 /// mid-run surfaces as a clean error within net.timeout_ms, never a hang.

@@ -38,10 +38,10 @@ void ComputerActor::on_message(ComputerMsg msg) {
         report_failure(msg.superstep, e);
       }
       break;
-    case ComputerMsg::Kind::kSums:
+    case ComputerMsg::Kind::kPartials:
       try {
         const ScopedAccumulator busy(busy_seconds_);
-        apply_.apply_sums(msg.sums, msg.superstep);
+        apply_.apply_partials(msg.partials, msg.superstep);
       } catch (const std::exception& e) {
         report_failure(msg.superstep, e);
       }

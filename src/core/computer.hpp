@@ -1,7 +1,7 @@
 // Computing actor (paper §V.D, Algorithm 3).
 //
 // Message-driven: each VertexMessage batch, and on a cluster rank each
-// piece of a peer's partial sums, is folded into the update column of the
+// piece of a peer's partials, is folded into the update column of the
 // value file by the actor's SliceApply (core/slice_apply.hpp, the one
 // apply kernel every executor shares); this actor adds only the mailbox,
 // the failure report and the COMPUTE_OVER ack.

@@ -57,8 +57,7 @@ void DispatcherActor::connect(std::vector<ComputerActor*> computers,
   staged_count_.assign(computers_.size(), 0);
   radix_shift_.assign(computers_.size(), 0);
   flush_at_.assign(computers_.size(), 0);
-  combined_.assign(computers_.size(), false);
-  std::size_t widest = 0;  // of a combined owner's bins
+  std::size_t widest = 0;  // of a peer's bins
   for (std::size_t owner = 0; owner < computers_.size(); ++owner) {
     const VertexId local =
         owners_.local_size(static_cast<unsigned>(owner));
@@ -68,11 +67,11 @@ void DispatcherActor::connect(std::vector<ComputerActor*> computers,
       ++shift;
     }
     radix_shift_[owner] = shift;
-    combined_[owner] = computers_[owner] == nullptr && program_.sum_fold();
-    flush_at_[owner] = behavior_.overlap && !combined_[owner]
+    const bool peer = computers_[owner] == nullptr;
+    flush_at_[owner] = behavior_.overlap && !peer
                            ? batch_size_
                            : std::numeric_limits<std::size_t>::max();
-    if (combined_[owner]) {
+    if (peer) {
       widest = std::max(widest, std::size_t{1} << shift);
     }
   }
@@ -80,7 +79,7 @@ void DispatcherActor::connect(std::vector<ComputerActor*> computers,
   partial_count_.assign(widest, 0);
   partial_set_.assign((widest + 63) / 64, 0);
   if (widest > 0) {
-    sums_per_send_ = peers_->max_sums();
+    partials_per_send_ = peers_->max_partials();
   }
   uniform_message_ = program_.uniform_gen_msg();
 }
@@ -91,8 +90,8 @@ void DispatcherActor::on_message(DispatcherMsg msg) {
       try {
         run_iteration(msg.superstep);
       } catch (const std::exception& e) {
-        // A user gen_msg hook threw, or a combined sum left the exact
-        // fold's range: report instead of wedging the
+        // A user gen_msg or compute hook threw, or a combined sum left the
+        // exact fold's range: report instead of wedging the
         // superstep barrier (§V.C exception handling).
         clear_staging();
         ManagerMsg failed;
@@ -257,25 +256,22 @@ void DispatcherActor::flush_batch(std::size_t computer_index,
   msg.batch = pool_.lease();
   gather_bins(computer_index, msg.batch);
   staged_count_[computer_index] = 0;
-  if (computers_[computer_index] == nullptr) {
-    peers_->send_batch(static_cast<unsigned>(computer_index), superstep,
-                       std::move(msg.batch));
-    return;
-  }
   computers_[computer_index]->send(std::move(msg));
 }
 
-void DispatcherActor::flush_sums(std::size_t owner,
-                                 std::uint64_t superstep) {
+void DispatcherActor::flush_partials(std::size_t owner,
+                                     std::uint64_t superstep) {
   if (staged_count_[owner] == 0) {
     return;
   }
   staged_count_[owner] = 0;
   const unsigned shift = radix_shift_[owner];
   const std::size_t words = ((std::size_t{1} << shift) + 63) / 64;
-  std::vector<SumPartial> sums;
-  sums.reserve(sums_per_send_);
-  std::uint64_t messages = 0;  // that `sums` combine
+  // Chosen once per flush: the sum fold's loop stays branch-free.
+  const bool sum_fold = program_.sum_fold();
+  std::vector<Partial> partials;
+  partials.reserve(partials_per_send_);
+  std::uint64_t messages = 0;  // that `partials` fold
   for (std::size_t b = 0; b < kRadixBins; ++b) {
     std::vector<VertexMessage>& bin = bins_[owner * kRadixBins + b];
     if (bin.empty()) {
@@ -284,43 +280,56 @@ void DispatcherActor::flush_sums(std::size_t owner,
     // The bin holds destinations [first, first + 2^shift).
     const VertexId first = owners_.range_begin(static_cast<unsigned>(owner)) +
                            (static_cast<VertexId>(b) << shift);
-    for (const VertexMessage& m : bin) {
-      const VertexId i = m.dst - first;
-      partial_[i] = fixed_add(partial_[i], payload_to_fixed(m.value));
-      ++partial_count_[i];
-      partial_set_[i / 64] |= std::uint64_t{1} << (i % 64);
+    if (sum_fold) {
+      for (const VertexMessage& m : bin) {
+        const VertexId i = m.dst - first;
+        partial_[i] = fixed_add(partial_[i], payload_to_fixed(m.value));
+        ++partial_count_[i];
+        partial_set_[i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+    } else {
+      for (const VertexMessage& m : bin) {
+        const VertexId i = m.dst - first;
+        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+        partial_[i] = (partial_set_[i / 64] & bit) != 0
+                          ? program_.compute(
+                                static_cast<Payload>(partial_[i]), m.value)
+                          : m.value;
+        ++partial_count_[i];
+        partial_set_[i / 64] |= bit;
+      }
     }
     bin.clear();
     for (std::size_t w = 0; w < words; ++w) {
       for (std::uint64_t bits = partial_set_[w]; bits != 0;
            bits &= bits - 1) {
         const std::size_t i = w * 64 + std::countr_zero(bits);
-        sums.push_back(SumPartial{first + static_cast<VertexId>(i),
-                                  partial_[i]});
+        partials.push_back(
+            Partial{first + static_cast<VertexId>(i), partial_[i]});
         messages += partial_count_[i];
         partial_[i] = 0;
         partial_count_[i] = 0;
-        if (sums.size() == sums_per_send_) {
-          peers_->send_sums(static_cast<unsigned>(owner), superstep,
-                            messages, std::move(sums));
-          sums = {};
-          sums.reserve(sums_per_send_);
+        if (partials.size() == partials_per_send_) {
+          peers_->send_partials(static_cast<unsigned>(owner), superstep,
+                                messages, std::move(partials));
+          partials = {};
+          partials.reserve(partials_per_send_);
           messages = 0;
         }
       }
       partial_set_[w] = 0;
     }
   }
-  if (!sums.empty()) {
-    peers_->send_sums(static_cast<unsigned>(owner), superstep, messages,
-                      std::move(sums));
+  if (!partials.empty()) {
+    peers_->send_partials(static_cast<unsigned>(owner), superstep, messages,
+                          std::move(partials));
   }
 }
 
 void DispatcherActor::flush_all(std::uint64_t superstep) {
   for (std::size_t i = 0; i < computers_.size(); ++i) {
-    if (combined_[i]) {
-      flush_sums(i, superstep);
+    if (computers_[i] == nullptr) {
+      flush_partials(i, superstep);
     } else {
       flush_batch(i, superstep);
     }

@@ -6,7 +6,8 @@
 // computing actor that owns the destination (OwnerMap: contiguous vertex
 // ranges) in batches, and is then consumed (flag re-set to 1). On a
 // cluster rank an owner may be a peer rank's whole slice instead; its
-// batches leave through the rank's peer links (core/peer_links.hpp).
+// messages leave combined through the rank's peer links
+// (core/peer_links.hpp).
 // When the interval is exhausted it reports DISPATCH_OVER with its
 // message/active/edge counts and waits for the next command.
 //
@@ -28,16 +29,18 @@
 // — and recycles the buffer; the dispatcher never re-scans a batch to
 // sort it.
 //
-// On a cluster rank a sum-fold program's messages to a peer's slice stay
-// in their bins for the whole interval (that owner's flush threshold is
-// never reached, so the edge loop's threshold test stays as predictable
-// as on a one-node run), and the interval-end flush combines them: each
-// bin's 2^shift consecutive destinations fold through a small
-// accumulator into one exact partial sum per destination (fixed_add of
-// payload_to_fixed, what the receiver's fold adds), emitted in ascending
-// order in frames of at most one pool batch's bytes. A term or sum out of the
-// fold's range throws here, on the sender, as it would have on the
-// receiver. Local owners never combine (program.hpp).
+// On a cluster rank the messages to a peer's slice stay in their bins
+// for the whole interval (that owner's flush threshold is never reached,
+// so the edge loop's threshold test stays as predictable as on a
+// one-node run), and the interval-end flush combines them: each bin's
+// 2^shift consecutive destinations fold through a small accumulator into
+// one partial per destination, emitted in ascending order in frames of
+// at most one pool batch's bytes. A sum-fold program's partial is the
+// exact sum (fixed_add of payload_to_fixed, what the receiver's fold
+// adds), and a term or sum out of the fold's range throws here, on the
+// sender, as it would have on the receiver; any other program's is the
+// Program::compute fold of the messages. Local owners never combine
+// (program.hpp).
 #pragma once
 
 #include <cstdint>
@@ -130,9 +133,9 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   void dispatch_vertex(VertexId v, Payload value, std::uint64_t begin_entry,
                        std::uint64_t end_entry, std::uint64_t superstep);
   void flush_batch(std::size_t computer_index, std::uint64_t superstep);
-  /// Combines `owner`'s staged bins (a peer's slice) into partial sums and
+  /// Combines `owner`'s staged bins (a peer's slice) into partials and
   /// sends them through the peer links.
-  void flush_sums(std::size_t owner, std::uint64_t superstep);
+  void flush_partials(std::size_t owner, std::uint64_t superstep);
   void flush_all(std::uint64_t superstep);
   /// Drops every staged message and partial (a failed superstep).
   void clear_staging();
@@ -177,17 +180,16 @@ class DispatcherActor final : public Actor<DispatcherMsg> {
   // Per-owner radix shift: (local_size - 1) >> shift < kRadixBins.
   std::vector<unsigned> radix_shift_;
   // Per-owner staged count at which dispatch flushes: message_batch, or
-  // never (SIZE_MAX) for combined owners and the non-overlap ablation.
+  // never (SIZE_MAX) for a peer's slice and the non-overlap ablation.
   std::vector<std::size_t> flush_at_;
-  // Per owner: its messages leave combined (a peer's slice, sum fold).
-  std::vector<bool> combined_;
-  // flush_sums' accumulator over one bin's destinations: exact partial,
-  // message count, and one bit per destination holding a partial.
-  std::vector<FixedSum> partial_;
+  // flush_partials' accumulator over one bin's destinations: partial (an
+  // exact FixedSum, or a compute-folded payload), message count, and one
+  // bit per destination holding a partial.
+  std::vector<std::uint64_t> partial_;
   std::vector<std::uint32_t> partial_count_;
   std::vector<std::uint64_t> partial_set_;
-  // Partials per send_sums (PeerLinks::max_sums).
-  std::size_t sums_per_send_ = 1;
+  // Partials per send_partials (PeerLinks::max_partials).
+  std::size_t partials_per_send_ = 1;
   bool uniform_message_ = false;
   bool has_degree_ = false;
   std::uint64_t messages_this_superstep_ = 0;

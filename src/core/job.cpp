@@ -171,12 +171,8 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   const unsigned local_owners = owners.parts() - (ranks - 1);
   // The pool outlives every actor of this job: despawn_job below destroys
   // the job's actors (and any leased buffers still in mailboxes) before
-  // this frame unwinds. A rank's links own theirs: their transports
-  // recycle batches after the job.
-  std::optional<MessageBatchPool> own_pool;
-  MessageBatchPool& pool = peers != nullptr
-                               ? peers->pool()
-                               : own_pool.emplace(options.message_batch);
+  // this frame unwinds.
+  MessageBatchPool pool(options.message_batch);
 
   // --- One record stream + readahead scheduler per dispatcher. -----------
   std::vector<std::unique_ptr<CsrEntryStream>> streams;

@@ -30,10 +30,7 @@
 // ended).
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/messages.hpp"
@@ -41,29 +38,6 @@
 #include "util/thread_annotations.hpp"
 
 namespace gpsa {
-
-// --- Lease→wire hooks (DESIGN.md §14) -----------------------------------
-//
-// A leased batch buffer is already the wire representation of a BATCH
-// frame payload: contiguous {dst u32, value u32} pairs with no padding.
-// These asserts are what make the transport's reinterpret-cast view and
-// memcpy decode sound — if the message layout ever changes, the wire
-// format breaks here at compile time instead of on a cluster.
-static_assert(std::is_trivially_copyable_v<VertexMessage>,
-              "VertexMessage must serialize by memcpy");
-static_assert(sizeof(VertexMessage) == 8 && sizeof(VertexId) == 4 &&
-                  sizeof(Payload) == 4,
-              "wire BATCH payloads are packed {dst u32, value u32} pairs");
-static_assert(std::endian::native == std::endian::little,
-              "the wire format writes VertexMessage arrays as host bytes "
-              "and declares them little-endian");
-
-/// Raw-byte view of a leased batch for zero-copy serialization.
-inline std::pair<const std::uint8_t*, std::size_t> batch_wire_view(
-    const std::vector<VertexMessage>& batch) {
-  return {reinterpret_cast<const std::uint8_t*>(batch.data()),
-          batch.size() * sizeof(VertexMessage)};
-}
 
 /// Pool activity surfaced in RunResult.
 struct MessagePoolStats {

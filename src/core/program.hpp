@@ -23,10 +23,11 @@
 // vertex carries its own message to the destination's fold, as in the
 // paper's protocol (§V); dispatcher-side combining cost more than the
 // in-memory sends it saved (EXPERIMENTS.md). Across a cluster rank's
-// links a sum-fold program's messages are combined: a dispatcher sends
-// each peer one exact partial sum per destination (SliceSumFold::
-// add_partial, DESIGN.md §14), since the wire costs far more per message
-// than a mailbox does.
+// links every program's messages are combined, since the wire costs far
+// more per message than a mailbox does: a dispatcher sends each peer one
+// partial per destination, a sum-fold program's exact partial sum
+// (SliceSumFold::add_partial) or any other program's compute fold of the
+// messages, which the receiver applies as one message (DESIGN.md §14).
 //
 // All engines in this repository (GPSA, the GraphChi-style PSW baseline,
 // the X-Stream-style baseline, and the sequential reference) execute the

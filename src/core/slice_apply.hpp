@@ -20,8 +20,12 @@
 // copied value — storing the sum, clearing the flag, setting the worklist
 // bit and counting the update. It walks the slice in ascending order, so
 // its stores stream and its worklist bits go out one atomic OR per word.
-// On a cluster rank a peer's messages arrive combined, one exact partial
-// per destination (apply_sums, SliceSumFold::add_partial): the same sum.
+// On a cluster rank a peer's messages arrive combined, one partial per
+// destination (apply_partials): a sum-fold program's is an exact partial
+// sum (SliceSumFold::add_partial), the same sum; any other program's is
+// its messages' compute fold, applied as one message. compute is
+// commutative and associative, so the fold, the activation and the
+// update count are those of the messages applied one by one.
 // Batches may arrive in any interleaving (several dispatchers and peer
 // ranks at one computer); an exact sum erases it, and deciding activation
 // on the whole sum erases it from PageRankDeltaProgram's epsilon gate
@@ -38,13 +42,14 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/messages.hpp"
 #include "core/program.hpp"
 #include "storage/active_bitmap.hpp"
 #include "storage/value_file.hpp"
-#include "util/check.hpp"
 
 namespace gpsa {
 
@@ -89,16 +94,28 @@ class SliceApply {
     }
   }
 
-  /// Folds a peer rank's partial sums of `superstep`'s messages (sum-fold
-  /// programs only), all addressed to the slice. Throws
-  /// std::overflow_error when a sum leaves the exact fold's range.
-  void apply_sums(const std::vector<SumPartial>& sums,
-                  std::uint64_t superstep) {
-    GPSA_CHECK(sums_.has_value());
+  /// Folds a peer rank's partials of `superstep`'s messages, all addressed
+  /// to the slice. Throws std::overflow_error when a sum leaves the exact
+  /// fold's range, and std::out_of_range when a non-sum partial is not a
+  /// payload.
+  void apply_partials(const std::vector<Partial>& partials,
+                      std::uint64_t superstep) {
     const unsigned update_col = ValueFile::update_column(superstep);
-    for (const SumPartial& p : sums) {
-      sums_->add_partial(p.dst, p.sum,
-                         [&] { return first_sum_touch(p.dst, update_col); });
+    if (sums_.has_value()) {
+      for (const Partial& p : partials) {
+        sums_->add_partial(p.dst, p.value,
+                           [&] { return first_sum_touch(p.dst, update_col); });
+      }
+      return;
+    }
+    for (const Partial& p : partials) {
+      if (p.value > kPayloadMask) {
+        throw std::out_of_range("partial for vertex " +
+                                std::to_string(p.dst) +
+                                " is not a payload: " +
+                                std::to_string(p.value));
+      }
+      apply_one(p.dst, static_cast<Payload>(p.value), update_col);
     }
   }
 

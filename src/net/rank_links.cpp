@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -19,13 +18,14 @@
 namespace gpsa {
 namespace {
 
-/// Partials in a SUM_BATCH of at most one pool batch's bytes (one at
-/// least), so the receiver gets a superstep's sums in pipelined chunks.
-std::size_t sums_per_frame(std::size_t message_batch) {
+/// Partials in a PARTIALS frame of at most one pool batch's bytes (one at
+/// least), so the receiver gets a superstep's partials in pipelined
+/// chunks.
+std::size_t partials_per_frame(std::size_t message_batch) {
   const std::size_t bytes = message_batch * sizeof(VertexMessage);
-  return bytes >= SumBatchPayload::kFixedBytes + SumBatchPayload::kPartialBytes
-             ? (bytes - SumBatchPayload::kFixedBytes) /
-                   SumBatchPayload::kPartialBytes
+  return bytes >= PartialsPayload::kFixedBytes + PartialsPayload::kPartialBytes
+             ? (bytes - PartialsPayload::kFixedBytes) /
+                   PartialsPayload::kPartialBytes
              : 1;
 }
 
@@ -38,9 +38,8 @@ RankLinks::RankLinks(std::uint32_t rank, const OwnerMap& slices,
       ranks_(slices.parts()),
       slices_(slices),
       timeout_ms_(timeout_ms),
-      max_sums_(sums_per_frame(message_batch)),
+      max_partials_(partials_per_frame(message_batch)),
       links_(std::move(links)),
-      pool_(message_batch),
       peers_(ranks_),
       system_(workers),
       transports_(ranks_, nullptr) {
@@ -54,7 +53,7 @@ RankLinks::RankLinks(std::uint32_t rank, const OwnerMap& slices,
     }
     transports_[p] = transport_system_.spawn<TransportActor>(
         static_cast<std::uint16_t>(rank_), links_[p].version,
-        &links_[p].socket, &pool_, timeout_ms_, [this, p](Status status) {
+        &links_[p].socket, timeout_ms_, [this, p](Status status) {
           fail(failed_precondition("send to peer rank " + std::to_string(p) +
                                    " failed: " + status.message()));
         });
@@ -86,7 +85,6 @@ void RankLinks::connect(const OwnerMap& routing,
   MutexLock lock(mutex_);
   routing_ = &routing;
   computers_ = std::move(computers);
-  pieces_.resize(computers_.size());
   manager_ = manager;
   tell_manager();  // the run may have failed before the job connected
   release_held();  // superstep 0's early arrivals
@@ -96,40 +94,18 @@ void RankLinks::disconnect() {
   MutexLock lock(mutex_);
   routing_ = nullptr;
   computers_.clear();
-  pieces_.clear();  // a failed job's partial pieces
   manager_ = nullptr;
   awaiting_ = false;
 }
 
-void RankLinks::send_batch(unsigned owner, std::uint64_t superstep,
-                           std::vector<VertexMessage>&& batch) {
+void RankLinks::send_partials(unsigned owner, std::uint64_t superstep,
+                              std::uint64_t messages,
+                              std::vector<Partial>&& partials) {
   TransportMsg msg;
-  msg.kind = TransportMsg::Kind::kBatch;
-  msg.superstep = superstep;
-  msg.batch = std::move(batch);
-  std::uint32_t peer = 0;
-  {
-    MutexLock lock(mutex_);
-    if (routing_ == nullptr) {  // a failed job's dispatcher, still running
-      pool_.recycle(std::move(msg.batch));
-      return;
-    }
-    peer = slices_.owner_of(routing_->range_begin(owner));
-    own_.row[peer].batch_frames += 1;
-    own_.row[peer].messages += msg.batch.size();
-    framed_.add(8 + msg.batch.size() * sizeof(VertexMessage));
-  }
-  transports_[peer]->send(std::move(msg));
-}
-
-void RankLinks::send_sums(unsigned owner, std::uint64_t superstep,
-                          std::uint64_t messages,
-                          std::vector<SumPartial>&& sums) {
-  TransportMsg msg;
-  msg.kind = TransportMsg::Kind::kSums;
-  msg.sums.superstep = superstep;
-  msg.sums.messages = messages;
-  msg.sums.partials = std::move(sums);
+  msg.kind = TransportMsg::Kind::kPartials;
+  msg.partials.superstep = superstep;
+  msg.partials.messages = messages;
+  msg.partials.partials = std::move(partials);
   std::uint32_t peer = 0;
   {
     MutexLock lock(mutex_);
@@ -139,8 +115,8 @@ void RankLinks::send_sums(unsigned owner, std::uint64_t superstep,
     peer = slices_.owner_of(routing_->range_begin(owner));
     own_.row[peer].batch_frames += 1;
     own_.row[peer].messages += messages;
-    framed_.add(SumBatchPayload::kFixedBytes +
-                SumBatchPayload::kPartialBytes * msg.sums.partials.size());
+    framed_.add(PartialsPayload::kFixedBytes +
+                PartialsPayload::kPartialBytes * msg.partials.partials.size());
   }
   transports_[peer]->send(std::move(msg));
 }
@@ -267,15 +243,13 @@ void RankLinks::abort(const Status& status) {
 
 void RankLinks::on_frame(std::uint32_t peer, Frame&& frame) {
   const FrameType type = frame.header.type;
-  if (type == FrameType::kSumBatch) {
+  if (type == FrameType::kPartials) {
     // Decoded before taking the lock, which the dispatchers' sends share.
-    on_sum_batch(peer, SumBatchPayload::decode(frame.payload));
+    on_partials(peer, PartialsPayload::decode(frame.payload));
     return;
   }
   MutexLock lock(mutex_);
-  if (type == FrameType::kBatch) {
-    on_batch(peer, std::move(frame.payload));
-  } else if (type == FrameType::kEndOfSuperstep) {
+  if (type == FrameType::kEndOfSuperstep) {
     auto eos = EndOfSuperstepPayload::decode(frame.payload, ranks_);
     if (eos.is_ok()) {
       const unsigned q = eos.value().superstep & 1;
@@ -317,97 +291,41 @@ void RankLinks::on_lost(std::uint32_t peer, Status status) {
   cv_.notify_all();
 }
 
-void RankLinks::on_batch(std::uint32_t peer,
-                         std::vector<std::uint8_t>&& payload) {
-  if (payload.size() < 8 || (payload.size() - 8) % sizeof(VertexMessage)) {
-    fail_locked(corrupt_data("BATCH frame of " +
-                             std::to_string(payload.size()) +
-                             " bytes is not a superstep and whole messages"));
-    return;
-  }
-  Inbound in;
-  in.superstep = get_u64(payload.data());
-  const std::uint64_t messages = (payload.size() - 8) / sizeof(VertexMessage);
-  in.batch = std::move(payload);
-  accept(peer, FrameType::kBatch, std::move(in), messages);
-}
-
-void RankLinks::on_sum_batch(std::uint32_t peer,
-                             Result<SumBatchPayload>&& decoded) {
+void RankLinks::on_partials(std::uint32_t peer,
+                            Result<PartialsPayload>&& decoded) {
   MutexLock lock(mutex_);
   if (!decoded.is_ok()) {
     fail_locked(decoded.status());
+    cv_.notify_all();
+    return;
+  }
+  PartialsPayload in = std::move(decoded).value();
+  const std::uint64_t superstep = in.superstep;
+  if (superstep != open_ && superstep != open_ + 1) {
+    fail_locked(corrupt_data(
+        "PARTIALS for superstep " + std::to_string(superstep) +
+        " from rank " + std::to_string(peer) + " while " +
+        std::to_string(open_) + " is open"));
   } else {
-    SumBatchPayload sums = std::move(decoded).value();
-    Inbound in;
-    in.superstep = sums.superstep;
-    in.sums = std::move(sums.partials);
-    accept(peer, FrameType::kSumBatch, std::move(in), sums.messages);
+    peers_[peer].batches[superstep & 1] += 1;
+    peers_[peer].messages[superstep & 1] += in.messages;
+    if (manager_ != nullptr && superstep == open_) {
+      deliver(std::move(in));
+    } else {
+      held_.push_back(std::move(in));
+    }
   }
   cv_.notify_all();
 }
 
-void RankLinks::accept(std::uint32_t peer, FrameType type, Inbound&& in,
-                       std::uint64_t messages) {
-  const std::uint64_t superstep = in.superstep;
-  if (superstep != open_ && superstep != open_ + 1) {
-    fail_locked(corrupt_data(
-        std::string(frame_type_name(type)) + " for superstep " +
-        std::to_string(superstep) + " from rank " + std::to_string(peer) +
-        " while " + std::to_string(open_) + " is open"));
-    return;
-  }
-  peers_[peer].batches[superstep & 1] += 1;
-  peers_[peer].messages[superstep & 1] += messages;
-  if (manager_ != nullptr && superstep == open_) {
-    deliver(std::move(in));
-  } else {
-    held_.push_back(std::move(in));
-  }
-}
-
-void RankLinks::deliver(Inbound&& in) {
-  if (in.batch.empty()) {  // a BATCH payload holds its superstep at least
-    deliver_sums(in.superstep, std::move(in.sums));
-  } else {
-    deliver_batch(in.superstep, in.batch);
-  }
-}
-
-void RankLinks::deliver_batch(std::uint64_t superstep,
-                              const std::vector<std::uint8_t>& payload) {
+void RankLinks::deliver(PartialsPayload&& in) {
+  std::vector<Partial>& partials = in.partials;
   const VertexId begin = slices_.range_begin(rank_);
   const VertexId end = slices_.range_end(rank_);
-  for (std::size_t at = 8; at < payload.size(); at += sizeof(VertexMessage)) {
-    VertexMessage m;
-    std::memcpy(&m, payload.data() + at, sizeof(m));
-    if (m.dst < begin || m.dst >= end) {
-      fail_locked(corrupt_data(
-          "BATCH message for vertex " + std::to_string(m.dst) +
-          " outside this rank's slice [" + std::to_string(begin) + ", " +
-          std::to_string(end) + ")"));
-      return;
-    }
-    const unsigned owner = routing_->owner_of(m.dst);
-    Batch& piece = pieces_[owner];
-    if (piece.capacity() == 0) {
-      piece = pool_.lease();  // gpsa-analyze: transfer(send_piece hands the piece to its computer, which recycles it)
-    }
-    piece.push_back(m);
-    if (piece.size() == piece.capacity()) {
-      send_piece(owner, superstep);
-    }
-  }
-}
-
-void RankLinks::deliver_sums(std::uint64_t superstep,
-                             std::vector<SumPartial>&& sums) {
-  const VertexId begin = slices_.range_begin(rank_);
-  const VertexId end = slices_.range_end(rank_);
-  for (const SumPartial& p : sums) {
+  for (const Partial& p : partials) {
     if (p.dst < begin || p.dst >= end) {
       fail_locked(corrupt_data(
-          "SUM_BATCH partial for vertex " + std::to_string(p.dst) +
+          "PARTIALS partial for vertex " + std::to_string(p.dst) +
           " outside this rank's slice [" + std::to_string(begin) + ", " +
           std::to_string(end) + ")"));
       return;
@@ -415,39 +333,32 @@ void RankLinks::deliver_sums(std::uint64_t superstep,
   }
   // Ascending partials fall into one run per computer: a frame inside one
   // computer's slice goes whole, others are split at the computers' cuts.
-  for (std::size_t at = 0; at < sums.size();) {
-    const unsigned owner = routing_->owner_of(sums[at].dst);
+  for (std::size_t at = 0; at < partials.size();) {
+    const unsigned owner = routing_->owner_of(partials[at].dst);
     std::size_t stop = at + 1;
-    while (stop < sums.size() && routing_->owner_of(sums[stop].dst) == owner) {
+    while (stop < partials.size() &&
+           routing_->owner_of(partials[stop].dst) == owner) {
       ++stop;
     }
     ComputerMsg msg;
-    msg.kind = ComputerMsg::Kind::kSums;
-    msg.superstep = superstep;
-    if (at == 0 && stop == sums.size()) {
-      msg.sums = std::move(sums);
+    msg.kind = ComputerMsg::Kind::kPartials;
+    msg.superstep = in.superstep;
+    if (at == 0 && stop == partials.size()) {
+      msg.partials = std::move(partials);
     } else {
-      msg.sums.assign(sums.begin() + static_cast<std::ptrdiff_t>(at),
-                      sums.begin() + static_cast<std::ptrdiff_t>(stop));
+      msg.partials.assign(partials.begin() + static_cast<std::ptrdiff_t>(at),
+                          partials.begin() + static_cast<std::ptrdiff_t>(stop));
     }
     computers_[owner]->send(std::move(msg));
     at = stop;
   }
 }
 
-void RankLinks::send_piece(unsigned owner, std::uint64_t superstep) {
-  ComputerMsg msg;
-  msg.kind = ComputerMsg::Kind::kBatch;
-  msg.superstep = superstep;
-  msg.batch = std::exchange(pieces_[owner], Batch{});
-  computers_[owner]->send(std::move(msg));
-}
-
 void RankLinks::release_held() {
   if (manager_ == nullptr) {
     return;
   }
-  for (Inbound& in : held_) {
+  for (PartialsPayload& in : held_) {
     // A peer runs at most one superstep ahead: only open_'s are left.
     GPSA_CHECK(in.superstep == open_);
     deliver(std::move(in));
@@ -491,13 +402,6 @@ void RankLinks::close_superstep() {
           std::to_string(promised.batch_frames) + " frames of " +
           std::to_string(promised.messages)));
       return;
-    }
-  }
-  // Every batch of the superstep is in: the partial pieces go too, ahead
-  // of the COMPUTE_OVER that kPeersOver lets the manager send.
-  for (unsigned owner = 0; owner < pieces_.size(); ++owner) {
-    if (!pieces_[owner].empty()) {
-      send_piece(owner, superstep);
     }
   }
   // The whole matrix is in; every rank tallies the same rows.

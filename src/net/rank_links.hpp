@@ -1,21 +1,20 @@
 // One cluster rank's links to its peers (DESIGN.md §14): the PeerLinks of
 // core/peer_links.hpp over sockets. One TransportActor per peer frames
-// the rank's flushes as BATCH frames, or SUM_BATCH frames for a sum-fold
-// program's combined flushes, and its end of a superstep as an
-// END_OF_SUPERSTEP (EOS): its row of the superstep's send matrix
-// ({data frames, messages} per destination) and the traffic it framed.
-// Messages are logical: a SUM_BATCH counts the messages its partials
-// combine, so the matrix, and every counter summed from it, is the same
-// as if each message had crossed the wire alone.
+// the rank's combined flushes as PARTIALS frames, and its end of a
+// superstep as an END_OF_SUPERSTEP (EOS): its row of the superstep's send
+// matrix ({data frames, messages} per destination) and the traffic it
+// framed. Messages are logical: a PARTIALS frame counts the messages its
+// partials combine, so the matrix, and every counter summed from it, is
+// the same as if each message had crossed the wire alone.
 // One InboundPoller thread hands every inbound frame to on_frame, which
-// splits a BATCH or SUM_BATCH among the local computers and files an EOS
-// by parity. Once the manager has ended this rank's dispatch of s and
-// every peer's EOS(s) is in, with the frames and messages its row
-// promises, the links sum the whole matrix and send the manager
-// kPeersOver. A link delivers in order, so an EOS arrives after every
-// frame it counts: a row its frames then disagree with is corrupt.
+// splits a PARTIALS frame among the local computers and files an EOS by
+// parity. Once the manager has ended this rank's dispatch of s and every
+// peer's EOS(s) is in, with the frames and messages its row promises,
+// the links sum the whole matrix and send the manager kPeersOver. A link
+// delivers in order, so an EOS arrives after every frame it counts: a
+// row its frames then disagree with is corrupt.
 //
-// The hold: a peer that has closed s may send s+1 batches before this
+// The hold: a peer that has closed s may send s+1 partials before this
 // rank has enqueued COMPUTE_OVER(s); they wait here until open(s+1). A
 // peer runs at most one superstep ahead (its s+2 needs my EOS(s+1), sent
 // after I closed s), so two parity slots suffice. Failures (a corrupt
@@ -87,17 +86,13 @@ class RankLinks final : public PeerLinks {
 
   std::uint32_t rank() const override { return rank_; }
   const OwnerMap& slices() const override { return slices_; }
-  MessageBatchPool& pool() override { return pool_; }
   void connect(const OwnerMap& routing, std::vector<ComputerActor*> computers,
                ManagerActor* manager) override GPSA_EXCLUDES(mutex_);
   void disconnect() override GPSA_EXCLUDES(mutex_);
-  void send_batch(unsigned owner, std::uint64_t superstep,
-                  std::vector<VertexMessage>&& batch) override
-      GPSA_EXCLUDES(mutex_);
-  std::size_t max_sums() const override { return max_sums_; }
-  void send_sums(unsigned owner, std::uint64_t superstep,
-                 std::uint64_t messages,
-                 std::vector<SumPartial>&& sums) override
+  std::size_t max_partials() const override { return max_partials_; }
+  void send_partials(unsigned owner, std::uint64_t superstep,
+                     std::uint64_t messages,
+                     std::vector<Partial>&& partials) override
       GPSA_EXCLUDES(mutex_);
   void end_dispatch(std::uint64_t superstep, std::uint64_t messages) override
       GPSA_EXCLUDES(mutex_);
@@ -127,7 +122,6 @@ class RankLinks final : public PeerLinks {
   int crash_at_superstep = -1;
 
  private:
-  using Batch = std::vector<VertexMessage>;
   struct Peer {
     bool has_eos[2] = {false, false};  // by superstep parity
     EndOfSuperstepPayload eos[2];
@@ -139,31 +133,12 @@ class RankLinks final : public PeerLinks {
 
   void on_frame(std::uint32_t peer, Frame&& frame) GPSA_EXCLUDES(mutex_);
   void on_lost(std::uint32_t peer, Status status) GPSA_EXCLUDES(mutex_);
-  /// A validated inbound data frame: a BATCH's raw payload or a
-  /// SUM_BATCH's partials.
-  struct Inbound {
-    std::uint64_t superstep = 0;
-    std::vector<std::uint8_t> batch;
-    std::vector<SumPartial> sums;
-  };
-  void on_batch(std::uint32_t peer, std::vector<std::uint8_t>&& payload)
-      GPSA_REQUIRES(mutex_);
-  void on_sum_batch(std::uint32_t peer, Result<SumBatchPayload>&& decoded)
+  /// Counts `peer`'s decoded PARTIALS frame toward its EOS row, then
+  /// delivers it, or holds it while its superstep is the next.
+  void on_partials(std::uint32_t peer, Result<PartialsPayload>&& decoded)
       GPSA_EXCLUDES(mutex_);
-  /// Counts `peer`'s `type` frame of `messages` messages toward its EOS
-  /// row, then delivers it, or holds it while its superstep is the next.
-  void accept(std::uint32_t peer, FrameType type, Inbound&& in,
-              std::uint64_t messages) GPSA_REQUIRES(mutex_);
-  void deliver(Inbound&& in) GPSA_REQUIRES(mutex_);
-  /// Splits a BATCH payload among the computers' pieces.
-  void deliver_batch(std::uint64_t superstep,
-                     const std::vector<std::uint8_t>& payload)
-      GPSA_REQUIRES(mutex_);
-  /// Sends each computer its run of a SUM_BATCH's partials.
-  void deliver_sums(std::uint64_t superstep, std::vector<SumPartial>&& sums)
-      GPSA_REQUIRES(mutex_);
-  void send_piece(unsigned owner, std::uint64_t superstep)
-      GPSA_REQUIRES(mutex_);
+  /// Sends each computer its run of a PARTIALS frame's partials.
+  void deliver(PartialsPayload&& in) GPSA_REQUIRES(mutex_);
   void release_held() GPSA_REQUIRES(mutex_);
   /// Sends kPeersOver once the awaited superstep's matrix is whole.
   void close_superstep() GPSA_REQUIRES(mutex_);
@@ -175,27 +150,22 @@ class RankLinks final : public PeerLinks {
   const std::uint32_t ranks_;
   const OwnerMap& slices_;
   const int timeout_ms_;
-  const std::size_t max_sums_;
+  const std::size_t max_partials_;
   std::vector<PeerLink> links_;
-  MessageBatchPool pool_;
 
   mutable Mutex mutex_{"RankLinks.state"};
   CondVar cv_;
   const OwnerMap* routing_ GPSA_GUARDED_BY(mutex_) = nullptr;
   std::vector<ComputerActor*> computers_ GPSA_GUARDED_BY(mutex_);
-  /// Per owner: inbound messages of superstep open_ not yet sent to its
-  /// computer. A piece goes when full and the rest once the superstep's
-  /// inbound traffic is complete, so pieces stay full-sized.
-  std::vector<Batch> pieces_ GPSA_GUARDED_BY(mutex_);
   ManagerActor* manager_ GPSA_GUARDED_BY(mutex_) = nullptr;
   std::vector<Peer> peers_ GPSA_GUARDED_BY(mutex_);  // [rank]; self unused
   EndOfSuperstepPayload own_ GPSA_GUARDED_BY(mutex_);  // superstep in flight
   Traffic framed_ GPSA_GUARDED_BY(mutex_);
   /// own_.superstep's dispatch is over; its matrix is not yet whole.
   bool awaiting_ GPSA_GUARDED_BY(mutex_) = false;
-  /// Superstep open_'s batches go to the computers; open_ + 1's wait.
+  /// Superstep open_'s partials go to the computers; open_ + 1's wait.
   std::uint64_t open_ GPSA_GUARDED_BY(mutex_) = 0;
-  std::vector<Inbound> held_ GPSA_GUARDED_BY(mutex_);
+  std::vector<PartialsPayload> held_ GPSA_GUARDED_BY(mutex_);
   MatrixTotals totals_ GPSA_GUARDED_BY(mutex_);
   std::vector<ValuesPayload> values_ GPSA_GUARDED_BY(mutex_);
   Traffic values_received_ GPSA_GUARDED_BY(mutex_);

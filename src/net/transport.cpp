@@ -14,13 +14,11 @@
 namespace gpsa {
 
 TransportActor::TransportActor(std::uint16_t src_rank, std::uint16_t version,
-                               const Socket* socket, MessageBatchPool* pool,
-                               int timeout_ms,
+                               const Socket* socket, int timeout_ms,
                                std::function<void(Status)> on_error)
     : src_rank_(src_rank),
       version_(version),
       socket_(socket),
-      pool_(pool),
       timeout_ms_(timeout_ms),
       on_error_(std::move(on_error)) {}
 
@@ -33,11 +31,9 @@ void TransportActor::on_message(TransportMsg msg) {
   }
   if (error_.is_ok()) {
     Status status;
-    if (msg.kind == TransportMsg::Kind::kBatch) {
-      status = write_batch(msg.superstep, msg.batch);
-    } else if (msg.kind == TransportMsg::Kind::kSums) {
-      msg.sums.encode(sum_bytes_);
-      status = write_frame(FrameType::kSumBatch, batch_seq_++, sum_bytes_);
+    if (msg.kind == TransportMsg::Kind::kPartials) {
+      msg.partials.encode(partials_bytes_);
+      status = write_frame(FrameType::kPartials, data_seq_++, partials_bytes_);
     } else {
       status = write_frame(msg.type, control_seq_++, msg.payload);
     }
@@ -48,31 +44,6 @@ void TransportActor::on_message(TransportMsg msg) {
       }
     }
   }
-  if (msg.kind == TransportMsg::Kind::kBatch) {
-    pool_->recycle(std::move(msg.batch));
-  }
-}
-
-Status TransportActor::write_batch(std::uint64_t superstep,
-                                   const std::vector<VertexMessage>& batch) {
-  // Frame prefix: 24-byte header + 8-byte superstep tag. The message
-  // bytes go out straight from the leased buffer (batch_wire_view) — the
-  // zero-copy half of the lease→wire path.
-  const auto [msg_bytes, msg_len] = batch_wire_view(batch);
-  std::uint8_t prefix[kFrameHeaderSize + 8];
-  std::uint8_t* superstep_bytes = prefix + kFrameHeaderSize;
-  for (int shift = 0; shift < 64; shift += 8) {
-    superstep_bytes[shift / 8] =
-        static_cast<std::uint8_t>((superstep >> shift) & 0xffu);
-  }
-  std::uint32_t crc = crc32(superstep_bytes, 8);
-  crc = crc32(msg_bytes, msg_len, crc);
-  encode_frame_header(prefix, version_, FrameType::kBatch, src_rank_,
-                      batch_seq_++,
-                      static_cast<std::uint32_t>(8 + msg_len), crc);
-  iovec iov[2] = {{prefix, sizeof(prefix)},
-                  {const_cast<std::uint8_t*>(msg_bytes), msg_len}};
-  return send_all(*socket_, iov, msg_len > 0 ? 2 : 1, timeout_ms_);
 }
 
 Status TransportActor::write_frame(FrameType type, std::uint32_t seq,

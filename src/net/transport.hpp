@@ -3,13 +3,12 @@
 //
 // Outbound: one TransportActor per peer serializes frames onto its
 // peer's socket with the deadline-driven helpers in socket.hpp, so no
-// dispatcher or manager blocks on the network. A kBatch message carries
-// a leased MessageBatchPool buffer and goes to the wire as two iovecs —
-// the 32-byte frame prefix and the buffer's raw bytes — so the lease→wire
-// path copies nothing. A kSums message is encoded as one SUM_BATCH into a
-// buffer the actor reuses. Blocking inside on_message is safe here and only
-// here: the peer's dedicated poller thread drains its end regardless of
-// that peer's actor scheduling, so no send-send cycle can deadlock.
+// dispatcher or manager blocks on the network. A kPartials message is
+// encoded as one PARTIALS frame into a buffer the actor reuses; every
+// frame goes to the wire as two iovecs, header and payload. Blocking
+// inside on_message is safe here and only here: the peer's dedicated
+// poller thread drains its end regardless of that peer's actor
+// scheduling, so no send-send cycle can deadlock.
 //
 // Inbound: one InboundPoller thread per rank polls every peer socket,
 // feeds the per-link FrameDecoder and hands completed frames to its
@@ -27,8 +26,6 @@
 #include <vector>
 
 #include "actor/actor.hpp"
-#include "core/message_pool.hpp"
-#include "core/messages.hpp"
 #include "net/socket.hpp"
 #include "net/wire_frame.hpp"
 #include "util/status.hpp"
@@ -36,13 +33,10 @@
 namespace gpsa {
 
 struct TransportMsg {
-  enum class Kind : std::uint8_t { kBatch, kSums, kControl, kFence };
+  enum class Kind : std::uint8_t { kPartials, kControl, kFence };
   Kind kind = Kind::kControl;
-  /// kBatch: superstep tag + leased buffer.
-  std::uint64_t superstep = 0;
-  std::vector<VertexMessage> batch;
-  /// kSums: a dispatcher's combined flush.
-  SumBatchPayload sums;
+  /// kPartials: a dispatcher's combined flush.
+  PartialsPayload partials;
   /// kControl: frame type + pre-encoded payload.
   FrameType type = FrameType::kHello;
   std::vector<std::uint8_t> payload;
@@ -58,30 +52,27 @@ class TransportActor final : public Actor<TransportMsg> {
   /// poller reads, nobody else touches the fd. `on_error` fires once on
   /// the first failed send (engine-side abort propagation).
   TransportActor(std::uint16_t src_rank, std::uint16_t version,
-                 const Socket* socket, MessageBatchPool* pool, int timeout_ms,
+                 const Socket* socket, int timeout_ms,
                  std::function<void(Status)> on_error);
 
  protected:
   void on_message(TransportMsg msg) override;
 
  private:
-  Status write_batch(std::uint64_t superstep,
-                     const std::vector<VertexMessage>& batch);
   Status write_frame(FrameType type, std::uint32_t seq,
                      const std::vector<std::uint8_t>& payload);
 
   const std::uint16_t src_rank_;
   const std::uint16_t version_;
   const Socket* socket_;
-  MessageBatchPool* pool_;
   const int timeout_ms_;
   std::function<void(Status)> on_error_;
-  /// Frame header seq: data frames (BATCH, SUM_BATCH) and control frames
-  /// are numbered apart on this link.
-  std::uint32_t batch_seq_ = 0;
+  /// Frame header seq: data frames (PARTIALS) and control frames are
+  /// numbered apart on this link.
+  std::uint32_t data_seq_ = 0;
   std::uint32_t control_seq_ = 0;
-  /// The last SUM_BATCH's encoding; keeps its capacity.
-  std::vector<std::uint8_t> sum_bytes_;
+  /// The last PARTIALS frame's encoding; keeps its capacity.
+  std::vector<std::uint8_t> partials_bytes_;
   Status error_;  // sticky: once a send fails the link is dead
 };
 
@@ -93,7 +84,7 @@ class InboundPoller {
     const Socket* socket = nullptr;
     std::uint16_t accept_version = kWireVersionMax;
     /// Decoder carried over from the handshake. The rendezvous read may
-    /// slurp bytes past the Hello/HelloAck (first batches from a peer
+    /// slurp bytes past the Hello/HelloAck (first frames from a peer
     /// whose own links came up first); handing its decoder to the poller
     /// keeps those bytes instead of dropping them with a fresh decoder.
     FrameDecoder decoder{};

@@ -31,7 +31,7 @@ CrcTables make_crc_tables() {
 }
 
 /// Stores v's low `bytes` bytes little-endian at p (one store once
-/// compiled: a SUM_BATCH is encoded on every link's hot path).
+/// compiled: a PARTIALS is encoded on every link's hot path).
 void store_le(std::uint8_t* p, std::uint64_t v, int bytes) {
   for (int i = 0; i < bytes; ++i) {
     p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu);
@@ -49,11 +49,10 @@ bool frame_type_known(std::uint16_t raw) {
   switch (static_cast<FrameType>(raw)) {
     case FrameType::kHello:
     case FrameType::kHelloAck:
-    case FrameType::kBatch:
     case FrameType::kEndOfSuperstep:
     case FrameType::kValues:
     case FrameType::kAbort:
-    case FrameType::kSumBatch:
+    case FrameType::kPartials:
       return true;
   }
   return false;
@@ -65,16 +64,14 @@ const char* frame_type_name(FrameType type) {
       return "HELLO";
     case FrameType::kHelloAck:
       return "HELLO_ACK";
-    case FrameType::kBatch:
-      return "BATCH";
     case FrameType::kEndOfSuperstep:
       return "END_OF_SUPERSTEP";
     case FrameType::kValues:
       return "VALUES";
     case FrameType::kAbort:
       return "ABORT";
-    case FrameType::kSumBatch:
-      return "SUM_BATCH";
+    case FrameType::kPartials:
+      return "PARTIALS";
   }
   return "UNKNOWN";
 }
@@ -391,33 +388,33 @@ Result<ValuesPayload> ValuesPayload::decode(
   return out;
 }
 
-void SumBatchPayload::encode(std::vector<std::uint8_t>& out) const {
+void PartialsPayload::encode(std::vector<std::uint8_t>& out) const {
   out.resize(kFixedBytes + kPartialBytes * partials.size());
   std::uint8_t* at = out.data();
   store_le(at, superstep, 8);
   store_le(at + 8, messages, 8);
   at += kFixedBytes;
-  for (const SumPartial& p : partials) {
+  for (const Partial& p : partials) {
     store_le(at, p.dst, 4);
-    store_le(at + 4, p.sum, 8);
+    store_le(at + 4, p.value, 8);
     at += kPartialBytes;
   }
 }
 
-Result<SumBatchPayload> SumBatchPayload::decode(
+Result<PartialsPayload> PartialsPayload::decode(
     const std::vector<std::uint8_t>& bytes) {
   if (bytes.size() < kFixedBytes ||
       (bytes.size() - kFixedBytes) % kPartialBytes != 0) {
-    return corrupt_data("wire frame: SUM_BATCH of " +
+    return corrupt_data("wire frame: PARTIALS of " +
                         std::to_string(bytes.size()) +
                         " bytes is not a header and whole partials");
   }
-  SumBatchPayload out;
+  PartialsPayload out;
   out.superstep = get_u64(bytes.data());
   out.messages = get_u64(bytes.data() + 8);
   const std::size_t count = (bytes.size() - kFixedBytes) / kPartialBytes;
   if (out.messages < count) {
-    return corrupt_data("wire frame: SUM_BATCH of " + std::to_string(count) +
+    return corrupt_data("wire frame: PARTIALS of " + std::to_string(count) +
                         " partials combines only " +
                         std::to_string(out.messages) + " messages");
   }
@@ -425,11 +422,11 @@ Result<SumBatchPayload> SumBatchPayload::decode(
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint8_t* p = bytes.data() + kFixedBytes + kPartialBytes * i;
     out.partials[i].dst = get_u32(p);
-    out.partials[i].sum = get_u64(p + 4);
-    if ((out.partials[i].sum >> 63) != 0) {
-      return corrupt_data("wire frame: SUM_BATCH partial for vertex " +
+    out.partials[i].value = get_u64(p + 4);
+    if ((out.partials[i].value >> 63) != 0) {
+      return corrupt_data("wire frame: PARTIALS partial for vertex " +
                           std::to_string(out.partials[i].dst) +
-                          " outside the exact fold's range");
+                          " at or above 2^63");
     }
   }
   return out;

@@ -16,25 +16,22 @@
 //
 // All header fields are little-endian on the wire (explicit byte
 // load/store below, so the codec is byte-order independent even though
-// every deployment target today is little-endian). BATCH payloads are the
-// raw bytes of a leased MessageBatchPool buffer — contiguous
-// {dst u32, value u32} pairs, ascending dst, no padding
-// (static_asserted in core/message_pool.hpp) — which is what makes the
-// lease→wire path copy-free on the send side. A sum-fold program's
-// messages travel as SUM_BATCH instead: one exact 64-bit partial sum per
-// destination (SumBatchPayload), counted as the messages it combines.
+// every deployment target today is little-endian). Vertex messages cross
+// in one data frame, PARTIALS: one 64-bit partial per destination
+// (PartialsPayload), the sender's fold of its messages to that vertex,
+// counted as the messages it combines.
 //
 // Frame types:
 //
 //   type  name              payload
 //   1     HELLO             version range, rank, ranks, graph fingerprint
 //   2     HELLO_ACK         chosen version
-//   3     BATCH             u64 superstep, {dst u32, value u32} messages
+//   3     (retired: versions 1-3's raw BATCH, never reused)
 //   4     END_OF_SUPERSTEP  superstep, sender's wire totals, send row
 //   5, 6  (retired: version 1's rank-0 barrier, never reused)
 //   7     VALUES            final value sync: (vertex, payload) pairs
 //   8     ABORT             reason text
-//   9     SUM_BATCH         u64 superstep, u64 messages, {dst u32, sum u64}
+//   9     PARTIALS          u64 superstep, u64 messages, {dst u32, value u64}
 //
 // The decoder is incremental (feed bytes as they arrive off a nonblocking
 // socket; frames pop out as they complete) and total: arbitrary byte
@@ -55,12 +52,12 @@ namespace gpsa {
 
 /// Protocol versions this build speaks. kHello advertises the closed
 /// range; the acceptor picks the highest version both sides share.
-/// Version 2 closed a superstep on END_OF_SUPERSTEP alone; version 3 adds
-/// SUM_BATCH, which a sum-fold program's ranks must both speak, so a
-/// version-2 rank aborts at HELLO rather than mid-run (and a version-1
-/// rank, barrier through rank 0, as before).
-inline constexpr std::uint16_t kWireVersionMin = 3;
-inline constexpr std::uint16_t kWireVersionMax = 3;
+/// Version 2 closed a superstep on END_OF_SUPERSTEP alone; version 3 added
+/// SUM_BATCH for sum-fold programs; version 4 sends every program's
+/// messages as PARTIALS (type 9) and retires BATCH, so an older rank
+/// aborts at HELLO rather than mid-run.
+inline constexpr std::uint16_t kWireVersionMin = 4;
+inline constexpr std::uint16_t kWireVersionMax = 4;
 
 inline constexpr std::uint32_t kWireMagic = 0x4750'534e;  // "GPSN"
 
@@ -73,12 +70,12 @@ inline constexpr std::size_t kFrameHeaderSize = 24;
 enum class FrameType : std::uint16_t {
   kHello = 1,           // version range + topology + graph fingerprint
   kHelloAck = 2,        // chosen version (or the rejection travels as kAbort)
-  kBatch = 3,           // u64 superstep + raw VertexMessage array
+  // 3 (BATCH, raw messages up to version 3) is retired, never reused.
   kEndOfSuperstep = 4,  // the superstep's barrier: sender's send row + wire
   // 5 and 6 (version 1's rank-0 barrier) are retired, never reused.
   kValues = 7,          // final value sync: (vertex, payload) pairs
   kAbort = 8,           // clean failure propagation, payload = reason text
-  kSumBatch = 9,        // u64 superstep + u64 messages + exact partial sums
+  kPartials = 9,        // u64 superstep + u64 messages + combined partials
 };
 
 /// True for the types the decoder admits (anything else is CorruptData).
@@ -123,10 +120,9 @@ void encode_frame_header(std::uint8_t* out, std::uint16_t version,
                          std::uint32_t seq, std::uint32_t payload_len,
                          std::uint32_t payload_crc);
 
-/// Appends a complete frame (header + copied payload) to `out`. The
-/// transport's hot path (BATCH) does NOT use this — it writes the header
-/// and the leased buffer's bytes as two iovecs — but control frames and
-/// tests do.
+/// Appends a complete frame (header + copied payload) to `out` (tests and
+/// the handshake; the transport writes the header and the payload as two
+/// iovecs).
 void append_frame(std::vector<std::uint8_t>& out, std::uint16_t version,
                   FrameType type, std::uint16_t src_rank, std::uint32_t seq,
                   const std::uint8_t* payload, std::size_t payload_len);
@@ -196,15 +192,15 @@ struct HelloAckPayload {
 };
 
 /// kEndOfSuperstep: the superstep's barrier, one payload sent alike to
-/// every peer after the sender's last BATCH of the superstep. The row
+/// every peer after the sender's last PARTIALS of the superstep. The row
 /// tells each receiver what it should have seen (its own cell), so it can
 /// tell "superstep complete" from "frames still in flight"; once a rank
 /// holds every peer's row it has the whole send matrix and decides halt,
 /// convergence and the cluster-wide counters by itself.
 struct EndOfSuperstepPayload {
   struct Cell {
-    std::uint64_t batch_frames = 0;  // batches flushed to that rank
-    std::uint64_t messages = 0;      // VertexMessages inside them
+    std::uint64_t batch_frames = 0;  // PARTIALS frames sent to that rank
+    std::uint64_t messages = 0;      // the messages they combine
   };
   std::uint64_t superstep = 0;
   /// Bytes and frames the sender framed in this superstep, its
@@ -234,15 +230,16 @@ struct ValuesPayload {
   static Result<ValuesPayload> decode(const std::vector<std::uint8_t>& bytes);
 };
 
-/// kSumBatch: a dispatcher's combined messages to one peer rank in one
+/// kPartials: a dispatcher's combined messages to one peer rank in one
 /// superstep: u64 superstep, u64 messages (the logical messages the
-/// partials sum, what the sender's END_OF_SUPERSTEP row counts), then
-/// {dst u32, sum u64} partials in ascending dst. Each sum is below 2^63,
-/// the exact fold's range (core/program.hpp).
-struct SumBatchPayload {
+/// partials fold, what the sender's END_OF_SUPERSTEP row counts), then
+/// {dst u32, value u64} partials in ascending dst. Each value is below
+/// 2^63: a sum-fold program's exact partial sum (core/program.hpp), or
+/// any other program's payload.
+struct PartialsPayload {
   std::uint64_t superstep = 0;
   std::uint64_t messages = 0;
-  std::vector<SumPartial> partials;
+  std::vector<Partial> partials;
 
   static constexpr std::size_t kFixedBytes = 16;
   static constexpr std::size_t kPartialBytes = 12;
@@ -250,9 +247,9 @@ struct SumBatchPayload {
   /// Replaces `out` with the encoded payload (the transport reuses one
   /// buffer).
   void encode(std::vector<std::uint8_t>& out) const;
-  /// Rejects a payload that is not 16 + 12k bytes, a sum outside the
-  /// fold's range, or fewer messages than partials.
-  static Result<SumBatchPayload> decode(
+  /// Rejects a payload that is not 16 + 12k bytes, a value at or above
+  /// 2^63, or fewer messages than partials.
+  static Result<PartialsPayload> decode(
       const std::vector<std::uint8_t>& bytes);
 };
 

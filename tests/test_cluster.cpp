@@ -15,9 +15,12 @@
 
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
+#include "apps/degree_count.hpp"
+#include "apps/multi_bfs.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/pagerank_delta.hpp"
 #include "apps/reference.hpp"
+#include "apps/sssp.hpp"
 #include "cluster/cluster_engine.hpp"
 #include "cluster/cluster_net.hpp"
 #include "core/engine.hpp"
@@ -78,8 +81,11 @@ class ClusterMatchesEngineTest
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>> {};
 
 TEST_P(ClusterMatchesEngineTest, BitIdenticalToTheSingleMachineEngine) {
-  // Both fold sum programs exactly and min programs order-free, so the
-  // cluster equals the engine bit for bit, at any node and worker count.
+  // Both fold sum programs exactly and every other fold order-free, and a
+  // rank combines its remote messages with the program's own fold, so the
+  // cluster equals the engine bit for bit, at any node and worker count:
+  // sums, min folds (SSSP's gen_msg reads the destination), an OR fold
+  // and an integer count through compute whose first_update resets.
   const auto [nodes, workers] = GetParam();
   auto dir = ScratchDir::create("cluster_vs_engine");
   ASSERT_TRUE(dir.is_ok());
@@ -91,7 +97,11 @@ TEST_P(ClusterMatchesEngineTest, BitIdenticalToTheSingleMachineEngine) {
   const PageRankDeltaProgram delta(100, 0.85F, 1e-4F);
   const BfsProgram bfs(0);
   const ConnectedComponentsProgram cc;
-  const Program* const programs[] = {&pagerank, &delta, &bfs, &cc};
+  const SsspProgram sssp(0);
+  const MultiSourceReachabilityProgram multibfs({0, 1, 2});
+  const InDegreeProgram indegree;
+  const Program* const programs[] = {&pagerank, &delta, &bfs,     &cc,
+                                     &sssp,     &multibfs, &indegree};
   for (const Program* program : programs) {
     SCOPED_TRACE(program->name());
     EngineOptions eo;
@@ -223,7 +233,7 @@ TEST(Cluster, SumFoldMessagesCrossTheWireCombined) {
   // PageRank's remote messages leave as exact partial sums, at most 12
   // bytes per destination: the whole wire, headers, barrier and final
   // value sync included, stays below the 8 bytes per message that
-  // per-message BATCH frames spend on payload alone.
+  // per-message frames would spend on payload alone.
   const EdgeList graph = rmat(10, 30000, 103);
   const PageRankProgram program(5);
   ClusterOptions co;
@@ -233,6 +243,46 @@ TEST(Cluster, SumFoldMessagesCrossTheWireCombined) {
   const ClusterRunResult& r = result.value();
   ASSERT_GT(r.remote_messages, 0U);
   EXPECT_LT(r.bytes_on_wire, 8 * r.remote_messages);
+}
+
+TEST(Cluster, EveryFoldCrossesTheWireCombined) {
+  // Every program's remote messages leave folded by its own compute, one
+  // partial per destination, so a min, OR or count fold's wire also stays
+  // below 8 bytes per remote message.
+  const EdgeList graph = rmat(10, 30000, 103);
+  const BfsProgram bfs(0);
+  const ConnectedComponentsProgram cc;
+  const SsspProgram sssp(0);
+  const MultiSourceReachabilityProgram multibfs({0, 1, 2});
+  const InDegreeProgram indegree;
+  const Program* const programs[] = {&bfs, &cc, &sssp, &multibfs, &indegree};
+  for (const Program* program : programs) {
+    SCOPED_TRACE(program->name());
+    ClusterOptions co;
+    co.num_nodes = 2;
+    const auto result = ClusterEngine::run(graph, *program, co);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    const ClusterRunResult& r = result.value();
+    ASSERT_GT(r.remote_messages, 0U);
+    EXPECT_LT(r.bytes_on_wire, 8 * r.remote_messages);
+  }
+}
+
+TEST(Cluster, RankResultCarriesItsRunResult) {
+  // The cluster result is the rank's own job's RunResult plus the links'
+  // counters: per-superstep times and the rank's pool stats come along.
+  const EdgeList graph = rmat(8, 2000, 91);
+  ClusterOptions co;
+  co.num_nodes = 2;
+  const auto result = ClusterEngine::run(graph, BfsProgram(0), co);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const ClusterRunResult& r = result.value();
+  ASSERT_GT(r.supersteps, 0U);
+  EXPECT_EQ(r.superstep_seconds.size(), r.supersteps);
+  EXPECT_EQ(r.superstep_messages.size(), r.supersteps);
+  EXPECT_GT(r.pool.leases, 0U);
+  EXPECT_EQ(r.pool.free_buffers, r.pool.misses);
+  EXPECT_EQ(r.values.size(), graph.num_vertices());
 }
 
 TEST(Cluster, AccountingSumsAreConsistent) {

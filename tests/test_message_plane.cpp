@@ -24,6 +24,8 @@
 
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
+#include "apps/degree_count.hpp"
+#include "apps/multi_bfs.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/pagerank_delta.hpp"
 #include "apps/reference.hpp"
@@ -138,7 +140,7 @@ TEST(OwnerMap, RoutingNameIsRange) {
   EXPECT_STREQ(message_routing_name(MessageRouting::kRange), "range");
 }
 
-// --- Combined sums (a cluster rank's SUM_BATCH path, DESIGN.md §14) ---------
+// --- Combined partials (a cluster rank's PARTIALS path, DESIGN.md §14) ------
 
 /// One slice's apply state over a value file of its own, stored at
 /// v - kBegin as on a cluster rank; superstep 0 dispatches column 0 and
@@ -202,7 +204,7 @@ TEST(CombinedSums, SenderPartialsFoldLikeTheirMessages) {
     at += n;
   }
 
-  std::vector<std::vector<SumPartial>> pieces;
+  std::vector<std::vector<Partial>> pieces;
   for (std::size_t at = 0; at < messages.size();) {
     const std::size_t n = std::min<std::size_t>(1 + rng.next_below(1500),
                                                 messages.size() - at);
@@ -212,9 +214,9 @@ TEST(CombinedSums, SenderPartialsFoldLikeTheirMessages) {
           fixed_add(sums[messages[k].dst], payload_to_fixed(messages[k].value));
     }
     at += n;
-    std::vector<SumPartial> partials;
+    std::vector<Partial> partials;
     for (const auto& [dst, sum] : sums) {
-      partials.push_back(SumPartial{dst, sum});
+      partials.push_back(Partial{dst, sum});
       if (rng.next_below(40) == 0) {
         pieces.push_back(std::move(partials));
         partials.clear();
@@ -223,8 +225,8 @@ TEST(CombinedSums, SenderPartialsFoldLikeTheirMessages) {
     pieces.push_back(std::move(partials));
   }
   std::shuffle(pieces.begin(), pieces.end(), rng);
-  for (const std::vector<SumPartial>& piece : pieces) {
-    combined.apply.apply_sums(piece, 0);
+  for (const std::vector<Partial>& piece : pieces) {
+    combined.apply.apply_partials(piece, 0);
   }
 
   const std::uint64_t updates = one_by_one.apply.finish(0);
@@ -237,6 +239,77 @@ TEST(CombinedSums, SenderPartialsFoldLikeTheirMessages) {
     EXPECT_EQ(combined.worklist.test(i, 1), one_by_one.worklist.test(i, 1))
         << i;
   }
+}
+
+TEST(CombinedPartials, ComputeFoldPartialsApplyLikeTheirMessages) {
+  // A non-sum program's partial is its messages' compute fold, applied as
+  // one message: values, latest columns, activation and update counts
+  // equal those of the messages applied one by one (min, OR, and a count
+  // whose first_update resets).
+  auto dir = ScratchDir::create("combined_partials");
+  ASSERT_TRUE(dir.is_ok());
+  const BfsProgram bfs(0);
+  const MultiSourceReachabilityProgram multibfs({0, 1, 2});
+  const InDegreeProgram indegree;
+  const Program* const programs[] = {&bfs, &multibfs, &indegree};
+  for (const Program* program : programs) {
+    SCOPED_TRACE(program->name());
+    SliceUnderTest one_by_one(dir.value().file("a_" + program->name()),
+                              *program);
+    SliceUnderTest combined(dir.value().file("b_" + program->name()),
+                            *program);
+    Rng rng(11);
+    std::vector<VertexMessage> messages;
+    for (int k = 0; k < 3000; ++k) {
+      const auto dst = static_cast<VertexId>(
+          SliceUnderTest::kBegin +
+          rng.next_below(SliceUnderTest::kSize * 2 / 3));
+      const auto value =
+          program == &indegree
+              ? Payload{1}
+              : static_cast<Payload>(rng.next_below(kPayloadMask));
+      messages.emplace_back(dst, value);
+    }
+    one_by_one.apply.apply(messages, 0);
+    // Three "senders", each folding its share per destination.
+    std::vector<Partial> partials;
+    for (std::size_t sender = 0; sender < 3; ++sender) {
+      std::map<VertexId, Payload> folds;  // ascending
+      for (std::size_t k = sender; k < messages.size(); k += 3) {
+        const VertexMessage& m = messages[k];
+        const auto it = folds.find(m.dst);
+        if (it == folds.end()) {
+          folds.emplace(m.dst, m.value);
+        } else {
+          it->second = program->compute(it->second, m.value);
+        }
+      }
+      for (const auto& [dst, value] : folds) {
+        partials.push_back(Partial{dst, value});
+      }
+    }
+    combined.apply.apply_partials(partials, 0);
+    EXPECT_EQ(combined.apply.finish(0), one_by_one.apply.finish(0));
+    for (VertexId i = 0; i < SliceUnderTest::kSize; ++i) {
+      EXPECT_EQ(combined.values.load(i, 1), one_by_one.values.load(i, 1))
+          << i;
+      EXPECT_EQ(combined.latest[i], one_by_one.latest[i]) << i;
+      EXPECT_EQ(combined.worklist.test(i, 1), one_by_one.worklist.test(i, 1))
+          << i;
+    }
+  }
+}
+
+TEST(CombinedPartials, NonPayloadPartialThrows) {
+  // A non-sum partial above kPayloadMask is a corrupt peer's, never
+  // truncated into a payload.
+  auto dir = ScratchDir::create("combined_partials_range");
+  ASSERT_TRUE(dir.is_ok());
+  const BfsProgram program(0);
+  SliceUnderTest slice(dir.value().file("a.values"), program);
+  const std::vector<Partial> partials = {
+      {SliceUnderTest::kBegin, std::uint64_t{kPayloadMask} + 1}};
+  EXPECT_THROW(slice.apply.apply_partials(partials, 0), std::out_of_range);
 }
 
 TEST(CombinedSums, OutOfRangeTermOrSumThrowsOnBothPaths) {

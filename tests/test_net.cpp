@@ -58,7 +58,7 @@ std::vector<std::uint8_t> bytes_of(const char* text) {
 TEST(WireFrame, HeaderAndPayloadRoundTrip) {
   const std::vector<std::uint8_t> payload = bytes_of("hello, cluster");
   std::vector<std::uint8_t> wire;
-  append_frame(wire, kWireVersionMax, FrameType::kBatch, /*src_rank=*/3,
+  append_frame(wire, kWireVersionMax, FrameType::kAbort, /*src_rank=*/3,
                /*seq=*/42, payload.data(), payload.size());
   EXPECT_EQ(wire.size(), kFrameHeaderSize + payload.size());
 
@@ -69,7 +69,7 @@ TEST(WireFrame, HeaderAndPayloadRoundTrip) {
   ASSERT_TRUE(produced.is_ok()) << produced.status().to_string();
   ASSERT_TRUE(produced.value());
   EXPECT_EQ(frame.header.version, kWireVersionMax);
-  EXPECT_EQ(frame.header.type, FrameType::kBatch);
+  EXPECT_EQ(frame.header.type, FrameType::kAbort);
   EXPECT_EQ(frame.header.src_rank, 3);
   EXPECT_EQ(frame.header.seq, 42U);
   EXPECT_EQ(frame.payload, payload);
@@ -207,45 +207,47 @@ TEST(WireFrame, EndOfSuperstepRejectsAMisfitRow) {
   EXPECT_EQ(out.status().code(), StatusCode::kCorruptData);
 }
 
-TEST(WireFrame, SumBatchRoundTripsAndRejectsMisfits) {
-  SumBatchPayload in;
+TEST(WireFrame, PartialsRoundTripAndRejectMisfits) {
+  // Both kinds of value: a payload (any program's compute fold) and exact
+  // sums up to the fold's 2^63 bound.
+  PartialsPayload in;
   in.superstep = 9;
   in.messages = 40;
-  in.partials = {{3, 1},
+  in.partials = {{3, kPayloadMask},
                  {70, FixedSum{1} << 56},
                  {0xfffffff0U, (FixedSum{1} << 63) - 1}};
   std::vector<std::uint8_t> bytes;
   in.encode(bytes);
-  ASSERT_EQ(bytes.size(), SumBatchPayload::kFixedBytes +
-                              3 * SumBatchPayload::kPartialBytes);
-  const auto out = SumBatchPayload::decode(bytes);
+  ASSERT_EQ(bytes.size(), PartialsPayload::kFixedBytes +
+                              3 * PartialsPayload::kPartialBytes);
+  const auto out = PartialsPayload::decode(bytes);
   ASSERT_TRUE(out.is_ok()) << out.status().to_string();
   EXPECT_EQ(out.value().superstep, in.superstep);
   EXPECT_EQ(out.value().messages, in.messages);
   ASSERT_EQ(out.value().partials.size(), in.partials.size());
   for (std::size_t i = 0; i < in.partials.size(); ++i) {
     EXPECT_EQ(out.value().partials[i].dst, in.partials[i].dst);
-    EXPECT_EQ(out.value().partials[i].sum, in.partials[i].sum);
+    EXPECT_EQ(out.value().partials[i].value, in.partials[i].value);
   }
-  auto rejects = [](const SumBatchPayload& payload,
+  auto rejects = [](const PartialsPayload& payload,
                     std::size_t extra_bytes) {
     std::vector<std::uint8_t> wire;
     payload.encode(wire);
     wire.resize(wire.size() + extra_bytes, 0);
-    const auto decoded = SumBatchPayload::decode(wire);
+    const auto decoded = PartialsPayload::decode(wire);
     return !decoded.is_ok() &&
            decoded.status().code() == StatusCode::kCorruptData;
   };
   EXPECT_TRUE(rejects(in, 5)) << "not 16 + 12k bytes";
   const auto short_payload =
-      SumBatchPayload::decode(std::vector<std::uint8_t>(15));
+      PartialsPayload::decode(std::vector<std::uint8_t>(15));
   ASSERT_FALSE(short_payload.is_ok());
   EXPECT_EQ(short_payload.status().code(), StatusCode::kCorruptData);
-  SumBatchPayload few = in;
+  PartialsPayload few = in;
   few.messages = 2;  // three partials cannot combine two messages
   EXPECT_TRUE(rejects(few, 0));
-  SumBatchPayload wide = in;
-  wide.partials[1].sum = FixedSum{1} << 63;  // outside the fold's range
+  PartialsPayload wide = in;
+  wide.partials[1].value = FixedSum{1} << 63;  // neither a sum nor a payload
   EXPECT_TRUE(rejects(wide, 0));
 }
 
@@ -253,7 +255,7 @@ TEST(WireFrame, SumBatchRoundTripsAndRejectsMisfits) {
 std::vector<std::uint8_t> mutated_frame(std::size_t at, std::uint8_t byte) {
   const std::vector<std::uint8_t> payload = bytes_of("payload");
   std::vector<std::uint8_t> wire;
-  append_frame(wire, kWireVersionMax, FrameType::kBatch, 0, 1, payload.data(),
+  append_frame(wire, kWireVersionMax, FrameType::kAbort, 0, 1, payload.data(),
                payload.size());
   wire.at(at) = byte;
   return wire;
@@ -280,7 +282,9 @@ TEST(WireFrame, RejectsCorruptionAndStaysPoisoned) {
   expect_poisoned(mutated_frame(0, 0x00), "bad magic");
   expect_poisoned(mutated_frame(10, 0x01), "nonzero reserved");
   expect_poisoned(mutated_frame(6, 0xee), "unknown frame type");
-  // Version 1's barrier frames are retired, not reused.
+  // Versions 1-3's raw BATCH and version 1's barrier frames are retired,
+  // not reused.
+  expect_poisoned(mutated_frame(6, 3), "retired frame type 3");
   expect_poisoned(mutated_frame(6, 5), "retired frame type 5");
   expect_poisoned(mutated_frame(6, 6), "retired frame type 6");
   expect_poisoned(mutated_frame(20, 0x5a), "payload CRC mismatch");
@@ -291,7 +295,7 @@ TEST(WireFrame, RejectsCorruptionAndStaysPoisoned) {
 TEST(WireFrame, RejectsOversizePayloadLength) {
   // append_frame checks the cap, so craft the header by hand.
   std::vector<std::uint8_t> wire(kFrameHeaderSize);
-  encode_frame_header(wire.data(), kWireVersionMax, FrameType::kBatch, 0, 1,
+  encode_frame_header(wire.data(), kWireVersionMax, FrameType::kAbort, 0, 1,
                       kMaxFramePayload + 1, /*payload_crc=*/0);
   FrameDecoder decoder;
   decoder.feed(wire.data(), wire.size());
@@ -305,7 +309,7 @@ TEST(WireFrame, RejectsVersionOtherThanNegotiated) {
   // Post-handshake frames must carry exactly the negotiated version.
   const std::vector<std::uint8_t> payload = bytes_of("x");
   std::vector<std::uint8_t> wire;
-  append_frame(wire, /*version=*/kWireVersionMax + 1, FrameType::kBatch, 0, 1,
+  append_frame(wire, /*version=*/kWireVersionMax + 1, FrameType::kAbort, 0, 1,
                payload.data(), payload.size());
   FrameDecoder decoder;
   decoder.set_accept_version(kWireVersionMax);
@@ -420,7 +424,7 @@ TEST(NetSocket, ShortReadsResumeAcrossChunkedSends) {
     payload[i] = static_cast<std::uint8_t>(i * 7);
   }
   std::vector<std::uint8_t> wire;
-  append_frame(wire, kWireVersionMax, FrameType::kBatch, 1, 9, payload.data(),
+  append_frame(wire, kWireVersionMax, FrameType::kAbort, 1, 9, payload.data(),
                payload.size());
   std::thread sender([&] {
     for (std::size_t at = 0; at < wire.size(); at += 11) {
@@ -629,17 +633,20 @@ void append_payload(std::vector<std::uint8_t>& wire, FrameType type,
                payload.size());
 }
 
-/// One exact partial for `dst`, in a SUM_BATCH of superstep 0 that claims
-/// `messages` messages.
-std::vector<std::uint8_t> sum_batch(VertexId dst, std::uint64_t messages) {
-  SumBatchPayload sums;
-  sums.messages = messages;
-  sums.partials.push_back(
-      SumPartial{dst, payload_to_fixed(float_to_payload(0.001F))});
+/// One partial of `value` for `dst`, in a PARTIALS payload of superstep 0
+/// that claims `messages` messages.
+std::vector<std::uint8_t> partials_frame(VertexId dst, std::uint64_t value,
+                                         std::uint64_t messages) {
+  PartialsPayload partials;
+  partials.messages = messages;
+  partials.partials.push_back(Partial{dst, value});
   std::vector<std::uint8_t> bytes;
-  sums.encode(bytes);
+  partials.encode(bytes);
   return bytes;
 }
+
+/// An exact sum-fold partial, as PageRank's ranks send.
+const std::uint64_t kSumPartial = payload_to_fixed(float_to_payload(0.001F));
 
 void expect_corrupt(const Result<ClusterRunResult>& result,
                     const char* reason) {
@@ -650,52 +657,69 @@ void expect_corrupt(const Result<ClusterRunResult>& result,
       << result.status().to_string();
 }
 
-TEST(ClusterNet, BatchOutsideTheSliceFailsCleanly) {
-  // The hand-played rank 1 sends rank 0 one BATCH addressed to a vertex
-  // of rank 1's own slice. Rank 0 must reject it as corrupt data, not
-  // write the message into its slice's storage out of bounds.
+TEST(ClusterNet, PartialsOutsideTheSliceFailsCleanly) {
+  // The hand-played rank 1 sends a BFS job's rank 0 one PARTIALS frame
+  // addressed to a vertex of rank 1's own slice. Rank 0 must reject it as
+  // corrupt data, not write the message into its slice's storage out of
+  // bounds.
   const EdgeList graph = rmat(8, 2000, 91);
   const auto result = against_played_rank1(
       graph, BfsProgram(0), [&](std::vector<std::uint8_t>& wire) {
         // Superstep 0, one message to the last vertex: always rank 1's.
-        std::vector<std::uint8_t> batch;
-        put_u64(batch, 0);
-        put_u32(batch, graph.num_vertices() - 1);
-        put_u32(batch, 1);
-        append_payload(wire, FrameType::kBatch, batch);
+        append_payload(wire, FrameType::kPartials,
+                       partials_frame(graph.num_vertices() - 1, 1, 1));
       });
   expect_corrupt(result, "outside this rank's slice");
 }
 
-TEST(ClusterNet, SumBatchOutsideTheSliceFailsCleanly) {
+TEST(ClusterNet, SumPartialsOutsideTheSliceFailsCleanly) {
   const EdgeList graph = rmat(8, 2000, 91);
   const auto result = against_played_rank1(
       graph, PageRankProgram(5), [&](std::vector<std::uint8_t>& wire) {
-        append_payload(wire, FrameType::kSumBatch,
-                       sum_batch(graph.num_vertices() - 1, 1));
+        append_payload(wire, FrameType::kPartials,
+                       partials_frame(graph.num_vertices() - 1, kSumPartial,
+                                      1));
       });
   expect_corrupt(result, "outside this rank's slice");
 }
 
-TEST(ClusterNet, SumBatchOfTornSizeFailsCleanly) {
+TEST(ClusterNet, NonPayloadPartialFailsCleanly) {
+  // A BFS job's partial must be a payload. 2^31 is a valid sum-fold
+  // partial on the wire, so the decoder passes it and rank 0's computer
+  // must fail the run with a Status, neither truncating the value nor
+  // aborting the process.
+  const EdgeList graph = rmat(8, 2000, 91);
+  const auto result = against_played_rank1(
+      graph, BfsProgram(0), [&](std::vector<std::uint8_t>& wire) {
+        append_payload(wire, FrameType::kPartials,
+                       partials_frame(0, std::uint64_t{1} << 31, 1));
+      });
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_NE(result.status().message().find("not a payload"),
+            std::string::npos)
+      << result.status().to_string();
+}
+
+TEST(ClusterNet, PartialsOfTornSizeFailsCleanly) {
   // A payload that is not 16 + 12k bytes: one partial and five bytes.
   const EdgeList graph = rmat(8, 2000, 91);
   const auto result = against_played_rank1(
       graph, PageRankProgram(5), [&](std::vector<std::uint8_t>& wire) {
-        std::vector<std::uint8_t> torn = sum_batch(0, 1);
+        std::vector<std::uint8_t> torn = partials_frame(0, kSumPartial, 1);
         torn.resize(torn.size() + 5, 0);
-        append_payload(wire, FrameType::kSumBatch, torn);
+        append_payload(wire, FrameType::kPartials, torn);
       });
   expect_corrupt(result, "whole partials");
 }
 
-TEST(ClusterNet, SumBatchCountDisagreeingWithItsRowFailsCleanly) {
-  // The SUM_BATCH claims two messages, its sender's END_OF_SUPERSTEP row
-  // one: rank 0 must not wait for a message that will never come.
+TEST(ClusterNet, PartialsCountDisagreeingWithItsRowFailsCleanly) {
+  // The PARTIALS frame claims two messages, its sender's END_OF_SUPERSTEP
+  // row one: rank 0 must not wait for a message that will never come.
   const EdgeList graph = rmat(8, 2000, 91);
   const auto result = against_played_rank1(
       graph, PageRankProgram(5), [&](std::vector<std::uint8_t>& wire) {
-        append_payload(wire, FrameType::kSumBatch, sum_batch(0, 2));
+        append_payload(wire, FrameType::kPartials,
+                       partials_frame(0, kSumPartial, 2));
         EndOfSuperstepPayload eos;
         eos.row.resize(2);
         eos.row[0].batch_frames = 1;
